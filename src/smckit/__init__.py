@@ -71,15 +71,13 @@ from .kleisli import (
     theta_apply_hom,
 )
 from .unbias import (
-    LawReport,
     PbcSystem,
     base_change_unique,
-    check_pbc_laws,
     lambda_system,
-    pseudofunctor_laws,
     pseudofunctor_on_cell,
     pseudofunctor_on_span,
     unbias_eval,
 )
+from .laws import LawReport, check_pbc_laws, pseudofunctor_laws
 
 __version__ = "0.1.0"

@@ -22,9 +22,10 @@ import json
 import os
 import sys
 
-from .errors import ParseError, RecordFormatError, SmcError, UnassignedLabel
+from .errors import ParseError, RecordFormatError, SmcError
 from .models import FreeTermModel, SListModel
 from .perms import reduced_word
+from .slist import hom_equal
 from .spans import FinFun, FinSet, Span, assoc_cell, compose_span, left_unitor_cell, right_unitor_cell
 from .terms import (
     Assoc,
@@ -41,11 +42,11 @@ from .terms import (
     Tensor,
     Unit,
     canonical_term,
-    decide_equal,
+    normal_forms,
     normalize,
     normalize_obj,
-    typecheck,
 )
+from .terms import typecheck  # noqa: F401  unused: normalize typechecks; perfbench's tests patch cli.typecheck
 from .unbias import unbias_comp_iso, unbias_eval, unbias_unit_iso
 
 SCHEMA = "smckit/1"
@@ -297,9 +298,7 @@ def emit(out, record: dict):
 
 
 def cmd_normalize(args, out) -> int:
-    term = parse_mor(args.term)
-    typecheck(term)
-    hom = normalize(term)
+    hom = normalize(parse_mor(args.term))
     word = reduced_word(hom.phi)
     canon = canonical_term(hom)
     if args.format == "record":
@@ -322,20 +321,19 @@ def cmd_normalize(args, out) -> int:
 
 
 def cmd_equal(args, out) -> int:
-    lhs = parse_mor(args.lhs)
-    rhs = parse_mor(args.rhs)
-    equal = decide_equal(lhs, rhs)
+    lhs, rhs = normal_forms(parse_mor(args.lhs), parse_mor(args.rhs))
+    equal = hom_equal(lhs, rhs)
     if args.format == "record":
         record = {"schema": SCHEMA, "kind": "decision", "equal": equal}
         if not equal:
-            record["lhs_phi"] = list(normalize(lhs).phi.img)
-            record["rhs_phi"] = list(normalize(rhs).phi.img)
+            record["lhs_phi"] = list(lhs.phi.img)
+            record["rhs_phi"] = list(rhs.phi.img)
         emit(out, record)
     else:
         out.write(f"equal: {'true' if equal else 'false'}\n")
         if not equal:
-            out.write(f"lhs phi={normalize(lhs).phi}\n")
-            out.write(f"rhs phi={normalize(rhs).phi}\n")
+            out.write(f"lhs phi={lhs.phi}\n")
+            out.write(f"rhs phi={rhs.phi}\n")
     return 0 if equal else 1
 
 
@@ -372,18 +370,12 @@ def cmd_span_compose(args, out) -> int:
     return 0
 
 
-def _family_assignment(size: int, entries: dict, model_name: str):
-    model = FreeTermModel() if model_name == "term" else SListModel()
-
-    def assign(j):
-        if j not in entries:
-            raise UnassignedLabel(f"family has no entry for index {j}")
-        obj = parse_obj(entries[j])
-        if model_name == "term":
-            return obj
-        return normalize_obj(obj)
-
-    return model, assign
+def _family_assignment(entries: dict, model_name: str):
+    """The model and the assignment index -> object, every entry parsed once."""
+    objs = {j: parse_obj(text) for j, text in entries.items()}
+    if model_name == "term":
+        return FreeTermModel(), objs
+    return SListModel(), {j: normalize_obj(obj) for j, obj in objs.items()}
 
 
 def cmd_unbias(args, out) -> int:
@@ -393,7 +385,7 @@ def cmd_unbias(args, out) -> int:
         raise RecordFormatError(
             f"family of size {size} does not match span foot of size {s.dom.size}"
         )
-    model, assign = _family_assignment(size, entries, args.model)
+    model, assign = _family_assignment(entries, args.model)
     result = unbias_eval(s, model, assign)
     render = render_obj if args.model == "term" else str
     if args.format == "record":

@@ -93,6 +93,12 @@ class CoxeterMatrixA:
             raise ValueError("rank must be a natural number")
 
     def entry(self, i: int, j: int) -> int:
+        """Entry m(i, j): 1 on the diagonal, 3 next to it, 2 elsewhere.
+
+        >>> a4 = CoxeterMatrixA(4)
+        >>> a4.entry(2, 2), a4.entry(1, 2), a4.entry(0, 3)
+        (1, 3, 2)
+        """
         if i < 0 or j < 0:
             raise ValueError("indices must be naturals")
         if i == j:
@@ -100,16 +106,6 @@ class CoxeterMatrixA:
         if abs(i - j) == 1:
             return 3
         return 2
-
-
-def matrix_entry(m: CoxeterMatrixA, i: int, j: int) -> int:
-    """Entry m(i, j): 1 on the diagonal, 3 next to it, 2 elsewhere.
-
-    >>> a4 = CoxeterMatrixA(4)
-    >>> matrix_entry(a4, 2, 2), matrix_entry(a4, 1, 2), matrix_entry(a4, 0, 3)
-    (1, 3, 2)
-    """
-    return m.entry(i, j)
 
 
 def word_to_perm(word: Sequence[int], n: int) -> Perm:

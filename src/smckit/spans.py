@@ -347,14 +347,6 @@ class PullbackSquare:
         return self.comparison().is_bijective()
 
 
-def vertical_unit_square(f: FinFun) -> PullbackSquare:
-    return PullbackSquare(f, identity_fun(f.src), identity_fun(f.dst), f)
-
-
-def horizontal_unit_square(f: FinFun) -> PullbackSquare:
-    return PullbackSquare(identity_fun(f.src), f, f, identity_fun(f.dst))
-
-
 def square_from_cospan(bottom: FinFun, right: FinFun) -> PullbackSquare:
     """Complete a cospan to its canonical pullback square."""
     pb = pullback(bottom, right)

@@ -14,7 +14,6 @@ boundaries is therefore decidable by comparing normal forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Callable
 
 from .errors import BoundaryMismatch, IllTyped, UnassignedLabel
@@ -119,7 +118,6 @@ class Inv(MorTerm):
     arg: MorTerm
 
 
-@lru_cache(maxsize=None)
 def mor_src(t: MorTerm) -> ObjTerm:
     if isinstance(t, Id):
         return t.obj
@@ -140,7 +138,6 @@ def mor_src(t: MorTerm) -> ObjTerm:
     raise TypeError(f"not a morphism term: {t!r}")
 
 
-@lru_cache(maxsize=None)
 def mor_tgt(t: MorTerm) -> ObjTerm:
     if isinstance(t, Id):
         return t.obj
@@ -319,6 +316,17 @@ def normalize(t: MorTerm) -> SListHom:
     return eval_mor(t, SListModel(), lambda label: SList((label,)))
 
 
+def normal_forms(s: MorTerm, t: MorTerm) -> tuple[SListHom, SListHom]:
+    """Normal forms of two well-typed terms with syntactically equal boundaries.
+
+    Normalizing typechecks each term, so each is typechecked once.
+    """
+    hs, ht = normalize(s), normalize(t)
+    if mor_src(s) != mor_src(t) or mor_tgt(s) != mor_tgt(t):
+        raise BoundaryMismatch("decide_equal needs syntactically equal boundaries")
+    return hs, ht
+
+
 def decide_equal(s: MorTerm, t: MorTerm) -> bool:
     """Coherence decision procedure: equal boundaries, then equal normal forms.
 
@@ -326,11 +334,7 @@ def decide_equal(s: MorTerm, t: MorTerm) -> bool:
     >>> decide_equal(Braid(a, a), Id(Tensor(a, a)))
     False
     """
-    typecheck(s)
-    typecheck(t)
-    if mor_src(s) != mor_src(t) or mor_tgt(s) != mor_tgt(t):
-        raise BoundaryMismatch("decide_equal needs syntactically equal boundaries")
-    return hom_equal(normalize(s), normalize(t))
+    return hom_equal(*normal_forms(s, t))
 
 
 # ---------------------------------------------------------------------------

@@ -24,64 +24,32 @@ the left-leg image of the right fiber at k, in ascending apex order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import NotInvertible, NotPullbackSquare
-from .kleisli import (
-    KCell,
-    KHom,
-    invert_kcell,
-    k_compose,
-    k_hcomp,
-    k_id,
-    k_id_cell,
-    k_vcomp,
-    theta_apply,
-)
-from .slist import SList, is_linear, unique_hom_linear
+from .kleisli import KCell, KHom, invert_kcell, k_compose, k_hcomp, k_id, k_id_cell, k_vcomp, theta_apply
+from .slist import SList, unique_hom_linear
 from .spans import (
     FinFun,
     FinSet,
     PullbackSquare,
     Span,
     SpanCell,
-    assoc_cell,
     compose_pullback,
-    compose_span,
     fcompose,
     fiber,
-    horizontal_compose,
-    hpaste,
-    identity_cell,
     identity_fun,
-    identity_span,
-    left_unitor_cell,
-    right_unitor_cell,
-    square_from_cospan,
-    vertical_compose,
-    vpaste,
 )
 from .terms import SmcModel, lookup, psi_hom, psi_monoidal_iso, psi_obj
 
 
 # ---------------------------------------------------------------------------
-# op-level composition and whiskering (strict target)
+# op-level composition (strict target)
 
 
 def op_compose(p: KHom, q: KHom) -> KHom:
     """Stored form of "p then q" in the opposite reading."""
     return k_compose(q, p)
-
-
-def cell_after(w: KHom, theta: KCell) -> KCell:
-    """Whisker: the 1-cell w happens first, then the legs of theta."""
-    return k_hcomp(theta, k_id_cell(w))
-
-
-def cell_before(theta: KCell, w: KHom) -> KCell:
-    """Whisker: the legs of theta happen first, then the 1-cell w."""
-    return k_hcomp(k_id_cell(w), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +64,8 @@ class PbcSystem:
     ``u_comp(f, g)`` connects u(g.f) to "u(f) then u(g)", ``v_comp(f, g)``
     connects v(g.f) to "v(g) then v(f)", the identity cells collapse onto
     the strict unit, and ``base_change`` is oriented as documented above.
-    The law checker below spells out the pasting and unit-square conditions
-    the data must satisfy.
+    ``laws.check_pbc_laws`` spells out the pasting and unit-square
+    conditions the data must satisfy.
     """
 
     obj: Callable[[FinSet], FinSet]
@@ -224,280 +192,6 @@ def f_id_cell(sys: PbcSystem, x: FinSet) -> KCell:
 
 
 # ---------------------------------------------------------------------------
-# law suites
-
-
-@dataclass(frozen=True)
-class LawReport:
-    name: str
-    cases: int
-    violations: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        status = "ok" if self.ok else f"FAILED ({len(self.violations)})"
-        lines = [f"{self.name}: {self.cases} checks, {status}"]
-        lines += [f"  - {v}" for v in self.violations[:20]]
-        return "\n".join(lines)
-
-
-def all_functions(a: int, b: int):
-    """All maps from a set of size a to one of size b, lexicographically."""
-    src, dst = FinSet(a), FinSet(b)
-    if a == 0:
-        yield FinFun(src, dst, ())
-        return
-    if b == 0:
-        return
-    img = [0] * a
-    while True:
-        yield FinFun(src, dst, tuple(img))
-        i = 0
-        while i < a:
-            img[i] += 1
-            if img[i] < b:
-                break
-            img[i] = 0
-            i += 1
-        if i == a:
-            return
-
-
-def _random_function(rng: Random, a: int, b: int) -> FinFun | None:
-    if b == 0 and a > 0:
-        return None
-    return FinFun(FinSet(a), FinSet(b), tuple(rng.randrange(b) for _ in range(a)))
-
-
-def check_pbc_laws(
-    sys: PbcSystem,
-    max_size: int = 3,
-    paste_max_size: int = 2,
-    seed: int = 0,
-    random_pastes: int = 200,
-) -> LawReport:
-    """Exercise the defining laws of a system, with exact cell equality.
-
-    Unit squares, single base-change cells and linearity of every produced
-    list run exhaustively up to ``max_size``.  Pasting laws run
-    exhaustively over generating cospans up to ``paste_max_size`` and on
-    seeded random data up to ``max_size``; full exhaustion of pasteable
-    pairs at size 3 is combinatorially out of budget.
-    """
-    violations: list[str] = []
-    cases = 0
-
-    def check(cond: bool, msg: str):
-        nonlocal cases
-        cases += 1
-        if not cond:
-            violations.append(msg)
-
-    sizes = range(max_size + 1)
-    for a in sizes:
-        for b in sizes:
-            for f in all_functions(a, b):
-                check(
-                    all(is_linear(l) for l in sys.u(f).lists)
-                    and all(is_linear(l) for l in sys.v(f).lists),
-                    f"u/v lists not linear at {f.img}",
-                )
-                hsq = PullbackSquare(identity_fun(f.src), f, f, identity_fun(f.dst))
-                lhs = sys.base_change(hsq)
-                rhs = k_vcomp(
-                    cell_after(sys.u(f), sys.v_id(f.dst)),
-                    cell_before(invert_kcell(sys.v_id(f.src)), sys.u(f)),
-                )
-                check(lhs == rhs, f"horizontal unit square at {f.img}")
-                vsq = PullbackSquare(f, identity_fun(f.src), identity_fun(f.dst), f)
-                lhs = sys.base_change(vsq)
-                rhs = k_vcomp(
-                    cell_before(sys.u_id(f.dst), sys.v(f)),
-                    cell_after(sys.v(f), invert_kcell(sys.u_id(f.src))),
-                )
-                check(lhs == rhs, f"vertical unit square at {f.img}")
-
-    for w in sizes:
-        for z in sizes:
-            for y in sizes:
-                for b in all_functions(z, w):
-                    for r in all_functions(y, w):
-                        sq = square_from_cospan(b, r)
-                        cell = sys.base_change(sq)
-                        check(
-                            all(is_linear(l) for l in cell.src.lists)
-                            and all(is_linear(l) for l in cell.dst.lists),
-                            f"base-change boundary not linear at {b.img}, {r.img}",
-                        )
-
-    def check_hpaste(lsq: PullbackSquare, rsq: PullbackSquare):
-        whole = hpaste(lsq, rsq)
-        t0, t1 = lsq.top, rsq.top
-        v0, v2 = lsq.left, rsq.right
-        b0, b1 = lsq.bottom, rsq.bottom
-        lhs = k_vcomp(sys.base_change(whole), cell_before(sys.v_comp(t0, t1), sys.u(v0)))
-        rhs = k_vcomp(
-            cell_after(sys.u(v2), sys.v_comp(b0, b1)),
-            cell_before(sys.base_change(rsq), sys.v(b0)),
-            cell_after(sys.v(t1), sys.base_change(lsq)),
-        )
-        check(lhs == rhs, f"horizontal pasting at {b0.img}|{b1.img}|{v2.img}")
-
-    def check_vpaste(tsq: PullbackSquare, bsq: PullbackSquare):
-        whole = vpaste(tsq, bsq)
-        h0, h2 = tsq.top, bsq.bottom
-        l0, l1 = tsq.left, bsq.left
-        r0, r1 = tsq.right, bsq.right
-        lhs = k_vcomp(sys.base_change(whole), cell_after(sys.v(h0), sys.u_comp(l0, l1)))
-        rhs = k_vcomp(
-            cell_before(sys.u_comp(r0, r1), sys.v(h2)),
-            cell_after(sys.u(r0), sys.base_change(bsq)),
-            cell_before(sys.base_change(tsq), sys.u(l1)),
-        )
-        check(lhs == rhs, f"vertical pasting at {h2.img}/{r1.img}/{r0.img}")
-
-    psizes = range(paste_max_size + 1)
-    for d in psizes:
-        for e in psizes:
-            for f_ in psizes:
-                for c in psizes:
-                    for b0 in all_functions(d, e):
-                        for b1 in all_functions(e, f_):
-                            for v2 in all_functions(c, f_):
-                                rsq = square_from_cospan(b1, v2)
-                                lsq = square_from_cospan(b0, rsq.left)
-                                check_hpaste(lsq, rsq)
-                    for h2 in all_functions(d, e):
-                        for r1 in all_functions(f_, e):
-                            bsq = square_from_cospan(h2, r1)
-                            for r0 in all_functions(c, f_):
-                                tsq = square_from_cospan(bsq.top, r0)
-                                check_vpaste(tsq, bsq)
-
-    rng = Random(seed)
-    for _ in range(random_pastes):
-        d, e, f_, c = (rng.randint(0, max_size) for _ in range(4))
-        b0 = _random_function(rng, d, e)
-        b1 = _random_function(rng, e, f_)
-        v2 = _random_function(rng, c, f_)
-        if b0 is None or b1 is None or v2 is None:
-            continue
-        rsq = square_from_cospan(b1, v2)
-        check_hpaste(square_from_cospan(b0, rsq.left), rsq)
-        h2 = _random_function(rng, e, f_)
-        r1 = _random_function(rng, d, f_)
-        r0 = _random_function(rng, c, d)
-        if h2 is not None and r1 is not None and r0 is not None:
-            bsq = square_from_cospan(h2, r1)
-            tsq = square_from_cospan(bsq.top, r0)
-            check_vpaste(tsq, bsq)
-
-    return LawReport("pbc-laws", cases, tuple(violations))
-
-
-def _random_span(rng: Random, max_size: int) -> Span:
-    a = rng.randint(0, max_size)
-    lo = 0 if a == 0 else 1
-    left = _random_function(rng, a, rng.randint(lo, max_size))
-    right = _random_function(rng, a, rng.randint(lo, max_size))
-    return Span(left, right)
-
-
-def _random_span_from(rng: Random, dom: FinSet, max_size: int) -> Span:
-    a = rng.randint(0, max_size) if dom.size else 0
-    left = _random_function(rng, a, dom.size)
-    right = _random_function(rng, a, rng.randint(0 if a == 0 else 1, max_size))
-    return Span(left, right)
-
-
-def _random_pith_cell(rng: Random, s: Span) -> SpanCell:
-    perm = list(range(s.apex.size))
-    rng.shuffle(perm)
-    phi = FinFun(s.apex, s.apex, tuple(perm))
-    inv = phi.inverse()
-    dst = Span(fcompose(inv, s.left), fcompose(inv, s.right))
-    return SpanCell(s, dst, phi)
-
-
-def pseudofunctor_laws(
-    sys: PbcSystem, max_size: int = 3, seed: int = 0, samples: int = 100
-) -> LawReport:
-    """Check the generated pseudofunctor on seeded random spans and cells.
-
-    Covers functoriality on cells, naturality of the composition comparison
-    in both arguments, the associativity transport identity and both unit
-    coherences, all as exact cell equalities in the strict target.
-    """
-    rng = Random(seed)
-    violations: list[str] = []
-    cases = 0
-
-    def check(cond: bool, msg: str):
-        nonlocal cases
-        cases += 1
-        if not cond:
-            violations.append(msg)
-
-    def fs(s: Span) -> KHom:
-        return pseudofunctor_on_span(sys, s)
-
-    for _ in range(samples):
-        s = _random_span(rng, max_size)
-        t = _random_span_from(rng, s.cod, max_size)
-        u = _random_span_from(rng, t.cod, max_size)
-
-        c1 = _random_pith_cell(rng, s)
-        c2 = _random_pith_cell(rng, c1.dst)
-        lhs = pseudofunctor_on_cell(sys, vertical_compose(c1, c2))
-        rhs = k_vcomp(pseudofunctor_on_cell(sys, c1), pseudofunctor_on_cell(sys, c2))
-        check(lhs == rhs, "functoriality on vertical composites")
-        check(
-            pseudofunctor_on_cell(sys, identity_cell(s)) == k_id_cell(fs(s)),
-            "identity cells map to identity cells",
-        )
-
-        d1 = _random_pith_cell(rng, s)
-        d2 = _random_pith_cell(rng, t)
-        hcell = horizontal_compose(d1, d2)
-        lhs = k_vcomp(pseudofunctor_on_cell(sys, hcell), f_comp_cell(sys, d1.dst, d2.dst))
-        rhs = k_vcomp(
-            f_comp_cell(sys, s, t),
-            k_hcomp(pseudofunctor_on_cell(sys, d2), pseudofunctor_on_cell(sys, d1)),
-        )
-        check(lhs == rhs, "naturality of the composition comparison")
-
-        lhs = k_vcomp(
-            pseudofunctor_on_cell(sys, assoc_cell(s, t, u)),
-            f_comp_cell(sys, s, compose_span(t, u)),
-            cell_after(fs(s), f_comp_cell(sys, t, u)),
-        )
-        rhs = k_vcomp(
-            f_comp_cell(sys, compose_span(s, t), u),
-            cell_before(f_comp_cell(sys, s, t), fs(u)),
-        )
-        check(lhs == rhs, "associativity transport")
-
-        lhs = pseudofunctor_on_cell(sys, right_unitor_cell(s))
-        rhs = k_vcomp(
-            f_comp_cell(sys, s, identity_span(s.cod)),
-            cell_after(fs(s), f_id_cell(sys, s.cod)),
-        )
-        check(lhs == rhs, "right unit coherence")
-
-        lhs = pseudofunctor_on_cell(sys, left_unitor_cell(s))
-        rhs = k_vcomp(
-            f_comp_cell(sys, identity_span(s.dom), s),
-            cell_before(f_id_cell(sys, s.dom), fs(s)),
-        )
-        check(lhs == rhs, "left unit coherence")
-
-    return LawReport("pseudofunctor-laws", cases, tuple(violations))
-
-
-# ---------------------------------------------------------------------------
 # the end-to-end evaluator
 
 
@@ -576,74 +270,3 @@ def unbias_unit_iso(x: FinSet, m: SmcModel, assignment) -> tuple:
     return tuple(m.right_unitor(lookup(assignment, j)) for j in x)
 
 
-def psi_family_map(m: SmcModel, homs: Sequence, l: SList):
-    """Fold a family of morphisms along a list: the action of a fold on maps."""
-    if len(l) == 0:
-        return m.identity(m.unit())
-    head, tail = l.labels[0], SList(l.labels[1:])
-    return m.tensor_mor(homs[head], psi_family_map(m, homs, tail))
-
-
-def unbias_coherence_failures(
-    m: SmcModel,
-    assignment_for: Callable[[FinSet], object],
-    triples: Sequence[tuple[Span, Span, Span]],
-    rng: Random | None = None,
-) -> list[str]:
-    """End-to-end pseudofunctor laws for triples of composable spans.
-
-    Each law compares two model morphisms under the model's equality; with
-    the free term model every comparison runs the coherence decision
-    procedure.
-    """
-    failures: list[str] = []
-    for s, t, u in triples:
-        x = assignment_for(s.dom)
-        sys = lambda_system()
-        fam_s = pseudofunctor_on_span(sys, s)
-        fam_t = pseudofunctor_on_span(sys, t)
-        fam_u = pseudofunctor_on_span(sys, u)
-        y = {k: psi_obj(m, x, l.labels) for k, l in enumerate(fam_s.lists)}
-
-        st = compose_span(s, t)
-        comp_st = unbias_comp_iso(s, t, m, x)
-
-        # associativity transport
-        alpha = unbias_cell(assoc_cell(s, t, u), m, x)
-        comp_s_tu = unbias_comp_iso(s, compose_span(t, u), m, x)
-        comp_tu_at_y = unbias_comp_iso(t, u, m, y)
-        comp_st_u = unbias_comp_iso(st, u, m, x)
-        for l in range(fam_u.src.size):
-            lhs = m.compose(m.compose(alpha[l], comp_s_tu[l]), comp_tu_at_y[l])
-            rhs = m.compose(comp_st_u[l], psi_family_map(m, comp_st, fam_u.lists[l]))
-            if not m.mor_equal(lhs, rhs):
-                failures.append(f"associativity at index {l} of {u.cod.size}")
-
-        # unit coherences
-        run = unbias_cell(right_unitor_cell(s), m, x)
-        comp_rid = unbias_comp_iso(s, identity_span(s.cod), m, x)
-        unit_y = unbias_unit_iso(s.cod, m, y)
-        for k in range(s.cod.size):
-            if not m.mor_equal(run[k], m.compose(comp_rid[k], unit_y[k])):
-                failures.append(f"right unit at index {k}")
-        lun = unbias_cell(left_unitor_cell(s), m, x)
-        comp_lid = unbias_comp_iso(identity_span(s.dom), s, m, x)
-        unit_x = unbias_unit_iso(s.dom, m, x)
-        for k in range(s.cod.size):
-            rhs = m.compose(comp_lid[k], psi_family_map(m, unit_x, fam_s.lists[k]))
-            if not m.mor_equal(lun[k], rhs):
-                failures.append(f"left unit at index {k}")
-
-        # naturality of the comparison in the first argument
-        if rng is not None and s.apex.size:
-            c = _random_pith_cell(rng, s)
-            hcell = horizontal_compose(c, identity_cell(t))
-            moved = unbias_cell(hcell, m, x)
-            comp_2 = unbias_comp_iso(c.dst, t, m, x)
-            cs = unbias_cell(c, m, x)
-            for l in range(fam_t.src.size):
-                lhs = m.compose(moved[l], comp_2[l])
-                rhs = m.compose(comp_st[l], psi_family_map(m, cs, fam_t.lists[l]))
-                if not m.mor_equal(lhs, rhs):
-                    failures.append(f"comparison naturality at index {l}")
-    return failures

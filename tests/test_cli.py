@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from smckit import cli
 from smckit.cli import (
     main,
     parse_mor,
@@ -160,6 +161,47 @@ def test_unbias_missing_family_entry():
     })
     code, _ = run("unbias", SPAN_A, family)
     assert code == 2
+
+
+def test_unbias_family_entry_parse_error_is_exit_2():
+    # the family record is checked in full where it is read, so an
+    # unparsable entry fails even where the span never uses it
+    family = json.dumps({
+        "schema": "smckit/1", "kind": "family", "size": 2,
+        "entries": {"0": "x", "1": "(y*z)", "2": "(y*"},
+    })
+    code, text = run("unbias", SPAN_A, family)
+    assert code == 2 and text == ""
+
+
+def test_unbias_cells_parses_each_family_entry_once(monkeypatch):
+    arity = 24
+    span = json.dumps({
+        "schema": "smckit/1", "kind": "span", "apex": arity,
+        "left": {"target": 4, "img": [i % 4 for i in range(arity)]},
+        "right": {"target": 1, "img": [0] * arity},
+    })
+    family = json.dumps({
+        "schema": "smckit/1", "kind": "family", "size": 4,
+        "entries": {str(j): f"(x{j} * I)" for j in range(4)},
+    })
+    calls = []
+
+    def counting_parse_obj(text):
+        calls.append(text)
+        return parse_obj(text)
+
+    monkeypatch.setattr(cli, "parse_obj", counting_parse_obj)
+    code, text = run("unbias", span, family, "--cells")
+    assert code == 0 and "composition cell k=0" in text
+    assert len(calls) <= 4
+
+
+def test_equal_on_a_long_chain():
+    # a 500-step composition chain decides without reaching the recursion limit
+    chain = " ; ".join(["b x y ; b y x"] * 250)
+    code, text = run("equal", chain, "id (x*y)")
+    assert code == 0 and text == "equal: true\n"
 
 
 def test_unbias_cells_run():

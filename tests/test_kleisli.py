@@ -30,6 +30,7 @@ from smckit.kleisli import (
     theta_apply_hom,
     theta_whisker,
 )
+from smckit.laws import random_khom
 from smckit.models import FreeTermModel, SListModel
 from smckit.perms import Perm
 from smckit.slist import (
@@ -75,7 +76,7 @@ def test_theta_functorial():
     rng = Random(31)
     for _ in range(100):
         j = rng.randint(1, 3)
-        g = _random_khom(rng, rng.randint(1, 3), j, 3)
+        g = random_khom(rng, rng.randint(1, 3), j, 3)
         start = SList(tuple(rng.randrange(g.src.size) for _ in range(rng.randint(0, 4))))
         n = len(start)
         w1 = tuple(rng.randrange(n - 1) for _ in range(rng.randint(0, 4))) if n > 1 else ()
@@ -91,14 +92,6 @@ def test_theta_functorial():
         assert theta_apply(g, tensor_obj(start, l2)) == tensor_obj(
             theta_apply(g, start), theta_apply(g, l2)
         )
-
-
-def _random_khom(rng, i, j, max_len):
-    lists = tuple(
-        SList(tuple(rng.randrange(j) for _ in range(rng.randint(0, max_len)))) if j else SList(())
-        for _ in range(i)
-    )
-    return KHom(FinSet(i), FinSet(j), lists)
 
 
 def _random_kcell(rng, x: KHom) -> KCell:
@@ -134,9 +127,9 @@ def g_example_23():
 def test_strictness_cells():
     rng = Random(32)
     for _ in range(50):
-        f = _random_khom(rng, rng.randint(0, 3), rng.randint(1, 3), 3)
-        g = _random_khom(rng, f.dst.size, rng.randint(1, 3), 3)
-        h = _random_khom(rng, g.dst.size, rng.randint(1, 3), 3)
+        f = random_khom(rng, rng.randint(0, 3), rng.randint(1, 3), 3)
+        g = random_khom(rng, f.dst.size, rng.randint(1, 3), 3)
+        h = random_khom(rng, g.dst.size, rng.randint(1, 3), 3)
         assert k_associator(f, g, h) == k_id_cell(k_compose(k_compose(f, g), h))
         assert k_left_unitor(f) == k_id_cell(f)
         assert k_right_unitor(f) == k_id_cell(f)
@@ -156,8 +149,8 @@ def test_k_hcomp_examples():
 def test_k_hcomp_interchange():
     rng = Random(33)
     for _ in range(100):
-        f = _random_khom(rng, rng.randint(0, 3), rng.randint(1, 3), 3)
-        g = _random_khom(rng, f.dst.size, rng.randint(1, 3), 3)
+        f = random_khom(rng, rng.randint(0, 3), rng.randint(1, 3), 3)
+        g = random_khom(rng, f.dst.size, rng.randint(1, 3), 3)
         c1 = _random_kcell(rng, f)
         c2 = _random_kcell(rng, c1.dst)
         d1 = _random_kcell(rng, g)
@@ -171,9 +164,9 @@ def test_k_hcomp_interchange():
 def test_k_hcomp_strictly_associative_and_unital():
     rng = Random(38)
     for _ in range(100):
-        f = _random_khom(rng, rng.randint(1, 3), rng.randint(1, 3), 3)
-        g = _random_khom(rng, f.dst.size, rng.randint(1, 3), 3)
-        h = _random_khom(rng, g.dst.size, rng.randint(1, 3), 3)
+        f = random_khom(rng, rng.randint(1, 3), rng.randint(1, 3), 3)
+        g = random_khom(rng, f.dst.size, rng.randint(1, 3), 3)
+        h = random_khom(rng, g.dst.size, rng.randint(1, 3), 3)
         c1, c2, c3 = _random_kcell(rng, f), _random_kcell(rng, g), _random_kcell(rng, h)
         assert k_hcomp(k_hcomp(c1, c2), c3) == k_hcomp(c1, k_hcomp(c2, c3))
         assert k_hcomp(k_id_cell(k_id(f.src)), c1) == c1
@@ -195,8 +188,8 @@ def test_composite_multiset_matches_composition():
     rng = Random(34)
     for _ in range(300):
         i, j, k = (rng.randint(0, 4) for _ in range(3))
-        f = _random_khom(rng, i, j, 5)
-        g = _random_khom(rng, j, k, 5)
+        f = random_khom(rng, i, j, 5)
+        g = random_khom(rng, j, k, 5)
         comp = k_compose(f, g)
         for idx in range(i):
             assert composite_multiset(f, g, idx) == counter_oracle(comp.lists[idx].labels)
@@ -234,7 +227,7 @@ def test_duality_examples():
 def test_duality_multiplicity_symmetry():
     rng = Random(35)
     for _ in range(300):
-        x = _random_khom(rng, rng.randint(0, 4), rng.randint(1, 4), 5)
+        x = random_khom(rng, rng.randint(0, 4), rng.randint(1, 4), 5)
         d = duality(x)
         for j in range(x.src.size):
             for k in range(x.dst.size):
@@ -249,7 +242,7 @@ def test_duality_multiplicity_symmetry():
 def test_duality_cell_transport():
     rng = Random(36)
     for _ in range(200):
-        x = _random_khom(rng, rng.randint(0, 3), rng.randint(1, 3), 4)
+        x = random_khom(rng, rng.randint(0, 3), rng.randint(1, 3), 4)
         eta = _random_kcell(rng, x)
         d = duality_cell(eta)
         assert d.src == duality(x) and d.dst == duality(eta.dst)

@@ -14,7 +14,6 @@ from smckit.perms import (
     exchange_step,
     inversion_length,
     is_reduced,
-    matrix_entry,
     reduced_word,
     word_to_perm,
 )
@@ -180,9 +179,9 @@ def test_exchange_property_random_words():
 
 def test_matrix_entries():
     a4 = CoxeterMatrixA(4)
-    assert matrix_entry(a4, 2, 2) == 1
-    assert matrix_entry(a4, 1, 2) == 3
-    assert matrix_entry(a4, 0, 3) == 2
+    assert a4.entry(2, 2) == 1
+    assert a4.entry(1, 2) == 3
+    assert a4.entry(0, 3) == 2
     # the infinite view answers any pair
     assert a4.entry(10, 12) == 2 and a4.entry(10, 11) == 3
 

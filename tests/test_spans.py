@@ -40,7 +40,7 @@ from smckit.spans import (
     vcomp,
     vertical_compose,
 )
-from smckit.unbias import all_functions, _random_span, _random_span_from, _random_pith_cell
+from smckit.laws import all_functions, random_pith_cell, random_span, random_span_from
 
 
 def is_pullback_oracle(square: PullbackSquare, max_cone: int = 3) -> bool:
@@ -102,9 +102,9 @@ def test_compose_span_examples():
 def test_structural_cells_are_pith_and_project():
     rng = Random(21)
     for _ in range(100):
-        s = _random_span(rng, 3)
-        t = _random_span_from(rng, s.cod, 3)
-        u = _random_span_from(rng, t.cod, 3)
+        s = random_span(rng, 3)
+        t = random_span_from(rng, s.cod, 3)
+        u = random_span_from(rng, t.cod, 3)
         cells = structural_cells(s, t, u)
         assert cells.assoc.is_pith()
         assert cells.lunitor.is_pith() and cells.runitor.is_pith()
@@ -124,8 +124,8 @@ def test_structural_cells_are_pith_and_project():
 def test_unitor_triangle():
     rng = Random(22)
     for _ in range(100):
-        s = _random_span(rng, 3)
-        t = _random_span_from(rng, s.cod, 3)
+        s = random_span(rng, 3)
+        t = random_span_from(rng, s.cod, 3)
         lhs = vcomp(
             assoc_cell(s, identity_span(s.cod), t),
             horizontal_compose(identity_cell(s), left_unitor_cell(t)),
@@ -137,18 +137,18 @@ def test_unitor_triangle():
 def test_cell_ops():
     rng = Random(23)
     for _ in range(100):
-        s = _random_span(rng, 3)
-        c = _random_pith_cell(rng, s)
+        s = random_span(rng, 3)
+        c = random_pith_cell(rng, s)
         assert vertical_compose(identity_cell(s), c) == c
         assert vertical_compose(c, identity_cell(c.dst)) == c
         assert vertical_compose(c, invert_cell(c)) == identity_cell(s)
-        t = _random_span_from(rng, s.cod, 3)
-        d = _random_pith_cell(rng, t)
+        t = random_span_from(rng, s.cod, 3)
+        d = random_pith_cell(rng, t)
         h = horizontal_compose(c, d)
         assert h.src == compose_span(s, t) and h.dst == compose_span(c.dst, d.dst)
         # interchange
-        c2 = _random_pith_cell(rng, c.dst)
-        d2 = _random_pith_cell(rng, d.dst)
+        c2 = random_pith_cell(rng, c.dst)
+        d2 = random_pith_cell(rng, d.dst)
         assert vcomp(h, horizontal_compose(c2, d2)) == horizontal_compose(
             vcomp(c, c2), vcomp(d, d2)
         )
@@ -266,12 +266,12 @@ def test_pentagon_small():
 def test_structural_cell_naturality():
     rng = Random(24)
     for _ in range(100):
-        s = _random_span(rng, 3)
-        t = _random_span_from(rng, s.cod, 3)
-        u = _random_span_from(rng, t.cod, 3)
-        c = _random_pith_cell(rng, s)
-        d = _random_pith_cell(rng, t)
-        e = _random_pith_cell(rng, u)
+        s = random_span(rng, 3)
+        t = random_span_from(rng, s.cod, 3)
+        u = random_span_from(rng, t.cod, 3)
+        c = random_pith_cell(rng, s)
+        d = random_pith_cell(rng, t)
+        e = random_pith_cell(rng, u)
         lhs = vcomp(
             assoc_cell(s, t, u), horizontal_compose(c, horizontal_compose(d, e))
         )

@@ -1,5 +1,7 @@
 """Free SMC terms: evaluation, normalization, the decision procedure, folds."""
 
+import gc
+import weakref
 from random import Random
 
 import pytest
@@ -95,6 +97,18 @@ def test_decide_equal_examples():
     assert decide_equal(t, t)
     with pytest.raises(BoundaryMismatch):
         decide_equal(Braid(a, b), Id(Tensor(a, b)))
+
+
+def test_decision_keeps_no_term_alive():
+    # nothing may cache terms across calls: once the caller drops a term,
+    # it is collectable
+    term = Comp(Braid(a, b), Braid(b, a))
+    ref = weakref.ref(term)
+    assert decide_equal(term, Id(Tensor(a, b)))
+    assert normalize(term).phi.is_identity()
+    del term
+    gc.collect()
+    assert ref() is None
 
 
 def test_canonical_term_round_trip():

@@ -20,25 +20,27 @@ from smckit.spans import (
     span_pull,
     transpose_span,
 )
+from smckit.laws import (
+    all_functions,
+    check_pbc_laws,
+    pseudofunctor_laws,
+    random_pith_cell,
+    random_span,
+    random_span_from,
+    unbias_coherence_failures,
+)
 from smckit.terms import Gen, normalize
 from smckit.unbias import (
-    _random_pith_cell,
-    _random_span,
-    _random_span_from,
-    all_functions,
     base_change_unique,
-    check_pbc_laws,
     eta_cell,
     f_comp_cell,
     f_id_cell,
     lambda_system,
     lambda_u,
     lambda_v,
-    pseudofunctor_laws,
     pseudofunctor_on_cell,
     pseudofunctor_on_span,
     unbias_cell,
-    unbias_coherence_failures,
     unbias_comp_iso,
     unbias_eval,
     unbias_unit_iso,
@@ -104,7 +106,7 @@ def test_pseudofunctor_on_span_examples():
 def test_fiber_multiset_oracle_random():
     rng = Random(41)
     for _ in range(300):
-        s = _random_span(rng, 4)
+        s = random_span(rng, 4)
         fam = pseudofunctor_on_span(sys, s)
         for k in range(s.cod.size):
             expected = underlying_multiset(
@@ -144,8 +146,8 @@ def test_on_cell_matches_linearity_when_available():
     rng = Random(42)
     found = 0
     while found < 100:
-        s = _random_span(rng, 3)
-        c = _random_pith_cell(rng, s)
+        s = random_span(rng, 3)
+        c = random_pith_cell(rng, s)
         fam1 = pseudofunctor_on_span(sys, s)
         fam2 = pseudofunctor_on_span(sys, c.dst)
         if not all(is_linear(l) for l in fam1.lists + fam2.lists):
@@ -171,8 +173,8 @@ def test_on_cell_matches_fiber_oracle():
     # holds with repeated labels too, where linearity gives no shortcut
     rng = Random(47)
     for _ in range(300):
-        s = _random_span(rng, 3)
-        c = _random_pith_cell(rng, s)
+        s = random_span(rng, 3)
+        c = random_pith_cell(rng, s)
         cell = pseudofunctor_on_cell(sys, c)
         for k in range(s.cod.size):
             assert cell.homs[k].phi.img == fiber_cell_oracle(c, k)
@@ -191,8 +193,8 @@ def test_eta_cell_shape():
 def test_f_comp_and_f_id_boundaries():
     rng = Random(43)
     for _ in range(100):
-        s = _random_span(rng, 3)
-        t = _random_span_from(rng, s.cod, 3)
+        s = random_span(rng, 3)
+        t = random_span_from(rng, s.cod, 3)
         from smckit.spans import compose_span
         from smckit.unbias import op_compose
 
@@ -239,8 +241,8 @@ def test_unbias_comp_and_unit_cells_normalize():
     m = FreeTermModel()
     rng = Random(44)
     for _ in range(20):
-        s = _random_span(rng, 2)
-        t = _random_span_from(rng, s.cod, 2)
+        s = random_span(rng, 2)
+        t = random_span_from(rng, s.cod, 2)
         x = {j: Gen(f"x{j}") for j in range(s.dom.size)}
         cells = unbias_comp_iso(s, t, m, x)
         for cell in cells:
@@ -259,9 +261,9 @@ def test_end_to_end_coherence_sample():
     rng = Random(45)
     triples = []
     for _ in range(8):
-        s = _random_span(rng, 2)
-        t = _random_span_from(rng, s.cod, 2)
-        u = _random_span_from(rng, t.cod, 2)
+        s = random_span(rng, 2)
+        t = random_span_from(rng, s.cod, 2)
+        u = random_span_from(rng, t.cod, 2)
         triples.append((s, t, u))
     assert unbias_coherence_failures(m, assignment_for, triples, rng=Random(46)) == []
 
