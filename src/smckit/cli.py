@@ -18,8 +18,10 @@ record errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
+import re
 import sys
 
 from .errors import ParseError, RecordFormatError, SmcError
@@ -45,6 +47,7 @@ from .terms import (
     normal_forms,
     normalize,
     normalize_obj,
+    obj_text,
 )
 from .terms import typecheck  # noqa: F401  unused: normalize typechecks; perfbench's tests patch cli.typecheck
 from .unbias import unbias_comp_iso, unbias_eval, unbias_unit_iso
@@ -59,173 +62,201 @@ KEYWORDS = {"I", "id", "a", "l", "r", "b", "inv"}
 # tokenizer and parser
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+_TOKEN = re.compile(r"[()*;]|[^\W\d]\w*|\S")
+_KINDS = {**{c: c for c in "()*;"}, **{word: word for word in KEYWORDS}}
 
 
-def _tokenize(text: str) -> list[_Token]:
-    out = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
+def _position(text: str, index: int) -> tuple[int, int]:
+    """Line and column of token ``index`` of ``text``; past the last token, of its end."""
+    match = next(itertools.islice(_TOKEN.finditer(text), index, None), None)
+    offset = match.start() if match else len(text)
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _error(text: str, index: int, message: str) -> ParseError:
+    return ParseError(message, *_position(text, index))
+
+
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """Kinds and texts of the tokens of ``text``, closed by an ``eof`` token.
+
+    An identifier starts with ``_`` or a letter; any other character that
+    is not punctuation or white space is an error.
+    """
+    texts = _TOKEN.findall(text)
+    kinds = dict(_KINDS)
+    for word in set(texts).difference(kinds):
+        if word[0].isalpha() or word[0] == "_":
+            kinds[word] = "ident"
+    out = list(map(kinds.get, texts))
+    if None in out:
+        index = out.index(None)
+        raise _error(text, index, f"unexpected character {texts[index][0]!r}")
+    out.append("eof")
+    texts.append("")
+    return out, texts
+
+
+def _expected(what: str, texts: list[str], i: int) -> str:
+    return f"expected {what}, found {texts[i] or 'end of input'!r}"
+
+
+def _parse_obj(kinds: list[str], texts: list[str], i: int, text: str, shared: dict) -> tuple[ObjTerm, int]:
+    """The object starting at token i, and the index of the token after it.
+
+    ``shared`` holds the objects read so far in this parse (leaves by their
+    text, tensors by the ids of their parts), so equal objects are one.
+    """
+    tensors: list = []  # per open "(": None, then its left part once read
+    while True:
+        kind = kinds[i]
+        if kind == "(":
+            tensors.append(None)
             i += 1
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in "()*;":
-            out.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+        if kind != "ident" and kind != "I":
+            raise _error(text, i, _expected("an object", texts, i))
+        word = texts[i]
+        obj = shared.get(word)
+        if obj is None:
+            obj = shared[word] = Gen(word) if kind == "ident" else Unit()
+        i += 1
+        while tensors:
+            left = tensors[-1]
+            if left is None:
+                if kinds[i] != "*":
+                    raise _error(text, i, _expected("'*'", texts, i))
+                tensors[-1] = obj
                 i += 1
-            word = text[start:i]
-            kind = word if word in KEYWORDS else "ident"
-            out.append(_Token(kind, word, line, col))
-            col += i - start
+                break
+            if kinds[i] != ")":
+                raise _error(text, i, _expected("')'", texts, i))
+            i += 1
+            tensors.pop()
+            key = (id(left), id(obj))
+            pair = shared.get(key)
+            if pair is None:
+                pair = shared[key] = Tensor(left, obj)
+            obj = pair
+        else:
+            return obj, i
+
+
+def _parse_mor(kinds: list[str], texts: list[str], text: str) -> tuple[MorTerm, int]:
+    """The morphism starting at the first token, and the index of the token after it."""
+    shared: dict = {}  # see _parse_obj
+    i = 0
+    chain = None  # the atoms before the current one, joined by ";"
+    brackets: list = []  # per open bracket: (what closes it, chain before it, left of a tensor)
+    while True:
+        kind = kinds[i]
+        if kind == "(":
+            brackets.append(("*", chain, None))
+            chain = None
+            i += 1
             continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(_Token("eof", "", line, col))
-    return out
+        if kind == "inv":
+            if kinds[i + 1] != "(":
+                raise _error(text, i + 1, _expected("'('", texts, i + 1))
+            brackets.append((")", chain, None))
+            chain = None
+            i += 2
+            continue
+        if kind == "id":
+            x, i = _parse_obj(kinds, texts, i + 1, text, shared)
+            atom = Id(x)
+        elif kind == "b":
+            x, i = _parse_obj(kinds, texts, i + 1, text, shared)
+            y, i = _parse_obj(kinds, texts, i, text, shared)
+            atom = Braid(x, y)
+        elif kind == "a":
+            x, i = _parse_obj(kinds, texts, i + 1, text, shared)
+            y, i = _parse_obj(kinds, texts, i, text, shared)
+            z, i = _parse_obj(kinds, texts, i, text, shared)
+            atom = Assoc(x, y, z)
+        elif kind == "l":
+            x, i = _parse_obj(kinds, texts, i + 1, text, shared)
+            atom = LeftUnitor(x)
+        elif kind == "r":
+            x, i = _parse_obj(kinds, texts, i + 1, text, shared)
+            atom = RightUnitor(x)
+        else:
+            raise _error(text, i, _expected("a morphism", texts, i))
+        term = atom if chain is None else Comp(chain, atom)
+        # a chain ends where no ";" follows; close the brackets it ends
+        while kinds[i] != ";":
+            if not brackets:
+                return term, i
+            closer, outer, left = brackets.pop()
+            if closer == "*":
+                if kinds[i] != "*":
+                    raise _error(text, i, _expected("'*'", texts, i))
+                brackets.append((")", outer, term))
+                chain = None
+                i += 1
+                break
+            if kinds[i] != ")":
+                raise _error(text, i, _expected("')'", texts, i))
+            i += 1
+            atom = Inv(term) if left is None else Par(left, term)
+            term = atom if outer is None else Comp(outer, atom)
+        else:
+            chain = term
+            i += 1
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return self.next()
-
-    def obj(self) -> ObjTerm:
-        tok = self.peek()
-        if tok.kind == "I":
-            self.next()
-            return Unit()
-        if tok.kind == "ident":
-            self.next()
-            return Gen(tok.text)
-        if tok.kind == "(":
-            self.next()
-            left = self.obj()
-            self.expect("*")
-            right = self.obj()
-            self.expect(")")
-            return Tensor(left, right)
-        raise ParseError(f"expected an object, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-
-    def mor(self) -> MorTerm:
-        term = self.atom()
-        while self.peek().kind == ";":
-            self.next()
-            term = Comp(term, self.atom())
-        return term
-
-    def atom(self) -> MorTerm:
-        tok = self.peek()
-        if tok.kind == "id":
-            self.next()
-            return Id(self.obj())
-        if tok.kind == "a":
-            self.next()
-            return Assoc(self.obj(), self.obj(), self.obj())
-        if tok.kind == "l":
-            self.next()
-            return LeftUnitor(self.obj())
-        if tok.kind == "r":
-            self.next()
-            return RightUnitor(self.obj())
-        if tok.kind == "b":
-            self.next()
-            return Braid(self.obj(), self.obj())
-        if tok.kind == "inv":
-            self.next()
-            self.expect("(")
-            inner = self.mor()
-            self.expect(")")
-            return Inv(inner)
-        if tok.kind == "(":
-            self.next()
-            left = self.mor()
-            self.expect("*")
-            right = self.mor()
-            self.expect(")")
-            return Par(left, right)
-        raise ParseError(f"expected a morphism, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+def _check_end(kinds: list[str], texts: list[str], i: int, text: str) -> None:
+    if kinds[i] != "eof":
+        raise _error(text, i, f"trailing input {texts[i]!r}")
 
 
 def parse_obj(text: str) -> ObjTerm:
-    p = _Parser(text)
-    out = p.obj()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    kinds, texts = _tokenize(text)
+    out, i = _parse_obj(kinds, texts, 0, text, {})
+    _check_end(kinds, texts, i, text)
     return out
 
 
 def parse_mor(text: str) -> MorTerm:
-    p = _Parser(text)
-    out = p.mor()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    kinds, texts = _tokenize(text)
+    out, i = _parse_mor(kinds, texts, text)
+    _check_end(kinds, texts, i, text)
     return out
 
 
 def render_obj(t: ObjTerm) -> str:
-    if isinstance(t, Unit):
-        return "I"
-    if isinstance(t, Gen):
-        return str(t.label)
-    if isinstance(t, Tensor):
-        return f"({render_obj(t.left)} * {render_obj(t.right)})"
-    raise TypeError(f"not an object term: {t!r}")
+    return obj_text(t, " * ")
 
 
 def render_mor(t: MorTerm) -> str:
     """Concrete syntax for a term; composition prints flat and left-associated."""
-    if isinstance(t, Id):
-        return f"id {render_obj(t.obj)}"
-    if isinstance(t, Comp):
-        return f"{render_mor(t.first)} ; {render_mor(t.second)}"
-    if isinstance(t, Par):
-        return f"({render_mor(t.left)} * {render_mor(t.right)})"
-    if isinstance(t, Assoc):
-        return f"a {render_obj(t.x)} {render_obj(t.y)} {render_obj(t.z)}"
-    if isinstance(t, LeftUnitor):
-        return f"l {render_obj(t.x)}"
-    if isinstance(t, RightUnitor):
-        return f"r {render_obj(t.x)}"
-    if isinstance(t, Braid):
-        return f"b {render_obj(t.x)} {render_obj(t.y)}"
-    if isinstance(t, Inv):
-        return f"inv ({render_mor(t.arg)})"
-    raise TypeError(f"not a morphism term: {t!r}")
+    out = []
+    todo: list = [t]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+        elif isinstance(item, Comp):
+            todo += (item.second, " ; ", item.first)
+        elif isinstance(item, Par):
+            out.append("(")
+            todo += (")", item.right, " * ", item.left)
+        elif isinstance(item, Inv):
+            out.append("inv (")
+            todo += (")", item.arg)
+        elif isinstance(item, Id):
+            out.append(f"id {render_obj(item.obj)}")
+        elif isinstance(item, Assoc):
+            out.append(f"a {render_obj(item.x)} {render_obj(item.y)} {render_obj(item.z)}")
+        elif isinstance(item, LeftUnitor):
+            out.append(f"l {render_obj(item.x)}")
+        elif isinstance(item, RightUnitor):
+            out.append(f"r {render_obj(item.x)}")
+        elif isinstance(item, Braid):
+            out.append(f"b {render_obj(item.x)} {render_obj(item.y)}")
+        else:
+            raise TypeError(f"not a morphism term: {item!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

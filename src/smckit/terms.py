@@ -4,11 +4,13 @@ Term language for the free symmetric monoidal category on an alphabet.
 Objects are trees built from Unit, generators and a binary tensor; structural
 morphisms are trees built from identities, composition (diagram order),
 tensor, the four structural isomorphism families and a formal inverse.
-Evaluation into any model is structural recursion; normalization evaluates
-into symmetric lists with each generator sent to a singleton, and the
-resulting index bijection is a complete invariant of the term modulo the
-symmetric monoidal axioms.  Equality of well-typed terms with equal
-boundaries is therefore decidable by comparing normal forms.
+Evaluation into any model is structural recursion.  Normalization computes,
+in one iterative pass, what evaluation into symmetric lists with each
+generator sent to a singleton gives; the resulting index bijection is a
+complete invariant of the term modulo the symmetric monoidal axioms.
+Equality of well-typed terms with equal boundaries is therefore decidable by
+comparing normal forms.  Normalization, its decision procedure and the
+printing of objects do not recurse, so they work on terms of any depth.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .errors import BoundaryMismatch, IllTyped, UnassignedLabel
+from .perms import Perm
 from .slist import SList, SListHom, hom_equal, word_from_hom
 
 
@@ -26,21 +29,18 @@ from .slist import SList, SListHom, hom_equal, word_from_hom
 
 @dataclass(frozen=True)
 class ObjTerm:
-    pass
+    def __str__(self):
+        return obj_text(self)
 
 
 @dataclass(frozen=True)
 class Unit(ObjTerm):
-    def __str__(self):
-        return "I"
+    pass
 
 
 @dataclass(frozen=True)
 class Gen(ObjTerm):
     label: Any
-
-    def __str__(self):
-        return str(self.label)
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,29 @@ class Tensor(ObjTerm):
     left: ObjTerm
     right: ObjTerm
 
-    def __str__(self):
-        return f"({self.left}*{self.right})"
+
+def obj_text(t: ObjTerm, sep: str = "*") -> str:
+    """An object as text, each tensor parenthesized with ``sep`` between its parts.
+
+    >>> obj_text(Tensor(Gen("x"), Tensor(Unit(), Gen("y"))), " * ")
+    '(x * (I * y))'
+    """
+    out = []
+    todo: list = [t]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+        elif isinstance(item, Tensor):
+            out.append("(")
+            todo += (")", item.right, sep, item.left)
+        elif isinstance(item, Gen):
+            out.append(str(item.label))
+        elif isinstance(item, Unit):
+            out.append("I")
+        else:
+            raise TypeError(f"not an object term: {item!r}")
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -175,13 +196,18 @@ def typecheck(t: MorTerm) -> None:
 
 
 def obj_labels(t: ObjTerm) -> tuple:
-    if isinstance(t, Unit):
-        return ()
-    if isinstance(t, Gen):
-        return (t.label,)
-    if isinstance(t, Tensor):
-        return obj_labels(t.left) + obj_labels(t.right)
-    raise TypeError(f"not an object term: {t!r}")
+    """The generator labels of an object, left to right."""
+    out = []
+    todo = [t]
+    while todo:
+        o = todo.pop()
+        if isinstance(o, Tensor):
+            todo += (o.right, o.left)
+        elif isinstance(o, Gen):
+            out.append(o.label)
+        elif not isinstance(o, Unit):
+            raise TypeError(f"not an object term: {o!r}")
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +328,151 @@ def normalize_obj(t: ObjTerm) -> SList:
     return SList(obj_labels(t))
 
 
+class _Objects:
+    """Object terms numbered up to equality, for the length of one call.
+
+    Equal objects get equal numbers, so boundaries compare in constant time
+    and no comparison recurses.  ``terms[k]`` is an object numbered k and
+    ``sizes[k]`` its number of generators; number 0 is the unit.
+    """
+
+    def __init__(self):
+        self.terms: list[ObjTerm] = [Unit()]
+        self.sizes: list[int] = [0]
+        self._seen: dict[int, int] = {}  # id of a visited object -> its number
+        self._gens: dict = {}  # label -> number
+        self._unhashable: list[int] = []  # numbers of generators with unhashable labels
+        self._tensors: dict[tuple[int, int], int] = {}  # numbers of the parts -> number
+
+    def _new(self, term: ObjTerm, size: int) -> int:
+        self.terms.append(term)
+        self.sizes.append(size)
+        return len(self.terms) - 1
+
+    def tensor(self, left: int, right: int, term: ObjTerm | None = None) -> int:
+        """The number of the tensor of two numbered objects (``term``, if given, is it)."""
+        k = self._tensors.get((left, right))
+        if k is None:
+            if term is None:
+                term = Tensor(self.terms[left], self.terms[right])
+            k = self._tensors[left, right] = self._new(term, self.sizes[left] + self.sizes[right])
+        return k
+
+    def _gen(self, g: Gen) -> int:
+        try:
+            k = self._gens.get(g.label)
+        except TypeError:  # an unhashable label is looked up by equality
+            k = next((j for j in self._unhashable if self.terms[j].label == g.label), None)
+            if k is None:
+                k = self._new(g, 1)
+                self._unhashable.append(k)
+            return k
+        if k is None:
+            k = self._gens[g.label] = self._new(g, 1)
+        return k
+
+    def number(self, obj: ObjTerm) -> int:
+        """The number of an object; each node object is visited once per call."""
+        seen = self._seen
+        k = seen.get(id(obj))
+        if k is not None:
+            return k
+        todo = [obj]
+        while todo:
+            o = todo[-1]
+            if isinstance(o, Tensor):
+                left, right = seen.get(id(o.left)), seen.get(id(o.right))
+                if left is None or right is None:
+                    if left is None:
+                        todo.append(o.left)
+                    if right is None:
+                        todo.append(o.right)
+                    continue
+                k = self.tensor(left, right, o)
+            elif isinstance(o, Gen):
+                k = self._gen(o)
+            elif isinstance(o, Unit):
+                k = 0
+            else:
+                raise TypeError(f"not an object term: {o!r}")
+            seen[id(o)] = k
+            todo.pop()
+        return k
+
+
+# markers for the combining steps of the post-order pass
+_COMP, _PAR, _INV = object(), object(), object()
+
+
+def _normal_data(t: MorTerm, objs: _Objects) -> tuple[int, int, tuple]:
+    """Source and target numbers and phi of a term, in one post-order pass.
+
+    Subterms are checked in the order ``typecheck`` visits them, so the
+    first ill-typed composition raises the same ``IllTyped``.
+    """
+    number, tensor, sizes = objs.number, objs.tensor, objs.sizes
+    done: list[tuple[int, int, tuple]] = []  # (source, target, phi) per finished subterm
+    todo: list = [t]
+    while todo:
+        node = todo.pop()
+        if node is _COMP:
+            g_src, g_tgt, g_phi = done.pop()
+            f_src, f_tgt, f_phi = done[-1]
+            if f_tgt != g_src:
+                raise IllTyped(
+                    f"composition boundary mismatch: {objs.terms[f_tgt]} != {objs.terms[g_src]}"
+                )
+            done[-1] = (f_src, g_tgt, tuple([f_phi[j] for j in g_phi]))
+        elif node is _PAR:
+            r_src, r_tgt, r_phi = done.pop()
+            l_src, l_tgt, l_phi = done[-1]
+            m = len(l_phi)
+            done[-1] = (tensor(l_src, r_src), tensor(l_tgt, r_tgt), l_phi + tuple([m + j for j in r_phi]))
+        elif node is _INV:
+            src, tgt, phi = done[-1]
+            inverse = [0] * len(phi)
+            for i, j in enumerate(phi):
+                inverse[j] = i
+            done[-1] = (tgt, src, tuple(inverse))
+        elif isinstance(node, Comp):
+            todo += (_COMP, node.second, node.first)
+        elif isinstance(node, Par):
+            todo += (_PAR, node.right, node.left)
+        elif isinstance(node, Inv):
+            todo += (_INV, node.arg)
+        elif isinstance(node, Id):
+            x = number(node.obj)
+            done.append((x, x, tuple(range(sizes[x]))))
+        elif isinstance(node, Braid):
+            x, y = number(node.x), number(node.y)
+            nx, ny = sizes[x], sizes[y]
+            done.append((tensor(x, y), tensor(y, x), tuple(range(nx, nx + ny)) + tuple(range(nx))))
+        elif isinstance(node, Assoc):
+            x, y, z = number(node.x), number(node.y), number(node.z)
+            n = sizes[x] + sizes[y] + sizes[z]
+            done.append((tensor(tensor(x, y), z), tensor(x, tensor(y, z)), tuple(range(n))))
+        elif isinstance(node, LeftUnitor):
+            x = number(node.x)
+            done.append((tensor(0, x), x, tuple(range(sizes[x]))))
+        elif isinstance(node, RightUnitor):
+            x = number(node.x)
+            done.append((tensor(x, 0), x, tuple(range(sizes[x]))))
+        else:
+            raise TypeError(f"not a morphism term: {node!r}")
+    return done[0]
+
+
+def _normal_form(t: MorTerm, objs: _Objects) -> tuple[SListHom, int, int]:
+    src, tgt, phi = _normal_data(t, objs)
+    hom = SListHom(SList(obj_labels(objs.terms[src])), SList(obj_labels(objs.terms[tgt])), Perm(phi))
+    return hom, src, tgt
+
+
 def normalize(t: MorTerm) -> SListHom:
     """The index bijection of a structural morphism; complete modulo the axioms.
+
+    It equals ``eval_mor(t, SListModel(), lambda label: SList((label,)))``
+    and raises the same ``IllTyped``, but takes one pass without recursion.
 
     >>> a, b = Gen("a"), Gen("b")
     >>> normalize(Braid(a, b)).phi.img
@@ -311,9 +480,7 @@ def normalize(t: MorTerm) -> SListHom:
     >>> normalize(Assoc(a, b, Gen("c"))).phi.img
     (0, 1, 2)
     """
-    from .models import SListModel
-
-    return eval_mor(t, SListModel(), lambda label: SList((label,)))
+    return _normal_form(t, _Objects())[0]
 
 
 def normal_forms(s: MorTerm, t: MorTerm) -> tuple[SListHom, SListHom]:
@@ -321,8 +488,10 @@ def normal_forms(s: MorTerm, t: MorTerm) -> tuple[SListHom, SListHom]:
 
     Normalizing typechecks each term, so each is typechecked once.
     """
-    hs, ht = normalize(s), normalize(t)
-    if mor_src(s) != mor_src(t) or mor_tgt(s) != mor_tgt(t):
+    objs = _Objects()
+    hs, s_src, s_tgt = _normal_form(s, objs)
+    ht, t_src, t_tgt = _normal_form(t, objs)
+    if s_src != t_src or s_tgt != t_tgt:
         raise BoundaryMismatch("decide_equal needs syntactically equal boundaries")
     return hs, ht
 
@@ -352,16 +521,15 @@ def nest_obj(labels) -> ObjTerm:
 def _swap_term(labels: tuple, p: int) -> MorTerm:
     # adjacent swap at position p of the running list, whiskered under the
     # first p generators of the right-nested object
-    if p > 0:
-        head, tail = labels[0], labels[1:]
-        return Par(Id(Gen(head)), _swap_term(tail, p - 1))
-    a, b = Gen(labels[0]), Gen(labels[1])
-    rest = nest_obj(labels[2:])
-    swap = Comp(
+    a, b = Gen(labels[p]), Gen(labels[p + 1])
+    rest = nest_obj(labels[p + 2 :])
+    term: MorTerm = Comp(
         Comp(Inv(Assoc(a, b, rest)), Par(Braid(a, b), Id(rest))),
         Assoc(b, a, rest),
     )
-    return swap
+    for label in reversed(labels[:p]):
+        term = Par(Id(Gen(label)), term)
+    return term
 
 
 def canonical_term(f: SListHom) -> MorTerm:
@@ -397,12 +565,16 @@ def psi_extend(assignment, m: SmcModel) -> tuple[Callable, Callable]:
 
 
 def psi_monoidal_iso(l1: SList, l2: SList, assignment, m: SmcModel) -> Any:
-    """Iso Psi(l1 (x) l2) -> Psi(l1) (x) Psi(l2), from associators and unitors only."""
-    if len(l1) == 0:
-        return m.left_unitor_inv(psi_obj(m, assignment, l2.labels))
-    head, tail = l1.labels[0], SList(l1.labels[1:])
-    a = lookup(assignment, head)
-    rec = psi_monoidal_iso(tail, l2, assignment, m)
-    step = m.tensor_mor(m.identity(a), rec)
-    fix = m.assoc_inv(a, psi_obj(m, assignment, tail.labels), psi_obj(m, assignment, l2.labels))
-    return m.compose(step, fix)
+    """Iso Psi(l1 (x) l2) -> Psi(l1) (x) Psi(l2), from associators and unitors only.
+
+    It is built from the end of l1 backwards, each fold it needs made once,
+    so it takes len(l1) + len(l2) tensors of objects.
+    """
+    heads = [lookup(assignment, label) for label in l1.labels]
+    rest = psi_obj(m, assignment, l2.labels)
+    iso = m.left_unitor_inv(rest)
+    tail = m.unit()  # Psi of the part of l1 after the current head
+    for a in reversed(heads):
+        iso = m.compose(m.tensor_mor(m.identity(a), iso), m.assoc_inv(a, tail, rest))
+        tail = m.tensor_obj(a, tail)
+    return iso

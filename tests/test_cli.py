@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import smckit
 from smckit import cli
 from smckit.cli import (
     main,
@@ -18,7 +23,9 @@ from smckit.cli import (
 )
 from smckit.errors import ParseError, RecordFormatError
 from smckit.laws import random_obj, random_walk_term
-from smckit.terms import Assoc, Braid, Comp, Gen, Id, Par, Tensor, Unit
+from smckit.perms import Perm
+from smckit.slist import SList, SListHom
+from smckit.terms import Assoc, Braid, Comp, Gen, Id, Par, Tensor, Unit, canonical_term
 
 
 def run(*argv):
@@ -74,6 +81,44 @@ def test_parse_render_round_trip_generated():
         assert parse_mor(render_mor(term)) == term
         obj = random_obj(rng, labels)
         assert parse_obj(render_obj(obj)) == obj
+
+
+# (input, stderr of `smckit normalize <input>`): the positions and texts of
+# syntax and typing errors are part of the CLI's interface
+MALFORMED = [
+    ("x $", "error: 1:3: unexpected character '$'"),
+    ("b x y ;\n\t(id x *\n\t\tb y %)", "error: 3:7: unexpected character '%'"),
+    ("a x y z ;\n\t(b x y\n\t* id z", "error: 3:8: expected ')', found 'end of input'"),
+    ("id\tx\t$", "error: 1:6: unexpected character '$'"),
+    ("id x\x0c$", "error: 1:6: unexpected character '$'"),
+    ("²x", "error: 1:1: unexpected character '²'"),
+    ("Ⅻ", "error: 1:1: unexpected character 'Ⅻ'"),
+    ("id 9x", "error: 1:4: unexpected character '9'"),
+    ("(", "error: 1:2: expected a morphism, found 'end of input'"),
+    ("(b x y", "error: 1:7: expected '*', found 'end of input'"),
+    ("(id x * id y", "error: 1:13: expected ')', found 'end of input'"),
+    ("inv x", "error: 1:5: expected '(', found 'x'"),
+    ("inv (inv (b x y)", "error: 1:17: expected ')', found 'end of input'"),
+    ("id ((x*y)", "error: 1:10: expected '*', found 'end of input'"),
+    ("id (x * y * z)", "error: 1:11: expected ')', found '*'"),
+    ("id ( * x)", "error: 1:6: expected an object, found '*'"),
+    ("a x y", "error: 1:6: expected an object, found 'end of input'"),
+    ("", "error: 1:1: expected a morphism, found 'end of input'"),
+    ("b x y ; ; b y x", "error: 1:9: expected a morphism, found ';'"),
+    ("b x y extra", "error: 1:7: trailing input 'extra'"),
+    ("b x y\n\n   ) ", "error: 3:4: trailing input ')'"),
+    ("(b x y * b y x) )", "error: 1:17: trailing input ')'"),
+    ("id x ; id y ; b x y", "error: IllTyped: composition boundary mismatch: x != y"),
+    ("(id x * a y z w ; b x x)", "error: IllTyped: composition boundary mismatch: (y*(z*w)) != (x*x)"),
+    ("b (x*I) y ; b (I*x) y", "error: IllTyped: composition boundary mismatch: (y*(x*I)) != ((I*x)*y)"),
+]
+
+
+@pytest.mark.parametrize("text,message", MALFORMED)
+def test_malformed_input_messages(text, message, capsys):
+    code, out = run("normalize", text)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == message + "\n"
 
 
 def test_normalize_golden():
@@ -230,3 +275,73 @@ def test_check_laws_seed_env(monkeypatch):
     monkeypatch.setenv("SMCKIT_SEED", "11")
     code, text = run("--format", "record", "check-laws", "--suite", "braiding")
     assert json.loads(text)["seed"] == 11
+
+
+SHALLOW_MAIN = (
+    "import json, sys; sys.setrecursionlimit(200); "
+    "from smckit.cli import main; sys.exit(main(json.load(sys.stdin)))"
+)
+
+
+def run_shallow(*argv):
+    """Run the CLI in a fresh interpreter whose recursion limit is 200."""
+    env = dict(os.environ)
+    src = str(Path(smckit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # the argv goes through stdin: a long term does not fit in one argument
+    proc = subprocess.run(
+        [sys.executable, "-c", SHALLOW_MAIN], input=json.dumps(argv),
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+CHAIN_10K = " ; ".join(["b x y ; b y x"] * 5000)
+DEEP_OBJ = "(x * " * 3000 + "y" + ")" * 3000
+
+
+def test_deep_chain_equal_and_normalize():
+    code, out, err = run_shallow("equal", CHAIN_10K, "id (x*y)")
+    assert (code, out, err) == (0, "equal: true\n", "")
+    code, out, err = run_shallow("--format", "record", "normalize", CHAIN_10K)
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    assert record["phi"] == [0, 1] and record["canonical"] == "id (x * (y * I))"
+
+
+def test_deep_object():
+    code, out, err = run_shallow("--format", "record", "normalize", "id " + DEEP_OBJ)
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    assert record["source"] == ["x"] * 3000 + ["y"] and record["word"] == []
+    code, out, err = run_shallow("equal", "id " + DEEP_OBJ, "id " + DEEP_OBJ)
+    assert (code, out, err) == (0, "equal: true\n", "")
+    # the message of an ill-typed composition prints the deep object
+    code, out, err = run_shallow("normalize", f"id {DEEP_OBJ} ; id x")
+    assert code == 2 and out == ""
+    assert err == f"error: IllTyped: composition boundary mismatch: {DEEP_OBJ.replace(' * ', '*')} != x\n"
+
+
+def test_deep_inverse_nesting():
+    code, out, err = run_shallow("--format", "record", "normalize", "inv (" * 2000 + "b x y" + ")" * 2000)
+    assert code == 0 and err == ""
+    assert json.loads(out)["phi"] == [1, 0]
+
+
+def test_reversed_permutation_of_48():
+    n = 48
+    labels = tuple(f"x{i}" for i in range(n))
+    reverse = tuple(reversed(range(n)))
+    term = render_mor(canonical_term(SListHom(SList(labels), SList(labels[::-1]), Perm(reverse))))
+    code, out, err = run_shallow("--format", "record", "normalize", term)
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    assert record["phi"] == list(reverse) and len(record["word"]) == n * (n - 1) // 2
+    assert record["canonical"] == term
+
+
+def test_render_prints_composition_flat():
+    x, y = Gen("x"), Gen("y")
+    f, g = Braid(x, y), Braid(y, x)
+    assert render_mor(Comp(f, Comp(g, f))) == render_mor(Comp(Comp(f, g), f)) == "b x y ; b y x ; b x y"
+    assert render_mor(Par(Comp(f, g), Id(Unit()))) == "(b x y ; b y x * id I)"

@@ -5,10 +5,11 @@ import weakref
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smckit.errors import BoundaryMismatch, IllTyped, UnassignedLabel
 from smckit.models import FinBijModel, FreeTermModel, SListModel, smc_law_failures
-from smckit.laws import random_walk_term
+from smckit.laws import axiom_rewrite, random_walk_term
 from smckit.slist import SList, SListHom, hom_equal, identity_hom
 from smckit.perms import Perm
 from smckit.terms import (
@@ -30,9 +31,11 @@ from smckit.terms import (
     mor_src,
     mor_tgt,
     normalize,
+    normal_forms,
     normalize_obj,
     psi_extend,
     psi_monoidal_iso,
+    psi_obj,
     typecheck,
 )
 
@@ -247,3 +250,146 @@ def test_psi_monoidal_iso_naturality():
             Par(psi_hom(term_model, assign, f), psi_hom(term_model, assign, g)),
         )
         assert decide_equal(lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass normalizer against evaluation into symmetric lists
+
+WALK_LABELS = ["x0", "x1", "x2"]
+
+
+def walk_term(rng: Random):
+    """A random walk term under up to three axiom rewrites, as the coherence suite draws them."""
+    term = random_walk_term(rng, WALK_LABELS, rng.randint(0, 6))
+    for _ in range(rng.randint(0, 3)):
+        term = axiom_rewrite(rng, term)
+    return term
+
+
+def subterm_paths(t, path=()):
+    yield path
+    if isinstance(t, Comp):
+        yield from subterm_paths(t.first, path + (0,))
+        yield from subterm_paths(t.second, path + (1,))
+    elif isinstance(t, Par):
+        yield from subterm_paths(t.left, path + (0,))
+        yield from subterm_paths(t.right, path + (1,))
+    elif isinstance(t, Inv):
+        yield from subterm_paths(t.arg, path + (0,))
+
+
+def subterm_at(t, path):
+    for step in path:
+        if isinstance(t, Inv):
+            t = t.arg
+        elif isinstance(t, Comp):
+            t = (t.first, t.second)[step]
+        else:
+            t = (t.left, t.right)[step]
+    return t
+
+
+def replace_at(t, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(t, Inv):
+        return Inv(replace_at(t.arg, rest, new))
+    parts = [t.first, t.second] if isinstance(t, Comp) else [t.left, t.right]
+    parts[head] = replace_at(parts[head], rest, new)
+    return type(t)(*parts)
+
+
+def mutate(rng: Random, t):
+    """Replace a random subterm by an unrelated walk, or swap the halves of a composite."""
+    path = rng.choice(list(subterm_paths(t)))
+    sub = subterm_at(t, path)
+    if isinstance(sub, Comp) and rng.random() < 0.5:
+        return replace_at(t, path, Comp(sub.second, sub.first))
+    return replace_at(t, path, random_walk_term(rng, WALK_LABELS, rng.randint(0, 2)))
+
+
+def outcome(fn):
+    try:
+        return "ok", fn()
+    except IllTyped as exc:
+        return "ill-typed", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_normalize_agrees_with_slist_evaluation(seed):
+    term = walk_term(Random(seed))
+    assert normalize(term) == eval_mor(term, slist_model, singletons)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=3))
+def test_normalize_rejects_what_typecheck_rejects(seed, mutations):
+    rng = Random(seed)
+    term = walk_term(rng)
+    for _ in range(mutations):
+        term = mutate(rng, term)
+    # eval_mor runs the recursive typecheck first, so an IllTyped from it
+    # carries typecheck's message for the first mismatch
+    assert outcome(lambda: normalize(term)) == outcome(lambda: eval_mor(term, slist_model, singletons))
+
+
+def test_normalize_takes_unhashable_labels():
+    x, y = Gen(["x"]), Gen(["y"])
+    term = Comp(Comp(Braid(x, Tensor(y, Gen(["x"]))), Assoc(y, x, x)), Par(Id(y), Braid(x, x)))
+    assert normalize(term) == eval_mor(term, slist_model, singletons)
+    with pytest.raises(IllTyped):
+        normalize(Comp(Braid(x, y), Braid(x, y)))
+
+
+def test_normal_forms_compare_boundaries_structurally():
+    # equal objects built separately share a boundary; equal label lists
+    # with another bracketing do not
+    s = Comp(Braid(a, Tensor(b, c)), Braid(Tensor(b, c), a))
+    t = Id(Tensor(Gen("a"), Tensor(Gen("b"), Gen("c"))))
+    hs, ht = normal_forms(s, t)
+    assert hom_equal(hs, ht)
+    with pytest.raises(BoundaryMismatch):
+        normal_forms(s, Id(Tensor(Tensor(a, b), c)))
+
+
+# ---------------------------------------------------------------------------
+# the monoidal comparison of the list extension
+
+
+def psi_monoidal_iso_recursive(l1, l2, assignment, m):
+    # the definition by recursion on l1, kept as the oracle
+    if len(l1) == 0:
+        return m.left_unitor_inv(psi_obj(m, assignment, l2.labels))
+    head, tail = l1.labels[0], SList(l1.labels[1:])
+    x = assignment(head)
+    step = m.tensor_mor(m.identity(x), psi_monoidal_iso_recursive(tail, l2, assignment, m))
+    return m.compose(step, m.assoc_inv(x, psi_obj(m, assignment, tail.labels), psi_obj(m, assignment, l2.labels)))
+
+
+class TensorCountingModel(FreeTermModel):
+    def __init__(self):
+        self.tensors = 0
+
+    def tensor_obj(self, a, b):
+        self.tensors += 1
+        return super().tensor_obj(a, b)
+
+
+def test_psi_monoidal_iso_matches_the_recursion():
+    rng = Random(17)
+    for _ in range(60):
+        l1 = SList(tuple(rng.choice("ab") for _ in range(rng.randint(0, 5))))
+        l2 = SList(tuple(rng.choice("cd") for _ in range(rng.randint(0, 5))))
+        assert psi_monoidal_iso(l1, l2, Gen, term_model) == psi_monoidal_iso_recursive(l1, l2, Gen, term_model)
+
+
+def test_psi_monoidal_iso_tensors_grow_linearly():
+    for n1, n2 in ((0, 3), (4, 4), (16, 8), (48, 48)):
+        m = TensorCountingModel()
+        l1 = SList(tuple(f"a{i}" for i in range(n1)))
+        l2 = SList(tuple(f"b{i}" for i in range(n2)))
+        iso = psi_monoidal_iso(l1, l2, Gen, m)
+        assert m.tensors == n1 + n2
+        assert normalize(iso).phi.is_identity()
