@@ -10,9 +10,9 @@ Grammar for structural morphisms (whitespace insignificant)::
 
 Structured input and output use one self-describing JSON record format
 with a ``schema`` field (currently ``smckit/1``); spans, families and
-results can be piped back as inputs.  Exit codes: 0 for success or a true
-decision, 1 for a false decision or law violations, 2 for usage, syntax or
-record errors.
+results can be piped back as inputs, and a term given as ``-`` is read
+from stdin.  Exit codes: 0 for success or a true decision, 1 for a false
+decision or law violations, 2 for usage, syntax or record errors.
 """
 
 from __future__ import annotations
@@ -328,8 +328,13 @@ def emit(out, record: dict):
 # commands
 
 
+def term_text(arg: str) -> str:
+    """A term given on the command line; '-' reads it from stdin."""
+    return sys.stdin.read() if arg == "-" else arg
+
+
 def cmd_normalize(args, out) -> int:
-    hom = normalize(parse_mor(args.term))
+    hom = normalize(parse_mor(term_text(args.term)))
     word = reduced_word(hom.phi)
     canon = canonical_term(hom)
     if args.format == "record":
@@ -352,7 +357,10 @@ def cmd_normalize(args, out) -> int:
 
 
 def cmd_equal(args, out) -> int:
-    lhs, rhs = normal_forms(parse_mor(args.lhs), parse_mor(args.rhs))
+    if args.lhs == args.rhs == "-":
+        print("error: only one term can be read from stdin ('-')", file=sys.stderr)
+        return 2
+    lhs, rhs = normal_forms(parse_mor(term_text(args.lhs)), parse_mor(term_text(args.rhs)))
     equal = hom_equal(lhs, rhs)
     if args.format == "record":
         record = {"schema": SCHEMA, "kind": "decision", "equal": equal}
@@ -484,12 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("normalize", help="normal form of a structural morphism")
-    p.add_argument("term")
+    p.add_argument("term", help="a term, or - to read it from stdin")
     p.set_defaults(fn=cmd_normalize)
 
     p = sub.add_parser("equal", help="decide equality of two structural morphisms")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
+    p.add_argument("lhs", help="a term, or - to read it from stdin")
+    p.add_argument("rhs", help="a term, or - to read it from stdin")
     p.set_defaults(fn=cmd_equal)
 
     p = sub.add_parser("span-compose", help="compose span records by pullback")

@@ -78,10 +78,6 @@ class LabelOutOfRange(SmcError):
     """A list label does not name an element of the intended finite set."""
 
 
-class LaxLawViolation(SmcError):
-    """Functor comparison data fails a lax monoidal law."""
-
-
 class RecordFormatError(SmcError):
     """A structured input record is malformed."""
 

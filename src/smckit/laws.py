@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 from .kleisli import (
     KCell,
     KHom,
+    MonoidalFunctorData,
     composite_multiset,
     duality,
     invert_kcell,
@@ -659,6 +660,26 @@ def kleisli_suite(samples: int = 1000, seed: int = 0) -> LawReport:
     return check.report()
 
 
+def check_lax_laws(f: MonoidalFunctorData, objs) -> LawReport:
+    """The braiding, associativity and unit laws of lax comparison data on objs."""
+    check = _Check("lax")
+    s, t, cmp, o = f.source, f.target, f.tensor_cmp, f.obj
+    eq, seq, par, ident = t.mor_equal, t.compose, t.tensor_mor, t.identity
+    for a in objs:
+        for b in objs:
+            lhs = seq(cmp(a, b), f.mor(s.braid(a, b)))
+            check(eq(lhs, seq(t.braid(o(a), o(b)), cmp(b, a))), f"braiding at ({a}, {b})")
+            for c in objs:
+                lhs = seq(seq(par(cmp(a, b), ident(o(c))), cmp(s.tensor_obj(a, b), c)), f.mor(s.assoc(a, b, c)))
+                rhs = seq(seq(t.assoc(o(a), o(b), o(c)), par(ident(o(a)), cmp(b, c))), cmp(a, s.tensor_obj(b, c)))
+                check(eq(lhs, rhs), f"associativity at ({a}, {b}, {c})")
+        lhs = seq(seq(par(f.unit_cmp, ident(o(a))), cmp(s.unit(), a)), f.mor(s.left_unitor(a)))
+        check(eq(lhs, t.left_unitor(o(a))), f"left unit at {a}")
+        lhs = seq(seq(par(ident(o(a)), f.unit_cmp), cmp(a, s.unit())), f.mor(s.right_unitor(a)))
+        check(eq(lhs, t.right_unitor(o(a))), f"right unit at {a}")
+    return check.report()
+
+
 # ---------------------------------------------------------------------------
 # base change and the span pseudofunctor
 
@@ -872,10 +893,10 @@ def pbc_suite(max_size: int = 3, seed: int = 0) -> LawReport:
 
 def psi_family_map(m: SmcModel, homs: Sequence, l: SList):
     """Fold a family of morphisms along a list: the action of a fold on maps."""
-    if len(l) == 0:
-        return m.identity(m.unit())
-    head, tail = l.labels[0], SList(l.labels[1:])
-    return m.tensor_mor(homs[head], psi_family_map(m, homs, tail))
+    out = m.identity(m.unit())
+    for label in reversed(l.labels):
+        out = m.tensor_mor(homs[label], out)
+    return out
 
 
 def unbias_coherence_failures(

@@ -2,31 +2,19 @@
 Shipped symmetric monoidal models and the shared law suite.
 
 Three instances cover the test surface: symmetric lists (the normalization
-target), the free term model itself (equality decided by normalization),
-and finite bijections (objects are sizes, morphisms permutations, tensor is
-addition).  ``smc_law_failures`` runs the pentagon, triangle, both
-hexagons, symmetry and inverse laws against any model.
+target), finite bijections (objects are sizes, morphisms permutations,
+tensor is addition), and the free term model itself (equality decided by
+normalization), which lives in ``terms`` where canonical terms are built
+in it.  ``smc_law_failures`` runs the pentagon, triangle, both hexagons,
+symmetry and inverse laws against any model.
 """
 
 from __future__ import annotations
 
 from .monoidal import braiding, tensor_hom, tensor_obj
-from .perms import Perm
+from .perms import Perm, block_sum, block_swap
 from .slist import SList, compose as hom_compose, identity_hom, invert
-from .terms import (
-    Assoc,
-    Braid,
-    Comp,
-    Id,
-    Inv,
-    LeftUnitor,
-    Par,
-    RightUnitor,
-    SmcModel,
-    Tensor,
-    Unit,
-    decide_equal,
-)
+from .terms import FreeTermModel, SmcModel  # noqa: F401  FreeTermModel is re-exported
 
 
 class SListModel(SmcModel):
@@ -75,52 +63,6 @@ class SListModel(SmcModel):
         return f.src == g.src and f.dst == g.dst and f.phi == g.phi
 
 
-class FreeTermModel(SmcModel):
-    """The term model itself; morphism equality is the decision procedure."""
-
-    def unit(self):
-        return Unit()
-
-    def tensor_obj(self, a, b):
-        return Tensor(a, b)
-
-    def identity(self, a):
-        return Id(a)
-
-    def compose(self, f, g):
-        return Comp(f, g)
-
-    def tensor_mor(self, f, g):
-        return Par(f, g)
-
-    def assoc(self, a, b, c):
-        return Assoc(a, b, c)
-
-    def assoc_inv(self, a, b, c):
-        return Inv(Assoc(a, b, c))
-
-    def left_unitor(self, a):
-        return LeftUnitor(a)
-
-    def left_unitor_inv(self, a):
-        return Inv(LeftUnitor(a))
-
-    def right_unitor(self, a):
-        return RightUnitor(a)
-
-    def right_unitor_inv(self, a):
-        return Inv(RightUnitor(a))
-
-    def braid(self, a, b):
-        return Braid(a, b)
-
-    def braid_inv(self, a, b):
-        return Inv(Braid(a, b))
-
-    def mor_equal(self, f, g):
-        return decide_equal(f, g)
-
-
 class FinBijModel(SmcModel):
     """Objects are naturals, morphisms permutations, tensor is addition."""
 
@@ -138,8 +80,7 @@ class FinBijModel(SmcModel):
         return f * g
 
     def tensor_mor(self, f, g):
-        m = f.n
-        return Perm(tuple(f(i) if i < m else m + g(i - m) for i in range(m + g.n)))
+        return block_sum(f, g)
 
     def assoc(self, a, b, c):
         return Perm.identity(a + b + c)
@@ -160,7 +101,7 @@ class FinBijModel(SmcModel):
         return Perm.identity(a)
 
     def braid(self, a, b):
-        return Perm(tuple(i + a if i < b else i - b for i in range(a + b)))
+        return block_swap(a, b)
 
 
 def smc_law_failures(m: SmcModel, objs) -> list[str]:

@@ -11,7 +11,7 @@ over cons cells serves as an independent oracle.
 from __future__ import annotations
 
 from .errors import IndexOutOfRange
-from .perms import Perm
+from .perms import block_sum, block_swap
 from .slist import GenWord, SList, SListHom, hom_from_word
 
 
@@ -29,10 +29,7 @@ def tensor_hom(f: SListHom, g: SListHom) -> SListHom:
     >>> tensor_hom(sw, identity_hom(SList(("c",)))).phi.img
     (1, 0, 2)
     """
-    m = len(f.dst)
-    offset = len(f.src)
-    phi = tuple(f.phi(i) if i < m else offset + g.phi(i - m) for i in range(m + len(g.dst)))
-    return SListHom(tensor_obj(f.src, g.src), tensor_obj(f.dst, g.dst), Perm(phi))
+    return SListHom(tensor_obj(f.src, g.src), tensor_obj(f.dst, g.dst), block_sum(f.phi, g.phi))
 
 
 def braiding(x: SList, y: SList) -> SListHom:
@@ -41,9 +38,7 @@ def braiding(x: SList, y: SList) -> SListHom:
     >>> braiding(SList(("a",)), SList(("b", "c"))).phi.img
     (1, 2, 0)
     """
-    nx, ny = len(x), len(y)
-    phi = tuple(i + nx if i < ny else i - ny for i in range(nx + ny))
-    return SListHom(tensor_obj(x, y), tensor_obj(y, x), Perm(phi))
+    return SListHom(tensor_obj(x, y), tensor_obj(y, x), block_swap(len(x), len(y)))
 
 
 def _partial_braid_word(head, l1: SList, l2: SList) -> list[int]:

@@ -108,6 +108,25 @@ class CoxeterMatrixA:
         return 2
 
 
+def block_sum(p: Perm, q: Perm) -> Perm:
+    """p on the first p.n points, q shifted onto the q.n points after them.
+
+    >>> block_sum(Perm((1, 0)), Perm((0,))).img
+    (1, 0, 2)
+    """
+    m = p.n
+    return Perm(p.img + tuple([m + j for j in q.img]))
+
+
+def block_swap(a: int, b: int) -> Perm:
+    """The block transposition moving a block of a points past one of b.
+
+    >>> block_swap(1, 2).img
+    (1, 2, 0)
+    """
+    return Perm(tuple(range(a, a + b)) + tuple(range(a)))
+
+
 def word_to_perm(word: Sequence[int], n: int) -> Perm:
     """Multiply out a word of adjacent transpositions in S_n.
 

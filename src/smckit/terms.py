@@ -4,13 +4,15 @@ Term language for the free symmetric monoidal category on an alphabet.
 Objects are trees built from Unit, generators and a binary tensor; structural
 morphisms are trees built from identities, composition (diagram order),
 tensor, the four structural isomorphism families and a formal inverse.
-Evaluation into any model is structural recursion.  Normalization computes,
-in one iterative pass, what evaluation into symmetric lists with each
-generator sent to a singleton gives; the resulting index bijection is a
-complete invariant of the term modulo the symmetric monoidal axioms.
-Equality of well-typed terms with equal boundaries is therefore decidable by
-comparing normal forms.  Normalization, its decision procedure and the
-printing of objects do not recurse, so they work on terms of any depth.
+Evaluation into any model is structural recursion; it is kept as the oracle.
+Normalization computes, in one iterative pass, what evaluation into
+symmetric lists with each generator sent to a singleton gives; the resulting
+index bijection is a complete invariant of the term modulo the symmetric
+monoidal axioms, so equality of well-typed terms with equal boundaries is
+decidable by comparing normal forms.  The extension Psi of an assignment to
+lists and list morphisms writes the canonical formula of a permutation
+directly as model calls; the canonical term is that formula in the free
+term model.  None of these recurse, so they work on terms of any depth.
 """
 
 from __future__ import annotations
@@ -507,40 +509,15 @@ def decide_equal(s: MorTerm, t: MorTerm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# canonical terms over right-nested objects, and the monoidal extension
+# the monoidal extension to lists, and canonical terms
 
 
-def nest_obj(labels) -> ObjTerm:
-    """Right-nested object l0*(l1*(...*I)) over the given labels."""
-    out: ObjTerm = Unit()
-    for label in reversed(tuple(labels)):
-        out = Tensor(Gen(label), out)
+def _fold(m: SmcModel, values) -> Any:
+    # psi_obj over values already looked up
+    out = m.unit()
+    for a in reversed(values):
+        out = m.tensor_obj(a, out)
     return out
-
-
-def _swap_term(labels: tuple, p: int) -> MorTerm:
-    # adjacent swap at position p of the running list, whiskered under the
-    # first p generators of the right-nested object
-    a, b = Gen(labels[p]), Gen(labels[p + 1])
-    rest = nest_obj(labels[p + 2 :])
-    term: MorTerm = Comp(
-        Comp(Inv(Assoc(a, b, rest)), Par(Braid(a, b), Id(rest))),
-        Assoc(b, a, rest),
-    )
-    for label in reversed(labels[:p]):
-        term = Par(Id(Gen(label)), term)
-    return term
-
-
-def canonical_term(f: SListHom) -> MorTerm:
-    """A structural term over nested objects whose normalization is f."""
-    word = word_from_hom(f)
-    labels = f.src.labels
-    term: MorTerm = Id(nest_obj(labels))
-    for p in word.positions:
-        term = Comp(term, _swap_term(labels, p))
-        labels = labels[:p] + (labels[p + 1], labels[p]) + labels[p + 2 :]
-    return term
 
 
 def psi_obj(m: SmcModel, assignment, labels) -> Any:
@@ -552,8 +529,80 @@ def psi_obj(m: SmcModel, assignment, labels) -> Any:
 
 
 def psi_hom(m: SmcModel, assignment, f: SListHom) -> Any:
-    """Image of a list morphism under the monoidal extension of the assignment."""
-    return eval_mor(canonical_term(f), m, assignment)
+    """Image of a list morphism under the monoidal extension of the assignment.
+
+    The identity on Psi(src), then per letter p of the reduced word of f the
+    swap ``assoc_inv(a, b, rest) ; (braid(a, b) (x) id rest) ; assoc(b, a, rest)``
+    of the values at p and p + 1, whiskered by the p values before them.
+    One pass over the word: no term is built and nothing recurses.
+    """
+    values = [lookup(assignment, label) for label in f.src.labels]
+    ids = [m.identity(a) for a in values]
+    out = m.identity(_fold(m, values))
+    for p in word_from_hom(f).positions:
+        a, b = values[p], values[p + 1]
+        rest = _fold(m, values[p + 2 :])
+        swap = m.compose(
+            m.compose(m.assoc_inv(a, b, rest), m.tensor_mor(m.braid(a, b), m.identity(rest))),
+            m.assoc(b, a, rest),
+        )
+        for i in reversed(range(p)):
+            swap = m.tensor_mor(ids[i], swap)
+        out = m.compose(out, swap)
+        values[p], values[p + 1] = b, a
+        ids[p], ids[p + 1] = ids[p + 1], ids[p]
+    return out
+
+
+class FreeTermModel(SmcModel):
+    """The term model itself; morphism equality is the decision procedure."""
+
+    def unit(self):
+        return Unit()
+
+    def tensor_obj(self, a, b):
+        return Tensor(a, b)
+
+    def identity(self, a):
+        return Id(a)
+
+    def compose(self, f, g):
+        return Comp(f, g)
+
+    def tensor_mor(self, f, g):
+        return Par(f, g)
+
+    def assoc(self, a, b, c):
+        return Assoc(a, b, c)
+
+    def assoc_inv(self, a, b, c):
+        return Inv(Assoc(a, b, c))
+
+    def left_unitor(self, a):
+        return LeftUnitor(a)
+
+    def left_unitor_inv(self, a):
+        return Inv(LeftUnitor(a))
+
+    def right_unitor(self, a):
+        return RightUnitor(a)
+
+    def right_unitor_inv(self, a):
+        return Inv(RightUnitor(a))
+
+    def braid(self, a, b):
+        return Braid(a, b)
+
+    def braid_inv(self, a, b):
+        return Inv(Braid(a, b))
+
+    def mor_equal(self, f, g):
+        return decide_equal(f, g)
+
+
+def canonical_term(f: SListHom) -> MorTerm:
+    """A structural term over right-nested objects whose normalization is f."""
+    return psi_hom(FreeTermModel(), Gen, f)
 
 
 def psi_extend(assignment, m: SmcModel) -> tuple[Callable, Callable]:
@@ -564,17 +613,24 @@ def psi_extend(assignment, m: SmcModel) -> tuple[Callable, Callable]:
     )
 
 
+def psi_split(m: SmcModel, values, rest) -> tuple[Any, Any]:
+    """The iso from the fold of ``values`` onto ``rest`` to Psi(values) (x) rest, and Psi(values).
+
+    It is built from the end of ``values`` backwards, from associators and
+    a unitor only, with one tensor of objects per value.
+    """
+    iso = m.left_unitor_inv(rest)
+    fold = m.unit()  # Psi of the values after the current one
+    for a in reversed(values):
+        iso = m.compose(m.tensor_mor(m.identity(a), iso), m.assoc_inv(a, fold, rest))
+        fold = m.tensor_obj(a, fold)
+    return iso, fold
+
+
 def psi_monoidal_iso(l1: SList, l2: SList, assignment, m: SmcModel) -> Any:
     """Iso Psi(l1 (x) l2) -> Psi(l1) (x) Psi(l2), from associators and unitors only.
 
-    It is built from the end of l1 backwards, each fold it needs made once,
-    so it takes len(l1) + len(l2) tensors of objects.
+    It takes len(l1) + len(l2) tensors of objects.
     """
     heads = [lookup(assignment, label) for label in l1.labels]
-    rest = psi_obj(m, assignment, l2.labels)
-    iso = m.left_unitor_inv(rest)
-    tail = m.unit()  # Psi of the part of l1 after the current head
-    for a in reversed(heads):
-        iso = m.compose(m.tensor_mor(m.identity(a), iso), m.assoc_inv(a, tail, rest))
-        tail = m.tensor_obj(a, tail)
-    return iso
+    return psi_split(m, heads, psi_obj(m, assignment, l2.labels))[0]

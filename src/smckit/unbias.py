@@ -40,7 +40,7 @@ from .spans import (
     fiber,
     identity_fun,
 )
-from .terms import SmcModel, lookup, psi_hom, psi_monoidal_iso, psi_obj
+from .terms import SmcModel, lookup, psi_hom, psi_obj, psi_split
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +234,20 @@ def psi_theta_iso(g: KHom, l: SList, assignment, m: SmcModel):
     """From the fold of a concatenated extension to the iterated fold.
 
     Sends the value at Theta_g(l) to the fold over l of the per-label
-    values; built from the binary monoidal comparison by cons recursion,
-    with no braidings.
+    values, with no braidings.  It is built from the end of l backwards:
+    each step splits the fold of one block off the fold of the extension
+    of the labels after it, which is kept as it goes.
     """
-    if len(l) == 0:
-        return m.identity(m.unit())
-    head, tail = l.labels[0], SList(l.labels[1:])
-    block = g.lists[head]
-    rest = theta_apply(g, tail)
-    unpack = psi_monoidal_iso(block, rest, assignment, m)
-    inner = psi_theta_iso(g, tail, assignment, m)
-    step = m.tensor_mor(m.identity(psi_obj(m, assignment, block.labels)), inner)
-    return m.compose(unpack, step)
+    theta_apply(g, l)  # raises LabelOutOfRange unless every label of l is in g's source
+    iso = m.identity(m.unit())
+    rest = m.unit()  # Psi(Theta_g(the labels of l after the current one))
+    for head in reversed(l.labels):
+        values = [lookup(assignment, label) for label in g.lists[head].labels]
+        split, fold = psi_split(m, values, rest)
+        iso = m.compose(split, m.tensor_mor(m.identity(fold), iso))
+        for a in reversed(values):
+            rest = m.tensor_obj(a, rest)
+    return iso
 
 
 def unbias_comp_iso(s: Span, t: Span, m: SmcModel, assignment) -> tuple:

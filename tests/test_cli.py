@@ -340,6 +340,71 @@ def test_reversed_permutation_of_48():
     assert record["canonical"] == term
 
 
+def fibers_of(size: int) -> tuple[str, str]:
+    """A span with three fibers of ``size`` over a foot of eight, and a family on the foot."""
+    rng = Random(size)
+    right = [k for k in range(3) for _ in range(size)]
+    rng.shuffle(right)
+    span = json.dumps({
+        "schema": "smckit/1", "kind": "span", "apex": len(right),
+        "left": {"target": 8, "img": [rng.randrange(8) for _ in right]},
+        "right": {"target": 3, "img": right},
+    })
+    family = json.dumps({
+        "schema": "smckit/1", "kind": "family", "size": 8,
+        "entries": {str(j): f"(p{j} * q)" for j in range(8)},
+    })
+    return span, family
+
+
+@pytest.mark.parametrize("model", ("term", "slist"))
+def test_unbias_cells_with_fibers_of_300(model):
+    span, family = fibers_of(300)
+    code, out, err = run_shallow("unbias", span, family, "--model", model, "--cells")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 3 + 3 + 8
+    assert all(line.startswith(f"composition cell k={k}: ") for k, line in zip(range(3), lines[3:6]))
+
+
+def run_stdin(argv, text):
+    env = dict(os.environ)
+    src = str(Path(smckit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "smckit", *argv], input=text,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_terms_from_stdin():
+    # the canonical term normalize prints for a 48-element reversal is
+    # about 1 MB, too long for one command-line argument; it goes back in by '-'
+    n = 48
+    labels = tuple(f"x{i}" for i in range(n))
+    reverse = Perm(tuple(reversed(range(n))))
+    term = render_mor(canonical_term(SListHom(SList(labels), SList(labels[::-1]), reverse)))
+    code, out, err = run_stdin(["--format", "record", "normalize", "-"], term)
+    assert code == 0 and err == ""
+    assert json.loads(out)["canonical"] == term
+    code, out, err = run_stdin(["equal", "-", "b x y ; b y x"], "id (x*y)\n")
+    assert (code, out, err) == (0, "equal: true\n", "")
+    code, out, err = run_stdin(["equal", "id (x*x)", "-"], "b x x")
+    assert code == 1 and out.startswith("equal: false\n") and err == ""
+
+
+def test_two_terms_from_stdin_is_a_usage_error(capsys):
+    assert run("equal", "-", "-") == (2, "")
+    assert capsys.readouterr().err == "error: only one term can be read from stdin ('-')\n"
+
+
+def test_stdin_term_errors_point_into_it(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("b x y ;\n  b y $"))
+    assert run("normalize", "-") == (2, "")
+    assert capsys.readouterr().err == "error: 2:7: unexpected character '$'\n"
+
+
 def test_render_prints_composition_flat():
     x, y = Gen("x"), Gen("y")
     f, g = Braid(x, y), Braid(y, x)

@@ -5,12 +5,11 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from smckit.errors import BoundaryMismatch, LabelOutOfRange, LaxLawViolation
+from smckit.errors import BoundaryMismatch, LabelOutOfRange
 from smckit.kleisli import (
     KCell,
     KHom,
     MonoidalFunctorData,
-    check_lax_laws,
     composite_multiset,
     duality,
     duality_cell,
@@ -30,7 +29,7 @@ from smckit.kleisli import (
     theta_apply_hom,
     theta_whisker,
 )
-from smckit.laws import random_khom
+from smckit.laws import check_lax_laws, random_khom
 from smckit.models import FreeTermModel, SListModel
 from smckit.perms import Perm
 from smckit.slist import (
@@ -287,7 +286,8 @@ def test_map_family_and_naturality_cell():
         assert normalize(cell).phi.is_identity()
     # an empty list contributes only the unit comparison
     assert cells[1] == ident.unit_cmp
-    check_lax_laws(ident, (Gen("p"), Gen("q")))
+    report = check_lax_laws(ident, (Gen("p"), Gen("q")))
+    assert report.ok and report.cases == 16
 
 
 def test_normalization_functor_is_lax_strong():
@@ -306,7 +306,7 @@ def test_normalization_functor_is_lax_strong():
         ),
         strong=True,
     )
-    check_lax_laws(norm, (Gen("p"), Gen("q"), Gen("r")))
+    assert check_lax_laws(norm, (Gen("p"), Gen("q"), Gen("r"))).ok
     f = KHom(FinSet(1), FinSet(2), (SList((1, 0, 1)),))
     cells = naturality_cell(norm, f, {0: Gen("p"), 1: Gen("q")})
     assert all(h.phi.is_identity() for h in cells)
@@ -331,5 +331,13 @@ def test_lax_law_violation_detected():
         tensor_cmp=broken_cmp,
         strong=True,
     )
-    with pytest.raises(LaxLawViolation):
-        check_lax_laws(broken, (one,))
+    report = check_lax_laws(broken, (one,))
+    assert report.violations == ("associativity at ([a], [a], [a])",)
+    assert report.cases == 4 and not report.ok
+
+
+def test_naturality_cell_on_2000_labels(shallow_stack):
+    f = KHom(FinSet(1), FinSet(2), (SList(tuple(k % 2 for k in range(2000))),))
+    cells = naturality_cell(identity_functor(FreeTermModel()), f, {0: Gen("p"), 1: Gen("q")})
+    h = normalize(cells[0])
+    assert h.src.labels == ("p", "q") * 1000 and h.phi.is_identity()

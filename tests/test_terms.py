@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from smckit.errors import BoundaryMismatch, IllTyped, UnassignedLabel
 from smckit.models import FinBijModel, FreeTermModel, SListModel, smc_law_failures
 from smckit.laws import axiom_rewrite, random_walk_term
-from smckit.slist import SList, SListHom, hom_equal, identity_hom
+from smckit import terms
+from smckit.slist import SList, SListHom, hom_equal, identity_hom, word_from_hom
 from smckit.perms import Perm
 from smckit.terms import (
     Assoc,
@@ -34,6 +35,7 @@ from smckit.terms import (
     normal_forms,
     normalize_obj,
     psi_extend,
+    psi_hom,
     psi_monoidal_iso,
     psi_obj,
     typecheck,
@@ -393,3 +395,73 @@ def test_psi_monoidal_iso_tensors_grow_linearly():
         iso = psi_monoidal_iso(l1, l2, Gen, m)
         assert m.tensors == n1 + n2
         assert normalize(iso).phi.is_identity()
+
+
+# ---------------------------------------------------------------------------
+# the extension to list morphisms, built directly in the model
+
+
+def canonical_term_by_swaps(f):
+    # the canonical term written out as a term, swap by swap, kept as the oracle
+    def nest(labels):
+        out = Unit()
+        for label in reversed(labels):
+            out = Tensor(Gen(label), out)
+        return out
+
+    labels = f.src.labels
+    term = Id(nest(labels))
+    for p in word_from_hom(f).positions:
+        x, y, rest = Gen(labels[p]), Gen(labels[p + 1]), nest(labels[p + 2 :])
+        swap = Comp(Comp(Inv(Assoc(x, y, rest)), Par(Braid(x, y), Id(rest))), Assoc(y, x, rest))
+        for label in reversed(labels[:p]):
+            swap = Par(Id(Gen(label)), swap)
+        term = Comp(term, swap)
+        labels = labels[:p] + (labels[p + 1], labels[p]) + labels[p + 2 :]
+    return term
+
+
+def random_list_hom(rng: Random, max_len: int = 6) -> SListHom:
+    labels = tuple(rng.choice("aabc") for _ in range(rng.randint(0, max_len)))
+    img = list(range(len(labels)))
+    rng.shuffle(img)
+    return SListHom(SList(labels), SList(tuple(labels[i] for i in img)), Perm(tuple(img)))
+
+
+# one assignment per shipped model; "c" goes to a unit object
+ASSIGNMENTS = (
+    (term_model, {"a": a, "b": Tensor(b, Unit()), "c": Unit()}),
+    (slist_model, {"a": SList(("a",)), "b": SList(("b", "a")), "c": SList(())}),
+    (FinBijModel(), {"a": 1, "b": 2, "c": 0}),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_psi_hom_matches_evaluating_the_canonical_term(seed):
+    f = random_list_hom(Random(seed))
+    term = canonical_term(f)
+    assert term == canonical_term_by_swaps(f)
+    for m, x in ASSIGNMENTS:
+        assert psi_hom(m, x, f) == eval_mor(term, m, x)
+
+
+def test_psi_hom_evaluates_no_term(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("psi_hom went through a term")
+
+    for name in ("canonical_term", "eval_mor", "eval_obj", "typecheck"):
+        monkeypatch.setattr(terms, name, forbidden)
+    f = SListHom(SList(("a", "b", "c")), SList(("c", "b", "a")), Perm((2, 1, 0)))
+    assert psi_hom(slist_model, singletons, f) == f
+    assert psi_hom(FinBijModel(), {"a": 1, "b": 1, "c": 1}, f) == f.phi
+    assert normalize(psi_hom(term_model, Gen, f)) == f
+
+
+def test_psi_hom_of_a_60_reversal(shallow_stack):
+    n = 60
+    labels = tuple(f"x{i}" for i in range(n))
+    f = SListHom(SList(labels), SList(labels[::-1]), Perm(tuple(reversed(range(n)))))
+    assert normalize(psi_hom(term_model, Gen, f)) == f
+    assert psi_hom(slist_model, singletons, f) == f
+    assert psi_hom(FinBijModel(), lambda label: 1, f) == f.phi

@@ -4,8 +4,8 @@ from random import Random
 
 import pytest
 
-from smckit.errors import NotInvertible, NotPullbackSquare
-from smckit.kleisli import k_compose, k_id, k_id_cell, k_vcomp
+from smckit.errors import LabelOutOfRange, NotInvertible, NotPullbackSquare
+from smckit.kleisli import KHom, k_compose, k_id, k_id_cell, k_vcomp, theta_apply
 from smckit.models import FreeTermModel, SListModel
 from smckit.slist import SList, is_linear, underlying_multiset, unique_hom_linear
 from smckit.spans import (
@@ -24,12 +24,14 @@ from smckit.laws import (
     all_functions,
     check_pbc_laws,
     pseudofunctor_laws,
+    psi_family_map,
+    random_khom,
     random_pith_cell,
     random_span,
     random_span_from,
     unbias_coherence_failures,
 )
-from smckit.terms import Gen, normalize
+from smckit.terms import Braid, Gen, Id, normalize, psi_monoidal_iso, psi_obj
 from smckit.unbias import (
     base_change_unique,
     eta_cell,
@@ -40,6 +42,7 @@ from smckit.unbias import (
     lambda_v,
     pseudofunctor_on_cell,
     pseudofunctor_on_span,
+    psi_theta_iso,
     unbias_cell,
     unbias_comp_iso,
     unbias_eval,
@@ -276,3 +279,39 @@ def test_unbias_cell_progress():
     cells = unbias_cell(swap, m, {0: Gen("A")})
     h = normalize(cells[0])
     assert h.src == SList(("A", "A")) and h.phi.img == (1, 0)
+
+
+def psi_theta_iso_recursive(g, l, assignment, m):
+    # the definition by recursion on l, kept as the oracle
+    if len(l) == 0:
+        return m.identity(m.unit())
+    head, tail = l.labels[0], SList(l.labels[1:])
+    block = g.lists[head]
+    unpack = psi_monoidal_iso(block, theta_apply(g, tail), assignment, m)
+    inner = psi_theta_iso_recursive(g, tail, assignment, m)
+    return m.compose(unpack, m.tensor_mor(m.identity(psi_obj(m, assignment, block.labels)), inner))
+
+
+def test_psi_theta_iso_matches_the_recursion():
+    rng = Random(47)
+    for _ in range(100):
+        i, j = rng.randint(1, 4), rng.randint(0, 4)
+        g = random_khom(rng, i, j, 3)
+        l = SList(tuple(rng.randrange(i) for _ in range(rng.randint(0, 5))))
+        terms = {k: Gen(f"x{k}") for k in range(j)}
+        lists = {k: SList((f"x{k}", "y")) for k in range(j)}
+        assert psi_theta_iso(g, l, terms, FreeTermModel()) == psi_theta_iso_recursive(g, l, terms, FreeTermModel())
+        assert psi_theta_iso(g, l, lists, SListModel()) == psi_theta_iso_recursive(g, l, lists, SListModel())
+
+
+def test_psi_theta_iso_checks_labels():
+    g = KHom(FinSet(1), FinSet(1), (SList((0,)),))
+    with pytest.raises(LabelOutOfRange):
+        psi_theta_iso(g, SList((0, 1)), {0: Gen("x")}, FreeTermModel())
+
+
+def test_psi_family_map_on_2000_labels(shallow_stack):
+    l = SList(tuple(k % 2 for k in range(2000)))
+    m = FreeTermModel()
+    folded = psi_family_map(m, {0: Braid(Gen("a"), Gen("b")), 1: Id(Gen("c"))}, l)
+    assert normalize(folded).phi.img == tuple(p for k in range(1000) for p in (3 * k + 1, 3 * k, 3 * k + 2))
