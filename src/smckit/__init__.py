@@ -42,7 +42,6 @@ from .terms import (
     eval_mor,
     eval_obj,
     normalize,
-    psi_extend,
     psi_monoidal_iso,
 )
 from .models import FinBijModel, FreeTermModel, SListModel, smc_law_failures

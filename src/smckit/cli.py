@@ -279,6 +279,8 @@ def load_record(source: str, kind: str) -> dict:
         record = json.loads(text)
     except json.JSONDecodeError as exc:
         raise RecordFormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise RecordFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(record, dict):
         raise RecordFormatError("record must be a JSON object")
     if record.get("schema") != SCHEMA:
@@ -288,16 +290,24 @@ def load_record(source: str, kind: str) -> dict:
     return record
 
 
+def _integer(value) -> int:
+    """A JSON integer from a record; a boolean, a fraction or a string is refused."""
+    if type(value) is not int:
+        shown = "an array" if isinstance(value, list) else "an object" if isinstance(value, dict) else json.dumps(value)
+        raise TypeError(f"expected an integer, found {shown}")
+    return value
+
+
 def span_from_record(record: dict) -> Span:
     try:
-        apex = FinSet(int(record["apex"]))
-        left = record["left"]
-        right = record["right"]
-        lf = FinFun(apex, FinSet(int(left["target"])), tuple(int(v) for v in left["img"]))
-        rf = FinFun(apex, FinSet(int(right["target"])), tuple(int(v) for v in right["img"]))
+        apex = FinSet(_integer(record["apex"]))
+        legs = [
+            FinFun(apex, FinSet(_integer(leg["target"])), tuple(map(_integer, leg["img"])))
+            for leg in (record["left"], record["right"])
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise RecordFormatError(f"malformed span record: {exc}") from None
-    return Span(lf, rf)
+    return Span(*legs)
 
 
 def span_to_record(s: Span) -> dict:
@@ -312,8 +322,8 @@ def span_to_record(s: Span) -> dict:
 
 def family_from_record(record: dict) -> tuple[int, dict]:
     try:
-        size = int(record["size"])
-        entries = {int(k): str(v) for k, v in record["entries"].items()}
+        size = _integer(record["size"])
+        entries = {int(k): str(v) for k, v in record["entries"].items()}  # keys are decimal strings
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise RecordFormatError(f"malformed family record: {exc}") from None
     return size, entries
@@ -463,15 +473,14 @@ def cmd_unbias(args, out) -> int:
 def cmd_check_laws(args, out) -> int:
     from . import laws
 
-    seed = args.seed if args.seed is not None else int(os.environ.get(SEED_ENV, "0"))
-    reports = laws.run_suite(args.suite, max_size=args.max_size, seed=seed)
+    reports = laws.run_suite(args.suite, max_size=args.max_size, seed=args.seed)
     ok = all(r.ok for r in reports)
     if args.format == "record":
         emit(out, {
             "schema": SCHEMA,
             "kind": "law-report",
             "suite": args.suite,
-            "seed": seed,
+            "seed": args.seed,
             "reports": [
                 {"name": r.name, "cases": r.cases, "violations": list(r.violations)}
                 for r in reports
@@ -481,6 +490,19 @@ def cmd_check_laws(args, out) -> int:
         for r in reports:
             out.write(str(r) + "\n")
     return 0 if ok else 1
+
+
+def _positive_int(text: str) -> int:
+    if not (text.strip().isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, found {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer (from --seed or ${SEED_ENV}), found {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -516,8 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-laws", help="run a law suite")
     p.add_argument("--suite", default="all", choices=laws.suite_names())
-    p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--max-size", type=_positive_int, default=None)
+    # a string default goes through the type too, so the environment is checked here
+    p.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV, "0"), help=f"default: ${SEED_ENV}, else 0")
     p.set_defaults(fn=cmd_check_laws)
 
     return parser

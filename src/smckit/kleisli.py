@@ -173,29 +173,6 @@ def k_hcomp(phi: KCell, psi: KCell) -> KCell:
     return KCell(k_compose(f, g), k_compose(f2, g2), homs)
 
 
-def k_associator(f: KHom, g: KHom, h: KHom) -> KCell:
-    """Identity cell documenting that composition is strictly associative."""
-    lhs = k_compose(k_compose(f, g), h)
-    rhs = k_compose(f, k_compose(g, h))
-    if lhs != rhs:
-        raise AssertionError("strict associativity violated; this is a bug")
-    return k_id_cell(lhs)
-
-
-def k_left_unitor(f: KHom) -> KCell:
-    lhs = k_compose(k_id(f.src), f)
-    if lhs != f:
-        raise AssertionError("strict left unit violated; this is a bug")
-    return k_id_cell(f)
-
-
-def k_right_unitor(f: KHom) -> KCell:
-    lhs = k_compose(f, k_id(f.dst))
-    if lhs != f:
-        raise AssertionError("strict right unit violated; this is a bug")
-    return k_id_cell(f)
-
-
 # ---------------------------------------------------------------------------
 # multiset formulas and duality
 
@@ -280,23 +257,6 @@ class MonoidalFunctorData:
     unit_cmp: object
     tensor_cmp: Callable
     strong: bool = False
-
-
-def identity_functor(m: SmcModel) -> MonoidalFunctorData:
-    return MonoidalFunctorData(
-        source=m,
-        target=m,
-        obj=lambda a: a,
-        mor=lambda f: f,
-        unit_cmp=m.identity(m.unit()),
-        tensor_cmp=lambda a, b: m.identity(m.tensor_obj(a, b)),
-        strong=True,
-    )
-
-
-def map_family(f: MonoidalFunctorData, family) -> tuple:
-    """Postcompose an indexed family of source objects with the functor."""
-    return tuple(f.obj(x) for x in family)
 
 
 def naturality_cell(f: MonoidalFunctorData, khom: KHom, family) -> tuple:

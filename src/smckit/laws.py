@@ -95,9 +95,8 @@ from .terms import (
     SmcModel,
     Tensor,
     Unit,
+    boundaries,
     decide_equal,
-    mor_src,
-    mor_tgt,
     normalize_obj,
     psi_obj,
 )
@@ -378,7 +377,7 @@ def random_walk_term(rng: Random, labels, steps: int) -> MorTerm:
     for _ in range(steps):
         step = _random_structural_from(rng, obj)
         term = Comp(term, step)
-        obj = mor_tgt(step)
+        _, obj = boundaries(step)
     return term
 
 
@@ -405,7 +404,7 @@ def axiom_rewrite(rng: Random, t: MorTerm, depth: int = 0) -> MorTerm:
             return Par(t.left, axiom_rewrite(rng, t.right, depth + 1))
         if isinstance(t, Inv):
             return Inv(axiom_rewrite(rng, t.arg, depth + 1))
-    src, tgt = mor_src(t), mor_tgt(t)
+    src, tgt = boundaries(t)
     options = [
         lambda: Comp(Id(src), t),
         lambda: Comp(t, Id(tgt)),
@@ -420,14 +419,10 @@ def axiom_rewrite(rng: Random, t: MorTerm, depth: int = 0) -> MorTerm:
         options.append(lambda: Comp(Comp(t.first, t.second.first), t.second.second))
     if isinstance(t, Par):
         a, b = t.left, t.right
-        options.append(lambda: Comp(Par(a, Id(mor_src(b))), Par(Id(mor_tgt(a)), b)))
-        options.append(lambda: Comp(Par(Id(mor_src(a)), b), Par(a, Id(mor_tgt(b)))))
-        options.append(
-            lambda: Comp(
-                Comp(Braid(mor_src(a), mor_src(b)), Par(b, a)),
-                Braid(mor_tgt(b), mor_tgt(a)),
-            )
-        )
+        (a_src, a_tgt), (b_src, b_tgt) = boundaries(a), boundaries(b)
+        options.append(lambda: Comp(Par(a, Id(b_src)), Par(Id(a_tgt), b)))
+        options.append(lambda: Comp(Par(Id(a_src), b), Par(a, Id(b_tgt))))
+        options.append(lambda: Comp(Comp(Braid(a_src, b_src), Par(b, a)), Braid(b_tgt, a_tgt)))
     if isinstance(t, Id) and isinstance(t.obj, Tensor):
         options.append(lambda: Par(Id(t.obj.left), Id(t.obj.right)))
     return rng.choice(options)()
@@ -458,27 +453,29 @@ def coherence_suite(n_terms: int = 1000, n_labels: int = 5, seed: int = 0) -> La
         w, x, y, z = (random_obj(rng, instance_labels, 2) for _ in range(4))
         failures = smc_law_failures(FreeTermModel(), (w, x, y, z))
         check(not failures, f"term-model instance fails: {failures}")
+        # a structural step from an object has that object as its source
         f = _random_structural_from(rng, x)
         g = _random_structural_from(rng, y)
-        fx, fy = mor_src(f), mor_src(g)
-        tx, ty = mor_tgt(f), mor_tgt(g)
+        _, tx = boundaries(f)
+        _, ty = boundaries(g)
         check(
-            decide_equal(Comp(Par(f, g), Braid(tx, ty)), Comp(Braid(fx, fy), Par(g, f))),
+            decide_equal(Comp(Par(f, g), Braid(tx, ty)), Comp(Braid(x, y), Par(g, f))),
             "braid naturality fails",
         )
         check(
-            decide_equal(Comp(Par(Id(Unit()), f), LeftUnitor(tx)), Comp(LeftUnitor(fx), f)),
+            decide_equal(Comp(Par(Id(Unit()), f), LeftUnitor(tx)), Comp(LeftUnitor(x), f)),
             "left unitor naturality fails",
         )
         check(
-            decide_equal(Comp(Par(f, Id(Unit())), RightUnitor(tx)), Comp(RightUnitor(fx), f)),
+            decide_equal(Comp(Par(f, Id(Unit())), RightUnitor(tx)), Comp(RightUnitor(x), f)),
             "right unitor naturality fails",
         )
         h = _random_structural_from(rng, z)
+        _, tz = boundaries(h)
         check(
             decide_equal(
-                Comp(Par(Par(f, g), h), Assoc(tx, ty, mor_tgt(h))),
-                Comp(Assoc(fx, fy, mor_src(h)), Par(f, Par(g, h))),
+                Comp(Par(Par(f, g), h), Assoc(tx, ty, tz)),
+                Comp(Assoc(x, y, z), Par(f, Par(g, h))),
             ),
             "associator naturality fails",
         )

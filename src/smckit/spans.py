@@ -275,17 +275,6 @@ def right_unitor_cell(s: Span) -> SpanCell:
     return SpanCell(composite, s, pb.p1)
 
 
-class StructuralCells(NamedTuple):
-    assoc: SpanCell
-    lunitor: SpanCell
-    runitor: SpanCell
-
-
-def structural_cells(s: Span, t: Span, u: Span) -> StructuralCells:
-    """Associator for (s,t,u) plus the unitors of the outer spans."""
-    return StructuralCells(assoc_cell(s, t, u), left_unitor_cell(s), right_unitor_cell(u))
-
-
 class AdjunctionCells(NamedTuple):
     unit: SpanCell
     counit: SpanCell

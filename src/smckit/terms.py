@@ -4,21 +4,22 @@ Term language for the free symmetric monoidal category on an alphabet.
 Objects are trees built from Unit, generators and a binary tensor; structural
 morphisms are trees built from identities, composition (diagram order),
 tensor, the four structural isomorphism families and a formal inverse.
-Evaluation into any model is structural recursion; it is kept as the oracle.
-Normalization computes, in one iterative pass, what evaluation into
-symmetric lists with each generator sent to a singleton gives; the resulting
-index bijection is a complete invariant of the term modulo the symmetric
-monoidal axioms, so equality of well-typed terms with equal boundaries is
-decidable by comparing normal forms.  The extension Psi of an assignment to
-lists and list morphisms writes the canonical formula of a permutation
-directly as model calls; the canonical term is that formula in the free
-term model.  None of these recurse, so they work on terms of any depth.
+Checking a term, reading its boundaries and normalizing it are one
+iterative pass, which computes what evaluation into symmetric lists with
+each generator sent to a singleton gives; evaluation into any model is a
+pass of the same shape.  The resulting index bijection is a complete
+invariant of the term modulo the symmetric monoidal axioms, so equality of
+well-typed terms with equal boundaries is decidable by comparing normal
+forms.  The extension Psi of an assignment to lists and list morphisms
+writes the canonical formula of a permutation directly as model calls; the
+canonical term is that formula in the free term model.  None of these
+recurse, so they work on terms of any depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from .errors import BoundaryMismatch, IllTyped, UnassignedLabel
 from .perms import Perm
@@ -141,62 +142,6 @@ class Inv(MorTerm):
     arg: MorTerm
 
 
-def mor_src(t: MorTerm) -> ObjTerm:
-    if isinstance(t, Id):
-        return t.obj
-    if isinstance(t, Comp):
-        return mor_src(t.first)
-    if isinstance(t, Par):
-        return Tensor(mor_src(t.left), mor_src(t.right))
-    if isinstance(t, Assoc):
-        return Tensor(Tensor(t.x, t.y), t.z)
-    if isinstance(t, LeftUnitor):
-        return Tensor(Unit(), t.x)
-    if isinstance(t, RightUnitor):
-        return Tensor(t.x, Unit())
-    if isinstance(t, Braid):
-        return Tensor(t.x, t.y)
-    if isinstance(t, Inv):
-        return mor_tgt(t.arg)
-    raise TypeError(f"not a morphism term: {t!r}")
-
-
-def mor_tgt(t: MorTerm) -> ObjTerm:
-    if isinstance(t, Id):
-        return t.obj
-    if isinstance(t, Comp):
-        return mor_tgt(t.second)
-    if isinstance(t, Par):
-        return Tensor(mor_tgt(t.left), mor_tgt(t.right))
-    if isinstance(t, Assoc):
-        return Tensor(t.x, Tensor(t.y, t.z))
-    if isinstance(t, LeftUnitor):
-        return t.x
-    if isinstance(t, RightUnitor):
-        return t.x
-    if isinstance(t, Braid):
-        return Tensor(t.y, t.x)
-    if isinstance(t, Inv):
-        return mor_src(t.arg)
-    raise TypeError(f"not a morphism term: {t!r}")
-
-
-def typecheck(t: MorTerm) -> None:
-    """Raise IllTyped unless every composition has matching inner boundaries."""
-    if isinstance(t, Comp):
-        typecheck(t.first)
-        typecheck(t.second)
-        if mor_tgt(t.first) != mor_src(t.second):
-            raise IllTyped(
-                f"composition boundary mismatch: {mor_tgt(t.first)} != {mor_src(t.second)}"
-            )
-    elif isinstance(t, Par):
-        typecheck(t.left)
-        typecheck(t.right)
-    elif isinstance(t, Inv):
-        typecheck(t.arg)
-
-
 def obj_labels(t: ObjTerm) -> tuple:
     """The generator labels of an object, left to right."""
     out = []
@@ -278,47 +223,60 @@ def lookup(assignment, label):
         raise UnassignedLabel(f"no object assigned to label {label!r}") from None
 
 
+def _evaluate(t, m: SmcModel, assignment) -> Any:
+    """The value of an object or morphism term, in one post-order pass.
+
+    ``Inv`` flips a flag pushed down with its argument: under an odd number
+    of them the parts of a composite come second first and each structural
+    map is its inverse.  The model is called in the order of the structural
+    recursion: the parts of a node left to right, then the call combining
+    their values.
+    """
+    done: list = []
+    todo: list = [(t, False)]  # (subterm, inverted), or (model method, number of values it combines)
+    while todo:
+        node, info = todo.pop()
+        if callable(node):
+            done[-info:] = [node(*done[-info:])]
+            continue
+        inv = info
+        if isinstance(node, Tensor):
+            todo += ((m.tensor_obj, 2), (node.right, inv), (node.left, inv))
+        elif isinstance(node, Gen):
+            done.append(lookup(assignment, node.label))
+        elif isinstance(node, Unit):
+            done.append(m.unit())
+        elif isinstance(node, Comp):
+            first, second = (node.second, node.first) if inv else (node.first, node.second)
+            todo += ((m.compose, 2), (second, inv), (first, inv))
+        elif isinstance(node, Par):
+            todo += ((m.tensor_mor, 2), (node.right, inv), (node.left, inv))
+        elif isinstance(node, Inv):
+            todo.append((node.arg, not inv))
+        elif isinstance(node, Id):
+            todo += ((m.identity, 1), (node.obj, inv))
+        elif isinstance(node, Assoc):
+            todo += ((m.assoc_inv if inv else m.assoc, 3), (node.z, inv), (node.y, inv), (node.x, inv))
+        elif isinstance(node, LeftUnitor):
+            todo += ((m.left_unitor_inv if inv else m.left_unitor, 1), (node.x, inv))
+        elif isinstance(node, RightUnitor):
+            todo += ((m.right_unitor_inv if inv else m.right_unitor, 1), (node.x, inv))
+        elif isinstance(node, Braid):
+            todo += ((m.braid_inv if inv else m.braid, 2), (node.y, inv), (node.x, inv))
+        else:
+            raise TypeError(f"not a term: {node!r}")
+    return done[0]
+
+
 def eval_obj(t: ObjTerm, m: SmcModel, assignment) -> Any:
-    if isinstance(t, Unit):
-        return m.unit()
-    if isinstance(t, Gen):
-        return lookup(assignment, t.label)
-    if isinstance(t, Tensor):
-        return m.tensor_obj(eval_obj(t.left, m, assignment), eval_obj(t.right, m, assignment))
-    raise TypeError(f"not an object term: {t!r}")
+    """The value of an object term in a model, in one pass."""
+    return _evaluate(t, m, assignment)
 
 
 def eval_mor(t: MorTerm, m: SmcModel, assignment) -> Any:
-    """Evaluate a well-typed term; Inv is pushed through structurally."""
+    """Typecheck a term, then evaluate it in one pass; Inv is pushed through structurally."""
     typecheck(t)
-    return _eval(t, m, assignment, inverted=False)
-
-
-def _eval(t: MorTerm, m: SmcModel, x, inverted: bool):
-    ev = lambda s: eval_obj(s, m, x)
-    if isinstance(t, Id):
-        return m.identity(ev(t.obj))
-    if isinstance(t, Comp):
-        if inverted:
-            return m.compose(_eval(t.second, m, x, True), _eval(t.first, m, x, True))
-        return m.compose(_eval(t.first, m, x, False), _eval(t.second, m, x, False))
-    if isinstance(t, Par):
-        return m.tensor_mor(_eval(t.left, m, x, inverted), _eval(t.right, m, x, inverted))
-    if isinstance(t, Assoc):
-        fn = m.assoc_inv if inverted else m.assoc
-        return fn(ev(t.x), ev(t.y), ev(t.z))
-    if isinstance(t, LeftUnitor):
-        fn = m.left_unitor_inv if inverted else m.left_unitor
-        return fn(ev(t.x))
-    if isinstance(t, RightUnitor):
-        fn = m.right_unitor_inv if inverted else m.right_unitor
-        return fn(ev(t.x))
-    if isinstance(t, Braid):
-        fn = m.braid_inv if inverted else m.braid
-        return fn(ev(t.x), ev(t.y))
-    if isinstance(t, Inv):
-        return _eval(t.arg, m, x, not inverted)
-    raise TypeError(f"not a morphism term: {t!r}")
+    return _evaluate(t, m, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +367,9 @@ _COMP, _PAR, _INV = object(), object(), object()
 def _normal_data(t: MorTerm, objs: _Objects) -> tuple[int, int, tuple]:
     """Source and target numbers and phi of a term, in one post-order pass.
 
-    Subterms are checked in the order ``typecheck`` visits them, so the
-    first ill-typed composition raises the same ``IllTyped``.
+    Both parts of a composite are finished before its boundaries are
+    compared, first part first, so the first ill-typed composition in
+    that order raises ``IllTyped``.
     """
     number, tensor, sizes = objs.number, objs.tensor, objs.sizes
     done: list[tuple[int, int, tuple]] = []  # (source, target, phi) per finished subterm
@@ -464,6 +423,28 @@ def _normal_data(t: MorTerm, objs: _Objects) -> tuple[int, int, tuple]:
     return done[0]
 
 
+def typecheck(t: MorTerm) -> None:
+    """Raise IllTyped unless every composition has matching inner boundaries.
+
+    It is the normalizing pass with its result dropped.
+    """
+    _normal_data(t, _Objects())
+
+
+def boundaries(t: MorTerm) -> tuple[ObjTerm, ObjTerm]:
+    """The source and target objects of a term, read in one pass.
+
+    The pass checks the term as it goes, so an ill-typed term raises
+    ``IllTyped``, with the text ``typecheck`` gives.
+
+    >>> boundaries(Inv(Braid(Gen("a"), Unit())))
+    (Tensor(left=Unit(), right=Gen(label='a')), Tensor(left=Gen(label='a'), right=Unit()))
+    """
+    objs = _Objects()
+    src, tgt, _ = _normal_data(t, objs)
+    return objs.terms[src], objs.terms[tgt]
+
+
 def _normal_form(t: MorTerm, objs: _Objects) -> tuple[SListHom, int, int]:
     src, tgt, phi = _normal_data(t, objs)
     hom = SListHom(SList(obj_labels(objs.terms[src])), SList(obj_labels(objs.terms[tgt])), Perm(phi))
@@ -473,8 +454,8 @@ def _normal_form(t: MorTerm, objs: _Objects) -> tuple[SListHom, int, int]:
 def normalize(t: MorTerm) -> SListHom:
     """The index bijection of a structural morphism; complete modulo the axioms.
 
-    It equals ``eval_mor(t, SListModel(), lambda label: SList((label,)))``
-    and raises the same ``IllTyped``, but takes one pass without recursion.
+    It equals ``eval_mor(t, SListModel(), lambda label: SList((label,)))``,
+    worked out on index tuples in the pass that typechecks the term.
 
     >>> a, b = Gen("a"), Gen("b")
     >>> normalize(Braid(a, b)).phi.img
@@ -603,14 +584,6 @@ class FreeTermModel(SmcModel):
 def canonical_term(f: SListHom) -> MorTerm:
     """A structural term over right-nested objects whose normalization is f."""
     return psi_hom(FreeTermModel(), Gen, f)
-
-
-def psi_extend(assignment, m: SmcModel) -> tuple[Callable, Callable]:
-    """The extension of a generator assignment to lists and list morphisms."""
-    return (
-        lambda l: psi_obj(m, assignment, l.labels if isinstance(l, SList) else l),
-        lambda f: psi_hom(m, assignment, f),
-    )
 
 
 def psi_split(m: SmcModel, values, rest) -> tuple[Any, Any]:

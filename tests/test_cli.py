@@ -277,6 +277,75 @@ def test_check_laws_seed_env(monkeypatch):
     assert json.loads(text)["seed"] == 11
 
 
+@pytest.mark.parametrize(
+    "argv, env_seed, message",
+    [
+        (("--suite", "braiding"), "abc", "--seed: expected an integer (from --seed or $SMCKIT_SEED), found 'abc'"),
+        (("--suite", "braiding", "--seed", "1.5"), None, "--seed: expected an integer (from --seed or $SMCKIT_SEED), found '1.5'"),
+        (("--suite", "span", "--max-size", "-3"), None, "--max-size: expected a positive integer, found '-3'"),
+        (("--suite", "braiding", "--max-size", "0"), None, "--max-size: expected a positive integer, found '0'"),
+        (("--suite", "braiding", "--max-size", "two"), None, "--max-size: expected a positive integer, found 'two'"),
+    ],
+    ids=["seed-from-env", "seed-fraction", "max-size-negative", "max-size-zero", "max-size-word"],
+)
+def test_check_laws_usage_errors(argv, env_seed, message, monkeypatch, capsys):
+    if env_seed is None:
+        monkeypatch.delenv("SMCKIT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SMCKIT_SEED", env_seed)
+    code, text = run("check-laws", *argv)
+    err = capsys.readouterr().err
+    assert (code, text) == (2, "")
+    assert err.startswith("usage: smckit check-laws") and err.endswith(f"error: argument {message}\n")
+
+
+def test_check_laws_seed_option_overrides_the_environment(monkeypatch):
+    monkeypatch.setenv("SMCKIT_SEED", "abc")
+    code, text = run("--format", "record", "check-laws", "--suite", "braiding", "--max-size", "2", "--seed", "3")
+    assert code == 0 and json.loads(text)["seed"] == 3
+
+
+def test_deeply_nested_record_is_a_record_error(tmp_path, capsys):
+    depth = 10**5
+    path = tmp_path / "deep.json"
+    path.write_text('{"schema":"smckit/1","kind":"span","x":' + "[" * depth + "]" * depth + "}")
+    assert run("span-compose", str(path)) == (2, "")
+    assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+
+
+def _with(record: str, path: tuple, value) -> str:
+    out = json.loads(record)
+    inner = out
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return json.dumps(out)
+
+
+@pytest.mark.parametrize(
+    "path, value, shown",
+    [
+        (("left", "img"), [0.9, 1, 0], "0.9"),
+        (("left", "img"), [0, 1, True], "true"),
+        (("right", "img"), [0, "0", 1], '"0"'),
+        (("right", "img"), [0, [0], 1], "an array"),
+        (("apex",), 3.0, "3.0"),
+        (("apex",), "3", '"3"'),
+        (("left", "target"), 2.7, "2.7"),
+        (("right", "target"), None, "null"),
+    ],
+)
+def test_span_records_take_only_integers(path, value, shown, capsys):
+    assert run("span-compose", _with(SPAN_A, path, value)) == (2, "")
+    assert capsys.readouterr().err == f"error: malformed span record: expected an integer, found {shown}\n"
+
+
+@pytest.mark.parametrize("value, shown", [(2.0, "2.0"), (True, "true"), ("2", '"2"'), ({}, "an object")])
+def test_family_records_take_only_an_integer_size(value, shown, capsys):
+    assert run("unbias", SPAN_A, _with(FAMILY, ("size",), value)) == (2, "")
+    assert capsys.readouterr().err == f"error: malformed family record: expected an integer, found {shown}\n"
+
+
 SHALLOW_MAIN = (
     "import json, sys; sys.setrecursionlimit(200); "
     "from smckit.cli import main; sys.exit(main(json.load(sys.stdin)))"

@@ -35,7 +35,6 @@ from smckit.spans import (
     right_unitor_cell,
     span_pull,
     span_push,
-    structural_cells,
     transpose_span,
     vcomp,
     vertical_compose,
@@ -105,15 +104,15 @@ def test_structural_cells_are_pith_and_project():
         s = random_span(rng, 3)
         t = random_span_from(rng, s.cod, 3)
         u = random_span_from(rng, t.cod, 3)
-        cells = structural_cells(s, t, u)
-        assert cells.assoc.is_pith()
-        assert cells.lunitor.is_pith() and cells.runitor.is_pith()
+        acell = assoc_cell(s, t, u)
+        assert acell.is_pith()
+        assert left_unitor_cell(s).is_pith() and right_unitor_cell(u).is_pith()
         # associator preserves the three projections
         outer = compose_pullback(compose_span(s, t), u)
         inner = compose_pullback(s, t)
         dst_outer = compose_pullback(s, compose_span(t, u))
         dst_inner = compose_pullback(t, u)
-        amap = cells.assoc.map
+        amap = acell.map
         for idx, (x, cc) in enumerate(outer.pairs):
             aa, bb = inner.pairs[x]
             a2, y = dst_outer.pairs[amap(idx)]

@@ -13,6 +13,7 @@ from smckit.laws import axiom_rewrite, random_walk_term
 from smckit import terms
 from smckit.slist import SList, SListHom, hom_equal, identity_hom, word_from_hom
 from smckit.perms import Perm
+import term_oracle as oracle
 from smckit.terms import (
     Assoc,
     Braid,
@@ -25,19 +26,20 @@ from smckit.terms import (
     RightUnitor,
     Tensor,
     Unit,
+    boundaries,
     canonical_term,
     decide_equal,
     eval_mor,
     eval_obj,
-    mor_src,
-    mor_tgt,
     normalize,
     normal_forms,
     normalize_obj,
-    psi_extend,
+    obj_labels,
+    obj_text,
     psi_hom,
     psi_monoidal_iso,
     psi_obj,
+    psi_split,
     typecheck,
 )
 
@@ -138,7 +140,8 @@ def test_canonical_term_round_trip_random():
 
 
 def test_psi_extend():
-    obj_fn, hom_fn = psi_extend(lambda l: Gen(l), term_model)
+    obj_fn = lambda l: psi_obj(term_model, Gen, l.labels)
+    hom_fn = lambda f: psi_hom(term_model, Gen, f)
     assert obj_fn(SList(())) == Unit()
     assert obj_fn(SList(("k", "k"))) == Tensor(Gen("k"), Tensor(Gen("k"), Unit()))
     sw = SListHom(SList(("a", "b")), SList(("b", "a")), Perm((1, 0)))
@@ -155,8 +158,7 @@ def test_psi_extend():
 
 def test_psi_monoidal_iso():
     iso = psi_monoidal_iso(SList(()), SList(("a",)), lambda l: Gen(l), term_model)
-    assert mor_src(iso) == Tensor(Gen("a"), Unit())
-    assert mor_tgt(iso) == Tensor(Unit(), Tensor(Gen("a"), Unit()))
+    assert boundaries(iso) == (Tensor(Gen("a"), Unit()), Tensor(Unit(), Tensor(Gen("a"), Unit())))
     iso = psi_monoidal_iso(SList(("a",)), SList(()), lambda l: Gen(l), term_model)
     assert normalize(iso).phi.is_identity()
     rng = Random(12)
@@ -188,10 +190,11 @@ def test_random_terms_boundaries():
     rng = Random(13)
     for _ in range(100):
         t = random_walk_term(rng, ["a", "b", "c"], rng.randint(0, 5))
-        typecheck(t)
+        src, tgt = boundaries(t)
+        assert (src, tgt) == (oracle.mor_src(t), oracle.mor_tgt(t))
         h = normalize(t)
-        assert h.src == normalize_obj(mor_src(t))
-        assert h.dst == normalize_obj(mor_tgt(t))
+        assert h.src == normalize_obj(src)
+        assert h.dst == normalize_obj(tgt)
 
 
 def test_normalize_agrees_with_finbij_evaluation():
@@ -322,7 +325,7 @@ def outcome(fn):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_normalize_agrees_with_slist_evaluation(seed):
     term = walk_term(Random(seed))
-    assert normalize(term) == eval_mor(term, slist_model, singletons)
+    assert normalize(term) == oracle.eval_mor(term, slist_model, singletons)
 
 
 @settings(max_examples=300, deadline=None)
@@ -332,15 +335,24 @@ def test_normalize_rejects_what_typecheck_rejects(seed, mutations):
     term = walk_term(rng)
     for _ in range(mutations):
         term = mutate(rng, term)
-    # eval_mor runs the recursive typecheck first, so an IllTyped from it
-    # carries typecheck's message for the first mismatch
-    assert outcome(lambda: normalize(term)) == outcome(lambda: eval_mor(term, slist_model, singletons))
+    # the oracle's eval_mor runs the recursive typecheck first, so an
+    # IllTyped from it carries typecheck's message for the first mismatch
+    expected = outcome(lambda: oracle.eval_mor(term, slist_model, singletons))
+    assert outcome(lambda: normalize(term)) == expected
+    assert outcome(lambda: eval_mor(term, slist_model, singletons)) == expected
+    assert outcome(lambda: typecheck(term)) == outcome(lambda: oracle.typecheck(term))
+    assert outcome(lambda: boundaries(term)) == outcome(lambda: oracle_boundaries(term))
+
+
+def oracle_boundaries(t):
+    oracle.typecheck(t)
+    return oracle.mor_src(t), oracle.mor_tgt(t)
 
 
 def test_normalize_takes_unhashable_labels():
     x, y = Gen(["x"]), Gen(["y"])
     term = Comp(Comp(Braid(x, Tensor(y, Gen(["x"]))), Assoc(y, x, x)), Par(Id(y), Braid(x, x)))
-    assert normalize(term) == eval_mor(term, slist_model, singletons)
+    assert normalize(term) == oracle.eval_mor(term, slist_model, singletons)
     with pytest.raises(IllTyped):
         normalize(Comp(Braid(x, y), Braid(x, y)))
 
@@ -354,6 +366,93 @@ def test_normal_forms_compare_boundaries_structurally():
     assert hom_equal(hs, ht)
     with pytest.raises(BoundaryMismatch):
         normal_forms(s, Id(Tensor(Tensor(a, b), c)))
+
+
+# ---------------------------------------------------------------------------
+# one-pass checking and evaluation against the recursive oracle
+
+# per shipped model, an assignment of the walk labels; x2 goes to a unit object
+WALK_ASSIGNMENTS = (
+    (term_model, {"x0": a, "x1": Tensor(b, Unit()), "x2": Unit()}),
+    (slist_model, {"x0": SList(("a",)), "x1": SList(("b", "a")), "x2": SList(())}),
+    (FinBijModel(), {"x0": 1, "x1": 2, "x2": 0}),
+)
+
+
+class CallLog:
+    """A model that records the name of each call before passing it on."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, []
+
+    def __getattr__(self, name):
+        method = getattr(self.model, name)
+
+        def call(*args):
+            self.calls.append(name)
+            return method(*args)
+
+        return call
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_eval_matches_the_recursive_oracle(seed):
+    term = walk_term(Random(seed))
+    # inverses over a composite and over a tensor of composites
+    for t in (term, Inv(term), Inv(Par(Comp(term, Inv(term)), Inv(term)))):
+        obj = oracle.mor_src(t)
+        for m, x in WALK_ASSIGNMENTS:
+            ours, theirs = CallLog(m), CallLog(m)
+            assert eval_obj(obj, ours, x) == oracle.eval_obj(obj, theirs, x)
+            assert eval_mor(t, ours, x) == oracle.eval_mor(t, theirs, x)
+            assert ours.calls == theirs.calls
+
+
+def test_term_functions_on_terms_3000_deep(shallow_stack):
+    # deep terms are compared through normal forms and text: the dataclass
+    # __eq__, __hash__ and __repr__ recurse
+    x, swap = Tensor(a, a), Braid(a, a)
+    t = swap
+    for _ in range(600):  # five levels each, with inverses over composites and tensors
+        t = Inv(Comp(Comp(Inv(RightUnitor(x)), Par(Comp(t, swap), Id(Unit()))), RightUnitor(x)))
+    h = normalize(swap)
+    typecheck(t)
+    assert [obj_text(o) for o in boundaries(t)] == ["(a*a)", "(a*a)"]
+    assert normalize(t) == h
+    assert decide_equal(t, swap) and not decide_equal(t, Id(x))
+    assert eval_mor(t, slist_model, singletons) == h
+    assert eval_mor(t, FinBijModel(), lambda label: 2) == Perm((2, 3, 0, 1))
+    assert decide_equal(eval_mor(t, term_model, Gen), t)
+    bad = Comp(t, Braid(a, b))
+    for fn in (typecheck, boundaries, normalize):
+        with pytest.raises(IllTyped, match=r"^composition boundary mismatch: \(a\*a\) != \(a\*b\)$"):
+            fn(bad)
+
+    deep = a
+    for _ in range(3000):
+        deep = Tensor(deep, b)
+    labels = ("a",) + ("b",) * 3000
+    assert obj_labels(deep) == labels and normalize_obj(deep) == SList(labels)
+    assert obj_text(eval_obj(deep, term_model, Gen)) == str(deep) == "(" * 3000 + "a" + "*b)" * 3000
+    assert eval_obj(deep, slist_model, singletons) == SList(labels)
+    assert eval_obj(deep, FinBijModel(), lambda label: 1) == 3001
+    s = Comp(Braid(deep, a), Braid(a, deep))
+    assert [obj_text(o) for o in boundaries(s)] == [f"({deep}*a)"] * 2
+    assert normalize(s).phi.is_identity() and decide_equal(s, Id(Tensor(deep, a)))
+    assert eval_mor(s, slist_model, singletons) == normalize(s)
+    assert eval_mor(s, FinBijModel(), lambda label: 1).is_identity()
+    assert decide_equal(eval_mor(s, term_model, Gen), s)
+
+    names = tuple(f"x{i}" for i in range(3000))
+    assert obj_labels(psi_obj(term_model, Gen, names)) == names
+    iso = psi_monoidal_iso(SList(names), SList(("y",)), Gen, term_model)
+    assert normalize(iso).phi.is_identity()
+    _, fold = psi_split(term_model, [Gen(n) for n in names], Unit())
+    assert obj_labels(fold) == names
+    f = SListHom(SList(names), SList(names[1::-1] + names[2:]), Perm((1, 0) + tuple(range(2, 3000))))
+    assert normalize(psi_hom(term_model, Gen, f)) == f
+    assert normalize(canonical_term(f)) == f
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +542,14 @@ def test_psi_hom_matches_evaluating_the_canonical_term(seed):
     term = canonical_term(f)
     assert term == canonical_term_by_swaps(f)
     for m, x in ASSIGNMENTS:
-        assert psi_hom(m, x, f) == eval_mor(term, m, x)
+        assert psi_hom(m, x, f) == oracle.eval_mor(term, m, x)
 
 
 def test_psi_hom_evaluates_no_term(monkeypatch):
     def forbidden(*args):
         raise AssertionError("psi_hom went through a term")
 
-    for name in ("canonical_term", "eval_mor", "eval_obj", "typecheck"):
+    for name in ("canonical_term", "eval_mor", "eval_obj", "typecheck", "boundaries"):
         monkeypatch.setattr(terms, name, forbidden)
     f = SListHom(SList(("a", "b", "c")), SList(("c", "b", "a")), Perm((2, 1, 0)))
     assert psi_hom(slist_model, singletons, f) == f
