@@ -330,8 +330,7 @@ def family_from_record(record: dict) -> tuple[int, dict]:
 
 
 def emit(out, record: dict):
-    json.dump(record, out, sort_keys=True)
-    out.write("\n")
+    out.write(json.dumps(record, sort_keys=True) + "\n")  # dumps runs the C encoder; dump does not
 
 
 # ---------------------------------------------------------------------------

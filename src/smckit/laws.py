@@ -1025,19 +1025,20 @@ def unbias_suite(max_size: int = 3, seed: int = 0, triples_small: int = 40, trip
 # registry
 
 
+def _bound(keyword: str, max_size: int | None) -> dict:
+    """The suite's size keyword, left out when max_size is None so that the suite's default holds."""
+    return {} if max_size is None else {keyword: max_size}
+
+
 _SUITES = {
-    "coxeter": lambda max_size, seed: coxeter_suite(
-        max_exhaustive=max_size or 6, seed=seed
-    ),
-    "faithfulness": lambda max_size, seed: faithfulness_suite(
-        max_len=max_size or 8, seed=seed
-    ),
-    "braiding": lambda max_size, seed: braiding_suite(max_total=max_size or 8),
+    "coxeter": lambda max_size, seed: coxeter_suite(**_bound("max_exhaustive", max_size), seed=seed),
+    "faithfulness": lambda max_size, seed: faithfulness_suite(**_bound("max_len", max_size), seed=seed),
+    "braiding": lambda max_size, seed: braiding_suite(**_bound("max_total", max_size)),
     "coherence": lambda max_size, seed: coherence_suite(seed=seed),
-    "span": lambda max_size, seed: span_suite(max_size=max_size or 3, seed=seed),
+    "span": lambda max_size, seed: span_suite(**_bound("max_size", max_size), seed=seed),
     "kleisli": lambda max_size, seed: kleisli_suite(seed=seed),
-    "pbc": lambda max_size, seed: pbc_suite(max_size=max_size or 3, seed=seed),
-    "unbias": lambda max_size, seed: unbias_suite(max_size=max_size or 3, seed=seed),
+    "pbc": lambda max_size, seed: pbc_suite(**_bound("max_size", max_size), seed=seed),
+    "unbias": lambda max_size, seed: unbias_suite(**_bound("max_size", max_size), seed=seed),
 }
 
 
@@ -1046,7 +1047,9 @@ def suite_names() -> tuple[str, ...]:
 
 
 def run_suite(name: str, max_size: int | None = None, seed: int = 0) -> list[LawReport]:
-    """Run one named suite, or all of them."""
+    """Run one named suite, or all of them; max_size None runs each suite's default size."""
+    if max_size is not None and max_size < 1:
+        raise ValueError(f"max_size must be a positive integer, not {max_size}")
     if name == "all":
         return [fn(max_size, seed) for fn in _SUITES.values()]
     if name not in _SUITES:

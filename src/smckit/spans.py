@@ -2,15 +2,14 @@
 Finite sets, pullbacks and the bicategory of spans.
 
 A finite set is just a size; a function stores its image sequence.  The
-pullback of two maps into a common target enumerates the agreeing pairs in
-lexicographic order, which fixes a canonical apex for span composition;
-universal lifts and projection characterizations remain the primary API so
-nothing downstream depends on the enumeration beyond determinism.
+pullback of two maps into a common target is one hash join that emits the
+agreeing pairs in lexicographic order, the canonical apex of a composite
+span.  ``pullback_lift`` checks its cone and is the one way into an apex.
 
-Cells between spans are apex maps commuting with both legs; cells with
-bijective maps make up the pith.  Adjunction unit/counit cells for a
-function's push/pull spans and base-change cells for pullback squares are
-constructed explicitly.
+Cells between spans are apex maps commuting with both legs; the pith is
+the cells with bijective maps.  Each cell constructor computes the pullback
+of each composite once and reuses it for the span (``span_over``) and for
+the lifts into its apex.
 """
 
 from __future__ import annotations
@@ -79,9 +78,12 @@ def fcompose(f: FinFun, g: FinFun) -> FinFun:
     return FinFun(f.src, g.dst, tuple(g.img[v] for v in f.img))
 
 
-def fiber(f: FinFun, k: int) -> tuple[int, ...]:
-    """The preimage of k, ascending."""
-    return tuple(a for a in range(f.src.size) if f.img[a] == k)
+def fibers(f: FinFun) -> tuple[tuple[int, ...], ...]:
+    """The preimage of each target element, each ascending."""
+    out = [[] for _ in range(f.dst.size)]
+    for a, k in enumerate(f.img):
+        out[k].append(a)
+    return tuple(map(tuple, out))
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,10 @@ def pullback(f: FinFun, g: FinFun) -> Pullback:
     """
     if f.dst != g.dst:
         raise TargetMismatch(f"pullback needs a shared target: {f.dst} != {g.dst}")
-    pairs = tuple(
-        (a, b) for a in range(f.src.size) for b in range(g.src.size) if f.img[a] == g.img[b]
-    )
+    buckets: dict[int, list[int]] = {}
+    for b, v in enumerate(g.img):
+        buckets.setdefault(v, []).append(b)
+    pairs = tuple((a, b) for a, v in enumerate(f.img) for b in buckets.get(v, ()))
     apex = FinSet(len(pairs))
     p1 = FinFun(apex, f.src, tuple(a for a, _ in pairs))
     p2 = FinFun(apex, g.src, tuple(b for _, b in pairs))
@@ -130,7 +133,7 @@ def pullback_lift(pb: Pullback, f: FinFun, g: FinFun, f1: FinFun, f2: FinFun) ->
         raise TargetMismatch("cone legs must share a source")
     if fcompose(f1, f).img != fcompose(f2, g).img:
         raise LiftEquationFails("cone does not commute over the shared target")
-    return FinFun(f1.src, pb.apex, tuple(pb.index(f1(c), f2(c)) for c in range(f1.src.size)))
+    return FinFun(f1.src, pb.apex, tuple(map(pb.index, f1.img, f2.img)))
 
 
 @dataclass(frozen=True)
@@ -203,16 +206,14 @@ def compose_pullback(s: Span, t: Span) -> Pullback:
     return pullback(s.right, t.left)
 
 
-def compose_span(s: Span, t: Span) -> Span:
-    """The total span over the canonical pullback of the inner legs."""
-    pb = compose_pullback(s, t)
+def span_over(pb: Pullback, s: Span, t: Span) -> Span:
+    """The composite s;t over pb, which must be ``compose_pullback(s, t)``."""
     return Span(fcompose(pb.p1, s.left), fcompose(pb.p2, t.right))
 
 
-def compose_lift(s: Span, t: Span, f1: FinFun, f2: FinFun) -> FinFun:
-    """Mediating map into the composite's apex, given a commuting cone."""
-    pb = compose_pullback(s, t)
-    return pullback_lift(pb, s.right, t.left, f1, f2)
+def compose_span(s: Span, t: Span) -> Span:
+    """The total span over the canonical pullback of the inner legs."""
+    return span_over(compose_pullback(s, t), s, t)
 
 
 def identity_cell(s: Span) -> SpanCell:
@@ -234,13 +235,11 @@ def vcomp(*cells: SpanCell) -> SpanCell:
 
 def horizontal_compose(c1: SpanCell, c2: SpanCell) -> SpanCell:
     """Composite cell on composite spans, by the universal lift."""
-    src = compose_span(c1.src, c2.src)
-    dst = compose_span(c1.dst, c2.dst)
-    pb = compose_pullback(c1.src, c2.src)
-    lift = compose_lift(
-        c1.dst, c2.dst, fcompose(pb.p1, c1.map), fcompose(pb.p2, c2.map)
-    )
-    return SpanCell(src, dst, lift)
+    src_pb = compose_pullback(c1.src, c2.src)
+    dst_pb = compose_pullback(c1.dst, c2.dst)
+    f1, f2 = fcompose(src_pb.p1, c1.map), fcompose(src_pb.p2, c2.map)
+    lift = pullback_lift(dst_pb, c1.dst.right, c2.dst.left, f1, f2)
+    return SpanCell(span_over(src_pb, c1.src, c2.src), span_over(dst_pb, c1.dst, c2.dst), lift)
 
 
 def invert_cell(c: SpanCell) -> SpanCell:
@@ -251,28 +250,29 @@ def invert_cell(c: SpanCell) -> SpanCell:
 
 def assoc_cell(s: Span, t: Span, u: Span) -> SpanCell:
     """(s;t);u => s;(t;u), the lift matching ((a,b),c) with (a,(b,c))."""
-    left = compose_span(compose_span(s, t), u)
-    outer = compose_pullback(compose_span(s, t), u)
-    inner = compose_pullback(s, t)
-    to_tu = compose_lift(
-        t, u, fcompose(outer.p1, inner.p2), outer.p2
-    )
-    lift = compose_lift(s, compose_span(t, u), fcompose(outer.p1, inner.p1), to_tu)
-    return SpanCell(left, compose_span(s, compose_span(t, u)), lift)
+    st_pb = compose_pullback(s, t)
+    st = span_over(st_pb, s, t)
+    outer = compose_pullback(st, u)
+    tu_pb = compose_pullback(t, u)
+    tu = span_over(tu_pb, t, u)
+    dst_pb = compose_pullback(s, tu)
+    to_tu = pullback_lift(tu_pb, t.right, u.left, fcompose(outer.p1, st_pb.p2), outer.p2)
+    lift = pullback_lift(dst_pb, s.right, tu.left, fcompose(outer.p1, st_pb.p1), to_tu)
+    return SpanCell(span_over(outer, st, u), span_over(dst_pb, s, tu), lift)
 
 
 def left_unitor_cell(s: Span) -> SpanCell:
     """id;s => s, projecting the pair (j, a) to a."""
-    composite = compose_span(identity_span(s.dom), s)
-    pb = compose_pullback(identity_span(s.dom), s)
-    return SpanCell(composite, s, pb.p2)
+    ident = identity_span(s.dom)
+    pb = compose_pullback(ident, s)
+    return SpanCell(span_over(pb, ident, s), s, pb.p2)
 
 
 def right_unitor_cell(s: Span) -> SpanCell:
     """s;id => s, projecting the pair (a, k) to a."""
-    composite = compose_span(s, identity_span(s.cod))
-    pb = compose_pullback(s, identity_span(s.cod))
-    return SpanCell(composite, s, pb.p1)
+    ident = identity_span(s.cod)
+    pb = compose_pullback(s, ident)
+    return SpanCell(span_over(pb, s, ident), s, pb.p1)
 
 
 class AdjunctionCells(NamedTuple):
@@ -288,12 +288,12 @@ def adjunction_cells(f: FinFun) -> AdjunctionCells:
     """
     push, pull = span_push(f), span_pull(f)
     unit_pb = compose_pullback(push, pull)
-    unit_map = FinFun(f.src, unit_pb.apex, tuple(unit_pb.index(a, a) for a in f.src))
-    unit = SpanCell(identity_span(f.src), compose_span(push, pull), unit_map)
+    unit_map = pullback_lift(unit_pb, f, f, identity_fun(f.src), identity_fun(f.src))
+    unit = SpanCell(identity_span(f.src), span_over(unit_pb, push, pull), unit_map)
 
     counit_pb = compose_pullback(pull, push)
-    counit_map = FinFun(counit_pb.apex, f.dst, tuple(f(a) for a, _ in counit_pb.pairs))
-    counit = SpanCell(compose_span(pull, push), identity_span(f.dst), counit_map)
+    counit_map = fcompose(counit_pb.p1, f)
+    counit = SpanCell(span_over(counit_pb, pull, push), identity_span(f.dst), counit_map)
     return AdjunctionCells(unit, counit)
 
 
@@ -326,11 +326,7 @@ class PullbackSquare:
     def comparison(self) -> FinFun:
         """The canonical map from the corner into the pullback of (bottom, right)."""
         pb = pullback(self.bottom, self.right)
-        return FinFun(
-            self.top.src,
-            pb.apex,
-            tuple(pb.index(self.left(x), self.top(x)) for x in self.top.src),
-        )
+        return pullback_lift(pb, self.bottom, self.right, self.left, self.top)
 
     def is_pullback(self) -> bool:
         return self.comparison().is_bijective()
@@ -346,34 +342,27 @@ def hpaste(l: PullbackSquare, r: PullbackSquare) -> PullbackSquare:
     """Paste side by side; l's right edge must be r's left edge."""
     if l.right != r.left:
         raise BoundaryMismatch("squares do not share the middle vertical edge")
-    return PullbackSquare(
-        fcompose(l.top, r.top), l.left, r.right, fcompose(l.bottom, r.bottom)
-    )
+    return PullbackSquare(fcompose(l.top, r.top), l.left, r.right, fcompose(l.bottom, r.bottom))
 
 
 def vpaste(t: PullbackSquare, b: PullbackSquare) -> PullbackSquare:
     """Paste on top of each other; t's bottom edge must be b's top edge."""
     if t.bottom != b.top:
         raise BoundaryMismatch("squares do not share the middle horizontal edge")
-    return PullbackSquare(
-        t.top, fcompose(t.left, b.left), fcompose(t.right, b.right), b.bottom
-    )
+    return PullbackSquare(t.top, fcompose(t.left, b.left), fcompose(t.right, b.right), b.bottom)
 
 
 def base_change_1cell(square: PullbackSquare) -> SpanCell:
     """The invertible cell from the pull/push side to the push/pull side.
 
-    For a pullback square with edges t, l, r, b this is the comparison
-    bijection from the apex of compose(pull(l), push(t)) onto the apex of
-    compose(push(b), pull(r)).
+    For a pullback square with edges t, l, r, b its map lifts the legs
+    (l, t) of compose(pull(l), push(t)) into the apex of compose(push(b), pull(r)).
     """
     if not square.is_pullback():
         raise NotPullbackSquare("base change needs a pullback square")
-    src = compose_span(span_pull(square.left), span_push(square.top))
-    dst = compose_span(span_push(square.bottom), span_pull(square.right))
-    src_pb = compose_pullback(span_pull(square.left), span_push(square.top))
-    dst_pb = compose_pullback(span_push(square.bottom), span_pull(square.right))
-    img = tuple(
-        dst_pb.index(square.left(x), square.top(x)) for x, _ in src_pb.pairs
-    )
-    return SpanCell(src, dst, FinFun(src_pb.apex, dst_pb.apex, img))
+    pull_l, push_t = span_pull(square.left), span_push(square.top)
+    push_b, pull_r = span_push(square.bottom), span_pull(square.right)
+    src = span_over(compose_pullback(pull_l, push_t), pull_l, push_t)
+    dst_pb = compose_pullback(push_b, pull_r)
+    lift = pullback_lift(dst_pb, square.bottom, square.right, src.left, src.right)
+    return SpanCell(src, span_over(dst_pb, push_b, pull_r), lift)

@@ -37,7 +37,7 @@ from .spans import (
     SpanCell,
     compose_pullback,
     fcompose,
-    fiber,
+    fibers,
     identity_fun,
 )
 from .terms import SmcModel, lookup, psi_hom, psi_obj, psi_split
@@ -84,7 +84,7 @@ def _linear_cell(src: KHom, dst: KHom) -> KCell:
 
 def lambda_u(f: FinFun) -> KHom:
     """Ascending fibers of f, one linear list per target element."""
-    return KHom(f.dst, f.src, tuple(SList(fiber(f, k)) for k in f.dst))
+    return KHom(f.dst, f.src, tuple(map(SList, fibers(f))))
 
 
 def lambda_v(f: FinFun) -> KHom:

@@ -11,7 +11,7 @@ from random import Random
 import pytest
 
 import smckit
-from smckit import cli
+from smckit import cli, laws
 from smckit.cli import (
     main,
     parse_mor,
@@ -297,6 +297,15 @@ def test_check_laws_usage_errors(argv, env_seed, message, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert (code, text) == (2, "")
     assert err.startswith("usage: smckit check-laws") and err.endswith(f"error: argument {message}\n")
+
+
+def test_run_suite_refuses_sizes_below_one():
+    # the library counterpart of --max-size: no silent default, no vacuous suite
+    for max_size in (0, -3):
+        with pytest.raises(ValueError, match="max_size must be a positive integer"):
+            laws.run_suite("braiding", max_size=max_size)
+    assert [r.cases for r in laws.run_suite("braiding")] == [90]
+    assert [r.cases for r in laws.run_suite("braiding", max_size=2)] == [12]
 
 
 def test_check_laws_seed_option_overrides_the_environment(monkeypatch):

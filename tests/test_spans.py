@@ -3,7 +3,9 @@
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from smckit import spans
 from smckit.errors import (
     BoundaryMismatch,
     LiftEquationFails,
@@ -14,16 +16,17 @@ from smckit.errors import (
 from smckit.spans import (
     FinFun,
     FinSet,
+    Pullback,
     PullbackSquare,
     Span,
     SpanCell,
     adjunction_cells,
     assoc_cell,
     base_change_1cell,
-    compose_lift,
     compose_pullback,
     compose_span,
     fcompose,
+    fibers,
     horizontal_compose,
     identity_cell,
     identity_fun,
@@ -35,11 +38,23 @@ from smckit.spans import (
     right_unitor_cell,
     span_pull,
     span_push,
+    square_from_cospan,
     transpose_span,
     vcomp,
     vertical_compose,
 )
 from smckit.laws import all_functions, random_pith_cell, random_span, random_span_from
+
+
+def pullback_oracle(f: FinFun, g: FinFun) -> Pullback:
+    """The nested-loop pullback: every pair (a, b) tested, in lexicographic order."""
+    pairs = tuple(
+        (a, b) for a in range(f.src.size) for b in range(g.src.size) if f.img[a] == g.img[b]
+    )
+    apex = FinSet(len(pairs))
+    p1 = FinFun(apex, f.src, tuple(a for a, _ in pairs))
+    p2 = FinFun(apex, g.src, tuple(b for _, b in pairs))
+    return Pullback(apex, p1, p2, pairs)
 
 
 def is_pullback_oracle(square: PullbackSquare, max_cone: int = 3) -> bool:
@@ -74,6 +89,69 @@ def test_pullback_examples():
         pullback(const, ident)
 
 
+@st.composite
+def cospans(draw):
+    """Two maps into one target of up to 6 points, domains of up to 30, some constant."""
+    target = FinSet(draw(st.integers(0, 6)))
+    maps = []
+    for _ in range(2):
+        n = draw(st.integers(0, 30)) if target.size else 0
+        values = st.integers(0, max(target.size - 1, 0))
+        img = draw(st.one_of(
+            st.lists(values, min_size=n, max_size=n),
+            values.map(lambda v: [v] * n),
+        ))
+        maps.append(FinFun(FinSet(n), target, tuple(img)))
+    return maps
+
+
+@given(cospans())
+def test_pullback_matches_the_nested_loop_oracle(cospan):
+    f, g = cospan
+    pb, expected = pullback(f, g), pullback_oracle(f, g)
+    assert (pb.pairs, pb.p1, pb.p2, pb.apex) == (expected.pairs, expected.p1, expected.p2, expected.apex)
+
+
+@given(cospans())
+def test_fibers_match_the_scanning_oracle(cospan):
+    f = cospan[0]
+    assert fibers(f) == tuple(tuple(a for a in range(f.src.size) if f(a) == k) for k in range(f.dst.size))
+
+
+def _cell_calls():
+    """(name, thunk, pullbacks it must compute): one per distinct composite."""
+    rng = Random(25)
+    s = random_span(rng, 3)
+    t = random_span_from(rng, s.cod, 3)
+    u = random_span_from(rng, t.cod, 3)
+    c, d = random_pith_cell(rng, s), random_pith_cell(rng, t)
+    f = FinFun(FinSet(3), FinSet(2), (0, 1, 0))
+    square = square_from_cospan(f, FinFun(FinSet(2), FinSet(2), (1, 0)))
+    return [
+        ("compose_span", lambda: compose_span(s, t), 1),
+        ("horizontal_compose", lambda: horizontal_compose(c, d), 2),
+        ("assoc_cell", lambda: assoc_cell(s, t, u), 4),
+        ("left_unitor_cell", lambda: left_unitor_cell(s), 1),
+        ("right_unitor_cell", lambda: right_unitor_cell(s), 1),
+        ("adjunction_cells", lambda: adjunction_cells(f), 2),
+        ("base_change_1cell", lambda: base_change_1cell(square), 3),
+    ]
+
+
+@pytest.mark.parametrize("index", range(7), ids=[name for name, _, _ in _cell_calls()])
+def test_each_composite_pullback_is_computed_once(index, monkeypatch):
+    _, call, expected = _cell_calls()[index]
+    calls = []
+
+    def counting(f, g):
+        calls.append((f, g))
+        return pullback_oracle(f, g)
+
+    monkeypatch.setattr(spans, "pullback", counting)
+    call()
+    assert len(calls) == expected
+
+
 def test_pullback_lift_uniqueness():
     two, one = FinSet(2), FinSet(1)
     const = FinFun(two, one, (0, 0))
@@ -95,7 +173,7 @@ def test_compose_span_examples():
     u = Span(FinFun(FinSet(3), one, (0, 0, 0)), FinFun(FinSet(3), one, (0, 0, 0)))
     assert compose_span(t, u).apex.size == 6
     pb = compose_pullback(t, u)
-    assert compose_lift(t, u, pb.p1, pb.p2).img == tuple(range(6))
+    assert pullback_lift(pb, t.right, u.left, pb.p1, pb.p2).img == tuple(range(6))
 
 
 def test_structural_cells_are_pith_and_project():
@@ -220,8 +298,6 @@ def test_base_change_invertible_on_all_pullback_squares():
             for y in range(3):
                 for b in all_functions(z, w):
                     for r in all_functions(y, w):
-                        from smckit.spans import square_from_cospan
-
                         sq = square_from_cospan(b, r)
                         assert base_change_1cell(sq).is_pith()
 
