@@ -228,8 +228,38 @@ def render_obj(t: ObjTerm) -> str:
     return obj_text(t, " * ")
 
 
+def _shared_tensors(t: MorTerm) -> set[int]:
+    """The ids of the tensor nodes that ``t`` reaches more than once; each node is walked once."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    todo: list = [t]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, Tensor):
+            if id(item) in seen:
+                shared.add(id(item))
+                continue
+            seen.add(id(item))
+        if isinstance(item, (MorTerm, Tensor)):
+            todo += vars(item).values()
+    return shared
+
+
 def render_mor(t: MorTerm) -> str:
-    """Concrete syntax for a term; composition prints flat and left-associated."""
+    """Concrete syntax for a term; composition prints flat and left-associated.
+
+    An object node that the term reaches more than once (the unbiased
+    formulas share their folds) is rendered once per call and its text
+    reused; the node ids and texts are dropped when the call returns.
+    Memory stays linear in the size of the term plus that of the output:
+    beyond one id per tensor node, only shared nodes' texts are kept, and
+    the output holds each of them at least twice.
+    """
+    texts = dict.fromkeys(_shared_tensors(t))
+
+    def obj(o: ObjTerm) -> str:
+        return obj_text(o, " * ", texts)
+
     out = []
     todo: list = [t]
     while todo:
@@ -245,15 +275,15 @@ def render_mor(t: MorTerm) -> str:
             out.append("inv (")
             todo += (")", item.arg)
         elif isinstance(item, Id):
-            out.append(f"id {render_obj(item.obj)}")
+            out.append(f"id {obj(item.obj)}")
         elif isinstance(item, Assoc):
-            out.append(f"a {render_obj(item.x)} {render_obj(item.y)} {render_obj(item.z)}")
+            out.append(f"a {obj(item.x)} {obj(item.y)} {obj(item.z)}")
         elif isinstance(item, LeftUnitor):
-            out.append(f"l {render_obj(item.x)}")
+            out.append(f"l {obj(item.x)}")
         elif isinstance(item, RightUnitor):
-            out.append(f"r {render_obj(item.x)}")
+            out.append(f"r {obj(item.x)}")
         elif isinstance(item, Braid):
-            out.append(f"b {render_obj(item.x)} {render_obj(item.y)}")
+            out.append(f"b {obj(item.x)} {obj(item.y)}")
         else:
             raise TypeError(f"not a morphism term: {item!r}")
     return "".join(out)

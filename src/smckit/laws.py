@@ -370,25 +370,44 @@ def _whisker(obj: ObjTerm, path, move: MorTerm) -> MorTerm:
     return Par(Id(obj.left), _whisker(obj.right, path[1:], move))
 
 
+def _replace_at(obj: ObjTerm, path, new: ObjTerm) -> ObjTerm:
+    """``obj`` with the subtree at ``path`` replaced by ``new``."""
+    spine = []
+    for step in path:
+        spine.append((step, obj))
+        obj = obj.left if step == "L" else obj.right
+    for step, parent in reversed(spine):
+        new = Tensor(new, parent.right) if step == "L" else Tensor(parent.left, new)
+    return new
+
+
 def random_walk_term(rng: Random, labels, steps: int) -> MorTerm:
-    """A random well-typed structural morphism, built as a left-nested walk."""
+    """A random well-typed structural morphism, built as a left-nested walk.
+
+    The walk carries its current object: after each step only the moved
+    subtree's target is worked out and put in at the move's path.
+    """
     obj = random_obj(rng, labels)
     term: MorTerm = Id(obj)
     for _ in range(steps):
-        step = _random_structural_from(rng, obj)
-        term = Comp(term, step)
-        _, obj = boundaries(step)
+        path, move = _random_move(rng, obj)
+        term = Comp(term, _whisker(obj, path, move))
+        obj = _replace_at(obj, path, boundaries(move)[1])
     return term
 
 
-def _random_structural_from(rng: Random, obj: ObjTerm) -> MorTerm:
+def _random_move(rng: Random, obj: ObjTerm) -> tuple:
+    """A random (path, move): a structural move at the subtree of ``obj`` at the path."""
     allow_growth = _node_count(obj) < 15
     candidates = []
     for path in _paths(obj):
         for move in _moves_at(_subtree(obj, path), allow_growth):
             candidates.append((path, move))
-    path, move = rng.choice(candidates)
-    return _whisker(obj, path, move)
+    return rng.choice(candidates)
+
+
+def _random_structural_from(rng: Random, obj: ObjTerm) -> MorTerm:
+    return _whisker(obj, *_random_move(rng, obj))
 
 
 def axiom_rewrite(rng: Random, t: MorTerm, depth: int = 0) -> MorTerm:

@@ -50,7 +50,7 @@ class Perm:
         # (p * q)(i) = p(q(i)): q acts first.
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        return Perm(tuple(self.img[j] for j in other.img))
+        return Perm(tuple(map(self.img.__getitem__, other.img)))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.n

@@ -64,20 +64,20 @@ class SListHom:
     phi: Perm
 
     def __post_init__(self):
-        if len(self.src) != len(self.dst):
-            raise SourceTargetMismatch(
-                f"lists of different lengths: {len(self.src)} vs {len(self.dst)}"
-            )
-        if self.phi.n != len(self.dst):
-            raise SourceTargetMismatch(
-                f"phi has size {self.phi.n}, expected {len(self.dst)}"
-            )
-        for i in range(len(self.dst)):
-            if self.src.labels[self.phi(i)] != self.dst.labels[i]:
-                raise SourceTargetMismatch(
-                    f"label transport fails at index {i}: "
-                    f"{self.src}[{self.phi(i)}] != {self.dst}[{i}]"
-                )
+        n = len(self.dst)
+        if len(self.src) != n:
+            raise SourceTargetMismatch(f"lists of different lengths: {len(self.src)} vs {n}")
+        if self.phi.n != n:
+            raise SourceTargetMismatch(f"phi has size {self.phi.n}, expected {n}")
+        src, img = self.src.labels, self.phi.img
+        if tuple(map(src.__getitem__, img)) != self.dst.labels:
+            # only a failing check pays for the loop that names the first bad index
+            for i, (j, label) in enumerate(zip(img, self.dst.labels)):
+                if src[j] != label:
+                    raise SourceTargetMismatch(
+                        f"label transport fails at index {i}: "
+                        f"{self.src}[{j}] != {self.dst}[{i}]"
+                    )
 
     def __str__(self) -> str:
         return f"phi={self.phi}"
@@ -226,7 +226,7 @@ def unique_hom_linear(src: SList, dst: SList) -> SListHom:
     """
     if not (is_linear(src) or is_linear(dst)):
         raise NotLinear(f"neither {src} nor {dst} is linear")
-    if underlying_multiset(src) != underlying_multiset(dst):
+    if sorted(src.labels) != sorted(dst.labels):
         raise NotPermutationEquivalent(f"{src} and {dst} differ as multisets")
     position = {label: i for i, label in enumerate(src.labels)}
     phi = Perm(tuple(position[label] for label in dst.labels))

@@ -358,11 +358,13 @@ def base_change_1cell(square: PullbackSquare) -> SpanCell:
     For a pullback square with edges t, l, r, b its map lifts the legs
     (l, t) of compose(pull(l), push(t)) into the apex of compose(push(b), pull(r)).
     """
-    if not square.is_pullback():
-        raise NotPullbackSquare("base change needs a pullback square")
     pull_l, push_t = span_pull(square.left), span_push(square.top)
     push_b, pull_r = span_push(square.bottom), span_pull(square.right)
     src = span_over(compose_pullback(pull_l, push_t), pull_l, push_t)
     dst_pb = compose_pullback(push_b, pull_r)
+    # the legs of src are (left, top) over a copy of the corner, so this lift
+    # is the square's comparison map: the square is a pullback iff it is bijective
     lift = pullback_lift(dst_pb, square.bottom, square.right, src.left, src.right)
+    if not lift.is_bijective():
+        raise NotPullbackSquare("base change needs a pullback square")
     return SpanCell(src, span_over(dst_pb, push_b, pull_r), lift)

@@ -52,19 +52,38 @@ class Tensor(ObjTerm):
     right: ObjTerm
 
 
-def obj_text(t: ObjTerm, sep: str = "*") -> str:
+_END = object()  # closes the text of a shared tensor on obj_text's stack
+
+
+def obj_text(t: ObjTerm, sep: str = "*", texts: dict | None = None) -> str:
     """An object as text, each tensor parenthesized with ``sep`` between its parts.
+
+    A tensor node whose id is a key of ``texts`` is rendered once: its
+    ``None`` value is replaced by its text, which every later visit reuses,
+    in this call and in later calls given the same dict.
 
     >>> obj_text(Tensor(Gen("x"), Tensor(Unit(), Gen("y"))), " * ")
     '(x * (I * y))'
     """
+    if texts is None:
+        texts = {}
     out = []
     todo: list = [t]
     while todo:
         item = todo.pop()
         if type(item) is str:
             out.append(item)
+        elif item is _END:
+            key, start = todo.pop(), todo.pop()
+            texts[key] = out[start] = "".join(out[start:])
+            del out[start + 1 :]
         elif isinstance(item, Tensor):
+            key = id(item)
+            if key in texts:
+                if texts[key] is not None:
+                    out.append(texts[key])
+                    continue
+                todo += (len(out), key, _END)
             out.append("(")
             todo += (")", item.right, sep, item.left)
         elif isinstance(item, Gen):

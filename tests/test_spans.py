@@ -134,7 +134,7 @@ def _cell_calls():
         ("left_unitor_cell", lambda: left_unitor_cell(s), 1),
         ("right_unitor_cell", lambda: right_unitor_cell(s), 1),
         ("adjunction_cells", lambda: adjunction_cells(f), 2),
-        ("base_change_1cell", lambda: base_change_1cell(square), 3),
+        ("base_change_1cell", lambda: base_change_1cell(square), 2),
     ]
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from smckit.errors import BoundaryMismatch, IllTyped, UnassignedLabel
 from smckit.models import FinBijModel, FreeTermModel, SListModel, smc_law_failures
 from smckit.laws import axiom_rewrite, random_walk_term
-from smckit import terms
+from smckit import laws, terms
 from smckit.slist import SList, SListHom, hom_equal, identity_hom, word_from_hom
 from smckit.perms import Perm
 import term_oracle as oracle
@@ -195,6 +195,24 @@ def test_random_terms_boundaries():
         h = normalize(t)
         assert h.src == normalize_obj(src)
         assert h.dst == normalize_obj(tgt)
+
+
+def test_random_walk_term_matches_the_walk_over_whole_steps():
+    # the walk as it was: each step's target read from a pass over the whole whiskered step
+    def walk_oracle(rng, labels, steps):
+        obj = laws.random_obj(rng, labels)
+        term = Id(obj)
+        for _ in range(steps):
+            step = laws._random_structural_from(rng, obj)
+            term = Comp(term, step)
+            _, obj = boundaries(step)
+        return term
+
+    for seed in range(200):
+        rng, rng_oracle = Random(seed), Random(seed)
+        steps = seed % 12
+        assert random_walk_term(rng, ["a", "b", "c"], steps) == walk_oracle(rng_oracle, ["a", "b", "c"], steps)
+        assert rng.getstate() == rng_oracle.getstate()
 
 
 def test_normalize_agrees_with_finbij_evaluation():
