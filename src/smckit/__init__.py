@@ -11,7 +11,6 @@ from .errors import SmcError
 from .perms import CoxeterMatrixA, Perm, exchange_step, inversion_length, is_reduced, reduced_word, word_to_perm
 from .slist import (
     GenWord,
-    Multiset,
     SList,
     SListHom,
     hom_equal,

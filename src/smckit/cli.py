@@ -320,11 +320,14 @@ def load_record(source: str, kind: str) -> dict:
     return record
 
 
+def _shown(value) -> str:
+    return "an array" if isinstance(value, list) else "an object" if isinstance(value, dict) else json.dumps(value)
+
+
 def _integer(value) -> int:
     """A JSON integer from a record; a boolean, a fraction or a string is refused."""
     if type(value) is not int:
-        shown = "an array" if isinstance(value, list) else "an object" if isinstance(value, dict) else json.dumps(value)
-        raise TypeError(f"expected an integer, found {shown}")
+        raise TypeError(f"expected an integer, found {_shown(value)}")
     return value
 
 
@@ -353,7 +356,13 @@ def span_to_record(s: Span) -> dict:
 def family_from_record(record: dict) -> tuple[int, dict]:
     try:
         size = _integer(record["size"])
-        entries = {int(k): str(v) for k, v in record["entries"].items()}  # keys are decimal strings
+        entries = {}
+        for k, v in record["entries"].items():
+            if not (k.isdecimal() and str(int(k)) == k):  # "01", " 1", "1_0" and "-1" are refused
+                raise ValueError(f"expected a decimal key, found {json.dumps(k)}")
+            if type(v) is not str:
+                raise TypeError(f"expected a string entry, found {_shown(v)}")
+            entries[int(k)] = v
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise RecordFormatError(f"malformed family record: {exc}") from None
     return size, entries

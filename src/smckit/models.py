@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .monoidal import braiding, tensor_hom, tensor_obj
 from .perms import Perm, block_sum, block_swap
-from .slist import SList, compose as hom_compose, identity_hom, invert
+from .slist import SList, compose as hom_compose, identity_hom
 from .terms import FreeTermModel, SmcModel  # noqa: F401  FreeTermModel is re-exported
 
 
@@ -55,9 +55,6 @@ class SListModel(SmcModel):
 
     def braid(self, a, b):
         return braiding(a, b)
-
-    def braid_inv(self, a, b):
-        return invert(braiding(a, b))
 
     def mor_equal(self, f, g):
         return f.src == g.src and f.dst == g.dst and f.phi == g.phi

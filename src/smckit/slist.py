@@ -10,14 +10,16 @@ generator path is lossless: two morphisms are equal exactly when their
 ``phi`` via its canonical reduced word.
 
 Labels come from any alphabet that is equality-comparable and orderable
-(duality and fiber enumeration downstream sort by label).  All values here
-are immutable and all operations pure.
+(duality and fiber enumeration downstream sort by label), and hashable
+where multisets (``collections.Counter``) count them.  All values here are
+immutable and all operations pure.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 from .errors import (
     NotLinear,
@@ -99,79 +101,8 @@ class GenWord:
                 )
 
 
-@dataclass(frozen=True)
-class Multiset:
-    """A finite map label -> positive count, kept sorted by label.
-
-    >>> Multiset.from_iterable("aba").count("a")
-    2
-    >>> Multiset.from_iterable("ab") + Multiset.from_iterable("b")
-    Multiset(items=(('a', 1), ('b', 2)))
-    """
-
-    items: tuple[tuple[Any, int], ...]
-
-    def __post_init__(self):
-        labels = [label for label, _ in self.items]
-        if labels != sorted(labels):
-            raise ValueError(f"items not sorted by label: {self.items}")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate labels: {self.items}")
-        if any(c <= 0 for _, c in self.items):
-            raise ValueError(f"zero or negative count stored: {self.items}")
-
-    @staticmethod
-    def from_iterable(labels) -> "Multiset":
-        counts: dict = {}
-        for label in labels:
-            counts[label] = counts.get(label, 0) + 1
-        return Multiset(tuple(sorted(counts.items())))
-
-    @staticmethod
-    def empty() -> "Multiset":
-        return Multiset(())
-
-    def count(self, label) -> int:
-        for k, c in self.items:
-            if k == label:
-                return c
-        return 0
-
-    def support(self) -> tuple:
-        return tuple(k for k, _ in self.items)
-
-    def total(self) -> int:
-        return sum(c for _, c in self.items)
-
-    def __add__(self, other: "Multiset") -> "Multiset":
-        counts = dict(self.items)
-        for k, c in other.items:
-            counts[k] = counts.get(k, 0) + c
-        return Multiset(tuple(sorted(counts.items())))
-
-    def scale(self, n: int) -> "Multiset":
-        if n < 0:
-            raise ValueError("scale factor must be a natural number")
-        if n == 0:
-            return Multiset(())
-        return Multiset(tuple((k, c * n) for k, c in self.items))
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(f"{k}:{c}" for k, c in self.items) + "}"
-
-
 def identity_hom(l: SList) -> SListHom:
     return SListHom(l, l, Perm.identity(len(l)))
-
-
-def apply_positions(start: SList, positions: Sequence[int]) -> SList:
-    """The list obtained by performing the swaps left to right."""
-    labels = list(start.labels)
-    for p in positions:
-        if not 0 <= p < len(labels) - 1:
-            raise PositionOutOfRange(f"position {p} invalid for length {len(labels)}")
-        labels[p], labels[p + 1] = labels[p + 1], labels[p]
-    return SList(tuple(labels))
 
 
 def hom_from_word(g: GenWord) -> SListHom:
@@ -181,9 +112,8 @@ def hom_from_word(g: GenWord) -> SListHom:
     >>> str(h.dst), h.phi.img
     ('[b,c,a]', (1, 2, 0))
     """
-    dst = apply_positions(g.start, g.positions)
     phi = word_to_perm(g.positions, len(g.start))
-    return SListHom(g.start, dst, phi)
+    return SListHom(g.start, SList(tuple(map(g.start.labels.__getitem__, phi.img))), phi)
 
 
 def word_from_hom(f: SListHom) -> GenWord:
@@ -209,8 +139,8 @@ def hom_equal(f: SListHom, g: SListHom) -> bool:
     return f.phi == g.phi
 
 
-def underlying_multiset(l: SList) -> Multiset:
-    return Multiset.from_iterable(l.labels)
+def underlying_multiset(l: SList) -> Counter:
+    return Counter(l.labels)
 
 
 def is_linear(l: SList) -> bool:

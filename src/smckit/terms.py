@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import BoundaryMismatch, IllTyped, UnassignedLabel
-from .perms import Perm
-from .slist import SList, SListHom, hom_equal, word_from_hom
+from .perms import Perm, reduced_word
+from .slist import SList, SListHom, hom_equal
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +539,7 @@ def psi_hom(m: SmcModel, assignment, f: SListHom) -> Any:
     values = [lookup(assignment, label) for label in f.src.labels]
     ids = [m.identity(a) for a in values]
     out = m.identity(_fold(m, values))
-    for p in word_from_hom(f).positions:
+    for p in reduced_word(f.phi):
         a, b = values[p], values[p + 1]
         rest = _fold(m, values[p + 2 :])
         swap = m.compose(

@@ -3,7 +3,7 @@
 These are ``SListHom``'s label-transport check, ``Perm.__mul__`` and
 ``unique_hom_linear``'s permutation-equivalence test as they were before
 they ran as whole-sequence operations: one ``phi(i)`` per index, a
-generator per image entry, and two ``Multiset``s compared.  They must
+generator per image entry, and two ``Counter``s compared.  They must
 accept, reject and word their exceptions exactly as the library does.
 """
 

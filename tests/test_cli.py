@@ -355,6 +355,23 @@ def test_family_records_take_only_an_integer_size(value, shown, capsys):
     assert capsys.readouterr().err == f"error: malformed family record: expected an integer, found {shown}\n"
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({"0": None, "1": True}, "expected a string entry, found null"),
+        ({"0": "x", "1": 2}, "expected a string entry, found 2"),
+        ({"0": "x", "1": ["y"]}, "expected a string entry, found an array"),
+        ({"0": "x", "1": "y", "01": "z"}, 'expected a decimal key, found "01"'),
+        ({"0": "x", " 1": "y"}, 'expected a decimal key, found " 1"'),
+        ({"0": "x", "1_0": "y"}, 'expected a decimal key, found "1_0"'),
+        ({"0": "x", "-1": "y"}, 'expected a decimal key, found "-1"'),
+    ],
+)
+def test_family_records_take_only_decimal_keys_and_string_entries(entries, message, capsys):
+    assert run("unbias", SPAN_A, _with(FAMILY, ("entries",), entries)) == (2, "")
+    assert capsys.readouterr().err == f"error: malformed family record: {message}\n"
+
+
 SHALLOW_MAIN = (
     "import json, sys; sys.setrecursionlimit(200); "
     "from smckit.cli import main; sys.exit(main(json.load(sys.stdin)))"

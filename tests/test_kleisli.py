@@ -1,5 +1,6 @@
 """Kleisli composition of list families: extension, duality, postcomposition."""
 
+from collections import Counter
 from random import Random
 
 import pytest
@@ -28,7 +29,6 @@ from smckit.laws import check_lax_laws, random_khom
 from smckit.models import FreeTermModel, SListModel
 from smckit.perms import Perm
 from smckit.slist import (
-    Multiset,
     SList,
     SListHom,
     compose as hom_compose,
@@ -41,10 +41,6 @@ from smckit.slist import (
 from smckit.spans import FinSet
 from smckit.terms import Gen, normalize
 from smckit.monoidal import tensor_obj
-
-
-def counter_oracle(labels):
-    return underlying_multiset(SList(tuple(labels)))
 
 
 g_example = KHom(FinSet(2), FinSet(3), (SList((0, 1)), SList((2,))))
@@ -170,12 +166,12 @@ def test_k_hcomp_strictly_associative_and_unital():
 def test_composite_multiset_examples():
     f = KHom(FinSet(1), FinSet(2), (SList((0, 0)),))
     g = KHom(FinSet(2), FinSet(1), (SList((0,)), SList(())))
-    assert composite_multiset(f, g, 0) == Multiset.from_iterable((0, 0))
+    assert composite_multiset(f, g, 0) == Counter({0: 2})
     f_empty = KHom(FinSet(1), FinSet(2), (SList(()),))
-    assert composite_multiset(f_empty, g, 0) == Multiset.empty()
+    assert composite_multiset(f_empty, g, 0) == Counter()
     f2 = KHom(FinSet(1), FinSet(2), (SList((0, 1)),))
     g2 = KHom(FinSet(2), FinSet(1), (SList((0,)), SList((0,))))
-    assert composite_multiset(f2, g2, 0) == Multiset.from_iterable((0, 0))
+    assert composite_multiset(f2, g2, 0) == Counter({0: 2})
 
 
 def test_composite_multiset_matches_composition():
@@ -186,7 +182,7 @@ def test_composite_multiset_matches_composition():
         g = random_khom(rng, j, k, 5)
         comp = k_compose(f, g)
         for idx in range(i):
-            assert composite_multiset(f, g, idx) == counter_oracle(comp.lists[idx].labels)
+            assert composite_multiset(f, g, idx) == Counter(comp.lists[idx].labels)
 
 
 def khoms(i, j, max_len=4):
@@ -198,7 +194,9 @@ def khoms(i, j, max_len=4):
 def test_composite_multiset_property(f, g):
     comp = k_compose(f, g)
     for idx in range(f.src.size):
-        assert composite_multiset(f, g, idx) == counter_oracle(comp.lists[idx].labels)
+        m = composite_multiset(f, g, idx)
+        # Counter equality ignores zero counts, so a stored zero is looked for on its own
+        assert m == Counter(comp.lists[idx].labels) and 0 not in m.values()
 
 
 @given(khoms(3, 3))
@@ -206,9 +204,7 @@ def test_duality_symmetry_property(x):
     d = duality(x)
     for j in range(3):
         for k in range(3):
-            assert counter_oracle(d.lists[k].labels).count(j) == counter_oracle(
-                x.lists[j].labels
-            ).count(k)
+            assert Counter(d.lists[k].labels)[j] == Counter(x.lists[j].labels)[k]
 
 
 def test_duality_examples():
@@ -225,9 +221,7 @@ def test_duality_multiplicity_symmetry():
         d = duality(x)
         for j in range(x.src.size):
             for k in range(x.dst.size):
-                assert underlying_multiset(d.lists[k]).count(j) == underlying_multiset(
-                    x.lists[j]
-                ).count(k)
+                assert underlying_multiset(d.lists[k])[j] == underlying_multiset(x.lists[j])[k]
         dd = duality(d)
         for j in range(x.src.size):
             assert underlying_multiset(dd.lists[j]) == underlying_multiset(x.lists[j])

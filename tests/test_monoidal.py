@@ -5,8 +5,9 @@ from random import Random
 import pytest
 
 from smckit.errors import IndexOutOfRange
+from smckit.models import SListModel
 from smckit.monoidal import braiding, braiding_recursive, index_embed, tensor_hom, tensor_obj
-from smckit.slist import GenWord, SList, compose, hom_equal, hom_from_word, identity_hom
+from smckit.slist import GenWord, SList, compose, hom_equal, hom_from_word, identity_hom, invert
 
 
 def rand_hom(rng, labels):
@@ -54,6 +55,15 @@ def test_braiding_agrees_with_recursive_oracle(total):
         x = SList(tuple(f"x{i}" for i in range(nx)))
         y = SList(tuple(f"y{i}" for i in range(total - nx)))
         assert braiding(x, y) == braiding_recursive(x, y)
+
+
+def test_inverse_braiding_is_the_opposite_braiding():
+    # SListModel takes SmcModel's default braid_inv, braid(b, a), for this reason
+    for nx in range(4):
+        for ny in range(4):
+            x = SList(tuple(f"x{i}" for i in range(nx)))
+            y = SList(tuple(f"y{i}" for i in range(ny)))
+            assert SListModel().braid_inv(x, y) == invert(braiding(x, y)) == braiding(y, x)
 
 
 def test_braiding_naturality():
