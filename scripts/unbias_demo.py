@@ -12,7 +12,7 @@ from smckit.cli import render_mor, render_obj
 from smckit.models import FreeTermModel
 from smckit.spans import FinFun, FinSet, Span, compose_span
 from smckit.terms import Gen, normalize
-from smckit.unbias import lambda_system, pseudofunctor_on_span, unbias_comp_iso, unbias_eval
+from smckit.unbias import pseudofunctor_on_span, unbias_comp_iso, unbias_eval
 
 
 def main() -> None:
@@ -29,7 +29,7 @@ def main() -> None:
     t = Span(FinFun(feet, feet, (1, 0)), FinFun(feet, FinSet(1), (0, 0)))
     st = compose_span(s, t)
     print("composite span:", st.left.img, st.right.img)
-    print("composite family:", [list(l.labels) for l in pseudofunctor_on_span(lambda_system(), st).lists])
+    print("composite family:", [list(l.labels) for l in pseudofunctor_on_span(st).lists])
     for k, cell in enumerate(unbias_comp_iso(s, t, model, x)):
         print(f"  composition cell k={k}: phi={normalize(cell).phi}")
         print(f"    term: {render_mor(cell)[:100]}...")

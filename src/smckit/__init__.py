@@ -69,9 +69,7 @@ from .kleisli import (
     theta_apply_hom,
 )
 from .unbias import (
-    PbcSystem,
     base_change_unique,
-    lambda_system,
     pseudofunctor_on_cell,
     pseudofunctor_on_span,
     unbias_eval,

@@ -245,7 +245,7 @@ class MonoidalFunctorData:
 
     ``unit_cmp`` is a target morphism unit -> obj(unit); ``tensor_cmp(a, b)``
     a target morphism obj(a) (x) obj(b) -> obj(a (x) b), for source objects
-    a, b.  ``strong`` records that both comparisons are invertible.
+    a, b.  The functor is strong when both comparisons are invertible.
     """
 
     source: SmcModel
@@ -254,7 +254,6 @@ class MonoidalFunctorData:
     mor: Callable
     unit_cmp: object
     tensor_cmp: Callable
-    strong: bool = False
 
 
 def naturality_cell(f: MonoidalFunctorData, khom: KHom, family) -> tuple:

@@ -101,17 +101,21 @@ from .terms import (
     psi_obj,
 )
 from .unbias import (
-    PbcSystem,
+    base_change_unique,
     f_comp_cell,
     f_id_cell,
-    lambda_system,
+    lambda_u,
     lambda_v,
     pseudofunctor_on_cell,
     pseudofunctor_on_span,
+    u_comp,
+    u_id,
     unbias_cell,
     unbias_comp_iso,
     unbias_eval,
     unbias_unit_iso,
+    v_comp,
+    v_id,
 )
 
 
@@ -693,40 +697,39 @@ def cell_before(theta: KCell, w: KHom) -> KCell:
     return k_hcomp(k_id_cell(w), theta)
 
 
-def _check_hpaste(check: _Check, sys: PbcSystem, lsq: PullbackSquare, rsq: PullbackSquare):
+def _check_hpaste(check: _Check, lsq: PullbackSquare, rsq: PullbackSquare):
     t0, t1 = lsq.top, rsq.top
     v0, v2 = lsq.left, rsq.right
     b0, b1 = lsq.bottom, rsq.bottom
-    lhs = k_vcomp(sys.base_change(hpaste(lsq, rsq)), cell_before(sys.v_comp(t0, t1), sys.u(v0)))
+    lhs = k_vcomp(base_change_unique(hpaste(lsq, rsq)), cell_before(v_comp(t0, t1), lambda_u(v0)))
     rhs = k_vcomp(
-        cell_after(sys.u(v2), sys.v_comp(b0, b1)),
-        cell_before(sys.base_change(rsq), sys.v(b0)),
-        cell_after(sys.v(t1), sys.base_change(lsq)),
+        cell_after(lambda_u(v2), v_comp(b0, b1)),
+        cell_before(base_change_unique(rsq), lambda_v(b0)),
+        cell_after(lambda_v(t1), base_change_unique(lsq)),
     )
     check(lhs == rhs, f"horizontal pasting at {b0.img}|{b1.img}|{v2.img}")
 
 
-def _check_vpaste(check: _Check, sys: PbcSystem, tsq: PullbackSquare, bsq: PullbackSquare):
+def _check_vpaste(check: _Check, tsq: PullbackSquare, bsq: PullbackSquare):
     h0, h2 = tsq.top, bsq.bottom
     l0, l1 = tsq.left, bsq.left
     r0, r1 = tsq.right, bsq.right
-    lhs = k_vcomp(sys.base_change(vpaste(tsq, bsq)), cell_after(sys.v(h0), sys.u_comp(l0, l1)))
+    lhs = k_vcomp(base_change_unique(vpaste(tsq, bsq)), cell_after(lambda_v(h0), u_comp(l0, l1)))
     rhs = k_vcomp(
-        cell_before(sys.u_comp(r0, r1), sys.v(h2)),
-        cell_after(sys.u(r0), sys.base_change(bsq)),
-        cell_before(sys.base_change(tsq), sys.u(l1)),
+        cell_before(u_comp(r0, r1), lambda_v(h2)),
+        cell_after(lambda_u(r0), base_change_unique(bsq)),
+        cell_before(base_change_unique(tsq), lambda_u(l1)),
     )
     check(lhs == rhs, f"vertical pasting at {h2.img}/{r1.img}/{r0.img}")
 
 
 def check_pbc_laws(
-    sys: PbcSystem,
     max_size: int = 3,
     paste_max_size: int = 2,
     seed: int = 0,
     random_pastes: int = 200,
 ) -> LawReport:
-    """Exercise the defining laws of a system, with exact cell equality.
+    """Exercise the defining laws of the fiber/value system, with exact cell equality.
 
     Unit squares, single base-change cells and linearity of every produced
     list run exhaustively up to ``max_size``.  Pasting laws run
@@ -741,22 +744,22 @@ def check_pbc_laws(
         for b in sizes:
             for f in all_functions(a, b):
                 check(
-                    all(is_linear(l) for l in sys.u(f).lists)
-                    and all(is_linear(l) for l in sys.v(f).lists),
+                    all(is_linear(l) for l in lambda_u(f).lists)
+                    and all(is_linear(l) for l in lambda_v(f).lists),
                     f"u/v lists not linear at {f.img}",
                 )
                 hsq = PullbackSquare(identity_fun(f.src), f, f, identity_fun(f.dst))
-                lhs = sys.base_change(hsq)
+                lhs = base_change_unique(hsq)
                 rhs = k_vcomp(
-                    cell_after(sys.u(f), sys.v_id(f.dst)),
-                    cell_before(invert_kcell(sys.v_id(f.src)), sys.u(f)),
+                    cell_after(lambda_u(f), v_id(f.dst)),
+                    cell_before(invert_kcell(v_id(f.src)), lambda_u(f)),
                 )
                 check(lhs == rhs, f"horizontal unit square at {f.img}")
                 vsq = PullbackSquare(f, identity_fun(f.src), identity_fun(f.dst), f)
-                lhs = sys.base_change(vsq)
+                lhs = base_change_unique(vsq)
                 rhs = k_vcomp(
-                    cell_before(sys.u_id(f.dst), sys.v(f)),
-                    cell_after(sys.v(f), invert_kcell(sys.u_id(f.src))),
+                    cell_before(u_id(f.dst), lambda_v(f)),
+                    cell_after(lambda_v(f), invert_kcell(u_id(f.src))),
                 )
                 check(lhs == rhs, f"vertical unit square at {f.img}")
 
@@ -765,7 +768,7 @@ def check_pbc_laws(
             for y in sizes:
                 for b in all_functions(z, w):
                     for r in all_functions(y, w):
-                        cell = sys.base_change(square_from_cospan(b, r))
+                        cell = base_change_unique(square_from_cospan(b, r))
                         check(
                             all(is_linear(l) for l in cell.src.lists)
                             and all(is_linear(l) for l in cell.dst.lists),
@@ -781,12 +784,12 @@ def check_pbc_laws(
                         for b1 in all_functions(e, f_):
                             for v2 in all_functions(c, f_):
                                 rsq = square_from_cospan(b1, v2)
-                                _check_hpaste(check, sys, square_from_cospan(b0, rsq.left), rsq)
+                                _check_hpaste(check, square_from_cospan(b0, rsq.left), rsq)
                     for h2 in all_functions(d, e):
                         for r1 in all_functions(f_, e):
                             bsq = square_from_cospan(h2, r1)
                             for r0 in all_functions(c, f_):
-                                _check_vpaste(check, sys, square_from_cospan(bsq.top, r0), bsq)
+                                _check_vpaste(check, square_from_cospan(bsq.top, r0), bsq)
 
     rng = Random(seed)
     for _ in range(random_pastes):
@@ -797,20 +800,18 @@ def check_pbc_laws(
         if b0 is None or b1 is None or v2 is None:
             continue
         rsq = square_from_cospan(b1, v2)
-        _check_hpaste(check, sys, square_from_cospan(b0, rsq.left), rsq)
+        _check_hpaste(check, square_from_cospan(b0, rsq.left), rsq)
         h2 = random_function(rng, e, f_)
         r1 = random_function(rng, d, f_)
         r0 = random_function(rng, c, d)
         if h2 is not None and r1 is not None and r0 is not None:
             bsq = square_from_cospan(h2, r1)
-            _check_vpaste(check, sys, square_from_cospan(bsq.top, r0), bsq)
+            _check_vpaste(check, square_from_cospan(bsq.top, r0), bsq)
 
     return check.report()
 
 
-def pseudofunctor_laws(
-    sys: PbcSystem, max_size: int = 3, seed: int = 0, samples: int = 100
-) -> LawReport:
+def pseudofunctor_laws(max_size: int = 3, seed: int = 0, samples: int = 100) -> LawReport:
     """Check the generated pseudofunctor on seeded random spans and cells.
 
     Covers functoriality on cells, naturality of the composition comparison
@@ -820,9 +821,6 @@ def pseudofunctor_laws(
     check = _Check("pseudofunctor-laws")
     rng = Random(seed)
 
-    def fs(s: Span) -> KHom:
-        return pseudofunctor_on_span(sys, s)
-
     for _ in range(samples):
         s = random_span(rng, max_size)
         t = random_span_from(rng, s.cod, max_size)
@@ -830,46 +828,46 @@ def pseudofunctor_laws(
 
         c1 = random_pith_cell(rng, s)
         c2 = random_pith_cell(rng, c1.dst)
-        lhs = pseudofunctor_on_cell(sys, vertical_compose(c1, c2))
-        rhs = k_vcomp(pseudofunctor_on_cell(sys, c1), pseudofunctor_on_cell(sys, c2))
+        lhs = pseudofunctor_on_cell(vertical_compose(c1, c2))
+        rhs = k_vcomp(pseudofunctor_on_cell(c1), pseudofunctor_on_cell(c2))
         check(lhs == rhs, "functoriality on vertical composites")
         check(
-            pseudofunctor_on_cell(sys, identity_cell(s)) == k_id_cell(fs(s)),
+            pseudofunctor_on_cell(identity_cell(s)) == k_id_cell(pseudofunctor_on_span(s)),
             "identity cells map to identity cells",
         )
 
         d1 = random_pith_cell(rng, s)
         d2 = random_pith_cell(rng, t)
         hcell = horizontal_compose(d1, d2)
-        lhs = k_vcomp(pseudofunctor_on_cell(sys, hcell), f_comp_cell(sys, d1.dst, d2.dst))
+        lhs = k_vcomp(pseudofunctor_on_cell(hcell), f_comp_cell(d1.dst, d2.dst))
         rhs = k_vcomp(
-            f_comp_cell(sys, s, t),
-            k_hcomp(pseudofunctor_on_cell(sys, d2), pseudofunctor_on_cell(sys, d1)),
+            f_comp_cell(s, t),
+            k_hcomp(pseudofunctor_on_cell(d2), pseudofunctor_on_cell(d1)),
         )
         check(lhs == rhs, "naturality of the composition comparison")
 
         lhs = k_vcomp(
-            pseudofunctor_on_cell(sys, assoc_cell(s, t, u)),
-            f_comp_cell(sys, s, compose_span(t, u)),
-            cell_after(fs(s), f_comp_cell(sys, t, u)),
+            pseudofunctor_on_cell(assoc_cell(s, t, u)),
+            f_comp_cell(s, compose_span(t, u)),
+            cell_after(pseudofunctor_on_span(s), f_comp_cell(t, u)),
         )
         rhs = k_vcomp(
-            f_comp_cell(sys, compose_span(s, t), u),
-            cell_before(f_comp_cell(sys, s, t), fs(u)),
+            f_comp_cell(compose_span(s, t), u),
+            cell_before(f_comp_cell(s, t), pseudofunctor_on_span(u)),
         )
         check(lhs == rhs, "associativity transport")
 
-        lhs = pseudofunctor_on_cell(sys, right_unitor_cell(s))
+        lhs = pseudofunctor_on_cell(right_unitor_cell(s))
         rhs = k_vcomp(
-            f_comp_cell(sys, s, identity_span(s.cod)),
-            cell_after(fs(s), f_id_cell(sys, s.cod)),
+            f_comp_cell(s, identity_span(s.cod)),
+            cell_after(pseudofunctor_on_span(s), f_id_cell(s.cod)),
         )
         check(lhs == rhs, "right unit coherence")
 
-        lhs = pseudofunctor_on_cell(sys, left_unitor_cell(s))
+        lhs = pseudofunctor_on_cell(left_unitor_cell(s))
         rhs = k_vcomp(
-            f_comp_cell(sys, identity_span(s.dom), s),
-            cell_before(f_id_cell(sys, s.dom), fs(s)),
+            f_comp_cell(identity_span(s.dom), s),
+            cell_before(f_id_cell(s.dom), pseudofunctor_on_span(s)),
         )
         check(lhs == rhs, "left unit coherence")
 
@@ -877,8 +875,8 @@ def pseudofunctor_laws(
 
 
 def pbc_suite(max_size: int = 3, seed: int = 0) -> LawReport:
-    report = check_pbc_laws(lambda_system(), max_size=max_size, seed=seed)
-    extra = pseudofunctor_laws(lambda_system(), max_size=max_size, seed=seed)
+    report = check_pbc_laws(max_size=max_size, seed=seed)
+    extra = pseudofunctor_laws(max_size=max_size, seed=seed)
     return LawReport(
         "pbc",
         report.cases + extra.cases,
@@ -913,10 +911,9 @@ def unbias_coherence_failures(
     failures: list[str] = []
     for s, t, u in triples:
         x = assignment_for(s.dom)
-        sys = lambda_system()
-        fam_s = pseudofunctor_on_span(sys, s)
-        fam_t = pseudofunctor_on_span(sys, t)
-        fam_u = pseudofunctor_on_span(sys, u)
+        fam_s = pseudofunctor_on_span(s)
+        fam_t = pseudofunctor_on_span(t)
+        fam_u = pseudofunctor_on_span(u)
         y = {k: psi_obj(m, x, l.labels) for k, l in enumerate(fam_s.lists)}
 
         st = compose_span(s, t)
@@ -969,14 +966,13 @@ def _fiber_multiset_oracle(s: Span, k: int) -> Counter:
 
 def unbias_suite(max_size: int = 3, seed: int = 0, triples_small: int = 40, triples_large: int = 15) -> LawReport:
     check = _Check("unbias")
-    sys = lambda_system()
     model = FreeTermModel()
 
     def assignment_for(dom: FinSet):
         return {j: Gen(f"x{j}") for j in range(dom.size)}
 
     for s in all_spans(max_size):
-        fam = pseudofunctor_on_span(sys, s)
+        fam = pseudofunctor_on_span(s)
         result = unbias_eval(s, model, assignment_for(s.dom))
         for k in range(s.cod.size):
             oracle = _fiber_multiset_oracle(s, k)
@@ -996,7 +992,7 @@ def unbias_suite(max_size: int = 3, seed: int = 0, triples_small: int = 40, trip
         for b in range(max_size + 1):
             for f in all_functions(a, b):
                 check(
-                    pseudofunctor_on_span(sys, transpose_span(span_push(f))) == lambda_v(f),
+                    pseudofunctor_on_span(transpose_span(span_push(f))) == lambda_v(f),
                     f"transposition compatibility fails at {f.img}",
                 )
 

@@ -156,8 +156,9 @@ def unique_hom_linear(src: SList, dst: SList) -> SListHom:
     """
     if not (is_linear(src) or is_linear(dst)):
         raise NotLinear(f"neither {src} nor {dst} is linear")
-    if sorted(src.labels) != sorted(dst.labels):
-        raise NotPermutationEquivalent(f"{src} and {dst} differ as multisets")
+    # one side is linear, so equal length and equal label sets mean equal multisets
     position = {label: i for i, label in enumerate(src.labels)}
+    if len(src) != len(dst) or position.keys() != set(dst.labels):
+        raise NotPermutationEquivalent(f"{src} and {dst} differ as multisets")
     phi = Perm(tuple(position[label] for label in dst.labels))
     return SListHom(src, dst, phi)

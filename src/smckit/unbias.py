@@ -1,7 +1,9 @@
 """
-Pith-Beck-Chevalley systems valued in the strict Kleisli target, the
-pseudofunctor they generate on spans of finite sets, and the end-to-end
-evaluator that realizes unbiased tensor products in any model.
+The fiber/value Pith-Beck-Chevalley system on finite sets, valued in the
+strict Kleisli target, the pseudofunctor it generates on spans of finite
+sets, and the end-to-end evaluator that realizes unbiased tensor products
+in any model.  The system is a set of plain functions, called directly;
+every one of its cells is forced by linearity.
 
 Orientation conventions, fixed once here and used throughout:
 
@@ -10,9 +12,10 @@ Orientation conventions, fixed once here and used throughout:
   ``k_compose(stored(q), stored(p))``; the composite is strictly
   associative and unital, so the target associators and unitors below are
   identities and pasting laws are exact cell equalities.
-* For a function f : J -> K, ``v(f)`` is the singleton family j -> [f(j)]
-  (stored J ~> K, a 1-cell K -> J) and ``u(f)`` the ascending-fiber family
-  k -> f^{-1}(k) (stored K ~> J as a 1-cell J -> K).
+* For a function f : J -> K, v(f) = ``lambda_v(f)`` is the singleton
+  family j -> [f(j)] (stored J ~> K, a 1-cell K -> J) and u(f) =
+  ``lambda_u(f)`` the ascending-fiber family k -> f^{-1}(k) (stored K ~> J
+  as a 1-cell J -> K).
 * A base-change cell for a pullback square (top, left, right, bottom) goes
   from the stored form of "u(right) then v(bottom)" to the stored form of
   "v(top) then u(left)".
@@ -24,7 +27,6 @@ the left-leg image of the right fiber at k, in ascending apex order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import NotInvertible, NotPullbackSquare
 from .kleisli import KCell, KHom, invert_kcell, k_compose, k_hcomp, k_id, k_id_cell, k_vcomp, theta_apply
@@ -44,38 +46,7 @@ from .terms import SmcModel, lookup, psi_hom, psi_obj, psi_split
 
 
 # ---------------------------------------------------------------------------
-# op-level composition (strict target)
-
-
-def op_compose(p: KHom, q: KHom) -> KHom:
-    """Stored form of "p then q" in the opposite reading."""
-    return k_compose(q, p)
-
-
-# ---------------------------------------------------------------------------
-# systems
-
-
-@dataclass(frozen=True)
-class PbcSystem:
-    """Covariant and contravariant 1-cell data plus base-change cells.
-
-    All cells are stated in the stored forms fixed in the module docstring:
-    ``u_comp(f, g)`` connects u(g.f) to "u(f) then u(g)", ``v_comp(f, g)``
-    connects v(g.f) to "v(g) then v(f)", the identity cells collapse onto
-    the strict unit, and ``base_change`` is oriented as documented above.
-    ``laws.check_pbc_laws`` spells out the pasting and unit-square
-    conditions the data must satisfy.
-    """
-
-    obj: Callable[[FinSet], FinSet]
-    u: Callable[[FinFun], KHom]
-    v: Callable[[FinFun], KHom]
-    u_id: Callable[[FinSet], KCell]
-    v_id: Callable[[FinSet], KCell]
-    u_comp: Callable[[FinFun, FinFun], KCell]
-    v_comp: Callable[[FinFun, FinFun], KCell]
-    base_change: Callable[[PullbackSquare], KCell]
+# the fiber/value system
 
 
 def _linear_cell(src: KHom, dst: KHom) -> KCell:
@@ -92,12 +63,33 @@ def lambda_v(f: FinFun) -> KHom:
     return KHom(f.src, f.dst, tuple(SList((f(j),)) for j in f.src))
 
 
+def u_comp(f: FinFun, g: FinFun) -> KCell:
+    """From u(f then g) to the stored form of "u(f) then u(g)"."""
+    return _linear_cell(lambda_u(fcompose(f, g)), k_compose(lambda_u(g), lambda_u(f)))
+
+
+def v_comp(f: FinFun, g: FinFun) -> KCell:
+    """From v(f then g) to the stored form of "v(g) then v(f)"."""
+    return _linear_cell(lambda_v(fcompose(f, g)), k_compose(lambda_v(f), lambda_v(g)))
+
+
+def u_id(x: FinSet) -> KCell:
+    """Collapse u(id_x) onto the strict unit at x."""
+    return _linear_cell(lambda_u(identity_fun(x)), k_id(x))
+
+
+def v_id(x: FinSet) -> KCell:
+    """Collapse v(id_x) onto the strict unit at x."""
+    return _linear_cell(lambda_v(identity_fun(x)), k_id(x))
+
+
 def base_change_unique(square: PullbackSquare) -> KCell:
     """The unique cell between the two fiber readings of a pullback square.
 
     Both sides are componentwise linear with the same underlying multiset
     (the right fiber over the bottom image), so there is exactly one
     choice; any failure inside signals an implementation bug.
+    ``laws.check_pbc_laws`` checks the pasting and unit-square laws.
     """
     if not square.is_pullback():
         raise NotPullbackSquare("base change needs a pullback square")
@@ -106,89 +98,62 @@ def base_change_unique(square: PullbackSquare) -> KCell:
     return _linear_cell(src, dst)
 
 
-def lambda_system() -> PbcSystem:
-    """The fiber/value system on finite sets; every cell is forced by linearity."""
-
-    def u_comp(f: FinFun, g: FinFun) -> KCell:
-        return _linear_cell(lambda_u(fcompose(f, g)), k_compose(lambda_u(g), lambda_u(f)))
-
-    def v_comp(f: FinFun, g: FinFun) -> KCell:
-        return _linear_cell(lambda_v(fcompose(f, g)), k_compose(lambda_v(f), lambda_v(g)))
-
-    def u_id(x: FinSet) -> KCell:
-        return _linear_cell(lambda_u(identity_fun(x)), k_id(x))
-
-    def v_id(x: FinSet) -> KCell:
-        return _linear_cell(lambda_v(identity_fun(x)), k_id(x))
-
-    return PbcSystem(
-        obj=lambda x: x,
-        u=lambda_u,
-        v=lambda_v,
-        u_id=u_id,
-        v_id=v_id,
-        u_comp=u_comp,
-        v_comp=v_comp,
-        base_change=base_change_unique,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the pseudofunctor on spans
 
 
-def pseudofunctor_on_span(sys: PbcSystem, s: Span) -> KHom:
+def pseudofunctor_on_span(s: Span) -> KHom:
     """Stored form of "v(left) then u(right)".
 
     >>> from .spans import FinFun, FinSet, Span
     >>> a, j, k = FinSet(3), FinSet(2), FinSet(2)
     >>> s = Span(FinFun(a, j, (0, 1, 0)), FinFun(a, k, (0, 0, 1)))
-    >>> [list(l.labels) for l in pseudofunctor_on_span(lambda_system(), s).lists]
+    >>> [list(l.labels) for l in pseudofunctor_on_span(s).lists]
     [[0, 1], [0]]
     """
-    return op_compose(sys.v(s.left), sys.u(s.right))
+    return k_compose(lambda_u(s.right), lambda_v(s.left))
 
 
-def eta_cell(sys: PbcSystem, phi: FinFun) -> KCell:
+def eta_cell(phi: FinFun) -> KCell:
     """For an iso phi, the cell from "v(phi) then u(phi)" onto the identity."""
     if not phi.is_bijective():
         raise NotInvertible("eta needs a bijective map")
     square = PullbackSquare(phi, phi, identity_fun(phi.dst), identity_fun(phi.dst))
-    bc = sys.base_change(square)
-    collapse = k_hcomp(sys.v_id(phi.dst), sys.u_id(phi.dst))
+    bc = base_change_unique(square)
+    collapse = k_hcomp(v_id(phi.dst), u_id(phi.dst))
     return k_vcomp(invert_kcell(bc), collapse)
 
 
-def pseudofunctor_on_cell(sys: PbcSystem, c: SpanCell) -> KCell:
+def pseudofunctor_on_cell(c: SpanCell) -> KCell:
     """Image of a pith cell: split both legs along the apex map, cancel eta."""
     if not c.is_pith():
         raise NotInvertible("only pith cells map forward")
     phi = c.map
     f2, g2 = c.dst.left, c.dst.right
-    split = k_hcomp(sys.u_comp(phi, g2), sys.v_comp(phi, f2))
+    split = k_hcomp(u_comp(phi, g2), v_comp(phi, f2))
     cancel = k_hcomp(
-        k_id_cell(sys.u(g2)),
-        k_hcomp(eta_cell(sys, phi), k_id_cell(sys.v(f2))),
+        k_id_cell(lambda_u(g2)),
+        k_hcomp(eta_cell(phi), k_id_cell(lambda_v(f2))),
     )
     return k_vcomp(split, cancel)
 
 
-def f_comp_cell(sys: PbcSystem, s: Span, t: Span) -> KCell:
+def f_comp_cell(s: Span, t: Span) -> KCell:
     """Comparison from the image of s;t to "image of s, then image of t"."""
     pb = compose_pullback(s, t)
-    split = k_hcomp(sys.u_comp(pb.p2, t.right), sys.v_comp(pb.p1, s.left))
+    split = k_hcomp(u_comp(pb.p2, t.right), v_comp(pb.p1, s.left))
     middle = PullbackSquare(pb.p1, pb.p2, s.right, t.left)
-    bc_inv = invert_kcell(sys.base_change(middle))
+    bc_inv = invert_kcell(base_change_unique(middle))
     rearrange = k_hcomp(
-        k_id_cell(sys.u(t.right)),
-        k_hcomp(bc_inv, k_id_cell(sys.v(s.left))),
+        k_id_cell(lambda_u(t.right)),
+        k_hcomp(bc_inv, k_id_cell(lambda_v(s.left))),
     )
     return k_vcomp(split, rearrange)
 
 
-def f_id_cell(sys: PbcSystem, x: FinSet) -> KCell:
+def f_id_cell(x: FinSet) -> KCell:
     """Comparison from the image of the identity span onto the identity 1-cell."""
-    return k_hcomp(sys.v_id(x), sys.u_id(x))
+    return k_hcomp(v_id(x), u_id(x))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +164,6 @@ def f_id_cell(sys: PbcSystem, x: FinSet) -> KCell:
 class UnbiasResult:
     """Per-target-index unbiased tensors for a span, in a chosen model."""
 
-    span: Span
     family: KHom
     objects: tuple
 
@@ -219,14 +183,14 @@ def unbias_eval(s: Span, m: SmcModel, assignment) -> UnbiasResult:
     >>> print(r.objects[0])
     (A*(A*I))
     """
-    fam = pseudofunctor_on_span(lambda_system(), s)
+    fam = pseudofunctor_on_span(s)
     objects = tuple(psi_obj(m, assignment, l.labels) for l in fam.lists)
-    return UnbiasResult(s, fam, objects)
+    return UnbiasResult(fam, objects)
 
 
 def unbias_cell(c: SpanCell, m: SmcModel, assignment) -> tuple:
     """Model morphisms of a pith cell, one per target index."""
-    kcell = pseudofunctor_on_cell(lambda_system(), c)
+    kcell = pseudofunctor_on_cell(c)
     return tuple(psi_hom(m, assignment, h) for h in kcell.homs)
 
 
@@ -256,9 +220,8 @@ def unbias_comp_iso(s: Span, t: Span, m: SmcModel, assignment) -> tuple:
     Component l goes from the object of the composite span to the object
     obtained by folding t's fibers over the family of s's objects.
     """
-    sys = lambda_system()
-    fam_s, fam_t = pseudofunctor_on_span(sys, s), pseudofunctor_on_span(sys, t)
-    kcell = f_comp_cell(sys, s, t)
+    fam_s, fam_t = pseudofunctor_on_span(s), pseudofunctor_on_span(t)
+    kcell = f_comp_cell(s, t)
     out = []
     for l in range(fam_t.src.size):
         move = psi_hom(m, assignment, kcell.homs[l])

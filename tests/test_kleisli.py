@@ -271,7 +271,6 @@ def identity_functor(m):
         mor=lambda f: f,
         unit_cmp=m.identity(m.unit()),
         tensor_cmp=lambda a, b: m.identity(m.tensor_obj(a, b)),
-        strong=True,
     )
 
 
@@ -302,7 +301,6 @@ def test_normalization_functor_is_lax_strong():
         tensor_cmp=lambda x, y: identity_hom(
             tensor_obj(normalize_obj(x), normalize_obj(y))
         ),
-        strong=True,
     )
     assert check_lax_laws(norm, (Gen("p"), Gen("q"), Gen("r"))).ok
     f = KHom(FinSet(1), FinSet(2), (SList((1, 0, 1)),))
@@ -327,7 +325,6 @@ def test_lax_law_violation_detected():
         mor=lambda f: f,
         unit_cmp=identity_hom(SList(())),
         tensor_cmp=broken_cmp,
-        strong=True,
     )
     report = check_lax_laws(broken, (one,))
     assert report.violations == ("associativity at ([a], [a], [a])",)

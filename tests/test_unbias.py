@@ -14,6 +14,7 @@ from smckit.spans import (
     PullbackSquare,
     Span,
     SpanCell,
+    fcompose,
     identity_fun,
     identity_span,
     span_push,
@@ -37,16 +38,19 @@ from smckit.unbias import (
     eta_cell,
     f_comp_cell,
     f_id_cell,
-    lambda_system,
     lambda_u,
     lambda_v,
     pseudofunctor_on_cell,
     pseudofunctor_on_span,
     psi_theta_iso,
+    u_comp,
+    u_id,
     unbias_cell,
     unbias_comp_iso,
     unbias_eval,
     unbias_unit_iso,
+    v_comp,
+    v_id,
 )
 
 
@@ -54,10 +58,7 @@ def fiber_oracle(f, k):
     return tuple(a for a in range(f.src.size) if f(a) == k)
 
 
-sys = lambda_system()
-
-
-def test_lambda_system_examples():
+def test_fiber_and_value_families_examples():
     ident = identity_fun(FinSet(3))
     assert lambda_u(ident).lists == lambda_v(ident).lists == k_id(FinSet(3)).lists
     f = FinFun(FinSet(3), FinSet(2), (0, 0, 1))
@@ -65,6 +66,26 @@ def test_lambda_system_examples():
     assert u.lists == (SList((0, 1)), SList((2,)))
     assert all(len(l) == 1 for l in lambda_v(f).lists)
     assert all(is_linear(l) for l in u.lists)
+
+
+def test_system_cells_have_the_documented_orientation():
+    # u_comp(f, g): u(f then g) -> "u(f) then u(g)"; v_comp(f, g): v(f then g)
+    # -> "v(g) then v(f)"; the identity cells end at the strict unit
+    for a in range(4):
+        x = FinSet(a)
+        assert u_id(x).src == lambda_u(identity_fun(x)) and u_id(x).dst == k_id(x)
+        assert v_id(x).src == lambda_v(identity_fun(x)) and v_id(x).dst == k_id(x)
+        for b in range(4):
+            for f in all_functions(a, b):
+                for c in range(4):
+                    for g in all_functions(b, c):
+                        fg = fcompose(f, g)
+                        cell = u_comp(f, g)
+                        assert cell.src == lambda_u(fg)
+                        assert cell.dst == k_compose(lambda_u(g), lambda_u(f))
+                        cell = v_comp(f, g)
+                        assert cell.src == lambda_v(fg)
+                        assert cell.dst == k_compose(lambda_v(f), lambda_v(g))
 
 
 def test_base_change_unique_examples():
@@ -97,20 +118,20 @@ def test_base_change_unique_examples():
 
 def test_pseudofunctor_on_span_examples():
     three = FinSet(3)
-    assert pseudofunctor_on_span(sys, identity_span(three)) == k_id(three)
+    assert pseudofunctor_on_span(identity_span(three)) == k_id(three)
     a, j, k = FinSet(3), FinSet(2), FinSet(2)
     s = Span(FinFun(a, j, (0, 1, 0)), FinFun(a, k, (0, 0, 1)))
-    fam = pseudofunctor_on_span(sys, s)
+    fam = pseudofunctor_on_span(s)
     assert fam.lists == (SList((0, 1)), SList((0,)))
     empty = Span(FinFun(FinSet(0), j, ()), FinFun(FinSet(0), k, ()))
-    assert pseudofunctor_on_span(sys, empty).lists == (SList(()), SList(()))
+    assert pseudofunctor_on_span(empty).lists == (SList(()), SList(()))
 
 
 def test_fiber_multiset_oracle_random():
     rng = Random(41)
     for _ in range(300):
         s = random_span(rng, 4)
-        fam = pseudofunctor_on_span(sys, s)
+        fam = pseudofunctor_on_span(s)
         for k in range(s.cod.size):
             expected = underlying_multiset(
                 SList(tuple(s.left(a) for a in fiber_oracle(s.right, k)))
@@ -122,25 +143,25 @@ def test_transposition_compatibility():
     for a in range(4):
         for b in range(4):
             for f in all_functions(a, b):
-                assert pseudofunctor_on_span(sys, transpose_span(span_push(f))) == lambda_v(f)
-                assert pseudofunctor_on_span(sys, span_push(f)) == lambda_u(f)
-                assert pseudofunctor_on_span(sys, span_pull(f)) == lambda_v(f)
+                assert pseudofunctor_on_span(transpose_span(span_push(f))) == lambda_v(f)
+                assert pseudofunctor_on_span(span_push(f)) == lambda_u(f)
+                assert pseudofunctor_on_span(span_pull(f)) == lambda_v(f)
 
 
 def test_pseudofunctor_on_cell_examples():
     pt, two = FinSet(1), FinSet(2)
     s = Span(FinFun(two, pt, (0, 0)), FinFun(two, pt, (0, 0)))
-    ident = pseudofunctor_on_cell(sys, SpanCell(s, s, identity_fun(two)))
-    assert ident == k_id_cell(pseudofunctor_on_span(sys, s))
+    ident = pseudofunctor_on_cell(SpanCell(s, s, identity_fun(two)))
+    assert ident == k_id_cell(pseudofunctor_on_span(s))
     swap = SpanCell(s, s, FinFun(two, two, (1, 0)))
-    cell = pseudofunctor_on_cell(sys, swap)
+    cell = pseudofunctor_on_cell(swap)
     assert [h.phi.img for h in cell.homs] == [(1, 0)]
-    assert k_vcomp(cell, pseudofunctor_on_cell(sys, SpanCell(s, s, FinFun(two, two, (1, 0))))) == k_id_cell(cell.src)
+    assert k_vcomp(cell, pseudofunctor_on_cell(SpanCell(s, s, FinFun(two, two, (1, 0))))) == k_id_cell(cell.src)
     from smckit.spans import adjunction_cells
 
     diag = adjunction_cells(FinFun(two, pt, (0, 0))).unit
     with pytest.raises(NotInvertible):
-        pseudofunctor_on_cell(sys, diag)
+        pseudofunctor_on_cell(diag)
 
 
 def test_on_cell_matches_linearity_when_available():
@@ -151,12 +172,12 @@ def test_on_cell_matches_linearity_when_available():
     while found < 100:
         s = random_span(rng, 3)
         c = random_pith_cell(rng, s)
-        fam1 = pseudofunctor_on_span(sys, s)
-        fam2 = pseudofunctor_on_span(sys, c.dst)
+        fam1 = pseudofunctor_on_span(s)
+        fam2 = pseudofunctor_on_span(c.dst)
         if not all(is_linear(l) for l in fam1.lists + fam2.lists):
             continue
         found += 1
-        cell = pseudofunctor_on_cell(sys, c)
+        cell = pseudofunctor_on_cell(c)
         forced = tuple(
             unique_hom_linear(fam1.lists[k], fam2.lists[k]) for k in range(fam1.src.size)
         )
@@ -178,7 +199,7 @@ def test_on_cell_matches_fiber_oracle():
     for _ in range(300):
         s = random_span(rng, 3)
         c = random_pith_cell(rng, s)
-        cell = pseudofunctor_on_cell(sys, c)
+        cell = pseudofunctor_on_cell(c)
         for k in range(s.cod.size):
             assert cell.homs[k].phi.img == fiber_cell_oracle(c, k)
 
@@ -186,11 +207,11 @@ def test_on_cell_matches_fiber_oracle():
 def test_eta_cell_shape():
     two = FinSet(2)
     swap = FinFun(two, two, (1, 0))
-    eta = eta_cell(sys, swap)
+    eta = eta_cell(swap)
     assert eta.dst == k_id(two)
     assert eta.src == k_compose(lambda_u(swap), lambda_v(swap))
     with pytest.raises(NotInvertible):
-        eta_cell(sys, FinFun(two, FinSet(1), (0, 0)))
+        eta_cell(FinFun(two, FinSet(1), (0, 0)))
 
 
 def test_f_comp_and_f_id_boundaries():
@@ -199,25 +220,22 @@ def test_f_comp_and_f_id_boundaries():
         s = random_span(rng, 3)
         t = random_span_from(rng, s.cod, 3)
         from smckit.spans import compose_span
-        from smckit.unbias import op_compose
 
-        cell = f_comp_cell(sys, s, t)
-        assert cell.src == pseudofunctor_on_span(sys, compose_span(s, t))
-        assert cell.dst == op_compose(
-            pseudofunctor_on_span(sys, s), pseudofunctor_on_span(sys, t)
-        )
+        cell = f_comp_cell(s, t)
+        assert cell.src == pseudofunctor_on_span(compose_span(s, t))
+        assert cell.dst == k_compose(pseudofunctor_on_span(t), pseudofunctor_on_span(s))
     for n in range(4):
-        cell = f_id_cell(sys, FinSet(n))
+        cell = f_id_cell(FinSet(n))
         assert cell.dst == k_id(FinSet(n))
 
 
 def test_pbc_laws_small():
-    report = check_pbc_laws(sys, max_size=2, paste_max_size=1, seed=0, random_pastes=50)
+    report = check_pbc_laws(max_size=2, paste_max_size=1, seed=0, random_pastes=50)
     assert report.ok, report
 
 
 def test_pseudofunctor_laws_small():
-    report = pseudofunctor_laws(sys, max_size=2, seed=0, samples=25)
+    report = pseudofunctor_laws(max_size=2, seed=0, samples=25)
     assert report.ok, report
 
 
