@@ -20,7 +20,7 @@ from .slist import (
     unique_hom_linear,
     word_from_hom,
 )
-from .monoidal import braiding, braiding_recursive, index_embed, tensor_hom, tensor_obj
+from .monoidal import braiding, braiding_recursive, tensor_hom, tensor_obj
 from .terms import (
     Assoc,
     Braid,
@@ -39,9 +39,7 @@ from .terms import (
     canonical_term,
     decide_equal,
     eval_mor,
-    eval_obj,
     normalize,
-    psi_monoidal_iso,
 )
 from .models import FinBijModel, FreeTermModel, SListModel, smc_law_failures
 from .spans import (
@@ -61,7 +59,6 @@ from .kleisli import (
     KHom,
     composite_multiset,
     duality,
-    duality_cell,
     k_compose,
     k_hcomp,
     k_id,

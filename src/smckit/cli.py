@@ -28,7 +28,17 @@ from .errors import ParseError, RecordFormatError, SmcError
 from .models import FreeTermModel, SListModel
 from .perms import reduced_word
 from .slist import hom_equal
-from .spans import FinFun, FinSet, Span, assoc_cell, compose_span, left_unitor_cell, right_unitor_cell
+from .spans import (
+    FinFun,
+    FinSet,
+    Span,
+    assoc_cell,
+    compose_span,
+    left_unitor_cell,
+    right_unitor_cell,
+    span_pull,
+    span_push,
+)
 from .terms import (
     Assoc,
     Braid,
@@ -488,9 +498,7 @@ def cmd_unbias(args, out) -> int:
             out.write(f"k={k}: fiber=[{','.join(map(str, l.labels))}] object: {render(result.objects[k])}\n")
     if args.cells:
         # the span factors through its apex as a pull followed by a push
-        factor_pull = Span(s.left, FinFun(s.apex, s.apex, tuple(range(s.apex.size))))
-        factor_push = Span(FinFun(s.apex, s.apex, tuple(range(s.apex.size))), s.right)
-        comp = unbias_comp_iso(factor_pull, factor_push, model, assign)
+        comp = unbias_comp_iso(span_pull(s.left), span_push(s.right), model, assign)
         units = unbias_unit_iso(s.dom, model, assign)
         render_m = render_mor if args.model == "term" else str
         if args.format == "record":

@@ -30,10 +30,6 @@ class PositionOutOfRange(SmcError):
     """A swap position does not fit the list it is applied to."""
 
 
-class IndexOutOfRange(SmcError):
-    """An index embedding argument is out of range."""
-
-
 class SourceTargetMismatch(SmcError):
     """Two list morphisms do not have the boundaries the operation requires."""
 

@@ -7,17 +7,14 @@ concatenation, which makes composition strictly associative and unital:
 the associator and unitor cells collapse to identities, and the strict
 equalities they would mediate are tested directly.
 
-Duality transposes a family, exchanging row and column multiplicities, and
-postcomposition by a lax monoidal functor yields the comparison morphisms of
-a lax transformation, built the way the extension folds a list.  The lax
-laws of the functor data are checked by ``laws.check_lax_laws``.
+Duality transposes a family, exchanging row and column multiplicities.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import BoundaryMismatch, LabelOutOfRange
 from .perms import Perm
@@ -30,7 +27,6 @@ from .slist import (
     underlying_multiset,
 )
 from .spans import FinSet
-from .terms import SmcModel, lookup
 
 
 @dataclass(frozen=True)
@@ -210,69 +206,3 @@ def duality(x: KHom) -> KHom:
         for k in l.labels:
             columns[k].append(j)
     return KHom(x.dst, x.src, tuple(SList(tuple(c)) for c in columns))
-
-
-def duality_cell(eta: KCell) -> KCell:
-    """Transpose a cell: occurrence ranks transport through each component.
-
-    The (j, r)-th occurrence of k on the target side maps to (j, r') where
-    r' ranks the image position among the k-occurrences of the source list.
-    """
-    x, y = eta.src, eta.dst
-    dx, dy = duality(x), duality(y)
-    homs = []
-    for k in range(x.dst.size):
-        phi = []
-        for j in range(y.src.size):
-            h = eta.homs[j]
-            src_positions = [p for p, lab in enumerate(h.src.labels) if lab == k]
-            src_rank = {p: r for r, p in enumerate(src_positions)}
-            src_offset = sum(x.lists[q].labels.count(k) for q in range(j))
-            for p, lab in enumerate(h.dst.labels):
-                if lab == k:
-                    phi.append(src_offset + src_rank[h.phi(p)])
-        homs.append(SListHom(dx.lists[k], dy.lists[k], Perm(tuple(phi))))
-    return KCell(dx, dy, tuple(homs))
-
-
-# ---------------------------------------------------------------------------
-# postcomposition by a monoidal functor
-
-
-@dataclass(frozen=True)
-class MonoidalFunctorData:
-    """A lax monoidal functor between two models, braiding-compatible.
-
-    ``unit_cmp`` is a target morphism unit -> obj(unit); ``tensor_cmp(a, b)``
-    a target morphism obj(a) (x) obj(b) -> obj(a (x) b), for source objects
-    a, b.  The functor is strong when both comparisons are invertible.
-    """
-
-    source: SmcModel
-    target: SmcModel
-    obj: Callable
-    mor: Callable
-    unit_cmp: object
-    tensor_cmp: Callable
-
-
-def naturality_cell(f: MonoidalFunctorData, khom: KHom, family) -> tuple:
-    """Comparison morphisms of the postcomposition square, one per source index.
-
-    ``family`` assigns a source-model object to each element of khom.dst.
-    Component j goes from the target-side fold over khom.lists[j] to the
-    image of the source-side fold.  It is built from the lax comparisons
-    the way the fold is, from the end of the list backwards, keeping the
-    source-side fold of the labels after the current one.  Invertible when
-    f is strong.
-    """
-    s, t = f.source, f.target
-    out = []
-    for l in khom.lists:
-        cell, rest = f.unit_cmp, s.unit()
-        for label in reversed(l.labels):
-            a = lookup(family, label)
-            cell = t.compose(t.tensor_mor(t.identity(f.obj(a)), cell), f.tensor_cmp(a, rest))
-            rest = s.tensor_obj(a, rest)
-        out.append(cell)
-    return tuple(out)

@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 from .kleisli import (
     KCell,
     KHom,
-    MonoidalFunctorData,
     composite_multiset,
     duality,
     invert_kcell,
@@ -188,6 +187,14 @@ def random_span_from(rng: Random, dom: FinSet, max_size: int) -> Span:
     return Span(left, right)
 
 
+def random_chain(rng: Random, size: int, length: int) -> list[Span]:
+    """``length`` composable random spans: one ``random_span``, then each out of the last codomain."""
+    chain = [random_span(rng, size)]
+    for _ in range(length - 1):
+        chain.append(random_span_from(rng, chain[-1].cod, size))
+    return chain
+
+
 def random_pith_cell(rng: Random, s: Span) -> SpanCell:
     """A cell out of ``s`` whose apex map is a random permutation."""
     perm = list(range(s.apex.size))
@@ -239,21 +246,6 @@ def coxeter_suite(max_exhaustive: int = 6, random_n: int = 8, samples: int = 100
             f"concatenation/composition mismatch at {u}, {v}",
         )
     return check.report()
-
-
-def random_reduced_word(rng: Random, n: int) -> tuple[int, ...]:
-    """A uniform-ish random reduced word: random descents of a random permutation."""
-    img = list(range(n))
-    rng.shuffle(img)
-    out = []
-    while True:
-        descents = [i for i in range(n - 1) if img[i] > img[i + 1]]
-        if not descents:
-            break
-        i = rng.choice(descents)
-        out.append(i)
-        img[i], img[i + 1] = img[i + 1], img[i]
-    return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +568,7 @@ def span_suite(max_size: int = 3, random_size: int = 5, samples: int = 1000, see
 
     for _ in range(samples):
         size = rng.choice((max_size, random_size))
-        s = random_span(rng, size)
-        t = random_span_from(rng, s.cod, size)
-        u = random_span_from(rng, t.cod, size)
-        v = random_span_from(rng, u.cod, size)
+        s, t, u, v = random_chain(rng, size, 4)
         check(_pentagon_holds(s, t, u, v), f"pentagon fails at random size {size}")
         check(_triangle_holds(s, t), f"triangle fails at random size {size}")
         c1 = random_pith_cell(rng, s)
@@ -660,26 +649,6 @@ def kleisli_suite(samples: int = 1000, seed: int = 0) -> LawReport:
             k_compose(k_compose(f, g), h) == k_compose(f, k_compose(g, h)),
             "strict associativity fails",
         )
-    return check.report()
-
-
-def check_lax_laws(f: MonoidalFunctorData, objs) -> LawReport:
-    """The braiding, associativity and unit laws of lax comparison data on objs."""
-    check = _Check("lax")
-    s, t, cmp, o = f.source, f.target, f.tensor_cmp, f.obj
-    eq, seq, par, ident = t.mor_equal, t.compose, t.tensor_mor, t.identity
-    for a in objs:
-        for b in objs:
-            lhs = seq(cmp(a, b), f.mor(s.braid(a, b)))
-            check(eq(lhs, seq(t.braid(o(a), o(b)), cmp(b, a))), f"braiding at ({a}, {b})")
-            for c in objs:
-                lhs = seq(seq(par(cmp(a, b), ident(o(c))), cmp(s.tensor_obj(a, b), c)), f.mor(s.assoc(a, b, c)))
-                rhs = seq(seq(t.assoc(o(a), o(b), o(c)), par(ident(o(a)), cmp(b, c))), cmp(a, s.tensor_obj(b, c)))
-                check(eq(lhs, rhs), f"associativity at ({a}, {b}, {c})")
-        lhs = seq(seq(par(f.unit_cmp, ident(o(a))), cmp(s.unit(), a)), f.mor(s.left_unitor(a)))
-        check(eq(lhs, t.left_unitor(o(a))), f"left unit at {a}")
-        lhs = seq(seq(par(ident(o(a)), f.unit_cmp), cmp(a, s.unit())), f.mor(s.right_unitor(a)))
-        check(eq(lhs, t.right_unitor(o(a))), f"right unit at {a}")
     return check.report()
 
 
@@ -822,9 +791,7 @@ def pseudofunctor_laws(max_size: int = 3, seed: int = 0, samples: int = 100) -> 
     rng = Random(seed)
 
     for _ in range(samples):
-        s = random_span(rng, max_size)
-        t = random_span_from(rng, s.cod, max_size)
-        u = random_span_from(rng, t.cod, max_size)
+        s, t, u = random_chain(rng, max_size, 3)
 
         c1 = random_pith_cell(rng, s)
         c2 = random_pith_cell(rng, c1.dst)
@@ -997,17 +964,8 @@ def unbias_suite(max_size: int = 3, seed: int = 0, triples_small: int = 40, trip
                 )
 
     rng = Random(seed)
-    triples = []
-    for _ in range(triples_small):
-        s = random_span(rng, 2)
-        t = random_span_from(rng, s.cod, 2)
-        u = random_span_from(rng, t.cod, 2)
-        triples.append((s, t, u))
-    for _ in range(triples_large):
-        s = random_span(rng, max_size)
-        t = random_span_from(rng, s.cod, max_size)
-        u = random_span_from(rng, t.cod, max_size)
-        triples.append((s, t, u))
+    triples = [random_chain(rng, 2, 3) for _ in range(triples_small)]
+    triples += [random_chain(rng, max_size, 3) for _ in range(triples_large)]
     naturality_rng = Random(seed + 1)
     for triple in triples:
         failures = unbias_coherence_failures(model, assignment_for, [triple], rng=naturality_rng)

@@ -56,9 +56,6 @@ class SListModel(SmcModel):
     def braid(self, a, b):
         return braiding(a, b)
 
-    def mor_equal(self, f, g):
-        return f.src == g.src and f.dst == g.dst and f.phi == g.phi
-
 
 class FinBijModel(SmcModel):
     """Objects are naturals, morphisms permutations, tensor is addition."""

@@ -10,7 +10,6 @@ over cons cells serves as an independent oracle.
 
 from __future__ import annotations
 
-from .errors import IndexOutOfRange
 from .perms import block_sum, block_swap
 from .slist import GenWord, SList, SListHom, hom_from_word
 
@@ -71,20 +70,3 @@ def braiding_recursive(x: SList, y: SList) -> SListHom:
     """
     word = _braiding_word(x, y)
     return hom_from_word(GenWord(tensor_obj(x, y), tuple(word)))
-
-
-def index_embed(x: SList, y: SList, side: str, i: int) -> int:
-    """Embed a factor index into the indices of x (x) y.
-
-    ``side`` is "left" or "right"; the two embeddings partition the indices
-    of the concatenation.
-    """
-    if side == "left":
-        if not 0 <= i < len(x):
-            raise IndexOutOfRange(f"left index {i} out of range for {x}")
-        return i
-    if side == "right":
-        if not 0 <= i < len(y):
-            raise IndexOutOfRange(f"right index {i} out of range for {y}")
-        return len(x) + i
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")

@@ -65,15 +65,6 @@ class Perm:
     def identity(n: int) -> "Perm":
         return Perm(tuple(range(n)))
 
-    @staticmethod
-    def swap(n: int, i: int) -> "Perm":
-        """The adjacent transposition t_i in S_n."""
-        if not 0 <= i < n - 1:
-            raise LetterOutOfRange(f"letter {i} needs size >= {i + 2}, got {n}")
-        img = list(range(n))
-        img[i], img[i + 1] = img[i + 1], img[i]
-        return Perm(tuple(img))
-
     def __str__(self) -> str:
         return "[" + ",".join(map(str, self.img)) + "]"
 

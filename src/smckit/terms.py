@@ -242,8 +242,8 @@ def lookup(assignment, label):
         raise UnassignedLabel(f"no object assigned to label {label!r}") from None
 
 
-def _evaluate(t, m: SmcModel, assignment) -> Any:
-    """The value of an object or morphism term, in one post-order pass.
+def eval_mor(t: MorTerm, m: SmcModel, assignment) -> Any:
+    """Typecheck a morphism term, then compute its value in one post-order pass.
 
     ``Inv`` flips a flag pushed down with its argument: under an odd number
     of them the parts of a composite come second first and each structural
@@ -251,6 +251,7 @@ def _evaluate(t, m: SmcModel, assignment) -> Any:
     recursion: the parts of a node left to right, then the call combining
     their values.
     """
+    typecheck(t)
     done: list = []
     todo: list = [(t, False)]  # (subterm, inverted), or (model method, number of values it combines)
     while todo:
@@ -285,17 +286,6 @@ def _evaluate(t, m: SmcModel, assignment) -> Any:
         else:
             raise TypeError(f"not a term: {node!r}")
     return done[0]
-
-
-def eval_obj(t: ObjTerm, m: SmcModel, assignment) -> Any:
-    """The value of an object term in a model, in one pass."""
-    return _evaluate(t, m, assignment)
-
-
-def eval_mor(t: MorTerm, m: SmcModel, assignment) -> Any:
-    """Typecheck a term, then evaluate it in one pass; Inv is pushed through structurally."""
-    typecheck(t)
-    return _evaluate(t, m, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -617,12 +607,3 @@ def psi_split(m: SmcModel, values, rest) -> tuple[Any, Any]:
         iso = m.compose(m.tensor_mor(m.identity(a), iso), m.assoc_inv(a, fold, rest))
         fold = m.tensor_obj(a, fold)
     return iso, fold
-
-
-def psi_monoidal_iso(l1: SList, l2: SList, assignment, m: SmcModel) -> Any:
-    """Iso Psi(l1 (x) l2) -> Psi(l1) (x) Psi(l2), from associators and unitors only.
-
-    It takes len(l1) + len(l2) tensors of objects.
-    """
-    heads = [lookup(assignment, label) for label in l1.labels]
-    return psi_split(m, heads, psi_obj(m, assignment, l2.labels))[0]

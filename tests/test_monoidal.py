@@ -1,12 +1,11 @@
-"""Monoidal structure on symmetric lists: tensor, braiding, embeddings."""
+"""Monoidal structure on symmetric lists: tensor, braiding, whiskering."""
 
 from random import Random
 
 import pytest
 
-from smckit.errors import IndexOutOfRange
 from smckit.models import SListModel
-from smckit.monoidal import braiding, braiding_recursive, index_embed, tensor_hom, tensor_obj
+from smckit.monoidal import braiding, braiding_recursive, tensor_hom, tensor_obj
 from smckit.slist import GenWord, SList, compose, hom_equal, hom_from_word, identity_hom, invert
 
 
@@ -108,24 +107,14 @@ def test_interchange():
         )
 
 
-def test_index_embed():
-    x, y = SList(("a", "b")), SList(("c", "d", "e"))
-    assert index_embed(x, y, "left", 1) == 1
-    assert index_embed(x, y, "right", 0) == 2
-    lefts = {index_embed(x, y, "left", i) for i in range(len(x))}
-    rights = {index_embed(x, y, "right", i) for i in range(len(y))}
-    assert lefts | rights == set(range(5)) and not lefts & rights
-    with pytest.raises(IndexOutOfRange):
-        index_embed(x, y, "left", 2)
-
-
 def test_whiskering_formula():
-    # tensoring with an identity acts on left-embedded indices through phi
+    # tensoring with an identity acts through phi on the indices of f's block:
+    # index i of the left factor, index len(z) + i behind a left factor z
     rng = Random(8)
     for _ in range(100):
         f = rand_hom(rng, tuple(rng.choice("ab") for _ in range(rng.randint(1, 4))))
         z = SList(tuple(rng.choice("cd") for _ in range(rng.randint(0, 3))))
-        whiskered = tensor_hom(f, identity_hom(z))
+        left, right = tensor_hom(f, identity_hom(z)), tensor_hom(identity_hom(z), f)
         for i in range(len(f.dst)):
-            lhs = whiskered.phi(index_embed(f.dst, z, "left", i))
-            assert lhs == index_embed(f.src, z, "left", f.phi(i))
+            assert left.phi(i) == f.phi(i)
+            assert right.phi(len(z) + i) == len(z) + f.phi(i)

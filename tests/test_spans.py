@@ -43,7 +43,7 @@ from smckit.spans import (
     vcomp,
     vertical_compose,
 )
-from smckit.laws import all_functions, random_pith_cell, random_span, random_span_from
+from smckit.laws import all_functions, random_chain, random_pith_cell, random_span, random_span_from
 
 
 def pullback_oracle(f: FinFun, g: FinFun) -> Pullback:
@@ -121,9 +121,7 @@ def test_fibers_match_the_scanning_oracle(cospan):
 def _cell_calls():
     """(name, thunk, pullbacks it must compute): one per distinct composite."""
     rng = Random(25)
-    s = random_span(rng, 3)
-    t = random_span_from(rng, s.cod, 3)
-    u = random_span_from(rng, t.cod, 3)
+    s, t, u = random_chain(rng, 3, 3)
     c, d = random_pith_cell(rng, s), random_pith_cell(rng, t)
     f = FinFun(FinSet(3), FinSet(2), (0, 1, 0))
     square = square_from_cospan(f, FinFun(FinSet(2), FinSet(2), (1, 0)))
@@ -179,9 +177,7 @@ def test_compose_span_examples():
 def test_structural_cells_are_pith_and_project():
     rng = Random(21)
     for _ in range(100):
-        s = random_span(rng, 3)
-        t = random_span_from(rng, s.cod, 3)
-        u = random_span_from(rng, t.cod, 3)
+        s, t, u = random_chain(rng, 3, 3)
         acell = assoc_cell(s, t, u)
         assert acell.is_pith()
         assert left_unitor_cell(s).is_pith() and right_unitor_cell(u).is_pith()
@@ -201,8 +197,7 @@ def test_structural_cells_are_pith_and_project():
 def test_unitor_triangle():
     rng = Random(22)
     for _ in range(100):
-        s = random_span(rng, 3)
-        t = random_span_from(rng, s.cod, 3)
+        s, t = random_chain(rng, 3, 2)
         lhs = vcomp(
             assoc_cell(s, identity_span(s.cod), t),
             horizontal_compose(identity_cell(s), left_unitor_cell(t)),
@@ -341,9 +336,7 @@ def test_pentagon_small():
 def test_structural_cell_naturality():
     rng = Random(24)
     for _ in range(100):
-        s = random_span(rng, 3)
-        t = random_span_from(rng, s.cod, 3)
-        u = random_span_from(rng, t.cod, 3)
+        s, t, u = random_chain(rng, 3, 3)
         c = random_pith_cell(rng, s)
         d = random_pith_cell(rng, t)
         e = random_pith_cell(rng, u)

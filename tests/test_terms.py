@@ -30,14 +30,13 @@ from smckit.terms import (
     canonical_term,
     decide_equal,
     eval_mor,
-    eval_obj,
+    lookup,
     normalize,
     normal_forms,
     normalize_obj,
     obj_labels,
     obj_text,
     psi_hom,
-    psi_monoidal_iso,
     psi_obj,
     psi_split,
     typecheck,
@@ -53,11 +52,12 @@ def singletons(label):
 
 
 def test_eval_obj():
-    assert eval_obj(Unit(), slist_model, singletons) == SList(())
-    assert eval_obj(a, slist_model, singletons) == SList(("a",))
-    assert eval_obj(Tensor(a, Unit()), slist_model, singletons) == SList(("a",))
+    # an object term's value is the object of its identity's value
+    assert eval_mor(Id(Unit()), slist_model, singletons).src == SList(())
+    assert eval_mor(Id(a), slist_model, singletons).src == SList(("a",))
+    assert eval_mor(Id(Tensor(a, Unit())), slist_model, singletons).src == SList(("a",))
     with pytest.raises(UnassignedLabel):
-        eval_obj(a, slist_model, {})
+        eval_mor(Id(a), slist_model, {})
 
 
 def test_eval_mor_examples():
@@ -154,6 +154,12 @@ def test_psi_extend():
     lhs = hom_fn(hom_compose(f, g))
     rhs = Comp(hom_fn(f), hom_fn(g))
     assert term_model.mor_equal(lhs, rhs)
+
+
+def psi_monoidal_iso(l1, l2, assignment, m):
+    """The iso Psi(l1 (x) l2) -> Psi(l1) (x) Psi(l2): psi_split of the values of l1 onto Psi(l2)."""
+    heads = [lookup(assignment, label) for label in l1.labels]
+    return psi_split(m, heads, psi_obj(m, assignment, l2.labels))[0]
 
 
 def test_psi_monoidal_iso():
@@ -422,7 +428,7 @@ def test_eval_matches_the_recursive_oracle(seed):
         obj = oracle.mor_src(t)
         for m, x in WALK_ASSIGNMENTS:
             ours, theirs = CallLog(m), CallLog(m)
-            assert eval_obj(obj, ours, x) == oracle.eval_obj(obj, theirs, x)
+            assert eval_mor(Id(obj), ours, x) == oracle.eval_mor(Id(obj), theirs, x)
             assert eval_mor(t, ours, x) == oracle.eval_mor(t, theirs, x)
             assert ours.calls == theirs.calls
 
@@ -452,9 +458,9 @@ def test_term_functions_on_terms_3000_deep(shallow_stack):
         deep = Tensor(deep, b)
     labels = ("a",) + ("b",) * 3000
     assert obj_labels(deep) == labels and normalize_obj(deep) == SList(labels)
-    assert obj_text(eval_obj(deep, term_model, Gen)) == str(deep) == "(" * 3000 + "a" + "*b)" * 3000
-    assert eval_obj(deep, slist_model, singletons) == SList(labels)
-    assert eval_obj(deep, FinBijModel(), lambda label: 1) == 3001
+    assert obj_text(eval_mor(Id(deep), term_model, Gen).obj) == str(deep) == "(" * 3000 + "a" + "*b)" * 3000
+    assert eval_mor(Id(deep), slist_model, singletons).src == SList(labels)
+    assert eval_mor(Id(deep), FinBijModel(), lambda label: 1).n == 3001
     s = Comp(Braid(deep, a), Braid(a, deep))
     assert [obj_text(o) for o in boundaries(s)] == [f"({deep}*a)"] * 2
     assert normalize(s).phi.is_identity() and decide_equal(s, Id(Tensor(deep, a)))
@@ -567,7 +573,7 @@ def test_psi_hom_evaluates_no_term(monkeypatch):
     def forbidden(*args):
         raise AssertionError("psi_hom went through a term")
 
-    for name in ("canonical_term", "eval_mor", "eval_obj", "typecheck", "boundaries"):
+    for name in ("canonical_term", "eval_mor", "typecheck", "boundaries"):
         monkeypatch.setattr(terms, name, forbidden)
     f = SListHom(SList(("a", "b", "c")), SList(("c", "b", "a")), Perm((2, 1, 0)))
     assert psi_hom(slist_model, singletons, f) == f

@@ -26,13 +26,13 @@ from smckit.laws import (
     check_pbc_laws,
     pseudofunctor_laws,
     psi_family_map,
+    random_chain,
     random_khom,
     random_pith_cell,
     random_span,
-    random_span_from,
     unbias_coherence_failures,
 )
-from smckit.terms import Braid, Gen, Id, normalize, psi_monoidal_iso, psi_obj
+from smckit.terms import Braid, Gen, Id, lookup, normalize, psi_obj, psi_split
 from smckit.unbias import (
     base_change_unique,
     eta_cell,
@@ -217,8 +217,7 @@ def test_eta_cell_shape():
 def test_f_comp_and_f_id_boundaries():
     rng = Random(43)
     for _ in range(100):
-        s = random_span(rng, 3)
-        t = random_span_from(rng, s.cod, 3)
+        s, t = random_chain(rng, 3, 2)
         from smckit.spans import compose_span
 
         cell = f_comp_cell(s, t)
@@ -262,8 +261,7 @@ def test_unbias_comp_and_unit_cells_normalize():
     m = FreeTermModel()
     rng = Random(44)
     for _ in range(20):
-        s = random_span(rng, 2)
-        t = random_span_from(rng, s.cod, 2)
+        s, t = random_chain(rng, 2, 2)
         x = {j: Gen(f"x{j}") for j in range(s.dom.size)}
         cells = unbias_comp_iso(s, t, m, x)
         for cell in cells:
@@ -280,12 +278,7 @@ def test_end_to_end_coherence_sample():
         return {j: Gen(f"x{j}") for j in range(dom.size)}
 
     rng = Random(45)
-    triples = []
-    for _ in range(8):
-        s = random_span(rng, 2)
-        t = random_span_from(rng, s.cod, 2)
-        u = random_span_from(rng, t.cod, 2)
-        triples.append((s, t, u))
+    triples = [random_chain(rng, 2, 3) for _ in range(8)]
     assert unbias_coherence_failures(m, assignment_for, triples, rng=Random(46)) == []
 
 
@@ -305,7 +298,8 @@ def psi_theta_iso_recursive(g, l, assignment, m):
         return m.identity(m.unit())
     head, tail = l.labels[0], SList(l.labels[1:])
     block = g.lists[head]
-    unpack = psi_monoidal_iso(block, theta_apply(g, tail), assignment, m)
+    heads = [lookup(assignment, label) for label in block.labels]
+    unpack = psi_split(m, heads, psi_obj(m, assignment, theta_apply(g, tail).labels))[0]
     inner = psi_theta_iso_recursive(g, tail, assignment, m)
     return m.compose(unpack, m.tensor_mor(m.identity(psi_obj(m, assignment, block.labels)), inner))
 
