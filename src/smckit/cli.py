@@ -561,46 +561,68 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="normal form of a structural morphism")
     p.add_argument("term", help="a term, or - to read it from stdin")
-    p.set_defaults(fn=cmd_normalize)
 
     p = sub.add_parser("equal", help="decide equality of two structural morphisms")
     p.add_argument("lhs", help="a term, or - to read it from stdin")
     p.add_argument("rhs", help="a term, or - to read it from stdin")
-    p.set_defaults(fn=cmd_equal)
 
     p = sub.add_parser("span-compose", help="compose span records by pullback")
     p.add_argument("spans", nargs="+", help="span records (file, JSON literal, or -)")
     p.add_argument("--cells", action="store_true", help="also print structural cells")
-    p.set_defaults(fn=cmd_span_compose)
 
     p = sub.add_parser("unbias", help="unbiased tensors of a span in a model")
     p.add_argument("span", help="span record (file, JSON literal, or -)")
     p.add_argument("family", help="family record (file, JSON literal, or -)")
     p.add_argument("--model", choices=("term", "slist"), default="term")
     p.add_argument("--cells", action="store_true", help="also print coherence cells")
-    p.set_defaults(fn=cmd_unbias)
 
     from . import laws
 
     p = sub.add_parser("check-laws", help="run a law suite")
     p.add_argument("--suite", default="all", choices=laws.suite_names())
     p.add_argument("--max-size", type=_positive_int, default=None)
-    # a string default goes through the type too, so the environment is checked here
-    p.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV, "0"), help=f"default: ${SEED_ENV}, else 0")
-    p.set_defaults(fn=cmd_check_laws)
+    # no default here: the parser is built once, so $SMCKIT_SEED is read in _parse_argv
+    p.add_argument("--seed", type=_seed, default=None, help=f"default: ${SEED_ENV}, else 0")
+    p.set_defaults(seed_error=p.error)
 
     return parser
 
 
+_PARSER = None  # build_parser(), made by the first _parse_argv call; parsing leaves it unchanged
+
+
+def _parse_argv(argv=None) -> argparse.Namespace:
+    """Parse argv with the process's one parser; SystemExit on --help or a usage error.
+
+    ``--seed`` falls back to ``$SMCKIT_SEED`` as it is when called, else 0.
+    The environment is checked before unrecognized arguments are reported,
+    the order in which argparse would check a default it converts.
+    """
+    global _PARSER
+    parser = _PARSER
+    if parser is None:
+        parser = _PARSER = build_parser()  # threads that race here build equal parsers; the last is kept
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "check-laws" and args.seed is None:
+        try:
+            args.seed = _seed(os.environ.get(SEED_ENV, "0"))
+        except argparse.ArgumentTypeError as exc:
+            args.seed_error(f"argument --seed: {exc}")
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_argv(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    # looked up at call time, so that a replaced cmd_* (e.g. a tracing wrapper) is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args, out)
+        return command(args, out)
     except (ParseError, RecordFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -326,7 +326,8 @@ class PullbackSquare:
     def comparison(self) -> FinFun:
         """The canonical map from the corner into the pullback of (bottom, right)."""
         pb = pullback(self.bottom, self.right)
-        return pullback_lift(pb, self.bottom, self.right, self.left, self.top)
+        # the square commutes (checked on construction), so (left, top) is a cone
+        return FinFun(self.left.src, pb.apex, tuple(map(pb.index, self.left.img, self.top.img)))
 
     def is_pullback(self) -> bool:
         return self.comparison().is_bijective()

@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from random import Random
 
 import pytest
+from cli_state_cases import CASES
 
 import smckit
 from smckit import cli, laws
@@ -505,3 +507,92 @@ def test_render_prints_composition_flat():
     f, g = Braid(x, y), Braid(y, x)
     assert render_mor(Comp(f, Comp(g, f))) == render_mor(Comp(Comp(f, g), f)) == "b x y ; b y x ; b x y"
     assert render_mor(Par(Comp(f, g), Id(Unit()))) == "(b x y ; b y x * id I)"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    for _ in range(20):
+        assert run("normalize", "b x y")[0] == 0
+        assert run("equal", "b x y", "b x y")[0] == 0
+        assert run("unbias", SPAN_A, FAMILY)[0] == 0
+    assert len(builds) == 1
+
+
+def test_parser_is_not_built_at_import():
+    # a shell run times the import and the parser build apart (the benchmark's setup_s)
+    env = dict(os.environ, PYTHONPATH=str(Path(smckit.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import smckit.cli; print(smckit.cli._PARSER)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "None\n"), proc.stderr
+
+
+def test_commands_are_looked_up_when_called(monkeypatch):
+    run("normalize", "b x y")  # the parser exists before the commands are replaced
+    calls = []
+
+    def counting(command):
+        def wrapper(args, out):
+            calls.append(command.__name__)
+            return command(args, out)
+        return wrapper
+
+    monkeypatch.setattr(cli, "cmd_normalize", counting(cli.cmd_normalize))
+    monkeypatch.setattr(cli, "cmd_unbias", counting(cli.cmd_unbias))
+    assert run("normalize", "b x y")[0] == 0
+    assert run("unbias", SPAN_A, FAMILY)[0] == 0
+    assert run("equal", "b x y", "b x y")[0] == 0
+    assert calls == ["cmd_normalize", "cmd_unbias"]
+
+
+def test_no_state_carries_over_between_calls(monkeypatch, capsys):
+    # good and bad argument lists and help requests in turn, with $SMCKIT_SEED changing under them
+    goldens = json.loads((Path(__file__).parent / "cli_state_goldens.json").read_text())
+    assert len(goldens) == len(CASES)
+    for (env_seed, argv, seed), golden in zip(CASES, goldens):
+        assert (golden["env_seed"], golden["argv"]) == (env_seed, list(argv))
+        monkeypatch.setenv("COLUMNS", "80")  # the help's width, as recorded
+        if env_seed is None:
+            monkeypatch.delenv("SMCKIT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SMCKIT_SEED", env_seed)
+        code = main(list(argv))  # stdout is read at call time: the captured one
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (golden["code"], golden["stdout"], golden["stderr"]), argv
+        if seed is not None:
+            assert json.loads(out)["seed"] == seed
+
+
+def test_threads_share_the_parser(monkeypatch):
+    rng = Random(12)
+    requests = []
+    for i in range(24):
+        term = render_mor(random_walk_term(rng, ["x", "y", "z", "w"][: 2 + i % 3], 6))
+        requests += [("normalize", term), ("equal", term, term)]
+    requests += [("span-compose", SPAN_A, SPAN_ID2, "--cells"), ("span-compose", SPAN_ID2, SPAN_A, SPAN_ID2, "--cells")] * 6
+    requests += [("unbias", SPAN_A, FAMILY, "--cells"), ("--format", "record", "unbias", SPAN_A, FAMILY, "--model", "slist")] * 6
+    Random(3).shuffle(requests)
+    serial = [run(*argv) for argv in requests]
+    assert all(code == 0 for code, _ in serial)
+    monkeypatch.setattr(cli, "_PARSER", None)  # the threads also race to build it
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda argv: run(*argv), requests, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial

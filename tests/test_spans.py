@@ -118,6 +118,20 @@ def test_fibers_match_the_scanning_oracle(cospan):
     assert fibers(f) == tuple(tuple(a for a in range(f.src.size) if f(a) == k) for k in range(f.dst.size))
 
 
+@given(cospans(), st.data())
+def test_comparison_is_the_pullback_lift(cospan, data):
+    # a random commuting square: a corner of up to 8 points, each sent to some pair over the cospan
+    bottom, right = cospan
+    pairs = pullback(bottom, right).pairs
+    cone = data.draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
+    corner = FinSet(len(cone))
+    left = FinFun(corner, bottom.src, tuple(a for a, _ in cone))
+    top = FinFun(corner, right.src, tuple(b for _, b in cone))
+    square = PullbackSquare(top, left, right, bottom)
+    lift = pullback_lift(pullback(bottom, right), bottom, right, left, top)
+    assert square.comparison() == lift
+
+
 def _cell_calls():
     """(name, thunk, pullbacks it must compute): one per distinct composite."""
     rng = Random(25)
