@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Per-layer curves: the time of one layer call against its size.
+
+Usage::
+
+    python3 scripts/curves.py --out BENCH_13.json
+
+Each point is the median of ``--repeats`` samples (default 5).  A sample
+times enough back-to-back calls to last at least 20 ms and reports the time
+of one call.  Sizes and seeds are fixed, so two runs measure the same work.
+The curves go under ``"curves"`` in the output file, and its other keys
+(the paired end-to-end runs that ``bench_pairs.py`` writes) are kept;
+without ``--out`` they are printed.  The curves are:
+
+* ``psi_hom_reversal``: ``terms.psi_hom`` of the n-element reversal of
+  singleton values, against n, in the SList and FinBij models (strict, so
+  a block permutation) and in the term model (the structural formula);
+* ``unbias_comp_iso``: ``unbias.unbias_comp_iso`` of a one-fiber span of
+  the given arity over an eight-entry family, factored as a pull then a
+  push the way ``smckit unbias --cells`` does, against arity, in the term
+  and slist models.
+
+Each curve also holds the least-squares slope of log time against log
+size: about 1 for linear growth, about 3 for cubic.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+from random import Random
+
+from smckit.cli import parse_obj
+from smckit.models import FinBijModel, FreeTermModel, SListModel
+from smckit.perms import Perm
+from smckit.slist import SList, SListHom
+from smckit.spans import FinFun, FinSet, span_pull, span_push
+from smckit.terms import Gen, normalize_obj, psi_hom
+from smckit.unbias import unbias_comp_iso
+
+PSI_SIZES = (10, 20, 30, 40, 60, 80, 100, 120)
+TERM_MAX_N = 60
+ARITIES = (4, 8, 12, 16, 24, 32, 40, 48)
+ENTRIES = 8
+MIN_SAMPLE_S = 0.02
+
+
+def sample_time(call, repeats: int) -> float:
+    """Median over ``repeats`` samples of the time of one call, in seconds."""
+    number, start = 1, time.perf_counter()
+    call()
+    while number * (time.perf_counter() - start) < MIN_SAMPLE_S and number < 1 << 16:
+        number *= 2
+        start = time.perf_counter()
+        call()
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(number):
+            call()
+        samples.append((time.perf_counter() - start) / number)
+    return statistics.median(samples)
+
+
+def loglog_slope(points: list) -> float | None:
+    if len(points) < 2:
+        return None
+    xs = [math.log(x) for x, _ in points]
+    ys = [math.log(y) for _, y in points]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    var = sum((x - mx) ** 2 for x in xs)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / var if var else None
+
+
+def curve(size_name: str, sizes, make_call, repeats: int) -> dict:
+    points = [[n, sample_time(make_call(n), repeats)] for n in sizes]
+    return {"x": size_name, "unit": "s", "points": points, "loglog_slope": loglog_slope(points)}
+
+
+def reversal_call(m, value):
+    def make(n: int):
+        labels = tuple(range(n))
+        f = SListHom(SList(labels), SList(labels[::-1]), Perm(labels[::-1]))
+        return lambda: psi_hom(m, value, f)
+    return make
+
+
+def comp_iso_call(model_name: str):
+    # fixed family entries of one and three generators, as the CLI parses them
+    texts = [f"p{j % 6}" if j % 2 == 0 else f"(p{j % 6} * (p{(j + 1) % 6} * p{(j + 2) % 6}))"
+             for j in range(ENTRIES)]
+    objs = {j: parse_obj(text) for j, text in enumerate(texts)}
+    if model_name == "term":
+        m, assign = FreeTermModel(), objs
+    else:
+        m, assign = SListModel(), {j: normalize_obj(o) for j, o in objs.items()}
+
+    def make(arity: int):
+        rng = Random(arity)
+        apex = FinSet(arity)
+        left = FinFun(apex, FinSet(ENTRIES), tuple(rng.randrange(ENTRIES) for _ in range(arity)))
+        right = FinFun(apex, FinSet(1), (0,) * arity)
+        return lambda: unbias_comp_iso(span_pull(left), span_push(right), m, assign)
+    return make
+
+
+def singleton(label) -> SList:
+    return SList((label,))
+
+
+def curves(psi_sizes, term_max_n: int, arities, repeats: int) -> dict:
+    return {
+        "machine": {"python": platform.python_version(), "cpus": os.cpu_count(), "platform": platform.platform()},
+        "repeats": repeats,
+        "psi_hom_reversal": {
+            "slist": curve("n", psi_sizes, reversal_call(SListModel(), singleton), repeats),
+            "finbij": curve("n", psi_sizes, reversal_call(FinBijModel(), lambda label: 1), repeats),
+            "term": curve("n", [n for n in psi_sizes if n <= term_max_n], reversal_call(FreeTermModel(), Gen), repeats),
+        },
+        "unbias_comp_iso": {
+            name: curve("arity", arities, comp_iso_call(name), repeats) for name in ("term", "slist")
+        },
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--out", type=Path, help="JSON file to add the curves to")
+    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--psi-sizes", type=int, nargs="+", default=PSI_SIZES)
+    p.add_argument("--term-max-n", type=int, default=TERM_MAX_N)
+    p.add_argument("--arities", type=int, nargs="+", default=ARITIES)
+    args = p.parse_args(argv)
+
+    t0 = time.perf_counter()
+    data = curves(args.psi_sizes, args.term_max_n, args.arities, args.repeats)
+    data["elapsed_s"] = time.perf_counter() - t0
+    if args.out is None:
+        print(json.dumps(data, indent=1))
+        return 0
+    report = json.loads(args.out.read_text()) if args.out.exists() else {}
+    report["curves"] = data
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BoundaryMismatch, LabelOutOfRange
-from .perms import Perm
+from .perms import Perm, block_perm
 from .slist import (
     SList,
     SListHom,
@@ -97,16 +97,9 @@ def theta_apply_hom(g: KHom, f: SListHom) -> SListHom:
     Whole blocks move the way f moves labels; positions inside a block are
     preserved.
     """
-    src = theta_apply(g, f.src)
+    src = theta_apply(g, f.src)  # raises LabelOutOfRange before a label indexes g
     dst = theta_apply(g, f.dst)
-    src_off = _offsets([len(g.lists[label]) for label in f.src.labels])
-    dst_off = _offsets([len(g.lists[label]) for label in f.dst.labels])
-    phi = [0] * len(dst)
-    for i, label in enumerate(f.dst.labels):
-        j = f.phi(i)
-        for t in range(len(g.lists[label])):
-            phi[dst_off[i] + t] = src_off[j] + t
-    return SListHom(src, dst, Perm(tuple(phi)))
+    return SListHom(src, dst, block_perm([len(g.lists[label]) for label in f.src.labels], f.phi))
 
 
 def k_compose(f: KHom, g: KHom) -> KHom:

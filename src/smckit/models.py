@@ -12,13 +12,17 @@ symmetry and inverse laws against any model.
 from __future__ import annotations
 
 from .monoidal import braiding, tensor_hom, tensor_obj
-from .perms import Perm, block_sum, block_swap
-from .slist import SList, compose as hom_compose, identity_hom
+from .perms import Perm, block_perm, block_sum, block_swap
+from .slist import SList, SListHom, compose as hom_compose, identity_hom
 from .terms import FreeTermModel, SmcModel  # noqa: F401  FreeTermModel is re-exported
 
 
 class SListModel(SmcModel):
-    """Symmetric lists with strict concatenation tensor."""
+    """Symmetric lists with strict concatenation tensor.
+
+    Associators and unitors are identities, so ``permute`` and ``regroup``
+    are computed directly on the concatenated labels.
+    """
 
     def unit(self):
         return SList(())
@@ -56,9 +60,21 @@ class SListModel(SmcModel):
     def braid(self, a, b):
         return braiding(a, b)
 
+    def permute(self, values, phi):
+        src = SList(tuple(label for v in values for label in v.labels))
+        dst = SList(tuple(label for j in phi.img for label in values[j].labels))
+        return SListHom(src, dst, block_perm([len(v) for v in values], phi))
+
+    def regroup(self, blocks):
+        return identity_hom(SList(tuple(label for values in blocks for v in values for label in v.labels)))
+
 
 class FinBijModel(SmcModel):
-    """Objects are naturals, morphisms permutations, tensor is addition."""
+    """Objects are naturals, morphisms permutations, tensor is addition.
+
+    Like ``SListModel`` it is strict, so ``permute`` is a block permutation
+    and ``regroup`` an identity.
+    """
 
     def unit(self):
         return 0
@@ -96,6 +112,12 @@ class FinBijModel(SmcModel):
 
     def braid(self, a, b):
         return block_swap(a, b)
+
+    def permute(self, values, phi):
+        return block_perm(values, phi)
+
+    def regroup(self, blocks):
+        return Perm.identity(sum(map(sum, blocks)))
 
 
 def smc_law_failures(m: SmcModel, objs) -> list[str]:

@@ -118,6 +118,26 @@ def block_swap(a: int, b: int) -> Perm:
     return Perm(tuple(range(a, a + b)) + tuple(range(a)))
 
 
+def block_perm(sizes: Sequence[int], phi: Perm) -> Perm:
+    """The permutation moving whole blocks the way phi moves points.
+
+    ``sizes[j]`` is the size of block j of the source; block i of the
+    target is block phi(i) of the source, its positions kept in order.
+
+    >>> block_perm((1, 2), Perm((1, 0))).img
+    (1, 2, 0)
+    >>> block_perm((2, 0, 1), Perm((2, 0, 1))).img
+    (2, 0, 1)
+    """
+    if len(sizes) != phi.n:
+        raise ValueError(f"{len(sizes)} block sizes for a permutation of size {phi.n}")
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    img: list[int] = []
+    for j in phi.img:
+        img += range(offsets[j], offsets[j + 1])
+    return Perm(tuple(img))
+
+
 def word_to_perm(word: Sequence[int], n: int) -> Perm:
     """Multiply out a word of adjacent transpositions in S_n.
 

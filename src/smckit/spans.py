@@ -4,7 +4,9 @@ Finite sets, pullbacks and the bicategory of spans.
 A finite set is just a size; a function stores its image sequence.  The
 pullback of two maps into a common target is one hash join that emits the
 agreeing pairs in lexicographic order, the canonical apex of a composite
-span.  ``pullback_lift`` checks its cone and is the one way into an apex.
+span.  ``pullback_lift`` checks its cone and maps into an apex; a square,
+which checked that it commutes when it was built, reads its lift off the
+pullback's index directly.
 
 Cells between spans are apex maps commuting with both legs; the pith is
 the cells with bijective maps.  Each cell constructor computes the pullback
@@ -364,8 +366,9 @@ def base_change_1cell(square: PullbackSquare) -> SpanCell:
     src = span_over(compose_pullback(pull_l, push_t), pull_l, push_t)
     dst_pb = compose_pullback(push_b, pull_r)
     # the legs of src are (left, top) over a copy of the corner, so this lift
-    # is the square's comparison map: the square is a pullback iff it is bijective
-    lift = pullback_lift(dst_pb, square.bottom, square.right, src.left, src.right)
+    # is the square's comparison map: the square is a pullback iff it is bijective;
+    # the square commutes (checked on construction), so they are a cone
+    lift = FinFun(src.apex, dst_pb.apex, tuple(map(dst_pb.index, src.left.img, src.right.img)))
     if not lift.is_bijective():
         raise NotPullbackSquare("base change needs a pullback square")
     return SpanCell(src, span_over(dst_pb, push_b, pull_r), lift)

@@ -186,7 +186,10 @@ class SmcModel:
     Composition is diagram order.  Shipped instances satisfy the pentagon,
     triangle, hexagon and symmetry laws; the shared check lives in
     ``models.smc_law_failures``.  ``braid_inv`` defaults to the opposite
-    braiding, which is correct in any symmetric model.
+    braiding, which is correct in any symmetric model.  ``permute`` and
+    ``regroup`` default to the structural formulas; a strict model, whose
+    associators and unitors are identities, overrides them with the
+    permutation those formulas equal by coherence.
     """
 
     def unit(self):
@@ -230,6 +233,52 @@ class SmcModel:
 
     def mor_equal(self, f, g) -> bool:
         return f == g
+
+    def permute(self, values, phi: Perm):
+        """The morphism from the fold of ``values`` to the fold of ``values[phi(0)], ...``.
+
+        The default writes the canonical formula: the identity on the fold,
+        then per letter p of the reduced word of phi the swap
+        ``assoc_inv(a, b, rest) ; (braid(a, b) (x) id rest) ; assoc(b, a, rest)``
+        of the values at p and p + 1, whiskered by the p values before them.
+        It is correct in every model.  By coherence a strict model may
+        return the block permutation of the values instead.
+        """
+        values = list(values)  # swapped in place below
+        ids = [self.identity(a) for a in values]
+        out = self.identity(_fold(self, values))
+        for p in reduced_word(phi):
+            a, b = values[p], values[p + 1]
+            rest = _fold(self, values[p + 2 :])
+            swap = self.compose(
+                self.compose(self.assoc_inv(a, b, rest), self.tensor_mor(self.braid(a, b), self.identity(rest))),
+                self.assoc(b, a, rest),
+            )
+            for i in reversed(range(p)):
+                swap = self.tensor_mor(ids[i], swap)
+            out = self.compose(out, swap)
+            values[p], values[p + 1] = b, a
+            ids[p], ids[p + 1] = ids[p + 1], ids[p]
+        return out
+
+    def regroup(self, blocks):
+        """The morphism from the fold of the concatenated blocks to the fold of the blocks' folds.
+
+        ``blocks`` is a sequence of value sequences.  The default is built
+        from the last block backwards, from associators and unitors only:
+        each step splits the fold of one block off the fold of the values
+        after it (``psi_split``).  It is correct in every model.  In a
+        strict model both folds are one object, and the result is its
+        identity.
+        """
+        iso = self.identity(self.unit())
+        rest = self.unit()  # the fold of the values of the blocks after the current one
+        for values in reversed(blocks):
+            split, fold = psi_split(self, values, rest)
+            iso = self.compose(split, self.tensor_mor(self.identity(fold), iso))
+            for a in reversed(values):
+                rest = self.tensor_obj(a, rest)
+        return iso
 
 
 def lookup(assignment, label):
@@ -521,27 +570,11 @@ def psi_obj(m: SmcModel, assignment, labels) -> Any:
 def psi_hom(m: SmcModel, assignment, f: SListHom) -> Any:
     """Image of a list morphism under the monoidal extension of the assignment.
 
-    The identity on Psi(src), then per letter p of the reduced word of f the
-    swap ``assoc_inv(a, b, rest) ; (braid(a, b) (x) id rest) ; assoc(b, a, rest)``
-    of the values at p and p + 1, whiskered by the p values before them.
-    One pass over the word: no term is built and nothing recurses.
+    It is the model's ``permute`` of the source values by f.phi: the
+    canonical formula by default, in one pass with no term built and
+    nothing recursing.
     """
-    values = [lookup(assignment, label) for label in f.src.labels]
-    ids = [m.identity(a) for a in values]
-    out = m.identity(_fold(m, values))
-    for p in reduced_word(f.phi):
-        a, b = values[p], values[p + 1]
-        rest = _fold(m, values[p + 2 :])
-        swap = m.compose(
-            m.compose(m.assoc_inv(a, b, rest), m.tensor_mor(m.braid(a, b), m.identity(rest))),
-            m.assoc(b, a, rest),
-        )
-        for i in reversed(range(p)):
-            swap = m.tensor_mor(ids[i], swap)
-        out = m.compose(out, swap)
-        values[p], values[p + 1] = b, a
-        ids[p], ids[p + 1] = ids[p + 1], ids[p]
-    return out
+    return m.permute([lookup(assignment, label) for label in f.src.labels], f.phi)
 
 
 class FreeTermModel(SmcModel):

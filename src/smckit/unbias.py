@@ -42,7 +42,7 @@ from .spans import (
     fibers,
     identity_fun,
 )
-from .terms import SmcModel, lookup, psi_hom, psi_obj, psi_split
+from .terms import SmcModel, lookup, psi_hom, psi_obj
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +198,11 @@ def psi_theta_iso(g: KHom, l: SList, assignment, m: SmcModel):
     """From the fold of a concatenated extension to the iterated fold.
 
     Sends the value at Theta_g(l) to the fold over l of the per-label
-    values, with no braidings.  It is built from the end of l backwards:
-    each step splits the fold of one block off the fold of the extension
-    of the labels after it, which is kept as it goes.
+    values, with no braidings: the model's ``regroup`` of the blocks
+    g(label), one per label of l.
     """
     theta_apply(g, l)  # raises LabelOutOfRange unless every label of l is in g's source
-    iso = m.identity(m.unit())
-    rest = m.unit()  # Psi(Theta_g(the labels of l after the current one))
-    for head in reversed(l.labels):
-        values = [lookup(assignment, label) for label in g.lists[head].labels]
-        split, fold = psi_split(m, values, rest)
-        iso = m.compose(split, m.tensor_mor(m.identity(fold), iso))
-        for a in reversed(values):
-            rest = m.tensor_obj(a, rest)
-    return iso
+    return m.regroup([[lookup(assignment, label) for label in g.lists[head].labels] for head in l.labels])
 
 
 def unbias_comp_iso(s: Span, t: Span, m: SmcModel, assignment) -> tuple:

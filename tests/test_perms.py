@@ -11,6 +11,8 @@ from smckit.perms import (
     CoxeterMatrixA,
     Perm,
     all_perms,
+    block_perm,
+    block_swap,
     exchange_step,
     inversion_length,
     is_reduced,
@@ -201,3 +203,23 @@ def test_perm_group_basics():
     assert p.inverse().inverse() == p
     with pytest.raises(ValueError):
         Perm((0, 0, 1))
+
+
+@given(st.integers(0, 6), st.integers(0, 6))
+def test_block_perm_of_the_swap_is_block_swap(a, b):
+    assert block_perm((a, b), Perm((1, 0))) == block_swap(a, b)
+
+
+@given(st.lists(st.integers(0, 3), max_size=6), st.randoms(use_true_random=False))
+def test_block_perm_moves_whole_blocks(sizes, rng):
+    img = list(range(len(sizes)))
+    rng.shuffle(img)
+    phi = Perm(tuple(img))
+    points = [(j, t) for j, size in enumerate(sizes) for t in range(size)]  # (block, offset) of each source point
+    moved = [(j, t) for j in phi.img for t in range(sizes[j])]
+    assert block_perm(sizes, phi).img == tuple(map(points.index, moved))
+
+
+def test_block_perm_needs_one_size_per_point():
+    with pytest.raises(ValueError):
+        block_perm((1, 1, 1), Perm((1, 0)))

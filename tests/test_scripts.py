@@ -1,5 +1,6 @@
 """The example scripts run end to end."""
 
+import json
 import os
 import subprocess
 import sys
@@ -20,3 +21,25 @@ def test_unbias_demo_runs():
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert "composite family: [[0, 1, 0]]" in proc.stdout.splitlines()
+
+
+def test_curves_runs_on_tiny_sizes(tmp_path):
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"runs": []}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "curves.py"), "--out", str(out), "--repeats", "1",
+         "--psi-sizes", "2", "3", "--term-max-n", "2", "--arities", "1", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert report["runs"] == []  # the file's other keys are kept
+    curves = report["curves"]
+    assert [n for n, _ in curves["psi_hom_reversal"]["slist"]["points"]] == [2, 3]
+    assert [n for n, _ in curves["psi_hom_reversal"]["term"]["points"]] == [2]
+    assert [n for n, _ in curves["unbias_comp_iso"]["term"]["points"]] == [1, 2]
+    assert all(t > 0 for c in curves["psi_hom_reversal"].values() for _, t in c["points"])

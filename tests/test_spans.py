@@ -132,6 +132,19 @@ def test_comparison_is_the_pullback_lift(cospan, data):
     assert square.comparison() == lift
 
 
+@given(cospans(), st.randoms(use_true_random=False))
+def test_base_change_lift_is_the_pullback_lift(cospan, rng):
+    # a random pullback square: the canonical one with its corner relabelled by a bijection
+    bottom, right = cospan
+    pb = pullback(bottom, right)
+    order = list(range(pb.apex.size))
+    rng.shuffle(order)
+    left = FinFun(pb.apex, bottom.src, tuple(pb.p1.img[i] for i in order))
+    top = FinFun(pb.apex, right.src, tuple(pb.p2.img[i] for i in order))
+    square = PullbackSquare(top, left, right, bottom)
+    assert base_change_1cell(square).map == pullback_lift(pb, bottom, right, left, top)
+
+
 def _cell_calls():
     """(name, thunk, pullbacks it must compute): one per distinct composite."""
     rng = Random(25)

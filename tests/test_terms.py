@@ -24,6 +24,7 @@ from smckit.terms import (
     LeftUnitor,
     Par,
     RightUnitor,
+    SmcModel,
     Tensor,
     Unit,
     boundaries,
@@ -588,3 +589,29 @@ def test_psi_hom_of_a_60_reversal(shallow_stack):
     assert normalize(psi_hom(term_model, Gen, f)) == f
     assert psi_hom(slist_model, singletons, f) == f
     assert psi_hom(FinBijModel(), lambda label: 1, f) == f.phi
+
+
+# the strict models, each with a value of a given size for block j
+STRICT_MODELS = (
+    (slist_model, lambda size, j: SList(tuple("ab"[(j + t) % 2] for t in range(size)))),
+    (FinBijModel(), lambda size, j: size),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=7), st.randoms(use_true_random=False))
+def test_strict_permute_is_the_formula(sizes, rng):
+    img = list(range(len(sizes)))
+    rng.shuffle(img)
+    phi = Perm(tuple(img))
+    for m, value in STRICT_MODELS:
+        values = [value(size, j) for j, size in enumerate(sizes)]
+        assert m.mor_equal(m.permute(values, phi), SmcModel.permute(m, values, phi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), max_size=4), max_size=4))
+def test_strict_regroup_is_the_formula(block_sizes):
+    for m, value in STRICT_MODELS:
+        blocks = [[value(size, j) for j, size in enumerate(sizes)] for sizes in block_sizes]
+        assert m.mor_equal(m.regroup(blocks), SmcModel.regroup(m, blocks))

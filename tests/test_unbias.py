@@ -6,8 +6,9 @@ import pytest
 
 from smckit.errors import LabelOutOfRange, NotInvertible, NotPullbackSquare
 from smckit.kleisli import KHom, k_compose, k_id, k_id_cell, k_vcomp, theta_apply
-from smckit.models import FreeTermModel, SListModel
-from smckit.slist import SList, is_linear, underlying_multiset, unique_hom_linear
+from smckit.models import FinBijModel, FreeTermModel, SListModel
+from smckit.perms import Perm
+from smckit.slist import SList, SListHom, is_linear, underlying_multiset, unique_hom_linear
 from smckit.spans import (
     FinFun,
     FinSet,
@@ -32,7 +33,7 @@ from smckit.laws import (
     random_span,
     unbias_coherence_failures,
 )
-from smckit.terms import Braid, Gen, Id, lookup, normalize, psi_obj, psi_split
+from smckit.terms import Braid, Gen, Id, SmcModel, lookup, normalize, psi_hom, psi_obj, psi_split
 from smckit.unbias import (
     base_change_unique,
     eta_cell,
@@ -314,6 +315,29 @@ def test_psi_theta_iso_matches_the_recursion():
         lists = {k: SList((f"x{k}", "y")) for k in range(j)}
         assert psi_theta_iso(g, l, terms, FreeTermModel()) == psi_theta_iso_recursive(g, l, terms, FreeTermModel())
         assert psi_theta_iso(g, l, lists, SListModel()) == psi_theta_iso_recursive(g, l, lists, SListModel())
+
+
+@pytest.mark.parametrize(
+    "m, value",
+    [(SListModel(), lambda k: SList((f"x{k}",) * (k % 3))), (FinBijModel(), lambda k: k % 3)],
+    ids=["slist", "finbij"],
+)
+def test_strict_models_evaluate_no_formula(monkeypatch, m, value):
+    # values of sizes 0, 1 and 2, and a family with empty blocks
+    assignment = {k: value(k) for k in range(4)}
+    f = SListHom(SList((0, 1, 2, 3, 1)), SList((1, 3, 0, 1, 2)), Perm((4, 3, 0, 1, 2)))
+    g = KHom(FinSet(3), FinSet(4), (SList((1, 2)), SList(()), SList((3, 0, 1))))
+    l = SList((2, 0, 1, 0))
+    want_hom = SmcModel.permute(m, [assignment[label] for label in f.src.labels], f.phi)
+    want_iso = psi_theta_iso_recursive(g, l, assignment, m)
+
+    def forbidden(*args):
+        raise AssertionError("a strict model fell back to the formula")
+
+    for name in ("compose", "tensor_mor", "braid", "assoc", "assoc_inv"):
+        monkeypatch.setattr(type(m), name, forbidden)
+    assert psi_hom(m, assignment, f) == want_hom
+    assert psi_theta_iso(g, l, assignment, m) == want_iso
 
 
 def test_psi_theta_iso_checks_labels():
