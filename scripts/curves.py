@@ -18,7 +18,15 @@ without ``--out`` they are printed.  The curves are:
 * ``unbias_comp_iso``: ``unbias.unbias_comp_iso`` of a one-fiber span of
   the given arity over an eight-entry family, factored as a pull then a
   push the way ``smckit unbias --cells`` does, against arity, in the term
-  and slist models.
+  and slist models;
+* ``f_comp_cell``: ``unbias.f_comp_cell`` of two spans with n apex
+  elements each, against n.  The middle set has n elements and t's left
+  leg is a bijection onto it, so the composite apex has exactly n pairs;
+  s's left leg goes to eight elements and t's right leg to three, so
+  labels repeat as in ``unbias``;
+* ``k_hcomp``: ``kleisli.k_hcomp`` of a cell on one list of length n over
+  eight labels and a cell on eight lists of length 2, against n.  Both
+  cells permute their lists at random.
 
 Each curve also holds the least-squares slope of log time against log
 size: about 1 for linear growth, about 3 for cubic.
@@ -38,17 +46,21 @@ from pathlib import Path
 from random import Random
 
 from smckit.cli import parse_obj
+from smckit.kleisli import KCell, KHom, k_hcomp
+from smckit.laws import random_function
 from smckit.models import FinBijModel, FreeTermModel, SListModel
 from smckit.perms import Perm
 from smckit.slist import SList, SListHom
-from smckit.spans import FinFun, FinSet, span_pull, span_push
+from smckit.spans import FinFun, FinSet, Span, span_pull, span_push
 from smckit.terms import Gen, normalize_obj, psi_hom
-from smckit.unbias import unbias_comp_iso
+from smckit.unbias import f_comp_cell, unbias_comp_iso
 
 PSI_SIZES = (10, 20, 30, 40, 60, 80, 100, 120)
 TERM_MAX_N = 60
 ARITIES = (4, 8, 12, 16, 24, 32, 40, 48)
 ENTRIES = 8
+APEX_SIZES = (4, 8, 16, 32, 64, 128, 256)
+LIST_LENGTHS = (10, 20, 40, 80, 160, 320, 640)
 MIN_SAMPLE_S = 0.02
 
 
@@ -111,11 +123,38 @@ def comp_iso_call(model_name: str):
     return make
 
 
+def f_comp_call(n: int):
+    rng = Random(n)
+    s = Span(random_function(rng, n, ENTRIES), random_function(rng, n, n))
+    bijection = list(range(n))
+    rng.shuffle(bijection)
+    t = Span(FinFun(FinSet(n), FinSet(n), tuple(bijection)), random_function(rng, n, 3))
+    return lambda: f_comp_cell(s, t)
+
+
+def shuffled_cell(rng: Random, f: KHom) -> KCell:
+    """A cell from f to a family with each list permuted at random."""
+    homs = []
+    for l in f.lists:
+        phi = list(range(len(l)))
+        rng.shuffle(phi)
+        homs.append(SListHom(l, SList(tuple(l.labels[i] for i in phi)), Perm(tuple(phi))))
+    return KCell(f, KHom(f.src, f.dst, tuple(h.dst for h in homs)), tuple(homs))
+
+
+def k_hcomp_call(n: int):
+    rng = Random(n)
+    f = KHom(FinSet(1), FinSet(ENTRIES), (SList(tuple(rng.randrange(ENTRIES) for _ in range(n))),))
+    g = KHom(FinSet(ENTRIES), FinSet(4), tuple(SList((rng.randrange(4), rng.randrange(4))) for _ in range(ENTRIES)))
+    phi, psi = shuffled_cell(rng, f), shuffled_cell(rng, g)
+    return lambda: k_hcomp(phi, psi)
+
+
 def singleton(label) -> SList:
     return SList((label,))
 
 
-def curves(psi_sizes, term_max_n: int, arities, repeats: int) -> dict:
+def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeats: int) -> dict:
     return {
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(), "platform": platform.platform()},
         "repeats": repeats,
@@ -127,6 +166,8 @@ def curves(psi_sizes, term_max_n: int, arities, repeats: int) -> dict:
         "unbias_comp_iso": {
             name: curve("arity", arities, comp_iso_call(name), repeats) for name in ("term", "slist")
         },
+        "f_comp_cell": curve("apex", apex_sizes, f_comp_call, repeats),
+        "k_hcomp": curve("n", list_lengths, k_hcomp_call, repeats),
     }
 
 
@@ -137,10 +178,12 @@ def main(argv=None) -> int:
     p.add_argument("--psi-sizes", type=int, nargs="+", default=PSI_SIZES)
     p.add_argument("--term-max-n", type=int, default=TERM_MAX_N)
     p.add_argument("--arities", type=int, nargs="+", default=ARITIES)
+    p.add_argument("--apex-sizes", type=int, nargs="+", default=APEX_SIZES)
+    p.add_argument("--list-lengths", type=int, nargs="+", default=LIST_LENGTHS)
     args = p.parse_args(argv)
 
     t0 = time.perf_counter()
-    data = curves(args.psi_sizes, args.term_max_n, args.arities, args.repeats)
+    data = curves(args.psi_sizes, args.term_max_n, args.arities, args.apex_sizes, args.list_lengths, args.repeats)
     data["elapsed_s"] = time.perf_counter() - t0
     if args.out is None:
         print(json.dumps(data, indent=1))

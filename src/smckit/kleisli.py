@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
 
 from .errors import BoundaryMismatch, LabelOutOfRange
 from .perms import Perm, block_perm
@@ -83,14 +83,6 @@ def theta_apply(g: KHom, l: SList) -> SList:
     return SList(tuple(labels))
 
 
-def _offsets(sizes: Sequence[int]) -> list[int]:
-    out, acc = [], 0
-    for s in sizes:
-        out.append(acc)
-        acc += s
-    return out
-
-
 def theta_apply_hom(g: KHom, f: SListHom) -> SListHom:
     """The block permutation extending g along a list morphism.
 
@@ -135,8 +127,8 @@ def theta_whisker(psi: KCell, l: SList) -> SListHom:
     """Block-diagonal morphism with blocks psi at each label of l."""
     src = theta_apply(psi.src, l)
     dst = theta_apply(psi.dst, l)
-    src_off = _offsets([len(psi.src.lists[label]) for label in l.labels])
-    dst_off = _offsets([len(psi.dst.lists[label]) for label in l.labels])
+    src_off = list(accumulate((len(psi.src.lists[label]) for label in l.labels), initial=0))
+    dst_off = list(accumulate((len(psi.dst.lists[label]) for label in l.labels), initial=0))
     phi = [0] * len(dst)
     for t, label in enumerate(l.labels):
         h = psi.homs[label]

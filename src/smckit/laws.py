@@ -783,9 +783,11 @@ def check_pbc_laws(
 def pseudofunctor_laws(max_size: int = 3, seed: int = 0, samples: int = 100) -> LawReport:
     """Check the generated pseudofunctor on seeded random spans and cells.
 
-    Covers functoriality on cells, naturality of the composition comparison
-    in both arguments, the associativity transport identity and both unit
-    coherences, all as exact cell equalities in the strict target.
+    This checks the apex-key formulas of ``unbias`` against the ``kleisli``
+    whisker algebra, which they do not use: functoriality on cells,
+    naturality of the composition comparison in both arguments, the
+    associativity transport identity and both unit coherences, all as
+    exact cell equalities in the strict target.
     """
     check = _Check("pseudofunctor-laws")
     rng = Random(seed)

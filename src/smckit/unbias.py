@@ -2,8 +2,12 @@
 The fiber/value Pith-Beck-Chevalley system on finite sets, valued in the
 strict Kleisli target, the pseudofunctor it generates on spans of finite
 sets, and the end-to-end evaluator that realizes unbiased tensor products
-in any model.  The system is a set of plain functions, called directly;
-every one of its cells is forced by linearity.
+in any model.  The system is a set of plain functions, called directly.
+
+Every cell but the identity ``f_id_cell`` is one ``_linear_cell``, the
+unique bijection between two lists of distinct keys.  Fiber/value cells
+key linear lists by their labels; the pseudofunctor's cells key each
+entry by its apex element, the paper's universal formulas.
 
 Orientation conventions, fixed once here and used throughout:
 
@@ -29,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotInvertible, NotPullbackSquare
-from .kleisli import KCell, KHom, invert_kcell, k_compose, k_hcomp, k_id, k_id_cell, k_vcomp, theta_apply
-from .slist import SList, unique_hom_linear
+from .kleisli import KCell, KHom, k_compose, k_id, k_id_cell, theta_apply
+from .slist import SList, SListHom, unique_hom_linear
 from .spans import (
     FinFun,
     FinSet,
@@ -41,6 +45,7 @@ from .spans import (
     fcompose,
     fibers,
     identity_fun,
+    span_over,
 )
 from .terms import SmcModel, lookup, psi_hom, psi_obj
 
@@ -49,8 +54,13 @@ from .terms import SmcModel, lookup, psi_hom, psi_obj
 # the fiber/value system
 
 
-def _linear_cell(src: KHom, dst: KHom) -> KCell:
-    return KCell(src, dst, tuple(unique_hom_linear(s, d) for s, d in zip(src.lists, dst.lists)))
+def _linear_cell(src: KHom, dst: KHom, src_keys, dst_keys) -> KCell:
+    """Component k sends the entry keyed x in ``src.lists[k]`` to the one keyed x in ``dst.lists[k]``.
+
+    Each key list has one distinct key per entry; ``SListHom`` checks the labels.
+    """
+    phis = (unique_hom_linear(SList(tuple(a)), SList(tuple(b))).phi for a, b in zip(src_keys, dst_keys))
+    return KCell(src, dst, tuple(map(SListHom, src.lists, dst.lists, phis)))
 
 
 def lambda_u(f: FinFun) -> KHom:
@@ -65,22 +75,26 @@ def lambda_v(f: FinFun) -> KHom:
 
 def u_comp(f: FinFun, g: FinFun) -> KCell:
     """From u(f then g) to the stored form of "u(f) then u(g)"."""
-    return _linear_cell(lambda_u(fcompose(f, g)), k_compose(lambda_u(g), lambda_u(f)))
+    src, dst = lambda_u(fcompose(f, g)), k_compose(lambda_u(g), lambda_u(f))
+    return _linear_cell(src, dst, src.lists, dst.lists)
 
 
 def v_comp(f: FinFun, g: FinFun) -> KCell:
     """From v(f then g) to the stored form of "v(g) then v(f)"."""
-    return _linear_cell(lambda_v(fcompose(f, g)), k_compose(lambda_v(f), lambda_v(g)))
+    src, dst = lambda_v(fcompose(f, g)), k_compose(lambda_v(f), lambda_v(g))
+    return _linear_cell(src, dst, src.lists, dst.lists)
 
 
 def u_id(x: FinSet) -> KCell:
     """Collapse u(id_x) onto the strict unit at x."""
-    return _linear_cell(lambda_u(identity_fun(x)), k_id(x))
+    src, dst = lambda_u(identity_fun(x)), k_id(x)
+    return _linear_cell(src, dst, src.lists, dst.lists)
 
 
 def v_id(x: FinSet) -> KCell:
     """Collapse v(id_x) onto the strict unit at x."""
-    return _linear_cell(lambda_v(identity_fun(x)), k_id(x))
+    src, dst = lambda_v(identity_fun(x)), k_id(x)
+    return _linear_cell(src, dst, src.lists, dst.lists)
 
 
 def base_change_unique(square: PullbackSquare) -> KCell:
@@ -95,7 +109,7 @@ def base_change_unique(square: PullbackSquare) -> KCell:
         raise NotPullbackSquare("base change needs a pullback square")
     src = k_compose(lambda_v(square.bottom), lambda_u(square.right))
     dst = k_compose(lambda_u(square.left), lambda_v(square.top))
-    return _linear_cell(src, dst)
+    return _linear_cell(src, dst, src.lists, dst.lists)
 
 
 # ---------------------------------------------------------------------------
@@ -114,46 +128,37 @@ def pseudofunctor_on_span(s: Span) -> KHom:
     return k_compose(lambda_u(s.right), lambda_v(s.left))
 
 
-def eta_cell(phi: FinFun) -> KCell:
-    """For an iso phi, the cell from "v(phi) then u(phi)" onto the identity."""
-    if not phi.is_bijective():
-        raise NotInvertible("eta needs a bijective map")
-    square = PullbackSquare(phi, phi, identity_fun(phi.dst), identity_fun(phi.dst))
-    bc = base_change_unique(square)
-    collapse = k_hcomp(v_id(phi.dst), u_id(phi.dst))
-    return k_vcomp(invert_kcell(bc), collapse)
-
-
 def pseudofunctor_on_cell(c: SpanCell) -> KCell:
-    """Image of a pith cell: split both legs along the apex map, cancel eta."""
+    """Image of a pith cell, keyed by the apex of ``c.dst``.
+
+    At k the source keys are ``c.map(a)`` for each ``a`` in the right fiber
+    of ``c.src`` at k, and the target keys are the right fiber of ``c.dst``.
+    """
     if not c.is_pith():
         raise NotInvertible("only pith cells map forward")
-    phi = c.map
-    f2, g2 = c.dst.left, c.dst.right
-    split = k_hcomp(u_comp(phi, g2), v_comp(phi, f2))
-    cancel = k_hcomp(
-        k_id_cell(lambda_u(g2)),
-        k_hcomp(eta_cell(phi), k_id_cell(lambda_v(f2))),
-    )
-    return k_vcomp(split, cancel)
+    src_keys = [tuple(map(c.map, fiber)) for fiber in fibers(c.src.right)]
+    return _linear_cell(pseudofunctor_on_span(c.src), pseudofunctor_on_span(c.dst), src_keys, fibers(c.dst.right))
 
 
 def f_comp_cell(s: Span, t: Span) -> KCell:
-    """Comparison from the image of s;t to "image of s, then image of t"."""
+    """Comparison from the image of s;t to "image of s, then image of t".
+
+    Keyed by the apex of s;t, the pullback pairs (a, b): at l the source
+    keys are the right fiber of s;t, in lexicographic order, and the target
+    keys are ``pb.index(a, b)`` for each ``b`` in t's right fiber at l, then
+    each ``a`` in s's right fiber at ``t.left(b)``.
+    """
     pb = compose_pullback(s, t)
-    split = k_hcomp(u_comp(pb.p2, t.right), v_comp(pb.p1, s.left))
-    middle = PullbackSquare(pb.p1, pb.p2, s.right, t.left)
-    bc_inv = invert_kcell(base_change_unique(middle))
-    rearrange = k_hcomp(
-        k_id_cell(lambda_u(t.right)),
-        k_hcomp(bc_inv, k_id_cell(lambda_v(s.left))),
-    )
-    return k_vcomp(split, rearrange)
+    st = span_over(pb, s, t)
+    s_fibers = fibers(s.right)
+    dst_keys = [tuple(pb.index(a, b) for b in fiber for a in s_fibers[t.left(b)]) for fiber in fibers(t.right)]
+    dst = k_compose(pseudofunctor_on_span(t), pseudofunctor_on_span(s))
+    return _linear_cell(pseudofunctor_on_span(st), dst, fibers(st.right), dst_keys)
 
 
 def f_id_cell(x: FinSet) -> KCell:
-    """Comparison from the image of the identity span onto the identity 1-cell."""
-    return k_hcomp(v_id(x), u_id(x))
+    """Comparison from the image of the identity span onto the identity 1-cell; both are k_id(x)."""
+    return k_id_cell(k_id(x))
 
 
 # ---------------------------------------------------------------------------

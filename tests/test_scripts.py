@@ -29,7 +29,8 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "curves.py"), "--out", str(out), "--repeats", "1",
-         "--psi-sizes", "2", "3", "--term-max-n", "2", "--arities", "1", "2"],
+         "--psi-sizes", "2", "3", "--term-max-n", "2", "--arities", "1", "2",
+         "--apex-sizes", "1", "3", "--list-lengths", "1", "4"],
         capture_output=True,
         text=True,
         env=env,
@@ -42,4 +43,7 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     assert [n for n, _ in curves["psi_hom_reversal"]["slist"]["points"]] == [2, 3]
     assert [n for n, _ in curves["psi_hom_reversal"]["term"]["points"]] == [2]
     assert [n for n, _ in curves["unbias_comp_iso"]["term"]["points"]] == [1, 2]
+    assert [n for n, _ in curves["f_comp_cell"]["points"]] == [1, 3]
+    assert [n for n, _ in curves["k_hcomp"]["points"]] == [1, 4]
+    assert all(t > 0 for c in (curves["f_comp_cell"], curves["k_hcomp"]) for _, t in c["points"])
     assert all(t > 0 for c in curves["psi_hom_reversal"].values() for _, t in c["points"])

@@ -2,7 +2,9 @@
 
 from random import Random
 
+import pbc_oracle
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from smckit.errors import LabelOutOfRange, NotInvertible, NotPullbackSquare
 from smckit.kleisli import KHom, k_compose, k_id, k_id_cell, k_vcomp, theta_apply
@@ -36,7 +38,6 @@ from smckit.laws import (
 from smckit.terms import Braid, Gen, Id, SmcModel, lookup, normalize, psi_hom, psi_obj, psi_split
 from smckit.unbias import (
     base_change_unique,
-    eta_cell,
     f_comp_cell,
     f_id_cell,
     lambda_u,
@@ -167,7 +168,7 @@ def test_pseudofunctor_on_cell_examples():
 
 def test_on_cell_matches_linearity_when_available():
     # whenever both boundaries are componentwise linear the image cell is
-    # forced; the eta construction must agree with it
+    # forced; the apex-key construction must agree with it
     rng = Random(42)
     found = 0
     while found < 100:
@@ -208,11 +209,11 @@ def test_on_cell_matches_fiber_oracle():
 def test_eta_cell_shape():
     two = FinSet(2)
     swap = FinFun(two, two, (1, 0))
-    eta = eta_cell(swap)
+    eta = pbc_oracle.eta_cell(swap)
     assert eta.dst == k_id(two)
     assert eta.src == k_compose(lambda_u(swap), lambda_v(swap))
     with pytest.raises(NotInvertible):
-        eta_cell(FinFun(two, FinSet(1), (0, 0)))
+        pbc_oracle.eta_cell(FinFun(two, FinSet(1), (0, 0)))
 
 
 def test_f_comp_and_f_id_boundaries():
@@ -227,6 +228,42 @@ def test_f_comp_and_f_id_boundaries():
     for n in range(4):
         cell = f_id_cell(FinSet(n))
         assert cell.dst == k_id(FinSet(n))
+
+
+def span_between(dom: int, cod: int):
+    """Spans dom <- apex -> cod with up to six apex elements; empty when either end is."""
+    if dom and cod:
+        legs = st.lists(st.tuples(st.integers(0, dom - 1), st.integers(0, cod - 1)), max_size=6)
+    else:
+        legs = st.just([])
+    return legs.map(lambda pairs: Span(
+        FinFun(FinSet(len(pairs)), FinSet(dom), tuple(a for a, _ in pairs)),
+        FinFun(FinSet(len(pairs)), FinSet(cod), tuple(b for _, b in pairs)),
+    ))
+
+
+@st.composite
+def chain_and_pith_cell(draw):
+    """Composable spans s, t over sets of 0 to 3 elements, and a pith cell into s."""
+    j, k, l = (draw(st.integers(0, 3)) for _ in range(3))
+    s, t = draw(span_between(j, k)), draw(span_between(k, l))
+    p = FinFun(s.apex, s.apex, tuple(draw(st.permutations(range(s.apex.size)))))
+    return s, t, SpanCell(Span(fcompose(p, s.left), fcompose(p, s.right)), s, p)
+
+
+# one label everywhere, so a wrong phi passes every label check
+CONSTANT = Span(FinFun(FinSet(2), FinSet(1), (0, 0)), FinFun(FinSet(2), FinSet(1), (0, 0)))
+
+
+@example((CONSTANT, CONSTANT, SpanCell(CONSTANT, CONSTANT, FinFun(FinSet(2), FinSet(2), (1, 0)))))
+@settings(max_examples=500, deadline=None)
+@given(chain_and_pith_cell())
+def test_apex_key_cells_match_the_pasted_cells(case):
+    s, t, c = case
+    assert f_comp_cell(s, t) == pbc_oracle.f_comp_cell(s, t)
+    assert pseudofunctor_on_cell(c) == pbc_oracle.pseudofunctor_on_cell(c)
+    for x in (s.dom, s.cod, t.cod, s.apex):
+        assert f_id_cell(x) == pbc_oracle.f_id_cell(x)
 
 
 def test_pbc_laws_small():
