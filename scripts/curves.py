@@ -3,7 +3,7 @@
 
 Usage::
 
-    python3 scripts/curves.py --out BENCH_13.json
+    python3 scripts/curves.py --out BENCH_15.json
 
 Each point is the median of ``--repeats`` samples (default 5).  A sample
 times enough back-to-back calls to last at least 20 ms and reports the time
@@ -24,6 +24,12 @@ without ``--out`` they are printed.  The curves are:
   leg is a bijection onto it, so the composite apex has exactly n pairs;
   s's left leg goes to eight elements and t's right leg to three, so
   labels repeat as in ``unbias``;
+* ``pullback``, ``compose_span`` and ``assoc_cell``: ``spans.pullback`` of
+  the inner legs of those two spans, ``spans.compose_span`` of them, and
+  ``spans.assoc_cell`` of a chain of three built the same way (each left
+  leg after the first a bijection), against apex size n.  Every composite
+  in the chain has exactly n apex elements, and no ``shared_composites``
+  scope is open, as in ``smckit span-compose``;
 * ``k_hcomp``: ``kleisli.k_hcomp`` of a cell on one list of length n over
   eight labels and a cell on eight lists of length 2, against n.  Both
   cells permute their lists at random.
@@ -51,7 +57,7 @@ from smckit.laws import random_function
 from smckit.models import FinBijModel, FreeTermModel, SListModel
 from smckit.perms import Perm
 from smckit.slist import SList, SListHom
-from smckit.spans import FinFun, FinSet, Span, span_pull, span_push
+from smckit.spans import FinFun, FinSet, Span, assoc_cell, compose_span, pullback, span_pull, span_push
 from smckit.terms import Gen, normalize_obj, psi_hom
 from smckit.unbias import f_comp_cell, unbias_comp_iso
 
@@ -123,13 +129,41 @@ def comp_iso_call(model_name: str):
     return make
 
 
-def f_comp_call(n: int):
+def bijective_chain(n: int, length: int) -> list[Span]:
+    """``length`` composable spans over n apex elements whose composites all have n apex elements.
+
+    The first left leg goes to ``ENTRIES`` elements and the last right leg
+    to three; each inner foot has n elements, and each later left leg is a
+    random bijection onto it.
+    """
     rng = Random(n)
-    s = Span(random_function(rng, n, ENTRIES), random_function(rng, n, n))
-    bijection = list(range(n))
-    rng.shuffle(bijection)
-    t = Span(FinFun(FinSet(n), FinSet(n), tuple(bijection)), random_function(rng, n, 3))
+    chain = [Span(random_function(rng, n, ENTRIES), random_function(rng, n, n))]
+    for k in range(1, length):
+        bijection = list(range(n))
+        rng.shuffle(bijection)
+        cod = 3 if k == length - 1 else n
+        chain.append(Span(FinFun(FinSet(n), FinSet(n), tuple(bijection)), random_function(rng, n, cod)))
+    return chain
+
+
+def f_comp_call(n: int):
+    s, t = bijective_chain(n, 2)
     return lambda: f_comp_cell(s, t)
+
+
+def pullback_call(n: int):
+    s, t = bijective_chain(n, 2)
+    return lambda: pullback(s.right, t.left)
+
+
+def compose_span_call(n: int):
+    s, t = bijective_chain(n, 2)
+    return lambda: compose_span(s, t)
+
+
+def assoc_cell_call(n: int):
+    s, t, u = bijective_chain(n, 3)
+    return lambda: assoc_cell(s, t, u)
 
 
 def shuffled_cell(rng: Random, f: KHom) -> KCell:
@@ -167,6 +201,9 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
             name: curve("arity", arities, comp_iso_call(name), repeats) for name in ("term", "slist")
         },
         "f_comp_cell": curve("apex", apex_sizes, f_comp_call, repeats),
+        "pullback": curve("apex", apex_sizes, pullback_call, repeats),
+        "compose_span": curve("apex", apex_sizes, compose_span_call, repeats),
+        "assoc_cell": curve("apex", apex_sizes, assoc_cell_call, repeats),
         "k_hcomp": curve("n", list_lengths, k_hcomp_call, repeats),
     }
 

@@ -71,6 +71,7 @@ from .spans import (
     invert_cell,
     left_unitor_cell,
     right_unitor_cell,
+    shared_composites,
     span_pull,
     span_push,
     square_from_cospan,
@@ -500,41 +501,44 @@ def all_spans(max_size: int):
 
 
 def _pentagon_holds(s, t, u, v) -> bool:
-    lhs = vcomp(
-        horizontal_compose(assoc_cell(s, t, u), identity_cell(v)),
-        assoc_cell(s, compose_span(t, u), v),
-        horizontal_compose(identity_cell(s), assoc_cell(t, u, v)),
-    )
-    rhs = vcomp(assoc_cell(compose_span(s, t), u, v), assoc_cell(s, t, compose_span(u, v)))
+    with shared_composites():
+        lhs = vcomp(
+            horizontal_compose(assoc_cell(s, t, u), identity_cell(v)),
+            assoc_cell(s, compose_span(t, u), v),
+            horizontal_compose(identity_cell(s), assoc_cell(t, u, v)),
+        )
+        rhs = vcomp(assoc_cell(compose_span(s, t), u, v), assoc_cell(s, t, compose_span(u, v)))
     return lhs == rhs
 
 
 def _triangle_holds(s, t) -> bool:
-    lhs = vcomp(
-        assoc_cell(s, identity_span(s.cod), t),
-        horizontal_compose(identity_cell(s), left_unitor_cell(t)),
-    )
-    rhs = horizontal_compose(right_unitor_cell(s), identity_cell(t))
+    with shared_composites():
+        lhs = vcomp(
+            assoc_cell(s, identity_span(s.cod), t),
+            horizontal_compose(identity_cell(s), left_unitor_cell(t)),
+        )
+        rhs = horizontal_compose(right_unitor_cell(s), identity_cell(t))
     return lhs == rhs
 
 
 def _adjunction_holds(f: FinFun) -> bool:
     push, pull = span_push(f), span_pull(f)
-    unit, counit = adjunction_cells(f)
-    tri1 = vcomp(
-        invert_cell(left_unitor_cell(push)),
-        horizontal_compose(unit, identity_cell(push)),
-        assoc_cell(push, pull, push),
-        horizontal_compose(identity_cell(push), counit),
-        right_unitor_cell(push),
-    )
-    tri2 = vcomp(
-        invert_cell(right_unitor_cell(pull)),
-        horizontal_compose(identity_cell(pull), unit),
-        invert_cell(assoc_cell(pull, push, pull)),
-        horizontal_compose(counit, identity_cell(pull)),
-        left_unitor_cell(pull),
-    )
+    with shared_composites():
+        unit, counit = adjunction_cells(f)
+        tri1 = vcomp(
+            invert_cell(left_unitor_cell(push)),
+            horizontal_compose(unit, identity_cell(push)),
+            assoc_cell(push, pull, push),
+            horizontal_compose(identity_cell(push), counit),
+            right_unitor_cell(push),
+        )
+        tri2 = vcomp(
+            invert_cell(right_unitor_cell(pull)),
+            horizontal_compose(identity_cell(pull), unit),
+            invert_cell(assoc_cell(pull, push, pull)),
+            horizontal_compose(counit, identity_cell(pull)),
+            left_unitor_cell(pull),
+        )
     return tri1 == identity_cell(push) and tri2 == identity_cell(pull)
 
 
@@ -575,8 +579,9 @@ def span_suite(max_size: int = 3, random_size: int = 5, samples: int = 1000, see
         d1 = random_pith_cell(rng, c1.dst)
         c2 = random_pith_cell(rng, t)
         d2 = random_pith_cell(rng, c2.dst)
-        lhs = vcomp(horizontal_compose(c1, c2), horizontal_compose(d1, d2))
-        rhs = horizontal_compose(vcomp(c1, d1), vcomp(c2, d2))
+        with shared_composites():
+            lhs = vcomp(horizontal_compose(c1, c2), horizontal_compose(d1, d2))
+            rhs = horizontal_compose(vcomp(c1, d1), vcomp(c2, d2))
         check(lhs == rhs, f"interchange fails at random size {size}")
         check(_adjunction_holds(s.left), "adjunction triangles fail on a random leg")
     return check.report()

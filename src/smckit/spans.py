@@ -9,13 +9,20 @@ which checked that it commutes when it was built, reads its lift off the
 pullback's index directly.
 
 Cells between spans are apex maps commuting with both legs; the pith is
-the cells with bijective maps.  Each cell constructor computes the pullback
-of each composite once and reuses it for the span (``span_over``) and for
-the lifts into its apex.
+the cells with bijective maps.  Each equation is checked on image tuples,
+without building the composite map.  Every composite s;t goes through
+``_composite``, which computes its pullback once and reuses it for the span
+(``span_over``) and for the lifts into its apex.  Inside a
+``shared_composites()`` scope it also returns the same pair for every later
+request of an equal (s, t), so a law check that pastes many cells over the
+same chain builds each composite once; the table is dropped with the scope.
+The law suites open one scope per law check; the CLI opens none.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -73,11 +80,17 @@ def identity_fun(x: FinSet) -> FinFun:
     return FinFun(x, x, tuple(range(x.size)))
 
 
-def fcompose(f: FinFun, g: FinFun) -> FinFun:
-    """Diagram-order composite: f first, then g."""
+def _after(f: FinFun, g: FinFun) -> tuple[int, ...]:
+    """The image sequence of f then g, checked only to compose."""
     if f.dst != g.src:
         raise TargetMismatch(f"cannot compose: {f.dst} != {g.src}")
-    return FinFun(f.src, g.dst, tuple(g.img[v] for v in f.img))
+    gi = g.img
+    return tuple([gi[v] for v in f.img])
+
+
+def fcompose(f: FinFun, g: FinFun) -> FinFun:
+    """Diagram-order composite: f first, then g."""
+    return FinFun(f.src, g.dst, _after(f, g))
 
 
 def fibers(f: FinFun) -> tuple[tuple[int, ...], ...]:
@@ -122,10 +135,10 @@ def pullback(f: FinFun, g: FinFun) -> Pullback:
     buckets: dict[int, list[int]] = {}
     for b, v in enumerate(g.img):
         buckets.setdefault(v, []).append(b)
-    pairs = tuple((a, b) for a, v in enumerate(f.img) for b in buckets.get(v, ()))
+    pairs = tuple([(a, b) for a, v in enumerate(f.img) for b in buckets.get(v, ())])
     apex = FinSet(len(pairs))
-    p1 = FinFun(apex, f.src, tuple(a for a, _ in pairs))
-    p2 = FinFun(apex, g.src, tuple(b for _, b in pairs))
+    p1 = FinFun(apex, f.src, tuple([a for a, _ in pairs]))
+    p2 = FinFun(apex, g.src, tuple([b for _, b in pairs]))
     return Pullback(apex, p1, p2, pairs)
 
 
@@ -133,7 +146,7 @@ def pullback_lift(pb: Pullback, f: FinFun, g: FinFun, f1: FinFun, f2: FinFun) ->
     """The unique map into the pullback apex with p1.lift = f1 and p2.lift = f2."""
     if f1.src != f2.src:
         raise TargetMismatch("cone legs must share a source")
-    if fcompose(f1, f).img != fcompose(f2, g).img:
+    if _after(f1, f) != _after(f2, g):
         raise LiftEquationFails("cone does not commute over the shared target")
     return FinFun(f1.src, pb.apex, tuple(map(pb.index, f1.img, f2.img)))
 
@@ -175,9 +188,10 @@ class SpanCell:
             raise BoundaryMismatch("cells need parallel spans")
         if self.map.src != self.src.apex or self.map.dst != self.dst.apex:
             raise BoundaryMismatch("cell map must go between the apices")
-        if fcompose(self.map, self.dst.left).img != self.src.left.img:
+        m, dl, dr = self.map.img, self.dst.left.img, self.dst.right.img
+        if tuple([dl[v] for v in m]) != self.src.left.img:
             raise BoundaryMismatch("cell map does not commute with left legs")
-        if fcompose(self.map, self.dst.right).img != self.src.right.img:
+        if tuple([dr[v] for v in m]) != self.src.right.img:
             raise BoundaryMismatch("cell map does not commute with right legs")
 
     def is_pith(self) -> bool:
@@ -213,9 +227,52 @@ def span_over(pb: Pullback, s: Span, t: Span) -> Span:
     return Span(fcompose(pb.p1, s.left), fcompose(pb.p2, t.right))
 
 
+class _Scope(threading.local):
+    """Per thread, so that a scope in one thread shares nothing with another."""
+
+    table: dict | None = None  # value key of (s, t) -> _composite(s, t), while a scope is open
+
+
+_scope = _Scope()
+
+
+@contextmanager
+def shared_composites():
+    """Within the scope, each composite s;t is built once per value of (s, t).
+
+    A nested scope reuses the outer table; the table is dropped when the
+    outermost scope exits, so no composite outlives it.
+    """
+    if _scope.table is not None:
+        yield
+        return
+    _scope.table = {}
+    try:
+        yield
+    finally:
+        _scope.table = None
+
+
+def _composite(s: Span, t: Span) -> tuple[Pullback, Span]:
+    """The pullback of s;t and the span over it, shared inside ``shared_composites``."""
+    table = _scope.table
+    if table is None:
+        pb = compose_pullback(s, t)
+        return pb, span_over(pb, s, t)
+    # the legs' images and feet determine s and t, apexes included (an
+    # apex's size is its image's length); a flat tuple hashes in one call
+    sl, sr, tl, tr = s.left, s.right, t.left, t.right
+    key = (sl.img, sr.img, tl.img, tr.img, sl.dst.size, sr.dst.size, tl.dst.size, tr.dst.size)
+    found = table.get(key)
+    if found is None:
+        pb = compose_pullback(s, t)
+        found = table[key] = pb, span_over(pb, s, t)
+    return found
+
+
 def compose_span(s: Span, t: Span) -> Span:
     """The total span over the canonical pullback of the inner legs."""
-    return span_over(compose_pullback(s, t), s, t)
+    return _composite(s, t)[1]
 
 
 def identity_cell(s: Span) -> SpanCell:
@@ -237,11 +294,11 @@ def vcomp(*cells: SpanCell) -> SpanCell:
 
 def horizontal_compose(c1: SpanCell, c2: SpanCell) -> SpanCell:
     """Composite cell on composite spans, by the universal lift."""
-    src_pb = compose_pullback(c1.src, c2.src)
-    dst_pb = compose_pullback(c1.dst, c2.dst)
+    src_pb, src = _composite(c1.src, c2.src)
+    dst_pb, dst = _composite(c1.dst, c2.dst)
     f1, f2 = fcompose(src_pb.p1, c1.map), fcompose(src_pb.p2, c2.map)
     lift = pullback_lift(dst_pb, c1.dst.right, c2.dst.left, f1, f2)
-    return SpanCell(span_over(src_pb, c1.src, c2.src), span_over(dst_pb, c1.dst, c2.dst), lift)
+    return SpanCell(src, dst, lift)
 
 
 def invert_cell(c: SpanCell) -> SpanCell:
@@ -252,29 +309,25 @@ def invert_cell(c: SpanCell) -> SpanCell:
 
 def assoc_cell(s: Span, t: Span, u: Span) -> SpanCell:
     """(s;t);u => s;(t;u), the lift matching ((a,b),c) with (a,(b,c))."""
-    st_pb = compose_pullback(s, t)
-    st = span_over(st_pb, s, t)
-    outer = compose_pullback(st, u)
-    tu_pb = compose_pullback(t, u)
-    tu = span_over(tu_pb, t, u)
-    dst_pb = compose_pullback(s, tu)
+    st_pb, st = _composite(s, t)
+    outer, src = _composite(st, u)
+    tu_pb, tu = _composite(t, u)
+    dst_pb, dst = _composite(s, tu)
     to_tu = pullback_lift(tu_pb, t.right, u.left, fcompose(outer.p1, st_pb.p2), outer.p2)
     lift = pullback_lift(dst_pb, s.right, tu.left, fcompose(outer.p1, st_pb.p1), to_tu)
-    return SpanCell(span_over(outer, st, u), span_over(dst_pb, s, tu), lift)
+    return SpanCell(src, dst, lift)
 
 
 def left_unitor_cell(s: Span) -> SpanCell:
     """id;s => s, projecting the pair (j, a) to a."""
-    ident = identity_span(s.dom)
-    pb = compose_pullback(ident, s)
-    return SpanCell(span_over(pb, ident, s), s, pb.p2)
+    pb, src = _composite(identity_span(s.dom), s)
+    return SpanCell(src, s, pb.p2)
 
 
 def right_unitor_cell(s: Span) -> SpanCell:
     """s;id => s, projecting the pair (a, k) to a."""
-    ident = identity_span(s.cod)
-    pb = compose_pullback(s, ident)
-    return SpanCell(span_over(pb, s, ident), s, pb.p1)
+    pb, src = _composite(s, identity_span(s.cod))
+    return SpanCell(src, s, pb.p1)
 
 
 class AdjunctionCells(NamedTuple):
@@ -289,13 +342,13 @@ def adjunction_cells(f: FinFun) -> AdjunctionCells:
     to its common value under f.  Neither is a pith cell in general.
     """
     push, pull = span_push(f), span_pull(f)
-    unit_pb = compose_pullback(push, pull)
+    unit_pb, push_pull = _composite(push, pull)
     unit_map = pullback_lift(unit_pb, f, f, identity_fun(f.src), identity_fun(f.src))
-    unit = SpanCell(identity_span(f.src), span_over(unit_pb, push, pull), unit_map)
+    unit = SpanCell(identity_span(f.src), push_pull, unit_map)
 
-    counit_pb = compose_pullback(pull, push)
+    counit_pb, pull_push = _composite(pull, push)
     counit_map = fcompose(counit_pb.p1, f)
-    counit = SpanCell(span_over(counit_pb, pull, push), identity_span(f.dst), counit_map)
+    counit = SpanCell(pull_push, identity_span(f.dst), counit_map)
     return AdjunctionCells(unit, counit)
 
 
@@ -322,7 +375,8 @@ class PullbackSquare:
             raise BoundaryMismatch("square edges do not line up")
         if self.right.dst != self.bottom.dst:
             raise BoundaryMismatch("right and bottom must share their target")
-        if fcompose(self.top, self.right).img != fcompose(self.left, self.bottom).img:
+        r, b = self.right.img, self.bottom.img
+        if tuple([r[v] for v in self.top.img]) != tuple([b[v] for v in self.left.img]):
             raise BoundaryMismatch("square does not commute")
 
     def comparison(self) -> FinFun:
@@ -363,12 +417,12 @@ def base_change_1cell(square: PullbackSquare) -> SpanCell:
     """
     pull_l, push_t = span_pull(square.left), span_push(square.top)
     push_b, pull_r = span_push(square.bottom), span_pull(square.right)
-    src = span_over(compose_pullback(pull_l, push_t), pull_l, push_t)
-    dst_pb = compose_pullback(push_b, pull_r)
+    src = _composite(pull_l, push_t)[1]
+    dst_pb, dst = _composite(push_b, pull_r)
     # the legs of src are (left, top) over a copy of the corner, so this lift
     # is the square's comparison map: the square is a pullback iff it is bijective;
     # the square commutes (checked on construction), so they are a cone
     lift = FinFun(src.apex, dst_pb.apex, tuple(map(dst_pb.index, src.left.img, src.right.img)))
     if not lift.is_bijective():
         raise NotPullbackSquare("base change needs a pullback square")
-    return SpanCell(src, span_over(dst_pb, push_b, pull_r), lift)
+    return SpanCell(src, dst, lift)

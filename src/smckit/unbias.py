@@ -148,12 +148,16 @@ def f_comp_cell(s: Span, t: Span) -> KCell:
     keys are ``pb.index(a, b)`` for each ``b`` in t's right fiber at l, then
     each ``a`` in s's right fiber at ``t.left(b)``.
     """
+    return _f_comp_cell(s, t, pseudofunctor_on_span(s), pseudofunctor_on_span(t))
+
+
+def _f_comp_cell(s: Span, t: Span, fam_s: KHom, fam_t: KHom) -> KCell:
+    """``f_comp_cell(s, t)`` given the images ``fam_s`` of s and ``fam_t`` of t."""
     pb = compose_pullback(s, t)
     st = span_over(pb, s, t)
     s_fibers = fibers(s.right)
     dst_keys = [tuple(pb.index(a, b) for b in fiber for a in s_fibers[t.left(b)]) for fiber in fibers(t.right)]
-    dst = k_compose(pseudofunctor_on_span(t), pseudofunctor_on_span(s))
-    return _linear_cell(pseudofunctor_on_span(st), dst, fibers(st.right), dst_keys)
+    return _linear_cell(pseudofunctor_on_span(st), k_compose(fam_t, fam_s), fibers(st.right), dst_keys)
 
 
 def f_id_cell(x: FinSet) -> KCell:
@@ -217,7 +221,7 @@ def unbias_comp_iso(s: Span, t: Span, m: SmcModel, assignment) -> tuple:
     obtained by folding t's fibers over the family of s's objects.
     """
     fam_s, fam_t = pseudofunctor_on_span(s), pseudofunctor_on_span(t)
-    kcell = f_comp_cell(s, t)
+    kcell = _f_comp_cell(s, t, fam_s, fam_t)
     out = []
     for l in range(fam_t.src.size):
         move = psi_hom(m, assignment, kcell.homs[l])

@@ -1,15 +1,26 @@
-"""The list-morphism checks as loops, kept as the oracle for the whole-sequence checks.
+"""Value checks in their earlier forms, kept as the oracle for the faster ones.
 
 These are ``SListHom``'s label-transport check, ``Perm.__mul__`` and
 ``unique_hom_linear``'s permutation-equivalence test as they were before
 they ran as whole-sequence operations: one ``phi(i)`` per index, a
-generator per image entry, and two ``Counter``s compared.  They must
-accept, reject and word their exceptions exactly as the library does.
+generator per image entry, and two ``Counter``s compared.  Beside them are
+the ``SpanCell``, ``pullback_lift`` and ``PullbackSquare`` equations as
+they were before they compared image tuples: each side built as a checked
+``fcompose`` and its image compared.  They must accept, reject and word
+their exceptions exactly as the library does.
 """
 
-from smckit.errors import NotLinear, NotPermutationEquivalent, SourceTargetMismatch
+from smckit.errors import (
+    BoundaryMismatch,
+    LiftEquationFails,
+    NotLinear,
+    NotPermutationEquivalent,
+    SourceTargetMismatch,
+    TargetMismatch,
+)
 from smckit.perms import Perm
 from smckit.slist import SList, SListHom, is_linear, underlying_multiset
+from smckit.spans import FinFun, Pullback, Span, fcompose
 
 
 def check_slist_hom(src: SList, dst: SList, phi: Perm) -> None:
@@ -40,3 +51,35 @@ def unique_hom_linear(src: SList, dst: SList) -> SListHom:
     position = {label: i for i, label in enumerate(src.labels)}
     phi = Perm(tuple(position[label] for label in dst.labels))
     return SListHom(src, dst, phi)
+
+
+def check_span_cell(src: Span, dst: Span, map: FinFun) -> None:
+    """Raise as ``SpanCell(src, dst, map)`` must; return when it must accept."""
+    if src.dom != dst.dom or src.cod != dst.cod:
+        raise BoundaryMismatch("cells need parallel spans")
+    if map.src != src.apex or map.dst != dst.apex:
+        raise BoundaryMismatch("cell map must go between the apices")
+    if fcompose(map, dst.left).img != src.left.img:
+        raise BoundaryMismatch("cell map does not commute with left legs")
+    if fcompose(map, dst.right).img != src.right.img:
+        raise BoundaryMismatch("cell map does not commute with right legs")
+
+
+def pullback_lift(pb: Pullback, f: FinFun, g: FinFun, f1: FinFun, f2: FinFun) -> FinFun:
+    if f1.src != f2.src:
+        raise TargetMismatch("cone legs must share a source")
+    if fcompose(f1, f).img != fcompose(f2, g).img:
+        raise LiftEquationFails("cone does not commute over the shared target")
+    return FinFun(f1.src, pb.apex, tuple(map(pb.index, f1.img, f2.img)))
+
+
+def check_pullback_square(top: FinFun, left: FinFun, right: FinFun, bottom: FinFun) -> None:
+    """Raise as ``PullbackSquare(top, left, right, bottom)`` must; return when it must accept."""
+    if top.src != left.src:
+        raise BoundaryMismatch("top and left must share their source")
+    if top.dst != right.src or left.dst != bottom.src:
+        raise BoundaryMismatch("square edges do not line up")
+    if right.dst != bottom.dst:
+        raise BoundaryMismatch("right and bottom must share their target")
+    if fcompose(top, right).img != fcompose(left, bottom).img:
+        raise BoundaryMismatch("square does not commute")

@@ -13,7 +13,7 @@ import pytest
 from cli_state_cases import CASES
 
 import smckit
-from smckit import cli, laws
+from smckit import cli, laws, spans
 from smckit.cli import (
     main,
     parse_mor,
@@ -183,6 +183,21 @@ def test_record_errors():
     assert code == 2
     code, _ = run("normalize", "b x (y")
     assert code == 2
+
+
+def test_span_compose_shares_no_composites(monkeypatch):
+    """``span-compose`` builds each composite afresh: no ``shared_composites`` scope is open."""
+    tables = []
+    composite = spans._composite
+
+    def watching(s, t):
+        tables.append(spans._scope.table)
+        return composite(s, t)
+
+    monkeypatch.setattr(spans, "_composite", watching)
+    for fmt in ("text", "record"):
+        assert run("--format", fmt, "span-compose", SPAN_A, SPAN_ID2, SPAN_ID2, "--cells")[0] == 0
+    assert tables and all(table is None for table in tables)
 
 
 def test_unbias_golden():

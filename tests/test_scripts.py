@@ -43,7 +43,8 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     assert [n for n, _ in curves["psi_hom_reversal"]["slist"]["points"]] == [2, 3]
     assert [n for n, _ in curves["psi_hom_reversal"]["term"]["points"]] == [2]
     assert [n for n, _ in curves["unbias_comp_iso"]["term"]["points"]] == [1, 2]
-    assert [n for n, _ in curves["f_comp_cell"]["points"]] == [1, 3]
+    apex_curves = [curves[name] for name in ("f_comp_cell", "pullback", "compose_span", "assoc_cell")]
+    assert all([n for n, _ in c["points"]] == [1, 3] for c in apex_curves)
     assert [n for n, _ in curves["k_hcomp"]["points"]] == [1, 4]
-    assert all(t > 0 for c in (curves["f_comp_cell"], curves["k_hcomp"]) for _, t in c["points"])
+    assert all(t > 0 for c in (*apex_curves, curves["k_hcomp"]) for _, t in c["points"])
     assert all(t > 0 for c in curves["psi_hom_reversal"].values() for _, t in c["points"])

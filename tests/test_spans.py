@@ -1,5 +1,6 @@
 """Spans of finite sets: pullbacks, cells, adjunctions, base change."""
 
+from concurrent.futures import ThreadPoolExecutor
 from random import Random
 
 import pytest
@@ -391,3 +392,93 @@ def test_structural_cell_naturality():
         assert horizontal_compose(identity_cell(s), identity_cell(t)) == identity_cell(
             compose_span(s, t)
         )
+
+
+def _law_cells(rng: Random) -> list:
+    """The cells the pentagon, triangle, interchange and adjunction checks paste, on a random chain."""
+    s, t, u, v = random_chain(rng, rng.choice((2, 3, 4)), 4)
+    c1, c2 = random_pith_cell(rng, s), random_pith_cell(rng, t)
+    d1, d2 = random_pith_cell(rng, c1.dst), random_pith_cell(rng, c2.dst)
+    f = s.left
+    push, pull = span_push(f), span_pull(f)
+    unit, counit = adjunction_cells(f)
+    return [
+        horizontal_compose(assoc_cell(s, t, u), identity_cell(v)),
+        assoc_cell(s, compose_span(t, u), v),
+        horizontal_compose(identity_cell(s), assoc_cell(t, u, v)),
+        assoc_cell(compose_span(s, t), u, v),
+        assoc_cell(s, t, compose_span(u, v)),
+        assoc_cell(s, identity_span(s.cod), t),
+        horizontal_compose(identity_cell(s), left_unitor_cell(t)),
+        horizontal_compose(right_unitor_cell(s), identity_cell(t)),
+        horizontal_compose(c1, c2),
+        horizontal_compose(d1, d2),
+        horizontal_compose(vcomp(c1, d1), vcomp(c2, d2)),
+        unit,
+        counit,
+        horizontal_compose(unit, identity_cell(push)),
+        horizontal_compose(identity_cell(push), counit),
+        assoc_cell(push, pull, push),
+        assoc_cell(pull, push, pull),
+        invert_cell(left_unitor_cell(push)),
+        invert_cell(right_unitor_cell(pull)),
+    ]
+
+
+def test_cells_built_in_a_shared_scope_equal_those_built_outside():
+    for seed in range(40):
+        outside = _law_cells(Random(seed))
+        with spans.shared_composites():
+            inside = _law_cells(Random(seed))
+            again = _law_cells(Random(seed))
+        assert inside == outside and again == outside
+
+
+def test_a_shared_scope_keys_composites_by_value():
+    rng = Random(3)
+    s, t = random_chain(rng, 3, 2)
+    copy = Span(FinFun(s.apex, s.dom, s.left.img), FinFun(s.apex, s.cod, s.right.img))
+    assert compose_span(s, t) is not compose_span(s, t)
+    with spans.shared_composites():
+        first = compose_span(s, t)
+        assert compose_span(copy, t) is first
+        # the same images over larger feet are other spans
+        wider = Span(FinFun(s.apex, FinSet(s.dom.size + 1), s.left.img), s.right)
+        assert compose_span(wider, t).dom == FinSet(s.dom.size + 1)
+        off = Span(FinFun(t.apex, FinSet(t.dom.size + 1), t.left.img), t.right)
+        with pytest.raises(TargetMismatch):
+            compose_span(s, off)
+    assert spans._scope.table is None
+
+
+def test_a_shared_scope_leaves_no_table():
+    s, t = random_chain(Random(5), 3, 2)
+    with spans.shared_composites():
+        compose_span(s, t)
+        assert spans._scope.table
+        with ThreadPoolExecutor(1) as pool:  # another thread sees no scope
+            assert pool.submit(lambda: spans._scope.table).result() is None
+    assert spans._scope.table is None
+    with pytest.raises(RuntimeError):
+        with spans.shared_composites():
+            compose_span(s, t)
+            raise RuntimeError("a law check fails half way")
+    assert spans._scope.table is None
+
+
+def test_a_nested_shared_scope_reuses_the_outer_table():
+    s, t, u = random_chain(Random(7), 3, 3)
+    with spans.shared_composites():
+        table = spans._scope.table
+        s_t = compose_span(s, t)
+        with spans.shared_composites():
+            assert spans._scope.table is table
+            assert compose_span(s, t) is s_t
+            t_u = compose_span(t, u)
+        assert spans._scope.table is table
+        assert compose_span(t, u) is t_u
+        with pytest.raises(RuntimeError):
+            with spans.shared_composites():
+                raise RuntimeError("an inner check fails")
+        assert spans._scope.table is table
+    assert spans._scope.table is None

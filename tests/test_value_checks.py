@@ -1,10 +1,21 @@
-"""The list-morphism checks against their loop versions: same verdicts, same exceptions."""
+"""The value checks against their earlier versions: same verdicts, same exceptions."""
 
 from hypothesis import example, given, settings, strategies as st
 
 import check_oracle
 from smckit.perms import Perm
 from smckit.slist import SList, SListHom, unique_hom_linear
+from smckit.spans import (
+    FinFun,
+    FinSet,
+    PullbackSquare,
+    Span,
+    SpanCell,
+    fcompose,
+    pullback,
+    pullback_lift,
+    square_from_cospan,
+)
 
 LABELS = st.one_of(st.sampled_from("abc"), st.integers(0, 3))
 LISTS = st.lists(st.sampled_from("abcd"), max_size=6).map(lambda xs: SList(tuple(xs)))
@@ -63,3 +74,108 @@ def test_unique_hom_linear_matches_the_multiset_check(src, dst, shuffle):
         dst = SList(tuple(reversed(src.labels)))
     found = _outcome(lambda: unique_hom_linear(src, dst))
     assert found == _outcome(lambda: check_oracle.unique_hom_linear(src, dst))
+
+
+SIZES = st.integers(1, 3)
+
+
+def _fun(draw, src: int, dst: int) -> FinFun:
+    """A random map between sets of the given sizes (``dst`` is positive or ``src`` is 0)."""
+    img = draw(st.lists(st.integers(0, max(dst - 1, 0)), min_size=src, max_size=src))
+    return FinFun(FinSet(src), FinSet(dst), tuple(img))
+
+
+def _agree(library, oracle):
+    """The library accepts where the oracle does, and raises as it does (type and text) where not."""
+    found, expected = _outcome(library), _outcome(oracle)
+    assert found[0] == expected[0]
+    if expected[0] != "ok":
+        assert found == expected
+
+
+@st.composite
+def cell_data(draw):
+    """src, dst and map: mostly a commuting cell, sometimes with a leg, the map or a foot changed."""
+    a, b, j, k = draw(st.integers(0, 3)), draw(SIZES), draw(SIZES), draw(SIZES)
+    dst = Span(_fun(draw, b, j), _fun(draw, b, k))
+    m = _fun(draw, a, b)
+    left, right = fcompose(m, dst.left), fcompose(m, dst.right)
+    change = draw(st.sampled_from(("", "", "left", "right", "map", "left foot", "right foot", "apex")))
+    if change == "left":
+        left = _fun(draw, a, j)
+    elif change == "right":
+        right = _fun(draw, a, k)
+    elif change == "map":
+        m = _fun(draw, a, b)
+    elif change == "left foot":
+        left = FinFun(left.src, FinSet(j + 1), left.img)
+    elif change == "right foot":
+        right = FinFun(right.src, FinSet(k + 1), right.img)
+    elif change == "apex":
+        m = FinFun(m.src, FinSet(b + 1), m.img)
+    return Span(left, right), dst, m
+
+
+@settings(max_examples=500, deadline=None)
+@given(cell_data())
+def test_span_cell_checks_like_fcompose(data):
+    src, dst, m = data
+    _agree(lambda: SpanCell(src, dst, m), lambda: check_oracle.check_span_cell(src, dst, m))
+
+
+@st.composite
+def lift_data(draw):
+    """A cospan f, g, its pullback and a cone f1, f2: through the apex, random, or with a foot changed."""
+    x, y, w, c = draw(SIZES), draw(SIZES), draw(SIZES), draw(st.integers(0, 3))
+    f, g = _fun(draw, x, w), _fun(draw, y, w)
+    pb = pullback(f, g)
+    if pb.apex.size and draw(st.booleans()):
+        through = _fun(draw, c, pb.apex.size)
+        f1, f2 = fcompose(through, pb.p1), fcompose(through, pb.p2)
+    else:
+        f1, f2 = _fun(draw, c, x), _fun(draw, c, y)
+    change = draw(st.sampled_from(("", "", "", "f1 foot", "f2 foot", "both feet", "source")))
+    if change in ("f1 foot", "both feet"):
+        f1 = FinFun(f1.src, FinSet(x + 1), f1.img)
+    if change in ("f2 foot", "both feet"):
+        f2 = FinFun(f2.src, FinSet(y + 1), f2.img)
+    if change == "source":
+        f2 = _fun(draw, c + 1, y)
+    return pb, f, g, f1, f2
+
+
+@settings(max_examples=500, deadline=None)
+@given(lift_data())
+def test_pullback_lift_checks_like_fcompose(data):
+    assert _outcome(lambda: pullback_lift(*data)) == _outcome(lambda: check_oracle.pullback_lift(*data))
+
+
+@st.composite
+def square_data(draw):
+    """top, left, right, bottom: mostly the canonical square with an edge or a corner changed."""
+    z, y, w = draw(SIZES), draw(SIZES), draw(SIZES)
+    bottom, right = _fun(draw, z, w), _fun(draw, y, w)
+    square = square_from_cospan(bottom, right)
+    top, left = square.top, square.left
+    x = top.src.size
+    change = draw(st.sampled_from(("", "", "top", "left", "corner", "source", "edge", "target")))
+    if change == "top":
+        top = _fun(draw, x, y)
+    elif change == "left":
+        left = _fun(draw, x, z)
+    elif change == "corner":
+        corner = draw(st.integers(0, 3))
+        top, left = _fun(draw, corner, y), _fun(draw, corner, z)
+    elif change == "source":
+        left = _fun(draw, x + 1, z)
+    elif change == "edge":
+        right = _fun(draw, y + 1, w)
+    elif change == "target":
+        bottom = _fun(draw, z, w + 1)
+    return top, left, right, bottom
+
+
+@settings(max_examples=500, deadline=None)
+@given(square_data())
+def test_pullback_square_checks_like_fcompose(data):
+    _agree(lambda: PullbackSquare(*data), lambda: check_oracle.check_pullback_square(*data))
