@@ -3,7 +3,7 @@
 
 Usage::
 
-    python3 scripts/curves.py --out BENCH_15.json
+    python3 scripts/curves.py --out BENCH_16.json
 
 Each point is the median of ``--repeats`` samples (default 5).  A sample
 times enough back-to-back calls to last at least 20 ms and reports the time
@@ -15,6 +15,12 @@ without ``--out`` they are printed.  The curves are:
 * ``psi_hom_reversal``: ``terms.psi_hom`` of the n-element reversal of
   singleton values, against n, in the SList and FinBij models (strict, so
   a block permutation) and in the term model (the structural formula);
+* ``reduced_word``: ``perms.reduced_word`` of a random permutation of n
+  elements, against n, over the same sizes;
+* ``normalize``: ``terms.normalize`` of ``canonical_term`` of a random
+  permutation of n distinct labels, against the term's node count, for
+  the same sizes up to ``--term-max-n``.  Nodes are counted as perfbench's
+  tracer counts ``terms.nodes``: a shared subterm once per occurrence;
 * ``unbias_comp_iso``: ``unbias.unbias_comp_iso`` of a one-fiber span of
   the given arity over an eight-entry family, factored as a pull then a
   push the way ``smckit unbias --cells`` does, against arity, in the term
@@ -55,10 +61,10 @@ from smckit.cli import parse_obj
 from smckit.kleisli import KCell, KHom, k_hcomp
 from smckit.laws import random_function
 from smckit.models import FinBijModel, FreeTermModel, SListModel
-from smckit.perms import Perm
+from smckit.perms import Perm, reduced_word
 from smckit.slist import SList, SListHom
 from smckit.spans import FinFun, FinSet, Span, assoc_cell, compose_span, pullback, span_pull, span_push
-from smckit.terms import Gen, normalize_obj, psi_hom
+from smckit.terms import Gen, canonical_term, normalize, normalize_obj, psi_hom
 from smckit.unbias import f_comp_cell, unbias_comp_iso
 
 PSI_SIZES = (10, 20, 30, 40, 60, 80, 100, 120)
@@ -108,6 +114,44 @@ def reversal_call(m, value):
         f = SListHom(SList(labels), SList(labels[::-1]), Perm(labels[::-1]))
         return lambda: psi_hom(m, value, f)
     return make
+
+
+def random_perm(n: int) -> Perm:
+    img = list(range(n))
+    Random(n).shuffle(img)
+    return Perm(tuple(img))
+
+
+def reduced_word_call(n: int):
+    p = random_perm(n)
+    return lambda: reduced_word(p)
+
+
+def term_nodes(t) -> int:
+    """Tree nodes of a term, each shared subterm counted at every occurrence."""
+    counts, stack = {}, [t]
+    while stack:
+        node = stack[-1]
+        kids = [getattr(node, name) for name in node.__dataclass_fields__]
+        kids = [k for k in kids if hasattr(k, "__dataclass_fields__")]
+        pending = [k for k in kids if id(k) not in counts]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        counts[id(node)] = 1 + sum(counts[id(k)] for k in kids)
+    return counts[id(t)]
+
+
+def normalize_calls(sizes) -> dict:
+    """Node count -> a call normalizing the canonical term of a random n-element permutation."""
+    calls = {}
+    for n in sizes:
+        phi = random_perm(n)
+        labels = tuple(f"x{i}" for i in range(n))
+        t = canonical_term(SListHom(SList(labels), SList(tuple(labels[i] for i in phi.img)), phi))
+        calls[term_nodes(t)] = lambda t=t: normalize(t)
+    return calls
 
 
 def comp_iso_call(model_name: str):
@@ -189,6 +233,7 @@ def singleton(label) -> SList:
 
 
 def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeats: int) -> dict:
+    normalize_at = normalize_calls([n for n in psi_sizes if n <= term_max_n])
     return {
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(), "platform": platform.platform()},
         "repeats": repeats,
@@ -197,6 +242,8 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
             "finbij": curve("n", psi_sizes, reversal_call(FinBijModel(), lambda label: 1), repeats),
             "term": curve("n", [n for n in psi_sizes if n <= term_max_n], reversal_call(FreeTermModel(), Gen), repeats),
         },
+        "reduced_word": curve("n", psi_sizes, reduced_word_call, repeats),
+        "normalize": curve("nodes", list(normalize_at), normalize_at.get, repeats),
         "unbias_comp_iso": {
             name: curve("arity", arities, comp_iso_call(name), repeats) for name in ("term", "slist")
         },

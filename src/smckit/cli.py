@@ -76,11 +76,14 @@ _TOKEN = re.compile(r"[()*;]|[^\W\d]\w*|\S")
 _KINDS = {**{c: c for c in "()*;"}, **{word: word for word in KEYWORDS}}
 
 
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 def _position(text: str, index: int) -> tuple[int, int]:
     """Line and column of token ``index`` of ``text``; past the last token, of its end."""
     match = next(itertools.islice(_TOKEN.finditer(text), index, None), None)
-    offset = match.start() if match else len(text)
-    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+    return _line_column(text, match.start() if match else len(text))
 
 
 def _error(text: str, index: int, message: str) -> ParseError:
@@ -305,16 +308,16 @@ def render_mor(t: MorTerm) -> str:
 
 def load_record(source: str, kind: str) -> dict:
     """Read a JSON record from a literal string, a file path, or '-' (stdin)."""
-    if source == "-":
-        text = sys.stdin.read()
-    elif source.lstrip().startswith("{"):
-        text = source
-    else:
-        try:
-            with open(source) as fh:
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        elif source.lstrip().startswith("{"):
+            text = source
+        else:
+            with open(source, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise RecordFormatError(f"cannot read record from {source!r}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RecordFormatError(f"cannot read record from {source!r}: {exc}") from None
     try:
         record = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -373,6 +376,13 @@ def family_from_record(record: dict) -> tuple[int, dict]:
             if type(v) is not str:
                 raise TypeError(f"expected a string entry, found {_shown(v)}")
             entries[int(k)] = v
+        # the keys are exactly 0 .. size-1: each key is a natural number and distinct
+        extra = [k for k in entries if k >= size]
+        if extra:
+            raise ValueError(f'key "{min(extra)}" is outside a family of size {size}')
+        if len(entries) < size:
+            missing = next(k for k in itertools.count() if k not in entries)
+            raise ValueError(f'no entry for key "{missing}" in a family of size {size}')
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise RecordFormatError(f"malformed family record: {exc}") from None
     return size, entries
@@ -387,8 +397,14 @@ def emit(out, record: dict):
 
 
 def term_text(arg: str) -> str:
-    """A term given on the command line; '-' reads it from stdin."""
-    return sys.stdin.read() if arg == "-" else arg
+    """A term given on the command line; '-' reads it from stdin, which must decode as text."""
+    if arg != "-":
+        return arg
+    try:
+        return sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        read = exc.object[:exc.start].decode(exc.encoding, "replace")
+        raise ParseError(f"stdin is not {exc.encoding} text: {exc.reason}", *_line_column(read, len(read))) from None
 
 
 def cmd_normalize(args, out) -> int:

@@ -4,9 +4,8 @@ Finite sets, pullbacks and the bicategory of spans.
 A finite set is just a size; a function stores its image sequence.  The
 pullback of two maps into a common target is one hash join that emits the
 agreeing pairs in lexicographic order, the canonical apex of a composite
-span.  ``pullback_lift`` checks its cone and maps into an apex; a square,
-which checked that it commutes when it was built, reads its lift off the
-pullback's index directly.
+span.  Every map into an apex is ``Pullback.lift``, and its index lookup is
+the cone check.
 
 Cells between spans are apex maps commuting with both legs; the pith is
 the cells with bijective maps.  Each equation is checked on image tuples,
@@ -80,17 +79,12 @@ def identity_fun(x: FinSet) -> FinFun:
     return FinFun(x, x, tuple(range(x.size)))
 
 
-def _after(f: FinFun, g: FinFun) -> tuple[int, ...]:
-    """The image sequence of f then g, checked only to compose."""
+def fcompose(f: FinFun, g: FinFun) -> FinFun:
+    """Diagram-order composite: f first, then g."""
     if f.dst != g.src:
         raise TargetMismatch(f"cannot compose: {f.dst} != {g.src}")
     gi = g.img
-    return tuple([gi[v] for v in f.img])
-
-
-def fcompose(f: FinFun, g: FinFun) -> FinFun:
-    """Diagram-order composite: f first, then g."""
-    return FinFun(f.src, g.dst, _after(f, g))
+    return FinFun(f.src, g.dst, tuple([gi[v] for v in f.img]))
 
 
 def fibers(f: FinFun) -> tuple[tuple[int, ...], ...]:
@@ -121,6 +115,19 @@ class Pullback:
     def index(self, a: int, b: int) -> int:
         return self._index[(a, b)]
 
+    def lift(self, src: FinSet, left, right) -> FinFun:
+        """The map x -> (left[x], right[x]) from src into the apex.
+
+        A cone commutes exactly when each of its pairs lies in the pullback,
+        so the index lookup is the cone check.
+        """
+        index = self._index
+        try:
+            img = tuple([index[pair] for pair in zip(left, right, strict=True)])
+        except KeyError:
+            raise LiftEquationFails("cone does not commute over the shared target") from None
+        return FinFun(src, self.apex, img)
+
 
 def pullback(f: FinFun, g: FinFun) -> Pullback:
     """Pairs agreeing under two maps into a common target.
@@ -140,15 +147,6 @@ def pullback(f: FinFun, g: FinFun) -> Pullback:
     p1 = FinFun(apex, f.src, tuple([a for a, _ in pairs]))
     p2 = FinFun(apex, g.src, tuple([b for _, b in pairs]))
     return Pullback(apex, p1, p2, pairs)
-
-
-def pullback_lift(pb: Pullback, f: FinFun, g: FinFun, f1: FinFun, f2: FinFun) -> FinFun:
-    """The unique map into the pullback apex with p1.lift = f1 and p2.lift = f2."""
-    if f1.src != f2.src:
-        raise TargetMismatch("cone legs must share a source")
-    if _after(f1, f) != _after(f2, g):
-        raise LiftEquationFails("cone does not commute over the shared target")
-    return FinFun(f1.src, pb.apex, tuple(map(pb.index, f1.img, f2.img)))
 
 
 @dataclass(frozen=True)
@@ -296,8 +294,8 @@ def horizontal_compose(c1: SpanCell, c2: SpanCell) -> SpanCell:
     """Composite cell on composite spans, by the universal lift."""
     src_pb, src = _composite(c1.src, c2.src)
     dst_pb, dst = _composite(c1.dst, c2.dst)
-    f1, f2 = fcompose(src_pb.p1, c1.map), fcompose(src_pb.p2, c2.map)
-    lift = pullback_lift(dst_pb, c1.dst.right, c2.dst.left, f1, f2)
+    m1, m2 = c1.map.img, c2.map.img
+    lift = dst_pb.lift(src.apex, [m1[a] for a in src_pb.p1.img], [m2[b] for b in src_pb.p2.img])
     return SpanCell(src, dst, lift)
 
 
@@ -313,8 +311,9 @@ def assoc_cell(s: Span, t: Span, u: Span) -> SpanCell:
     outer, src = _composite(st, u)
     tu_pb, tu = _composite(t, u)
     dst_pb, dst = _composite(s, tu)
-    to_tu = pullback_lift(tu_pb, t.right, u.left, fcompose(outer.p1, st_pb.p2), outer.p2)
-    lift = pullback_lift(dst_pb, s.right, tu.left, fcompose(outer.p1, st_pb.p1), to_tu)
+    o1, p1, p2 = outer.p1.img, st_pb.p1.img, st_pb.p2.img
+    to_tu = tu_pb.lift(src.apex, [p2[i] for i in o1], outer.p2.img)
+    lift = dst_pb.lift(src.apex, [p1[i] for i in o1], to_tu.img)
     return SpanCell(src, dst, lift)
 
 
@@ -343,7 +342,7 @@ def adjunction_cells(f: FinFun) -> AdjunctionCells:
     """
     push, pull = span_push(f), span_pull(f)
     unit_pb, push_pull = _composite(push, pull)
-    unit_map = pullback_lift(unit_pb, f, f, identity_fun(f.src), identity_fun(f.src))
+    unit_map = unit_pb.lift(f.src, range(f.src.size), range(f.src.size))
     unit = SpanCell(identity_span(f.src), push_pull, unit_map)
 
     counit_pb, pull_push = _composite(pull, push)
@@ -381,9 +380,7 @@ class PullbackSquare:
 
     def comparison(self) -> FinFun:
         """The canonical map from the corner into the pullback of (bottom, right)."""
-        pb = pullback(self.bottom, self.right)
-        # the square commutes (checked on construction), so (left, top) is a cone
-        return FinFun(self.left.src, pb.apex, tuple(map(pb.index, self.left.img, self.top.img)))
+        return pullback(self.bottom, self.right).lift(self.left.src, self.left.img, self.top.img)
 
     def is_pullback(self) -> bool:
         return self.comparison().is_bijective()
@@ -420,9 +417,8 @@ def base_change_1cell(square: PullbackSquare) -> SpanCell:
     src = _composite(pull_l, push_t)[1]
     dst_pb, dst = _composite(push_b, pull_r)
     # the legs of src are (left, top) over a copy of the corner, so this lift
-    # is the square's comparison map: the square is a pullback iff it is bijective;
-    # the square commutes (checked on construction), so they are a cone
-    lift = FinFun(src.apex, dst_pb.apex, tuple(map(dst_pb.index, src.left.img, src.right.img)))
+    # is the square's comparison map: the square is a pullback iff it is bijective
+    lift = dst_pb.lift(src.apex, src.left.img, src.right.img)
     if not lift.is_bijective():
         raise NotPullbackSquare("base change needs a pullback square")
     return SpanCell(src, dst, lift)

@@ -4,10 +4,17 @@ These are ``SListHom``'s label-transport check, ``Perm.__mul__`` and
 ``unique_hom_linear``'s permutation-equivalence test as they were before
 they ran as whole-sequence operations: one ``phi(i)`` per index, a
 generator per image entry, and two ``Counter``s compared.  Beside them are
-the ``SpanCell``, ``pullback_lift`` and ``PullbackSquare`` equations as
-they were before they compared image tuples: each side built as a checked
-``fcompose`` and its image compared.  They must accept, reject and word
-their exceptions exactly as the library does.
+the ``SpanCell`` and ``PullbackSquare`` equations as they were before they
+compared image tuples: each side built as a checked ``fcompose`` and its
+image compared.  They must accept, reject and word their exceptions
+exactly as the library does.
+
+``pullback_lift`` is the checked universal lift that ``Pullback.lift``
+replaced: it takes the cone legs as maps, checks that they commute over
+the shared target, and only then reads the pullback's index.  On a cone
+whose legs share a source and land in the cospan's sources,
+``Pullback.lift`` must return the same map, and raise
+``LiftEquationFails`` with the same text exactly where it does.
 """
 
 from smckit.errors import (

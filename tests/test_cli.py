@@ -225,15 +225,36 @@ def test_unbias_missing_family_entry():
     assert code == 2
 
 
-def test_unbias_family_entry_parse_error_is_exit_2():
+def test_unbias_family_entry_parse_error_is_exit_2(capsys):
     # the family record is checked in full where it is read, so an
     # unparsable entry fails even where the span never uses it
+    span = _with(SPAN_A, ("left", "target"), 3)
     family = json.dumps({
-        "schema": "smckit/1", "kind": "family", "size": 2,
+        "schema": "smckit/1", "kind": "family", "size": 3,
         "entries": {"0": "x", "1": "(y*z)", "2": "(y*"},
     })
-    code, text = run("unbias", SPAN_A, family)
+    code, text = run("unbias", span, family)
     assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith("error: 1:4: ")
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({"0": "x", "1": "y", "7": "z"}, 'key "7" is outside a family of size 2'),
+        ({"0": "x", "2": "y"}, 'key "2" is outside a family of size 2'),
+        ({"0": "x"}, 'no entry for key "1" in a family of size 2'),
+        ({"1": "y"}, 'no entry for key "0" in a family of size 2'),
+        ({}, 'no entry for key "0" in a family of size 2'),
+    ],
+)
+def test_family_keys_are_exactly_the_foot(entries, message, capsys):
+    # the span's left leg reaches only 0, so a missing key 1 used to show
+    # only after the objects were printed, and a stray key was ignored
+    span = _with(SPAN_A, ("left", "img"), [0, 0, 0])
+    for cells in ((), ("--cells",)):
+        assert run("unbias", span, _with(FAMILY, ("entries",), entries), *cells) == (2, "")
+        assert capsys.readouterr().err == f"error: malformed family record: {message}\n"
 
 
 def test_unbias_cells_parses_each_family_entry_once(monkeypatch):
@@ -509,6 +530,30 @@ def test_terms_from_stdin():
 def test_two_terms_from_stdin_is_a_usage_error(capsys):
     assert run("equal", "-", "-") == (2, "")
     assert capsys.readouterr().err == "error: only one term can be read from stdin ('-')\n"
+
+
+def strict_stdin(data: bytes) -> io.TextIOWrapper:
+    """A stdin that decodes UTF-8 strictly, as with ``PYTHONIOENCODING=utf-8``."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+
+
+def test_input_that_is_not_utf8_is_exit_2(tmp_path, monkeypatch, capsys):
+    decode = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff" + SPAN_A.encode())
+    assert run("span-compose", str(bad)) == (2, "")
+    assert capsys.readouterr().err == f"error: cannot read record from {str(bad)!r}: {decode}\n"
+    monkeypatch.setattr(sys, "stdin", strict_stdin(b"\xff" + SPAN_A.encode()))
+    assert run("span-compose", "-") == (2, "")
+    assert capsys.readouterr().err == f"error: cannot read record from '-': {decode}\n"
+    monkeypatch.setattr(sys, "stdin", strict_stdin(b"\xff" + FAMILY.encode()))
+    assert run("unbias", SPAN_A, "-") == (2, "")
+    assert capsys.readouterr().err == f"error: cannot read record from '-': {decode}\n"
+    for command in (("normalize", "-"), ("equal", "b x y", "-")):
+        # the column counts characters: the two bytes of the e-acute are one
+        monkeypatch.setattr(sys, "stdin", strict_stdin(b"b x y ;\n  b \xc3\xa9 \xff"))
+        assert run(*command) == (2, "")
+        assert capsys.readouterr().err == "error: 2:7: stdin is not utf-8 text: invalid start byte\n"
 
 
 def test_stdin_term_errors_point_into_it(monkeypatch, capsys):

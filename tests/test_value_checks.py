@@ -1,8 +1,12 @@
 """The value checks against their earlier versions: same verdicts, same exceptions."""
 
+from random import Random
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import check_oracle
+from smckit.laws import random_chain, random_pith_cell
 from smckit.perms import Perm
 from smckit.slist import SList, SListHom, unique_hom_linear
 from smckit.spans import (
@@ -11,9 +15,14 @@ from smckit.spans import (
     PullbackSquare,
     Span,
     SpanCell,
+    adjunction_cells,
+    assoc_cell,
+    compose_pullback,
+    compose_span,
     fcompose,
+    horizontal_compose,
+    identity_fun,
     pullback,
-    pullback_lift,
     square_from_cospan,
 )
 
@@ -125,7 +134,7 @@ def test_span_cell_checks_like_fcompose(data):
 
 @st.composite
 def lift_data(draw):
-    """A cospan f, g, its pullback and a cone f1, f2: through the apex, random, or with a foot changed."""
+    """A cospan f, g, its pullback (empty or not) and a cone f1, f2 over it: through the apex, or random."""
     x, y, w, c = draw(SIZES), draw(SIZES), draw(SIZES), draw(st.integers(0, 3))
     f, g = _fun(draw, x, w), _fun(draw, y, w)
     pb = pullback(f, g)
@@ -134,20 +143,46 @@ def lift_data(draw):
         f1, f2 = fcompose(through, pb.p1), fcompose(through, pb.p2)
     else:
         f1, f2 = _fun(draw, c, x), _fun(draw, c, y)
-    change = draw(st.sampled_from(("", "", "", "f1 foot", "f2 foot", "both feet", "source")))
-    if change in ("f1 foot", "both feet"):
-        f1 = FinFun(f1.src, FinSet(x + 1), f1.img)
-    if change in ("f2 foot", "both feet"):
-        f2 = FinFun(f2.src, FinSet(y + 1), f2.img)
-    if change == "source":
-        f2 = _fun(draw, c + 1, y)
     return pb, f, g, f1, f2
 
 
 @settings(max_examples=500, deadline=None)
 @given(lift_data())
 def test_pullback_lift_checks_like_fcompose(data):
-    assert _outcome(lambda: pullback_lift(*data)) == _outcome(lambda: check_oracle.pullback_lift(*data))
+    pb, f1, f2 = data[0], data[3], data[4]
+    assert _outcome(lambda: pb.lift(f1.src, f1.img, f2.img)) == _outcome(lambda: check_oracle.pullback_lift(*data))
+
+
+def test_lift_refuses_sequences_of_unequal_length():
+    one = FinFun(FinSet(2), FinSet(1), (0, 0))
+    pb = pullback(one, one)
+    with pytest.raises(ValueError, match="zip"):
+        pb.lift(FinSet(2), (0, 1), (0,))
+    with pytest.raises(ValueError, match="zip"):
+        pb.lift(FinSet(1), (0,), (0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 2**32))
+def test_cell_lifts_match_the_oracle_on_cone_legs(size, seed):
+    """Each map into an apex equals the checked lift of its ``fcompose`` cone legs; apexes may be empty."""
+    rng = Random(seed)
+    s, t, u = random_chain(rng, size, 3)
+    lift = check_oracle.pullback_lift
+
+    c, d = random_pith_cell(rng, s), random_pith_cell(rng, t)
+    src_pb, dst_pb = compose_pullback(c.src, d.src), compose_pullback(c.dst, d.dst)
+    legs = fcompose(src_pb.p1, c.map), fcompose(src_pb.p2, d.map)
+    assert horizontal_compose(c, d).map == lift(dst_pb, c.dst.right, d.dst.left, *legs)
+
+    st_pb, tu_pb, tu = compose_pullback(s, t), compose_pullback(t, u), compose_span(t, u)
+    outer, dst_pb = compose_pullback(compose_span(s, t), u), compose_pullback(s, tu)
+    to_tu = lift(tu_pb, t.right, u.left, fcompose(outer.p1, st_pb.p2), outer.p2)
+    assert assoc_cell(s, t, u).map == lift(dst_pb, s.right, tu.left, fcompose(outer.p1, st_pb.p1), to_tu)
+
+    for f in (s.left, t.right):
+        diagonal = lift(pullback(f, f), f, f, identity_fun(f.src), identity_fun(f.src))
+        assert adjunction_cells(f).unit.map == diagonal
 
 
 @st.composite
