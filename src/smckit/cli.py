@@ -24,6 +24,7 @@ import os
 import re
 import sys
 
+from . import laws
 from .errors import ParseError, RecordFormatError, SmcError
 from .models import FreeTermModel, SListModel
 from .perms import reduced_word
@@ -306,18 +307,32 @@ def render_mor(t: MorTerm) -> str:
 # records
 
 
+def _text(arg: str) -> str:
+    """``arg``, or stdin for '-', as UTF-8 text; ``UnicodeDecodeError`` if it is not.
+
+    Python reads stdin and argv with ``surrogateescape``, so an undecodable
+    byte b comes in as U+DC00+b: the text is encoded back to its bytes and
+    decoded strictly.  Text with any other lone surrogate is kept as it is.
+    """
+    text = sys.stdin.read() if arg == "-" else arg
+    try:
+        return text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeEncodeError:
+        return text
+
+
 def load_record(source: str, kind: str) -> dict:
     """Read a JSON record from a literal string, a file path, or '-' (stdin)."""
+    literal = source.lstrip().startswith("{")
     try:
-        if source == "-":
-            text = sys.stdin.read()
-        elif source.lstrip().startswith("{"):
-            text = source
+        if source == "-" or literal:
+            text = _text(source)
         else:
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise RecordFormatError(f"cannot read record from {source!r}: {exc}") from None
+        shown = "an argument" if literal else repr(source)
+        raise RecordFormatError(f"cannot read record from {shown}: {exc}") from None
     try:
         record = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -358,7 +373,6 @@ def span_from_record(record: dict) -> Span:
 
 def span_to_record(s: Span) -> dict:
     return {
-        "schema": SCHEMA,
         "kind": "span",
         "apex": s.apex.size,
         "left": {"target": s.dom.size, "img": list(s.left.img)},
@@ -388,8 +402,44 @@ def family_from_record(record: dict) -> tuple[int, dict]:
     return size, entries
 
 
-def emit(out, record: dict):
-    out.write(json.dumps(record, sort_keys=True) + "\n")  # dumps runs the C encoder; dump does not
+def _listed(values) -> str:
+    return f"[{','.join(map(str, values))}]"
+
+
+# the text form of each kind of record: its fields, one line per value
+_TEXT = {
+    "normal-form": lambda r: (
+        f"source: {_listed(r['source'])}\ntarget: {_listed(r['target'])}\nphi={_listed(r['phi'])}\n"
+        f"reduced-word: {_listed(r['word'])}\ncanonical: {r['canonical']}\n"
+    ),
+    "decision": lambda r: f"equal: {'true' if r['equal'] else 'false'}\n" + (
+        "" if r["equal"] else f"lhs phi={_listed(r['lhs_phi'])}\nrhs phi={_listed(r['rhs_phi'])}\n"
+    ),
+    "span": lambda r: f"apex: {r['apex']}\n" + "".join(
+        f"{leg}: target={r[leg]['target']} img={_listed(r[leg]['img'])}\n" for leg in ("left", "right")
+    ),
+    "structural-cells": lambda r: f"lunitor map={_listed(r['lunitor'])}\nrunitor map={_listed(r['runitor'])}\n",
+    "assoc-cell": lambda r: f"assoc map={_listed(r['map'])}\n",
+    "unbias-result": lambda r: "".join(
+        f"k={k}: fiber={_listed(fiber)} object: {r['objects'][k]}\n" for k, fiber in r["fibers"].items()
+    ),
+    "coherence-cells": lambda r: "".join(
+        [f"composition cell k={k}: {c}\n" for k, c in r["composition"].items()]
+        + [f"unit cell j={j}: {c}\n" for j, c in r["unit"].items()]
+    ),
+    # each report as ``LawReport`` prints it, which lists at most 20 violations
+    "law-report": lambda r: "".join(
+        f"{laws.LawReport(x['name'], x['cases'], tuple(x['violations']))}\n" for x in r["reports"]
+    ),
+}
+
+
+def emit(out, fmt: str, record: dict):
+    """Write a result record: as one JSON line with its schema, or as its text form."""
+    if fmt == "record":
+        out.write(json.dumps({"schema": SCHEMA, **record}, sort_keys=True) + "\n")  # dumps runs the C encoder
+    else:
+        out.write(_TEXT[record["kind"]](record))
 
 
 # ---------------------------------------------------------------------------
@@ -397,36 +447,25 @@ def emit(out, record: dict):
 
 
 def term_text(arg: str) -> str:
-    """A term given on the command line; '-' reads it from stdin, which must decode as text."""
-    if arg != "-":
-        return arg
+    """A term given on the command line; '-' reads it from stdin.  Either must be UTF-8 text."""
     try:
-        return sys.stdin.read()
+        return _text(arg)
     except UnicodeDecodeError as exc:
         read = exc.object[:exc.start].decode(exc.encoding, "replace")
-        raise ParseError(f"stdin is not {exc.encoding} text: {exc.reason}", *_line_column(read, len(read))) from None
+        where = "stdin" if arg == "-" else "argument"
+        raise ParseError(f"{where} is not {exc.encoding} text: {exc.reason}", *_line_column(read, len(read))) from None
 
 
 def cmd_normalize(args, out) -> int:
     hom = normalize(parse_mor(term_text(args.term)))
-    word = reduced_word(hom.phi)
-    canon = canonical_term(hom)
-    if args.format == "record":
-        emit(out, {
-            "schema": SCHEMA,
-            "kind": "normal-form",
-            "source": [str(x) for x in hom.src.labels],
-            "target": [str(x) for x in hom.dst.labels],
-            "phi": list(hom.phi.img),
-            "word": list(word),
-            "canonical": render_mor(canon),
-        })
-    else:
-        out.write(f"source: {hom.src}\n")
-        out.write(f"target: {hom.dst}\n")
-        out.write(f"phi={hom.phi}\n")
-        out.write(f"reduced-word: [{','.join(map(str, word))}]\n")
-        out.write(f"canonical: {render_mor(canon)}\n")
+    emit(out, args.format, {
+        "kind": "normal-form",
+        "source": [str(x) for x in hom.src.labels],
+        "target": [str(x) for x in hom.dst.labels],
+        "phi": list(hom.phi.img),
+        "word": list(reduced_word(hom.phi)),
+        "canonical": render_mor(canonical_term(hom)),
+    })
     return 0
 
 
@@ -436,17 +475,11 @@ def cmd_equal(args, out) -> int:
         return 2
     lhs, rhs = normal_forms(parse_mor(term_text(args.lhs)), parse_mor(term_text(args.rhs)))
     equal = hom_equal(lhs, rhs)
-    if args.format == "record":
-        record = {"schema": SCHEMA, "kind": "decision", "equal": equal}
-        if not equal:
-            record["lhs_phi"] = list(lhs.phi.img)
-            record["rhs_phi"] = list(rhs.phi.img)
-        emit(out, record)
-    else:
-        out.write(f"equal: {'true' if equal else 'false'}\n")
-        if not equal:
-            out.write(f"lhs phi={lhs.phi}\n")
-            out.write(f"rhs phi={rhs.phi}\n")
+    record = {"kind": "decision", "equal": equal}
+    if not equal:
+        record["lhs_phi"] = list(lhs.phi.img)
+        record["rhs_phi"] = list(rhs.phi.img)
+    emit(out, args.format, record)
     return 0 if equal else 1
 
 
@@ -455,31 +488,15 @@ def cmd_span_compose(args, out) -> int:
     composite = spans[0]
     for nxt in spans[1:]:
         composite = compose_span(composite, nxt)
-    if args.format == "record":
-        emit(out, span_to_record(composite))
-    else:
-        out.write(f"apex: {composite.apex.size}\n")
-        out.write(f"left: target={composite.dom.size} img=[{','.join(map(str, composite.left.img))}]\n")
-        out.write(f"right: target={composite.cod.size} img=[{','.join(map(str, composite.right.img))}]\n")
+    emit(out, args.format, span_to_record(composite))
     if args.cells:
-        lun = left_unitor_cell(composite)
-        run = right_unitor_cell(composite)
-        if args.format == "record":
-            emit(out, {
-                "schema": SCHEMA,
-                "kind": "structural-cells",
-                "lunitor": list(lun.map.img),
-                "runitor": list(run.map.img),
-            })
-        else:
-            out.write(f"lunitor map=[{','.join(map(str, lun.map.img))}]\n")
-            out.write(f"runitor map=[{','.join(map(str, run.map.img))}]\n")
+        emit(out, args.format, {
+            "kind": "structural-cells",
+            "lunitor": list(left_unitor_cell(composite).map.img),
+            "runitor": list(right_unitor_cell(composite).map.img),
+        })
         if len(spans) >= 3:
-            cell = assoc_cell(spans[0], spans[1], spans[2])
-            if args.format == "record":
-                emit(out, {"schema": SCHEMA, "kind": "assoc-cell", "map": list(cell.map.img)})
-            else:
-                out.write(f"assoc map=[{','.join(map(str, cell.map.img))}]\n")
+            emit(out, args.format, {"kind": "assoc-cell", "map": list(assoc_cell(*spans[:3]).map.img)})
     return 0
 
 
@@ -501,57 +518,34 @@ def cmd_unbias(args, out) -> int:
     model, assign = _family_assignment(entries, args.model)
     result = unbias_eval(s, model, assign)
     render = render_obj if args.model == "term" else str
-    if args.format == "record":
-        emit(out, {
-            "schema": SCHEMA,
-            "kind": "unbias-result",
-            "model": args.model,
-            "fibers": {str(k): list(map(int, l.labels)) for k, l in enumerate(result.family.lists)},
-            "objects": {str(k): render(o) for k, o in enumerate(result.objects)},
-        })
-    else:
-        for k, l in enumerate(result.family.lists):
-            out.write(f"k={k}: fiber=[{','.join(map(str, l.labels))}] object: {render(result.objects[k])}\n")
+    emit(out, args.format, {
+        "kind": "unbias-result",
+        "model": args.model,
+        "fibers": {str(k): list(map(int, l.labels)) for k, l in enumerate(result.family.lists)},
+        "objects": {str(k): render(o) for k, o in enumerate(result.objects)},
+    })
     if args.cells:
         # the span factors through its apex as a pull followed by a push
         comp = unbias_comp_iso(span_pull(s.left), span_push(s.right), model, assign)
         units = unbias_unit_iso(s.dom, model, assign)
         render_m = render_mor if args.model == "term" else str
-        if args.format == "record":
-            emit(out, {
-                "schema": SCHEMA,
-                "kind": "coherence-cells",
-                "composition": {str(k): render_m(c) for k, c in enumerate(comp)},
-                "unit": {str(j): render_m(c) for j, c in enumerate(units)},
-            })
-        else:
-            for k, c in enumerate(comp):
-                out.write(f"composition cell k={k}: {render_m(c)}\n")
-            for j, c in enumerate(units):
-                out.write(f"unit cell j={j}: {render_m(c)}\n")
+        emit(out, args.format, {
+            "kind": "coherence-cells",
+            "composition": {str(k): render_m(c) for k, c in enumerate(comp)},
+            "unit": {str(j): render_m(c) for j, c in enumerate(units)},
+        })
     return 0
 
 
 def cmd_check_laws(args, out) -> int:
-    from . import laws
-
     reports = laws.run_suite(args.suite, max_size=args.max_size, seed=args.seed)
-    ok = all(r.ok for r in reports)
-    if args.format == "record":
-        emit(out, {
-            "schema": SCHEMA,
-            "kind": "law-report",
-            "suite": args.suite,
-            "seed": args.seed,
-            "reports": [
-                {"name": r.name, "cases": r.cases, "violations": list(r.violations)}
-                for r in reports
-            ],
-        })
-    else:
-        for r in reports:
-            out.write(str(r) + "\n")
-    return 0 if ok else 1
+    emit(out, args.format, {
+        "kind": "law-report",
+        "suite": args.suite,
+        "seed": args.seed,
+        "reports": [{"name": r.name, "cases": r.cases, "violations": list(r.violations)} for r in reports],
+    })
+    return 0 if all(r.ok for r in reports) else 1
 
 
 def _positive_int(text: str) -> int:
@@ -591,8 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", help="family record (file, JSON literal, or -)")
     p.add_argument("--model", choices=("term", "slist"), default="term")
     p.add_argument("--cells", action="store_true", help="also print coherence cells")
-
-    from . import laws
 
     p = sub.add_parser("check-laws", help="run a law suite")
     p.add_argument("--suite", default="all", choices=laws.suite_names())

@@ -77,7 +77,6 @@ from .spans import (
     square_from_cospan,
     transpose_span,
     vcomp,
-    vertical_compose,
     vpaste,
 )
 from .terms import (
@@ -802,7 +801,7 @@ def pseudofunctor_laws(max_size: int = 3, seed: int = 0, samples: int = 100) -> 
 
         c1 = random_pith_cell(rng, s)
         c2 = random_pith_cell(rng, c1.dst)
-        lhs = pseudofunctor_on_cell(vertical_compose(c1, c2))
+        lhs = pseudofunctor_on_cell(vcomp(c1, c2))
         rhs = k_vcomp(pseudofunctor_on_cell(c1), pseudofunctor_on_cell(c2))
         check(lhs == rhs, "functoriality on vertical composites")
         check(

@@ -2,11 +2,11 @@
 Shipped symmetric monoidal models and the shared law suite.
 
 Three instances cover the test surface: symmetric lists (the normalization
-target), finite bijections (objects are sizes, morphisms permutations,
-tensor is addition), and the free term model itself (equality decided by
-normalization), which lives in ``terms`` where canonical terms are built
-in it.  ``smc_law_failures`` runs the pentagon, triangle, both hexagons,
-symmetry and inverse laws against any model.
+target) and finite bijections (objects are sizes, morphisms permutations,
+tensor is addition), both ``StrictModel``s, and the free term model itself
+(equality decided by normalization), which lives in ``terms`` where
+canonical terms are built in it.  ``smc_law_failures`` runs the pentagon,
+triangle, both hexagons, symmetry and inverse laws against any model.
 """
 
 from __future__ import annotations
@@ -17,12 +17,28 @@ from .slist import SList, SListHom, compose as hom_compose, identity_hom
 from .terms import FreeTermModel, SmcModel  # noqa: F401  FreeTermModel is re-exported
 
 
-class SListModel(SmcModel):
-    """Symmetric lists with strict concatenation tensor.
+class StrictModel(SmcModel):
+    """A Mac Lane strict model: its associators and unitors are identities.
 
-    Associators and unitors are identities, so ``permute`` and ``regroup``
-    are computed directly on the concatenated labels.
+    By coherence each structural formula is then the permutation under it,
+    so a subclass may compute ``permute`` and ``regroup`` directly, as a
+    block permutation and an identity.
     """
+
+    def assoc(self, a, b, c):
+        return self.identity(self.tensor_obj(self.tensor_obj(a, b), c))
+
+    def left_unitor(self, a):
+        return self.identity(a)
+
+    assoc_inv = assoc
+    left_unitor_inv = left_unitor
+    right_unitor = left_unitor
+    right_unitor_inv = left_unitor
+
+
+class SListModel(StrictModel):
+    """Symmetric lists with strict concatenation tensor."""
 
     def unit(self):
         return SList(())
@@ -39,24 +55,6 @@ class SListModel(SmcModel):
     def tensor_mor(self, f, g):
         return tensor_hom(f, g)
 
-    def assoc(self, a, b, c):
-        return identity_hom(tensor_obj(tensor_obj(a, b), c))
-
-    def assoc_inv(self, a, b, c):
-        return self.assoc(a, b, c)
-
-    def left_unitor(self, a):
-        return identity_hom(a)
-
-    def left_unitor_inv(self, a):
-        return identity_hom(a)
-
-    def right_unitor(self, a):
-        return identity_hom(a)
-
-    def right_unitor_inv(self, a):
-        return identity_hom(a)
-
     def braid(self, a, b):
         return braiding(a, b)
 
@@ -69,12 +67,8 @@ class SListModel(SmcModel):
         return identity_hom(SList(tuple(label for values in blocks for v in values for label in v.labels)))
 
 
-class FinBijModel(SmcModel):
-    """Objects are naturals, morphisms permutations, tensor is addition.
-
-    Like ``SListModel`` it is strict, so ``permute`` is a block permutation
-    and ``regroup`` an identity.
-    """
+class FinBijModel(StrictModel):
+    """Objects are naturals, morphisms permutations, tensor is addition."""
 
     def unit(self):
         return 0
@@ -91,24 +85,6 @@ class FinBijModel(SmcModel):
 
     def tensor_mor(self, f, g):
         return block_sum(f, g)
-
-    def assoc(self, a, b, c):
-        return Perm.identity(a + b + c)
-
-    def assoc_inv(self, a, b, c):
-        return Perm.identity(a + b + c)
-
-    def left_unitor(self, a):
-        return Perm.identity(a)
-
-    def left_unitor_inv(self, a):
-        return Perm.identity(a)
-
-    def right_unitor(self, a):
-        return Perm.identity(a)
-
-    def right_unitor_inv(self, a):
-        return Perm.identity(a)
 
     def braid(self, a, b):
         return block_swap(a, b)

@@ -9,9 +9,9 @@ the cone check.
 
 Cells between spans are apex maps commuting with both legs; the pith is
 the cells with bijective maps.  Each equation is checked on image tuples,
-without building the composite map.  Every composite s;t goes through
-``_composite``, which computes its pullback once and reuses it for the span
-(``span_over``) and for the lifts into its apex.  Inside a
+without building the composite map.  Every composite s;t is built by
+``composite``, which returns its pullback with the span over it, so a cell
+reuses one pullback for the span and for the lifts into its apex.  Inside a
 ``shared_composites()`` scope it also returns the same pair for every later
 request of an equal (s, t), so a law check that pastes many cells over the
 same chain builds each composite once; the table is dropped with the scope.
@@ -214,21 +214,10 @@ def transpose_span(s: Span) -> Span:
     return Span(s.right, s.left)
 
 
-def compose_pullback(s: Span, t: Span) -> Pullback:
-    if s.cod != t.dom:
-        raise TargetMismatch(f"spans not composable: {s.cod} != {t.dom}")
-    return pullback(s.right, t.left)
-
-
-def span_over(pb: Pullback, s: Span, t: Span) -> Span:
-    """The composite s;t over pb, which must be ``compose_pullback(s, t)``."""
-    return Span(fcompose(pb.p1, s.left), fcompose(pb.p2, t.right))
-
-
 class _Scope(threading.local):
     """Per thread, so that a scope in one thread shares nothing with another."""
 
-    table: dict | None = None  # value key of (s, t) -> _composite(s, t), while a scope is open
+    table: dict | None = None  # value key of (s, t) -> composite(s, t), while a scope is open
 
 
 _scope = _Scope()
@@ -251,49 +240,53 @@ def shared_composites():
         _scope.table = None
 
 
-def _composite(s: Span, t: Span) -> tuple[Pullback, Span]:
-    """The pullback of s;t and the span over it, shared inside ``shared_composites``."""
+def composite(s: Span, t: Span) -> tuple[Pullback, Span]:
+    """The pullback of s's right leg and t's left leg, and the span s;t over it.
+
+    Inside ``shared_composites`` an equal (s, t) gets the pair built first;
+    only a composable pair is ever built or stored.
+    """
     table = _scope.table
-    if table is None:
-        pb = compose_pullback(s, t)
-        return pb, span_over(pb, s, t)
-    # the legs' images and feet determine s and t, apexes included (an
-    # apex's size is its image's length); a flat tuple hashes in one call
-    sl, sr, tl, tr = s.left, s.right, t.left, t.right
-    key = (sl.img, sr.img, tl.img, tr.img, sl.dst.size, sr.dst.size, tl.dst.size, tr.dst.size)
-    found = table.get(key)
-    if found is None:
-        pb = compose_pullback(s, t)
-        found = table[key] = pb, span_over(pb, s, t)
+    if table is not None:
+        # the legs' images and feet determine s and t, apexes included (an
+        # apex's size is its image's length); a flat tuple hashes in one call
+        sl, sr, tl, tr = s.left, s.right, t.left, t.right
+        key = (sl.img, sr.img, tl.img, tr.img, sl.dst.size, sr.dst.size, tl.dst.size, tr.dst.size)
+        found = table.get(key)
+        if found is not None:
+            return found
+    if s.cod != t.dom:
+        raise TargetMismatch(f"spans not composable: {s.cod} != {t.dom}")
+    pb = pullback(s.right, t.left)
+    found = pb, Span(fcompose(pb.p1, s.left), fcompose(pb.p2, t.right))
+    if table is not None:
+        table[key] = found
     return found
 
 
 def compose_span(s: Span, t: Span) -> Span:
     """The total span over the canonical pullback of the inner legs."""
-    return _composite(s, t)[1]
+    return composite(s, t)[1]
 
 
 def identity_cell(s: Span) -> SpanCell:
     return SpanCell(s, s, identity_fun(s.apex))
 
 
-def vertical_compose(c1: SpanCell, c2: SpanCell) -> SpanCell:
-    if c1.dst != c2.src:
-        raise BoundaryMismatch("vertical composition needs matching middle span")
-    return SpanCell(c1.src, c2.dst, fcompose(c1.map, c2.map))
-
-
 def vcomp(*cells: SpanCell) -> SpanCell:
-    acc = cells[0]
+    """The vertical composite of a chain of cells, first to last."""
+    out = cells[0]
     for c in cells[1:]:
-        acc = vertical_compose(acc, c)
-    return acc
+        if out.dst != c.src:
+            raise BoundaryMismatch("vertical composition needs matching middle span")
+        out = SpanCell(out.src, c.dst, fcompose(out.map, c.map))
+    return out
 
 
 def horizontal_compose(c1: SpanCell, c2: SpanCell) -> SpanCell:
     """Composite cell on composite spans, by the universal lift."""
-    src_pb, src = _composite(c1.src, c2.src)
-    dst_pb, dst = _composite(c1.dst, c2.dst)
+    src_pb, src = composite(c1.src, c2.src)
+    dst_pb, dst = composite(c1.dst, c2.dst)
     m1, m2 = c1.map.img, c2.map.img
     lift = dst_pb.lift(src.apex, [m1[a] for a in src_pb.p1.img], [m2[b] for b in src_pb.p2.img])
     return SpanCell(src, dst, lift)
@@ -307,10 +300,10 @@ def invert_cell(c: SpanCell) -> SpanCell:
 
 def assoc_cell(s: Span, t: Span, u: Span) -> SpanCell:
     """(s;t);u => s;(t;u), the lift matching ((a,b),c) with (a,(b,c))."""
-    st_pb, st = _composite(s, t)
-    outer, src = _composite(st, u)
-    tu_pb, tu = _composite(t, u)
-    dst_pb, dst = _composite(s, tu)
+    st_pb, st = composite(s, t)
+    outer, src = composite(st, u)
+    tu_pb, tu = composite(t, u)
+    dst_pb, dst = composite(s, tu)
     o1, p1, p2 = outer.p1.img, st_pb.p1.img, st_pb.p2.img
     to_tu = tu_pb.lift(src.apex, [p2[i] for i in o1], outer.p2.img)
     lift = dst_pb.lift(src.apex, [p1[i] for i in o1], to_tu.img)
@@ -319,13 +312,13 @@ def assoc_cell(s: Span, t: Span, u: Span) -> SpanCell:
 
 def left_unitor_cell(s: Span) -> SpanCell:
     """id;s => s, projecting the pair (j, a) to a."""
-    pb, src = _composite(identity_span(s.dom), s)
+    pb, src = composite(identity_span(s.dom), s)
     return SpanCell(src, s, pb.p2)
 
 
 def right_unitor_cell(s: Span) -> SpanCell:
     """s;id => s, projecting the pair (a, k) to a."""
-    pb, src = _composite(s, identity_span(s.cod))
+    pb, src = composite(s, identity_span(s.cod))
     return SpanCell(src, s, pb.p1)
 
 
@@ -341,11 +334,11 @@ def adjunction_cells(f: FinFun) -> AdjunctionCells:
     to its common value under f.  Neither is a pith cell in general.
     """
     push, pull = span_push(f), span_pull(f)
-    unit_pb, push_pull = _composite(push, pull)
+    unit_pb, push_pull = composite(push, pull)
     unit_map = unit_pb.lift(f.src, range(f.src.size), range(f.src.size))
     unit = SpanCell(identity_span(f.src), push_pull, unit_map)
 
-    counit_pb, pull_push = _composite(pull, push)
+    counit_pb, pull_push = composite(pull, push)
     counit_map = fcompose(counit_pb.p1, f)
     counit = SpanCell(pull_push, identity_span(f.dst), counit_map)
     return AdjunctionCells(unit, counit)
@@ -414,8 +407,8 @@ def base_change_1cell(square: PullbackSquare) -> SpanCell:
     """
     pull_l, push_t = span_pull(square.left), span_push(square.top)
     push_b, pull_r = span_push(square.bottom), span_pull(square.right)
-    src = _composite(pull_l, push_t)[1]
-    dst_pb, dst = _composite(push_b, pull_r)
+    src = composite(pull_l, push_t)[1]
+    dst_pb, dst = composite(push_b, pull_r)
     # the legs of src are (left, top) over a copy of the corner, so this lift
     # is the square's comparison map: the square is a pullback iff it is bijective
     lift = dst_pb.lift(src.apex, src.left.img, src.right.img)

@@ -41,11 +41,10 @@ from .spans import (
     PullbackSquare,
     Span,
     SpanCell,
-    compose_pullback,
+    composite,
     fcompose,
     fibers,
     identity_fun,
-    span_over,
 )
 from .terms import SmcModel, lookup, psi_hom, psi_obj
 
@@ -153,8 +152,7 @@ def f_comp_cell(s: Span, t: Span) -> KCell:
 
 def _f_comp_cell(s: Span, t: Span, fam_s: KHom, fam_t: KHom) -> KCell:
     """``f_comp_cell(s, t)`` given the images ``fam_s`` of s and ``fam_t`` of t."""
-    pb = compose_pullback(s, t)
-    st = span_over(pb, s, t)
+    pb, st = composite(s, t)
     s_fibers = fibers(s.right)
     dst_keys = [tuple(pb.index(a, b) for b in fiber for a in s_fibers[t.left(b)]) for fiber in fibers(t.right)]
     return _linear_cell(pseudofunctor_on_span(st), k_compose(fam_t, fam_s), fibers(st.right), dst_keys)

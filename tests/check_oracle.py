@@ -15,6 +15,10 @@ the shared target, and only then reads the pullback's index.  On a cone
 whose legs share a source and land in the cospan's sources,
 ``Pullback.lift`` must return the same map, and raise
 ``LiftEquationFails`` with the same text exactly where it does.
+
+``vertical_compose`` is the binary vertical composition of span cells that
+the n-ary ``spans.vcomp`` replaced; a chain's ``vcomp`` must equal its left
+fold, and fail with the same text where the fold does.
 """
 
 from smckit.errors import (
@@ -27,7 +31,7 @@ from smckit.errors import (
 )
 from smckit.perms import Perm
 from smckit.slist import SList, SListHom, is_linear, underlying_multiset
-from smckit.spans import FinFun, Pullback, Span, fcompose
+from smckit.spans import FinFun, Pullback, Span, SpanCell, fcompose
 
 
 def check_slist_hom(src: SList, dst: SList, phi: Perm) -> None:
@@ -90,3 +94,9 @@ def check_pullback_square(top: FinFun, left: FinFun, right: FinFun, bottom: FinF
         raise BoundaryMismatch("right and bottom must share their target")
     if fcompose(top, right).img != fcompose(left, bottom).img:
         raise BoundaryMismatch("square does not commute")
+
+
+def vertical_compose(c1: SpanCell, c2: SpanCell) -> SpanCell:
+    if c1.dst != c2.src:
+        raise BoundaryMismatch("vertical composition needs matching middle span")
+    return SpanCell(c1.src, c2.dst, fcompose(c1.map, c2.map))

@@ -9,7 +9,7 @@ elements.
 
 from smckit.errors import NotInvertible
 from smckit.kleisli import KCell, invert_kcell, k_hcomp, k_id_cell, k_vcomp
-from smckit.spans import FinFun, FinSet, PullbackSquare, Span, SpanCell, compose_pullback, identity_fun
+from smckit.spans import FinFun, FinSet, PullbackSquare, Span, SpanCell, identity_fun, pullback
 from smckit.unbias import base_change_unique, lambda_u, lambda_v, u_comp, u_id, v_comp, v_id
 
 
@@ -38,8 +38,12 @@ def pseudofunctor_on_cell(c: SpanCell) -> KCell:
 
 
 def f_comp_cell(s: Span, t: Span) -> KCell:
-    """Comparison from the image of s;t to "image of s, then image of t"."""
-    pb = compose_pullback(s, t)
+    """Comparison from the image of s;t to "image of s, then image of t".
+
+    The pullback of the inner legs is built here, not by ``spans.composite``,
+    so that this oracle shares no code with the composer it checks.
+    """
+    pb = pullback(s.right, t.left)
     split = k_hcomp(u_comp(pb.p2, t.right), v_comp(pb.p1, s.left))
     middle = PullbackSquare(pb.p1, pb.p2, s.right, t.left)
     bc_inv = invert_kcell(base_change_unique(middle))

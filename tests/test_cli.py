@@ -188,13 +188,13 @@ def test_record_errors():
 def test_span_compose_shares_no_composites(monkeypatch):
     """``span-compose`` builds each composite afresh: no ``shared_composites`` scope is open."""
     tables = []
-    composite = spans._composite
+    composite = spans.composite
 
     def watching(s, t):
         tables.append(spans._scope.table)
         return composite(s, t)
 
-    monkeypatch.setattr(spans, "_composite", watching)
+    monkeypatch.setattr(spans, "composite", watching)
     for fmt in ("text", "record"):
         assert run("--format", fmt, "span-compose", SPAN_A, SPAN_ID2, SPAN_ID2, "--cells")[0] == 0
     assert tables and all(table is None for table in tables)
@@ -560,6 +560,52 @@ def test_stdin_term_errors_point_into_it(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("b x y ;\n  b y $"))
     assert run("normalize", "-") == (2, "")
     assert capsys.readouterr().err == "error: 2:7: unexpected character '$'\n"
+
+
+def run_bytes(argv, data=b""):
+    """``python -m smckit`` under ``LC_ALL=C``, where Python reads undecodable stdin and argv bytes as surrogate escapes."""
+    src = str(Path(smckit.__file__).resolve().parent.parent)
+    env = dict(os.environ, LC_ALL="C", PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "smckit", *argv], input=data, capture_output=True, env=env, timeout=120,
+    )
+    assert proc.stdout == b"" and len(proc.stderr.splitlines()) == 1
+    return proc.returncode, proc.stderr.decode()
+
+
+def cannot_read(where: str, data: bytes) -> tuple[int, str]:
+    """Exit 2 and the error for a record from ``where`` whose first undecodable byte is 0xff."""
+    decode = f"'utf-8' codec can't decode byte 0xff in position {data.index(0xff)}: invalid start byte"
+    return 2, f"error: cannot read record from {where}: {decode}\n"
+
+
+def test_undecodable_bytes_are_reported_as_such():
+    assert run_bytes(["normalize", "-"], b"b x y ;\n b y \xff x") == (
+        2, "error: 2:6: stdin is not utf-8 text: invalid start byte\n")
+    assert run_bytes(["equal", "b x y", "-"], b"b \xc3( x") == (
+        2, "error: 1:3: stdin is not utf-8 text: invalid continuation byte\n")
+    family = b'{"schema": "smckit/1", "kind": "family", "size": 2, "entries": {"0": "x\xff", "1": "y"}}'
+    assert run_bytes(["unbias", SPAN_A, "-"], family) == cannot_read("'-'", family)
+    span = b"\xff" + SPAN_A.encode()
+    assert run_bytes(["span-compose", "-"], span) == cannot_read("'-'", span)
+    assert run_bytes(["normalize", b"b x \xff"]) == (2, "error: 1:5: argument is not utf-8 text: invalid start byte\n")
+    assert run_bytes(["equal", b"b x y ;\n  b \xc3\xa9 \xff", "b x y"]) == (
+        2, "error: 2:7: argument is not utf-8 text: invalid start byte\n")
+    span = b'{"schema": "smckit/1", "kind": "span\xff"}'
+    assert run_bytes(["span-compose", span]) == cannot_read("an argument", span)
+    assert run_bytes(["unbias", SPAN_A, family]) == cannot_read("an argument", family)
+
+
+def test_lone_surrogates_that_are_no_escapes_stay_unexpected_characters(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("b x \ud800"))
+    assert run("normalize", "-") == (2, "")
+    assert capsys.readouterr().err == "error: 1:5: unexpected character '\\ud800'\n"
+    # beside a surrogate escape it cannot be encoded back, so the text is parsed as it is
+    assert run("normalize", "b \ud800 \udcff") == (2, "")
+    assert capsys.readouterr().err == "error: 1:3: unexpected character '\\ud800'\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"schema": "smckit/1", "kind": "span\ud800\udcff"}'))
+    assert run("span-compose", "-") == (2, "")
+    assert capsys.readouterr().err == "error: expected a 'span' record, found 'span\\ud800\\udcff'\n"
 
 
 def test_render_prints_composition_flat():

@@ -4,8 +4,9 @@ from random import Random
 
 import pytest
 
-from smckit.models import SListModel
+from smckit.models import FinBijModel, SListModel, StrictModel, smc_law_failures
 from smckit.monoidal import braiding, braiding_recursive, tensor_hom, tensor_obj
+from smckit.perms import Perm
 from smckit.slist import GenWord, SList, compose, hom_equal, hom_from_word, identity_hom, invert
 
 
@@ -118,3 +119,29 @@ def test_whiskering_formula():
         for i in range(len(f.dst)):
             assert left.phi(i) == f.phi(i)
             assert right.phi(len(z) + i) == len(z) + f.phi(i)
+
+
+STRUCTURAL_MAPS = ("assoc", "assoc_inv", "left_unitor", "left_unitor_inv", "right_unitor", "right_unitor_inv")
+
+
+def test_strict_models_write_no_structural_map_of_their_own():
+    for model in (SListModel, FinBijModel):
+        assert issubclass(model, StrictModel)
+        assert not set(STRUCTURAL_MAPS) & set(vars(model))
+
+
+def test_strict_structural_maps_equal_the_identities_each_model_wrote():
+    """On random objects each of the six maps is the identity the model wrote for it by hand."""
+    rng = Random(9)
+    slist, finbij = SListModel(), FinBijModel()
+    for _ in range(200):
+        a, b, c = (SList(tuple(rng.choice("xyz") for _ in range(rng.randint(0, 4)))) for _ in range(3))
+        abc = identity_hom(SList(a.labels + b.labels + c.labels))
+        assert slist.assoc(a, b, c) == abc and slist.assoc_inv(a, b, c) == abc
+        for name in STRUCTURAL_MAPS[2:]:
+            assert getattr(slist, name)(a) == identity_hom(a)
+        n, m, k = (rng.randint(0, 5) for _ in range(3))
+        assert finbij.assoc(n, m, k) == Perm.identity(n + m + k) == finbij.assoc_inv(n, m, k)
+        for name in STRUCTURAL_MAPS[2:]:
+            assert getattr(finbij, name)(n) == Perm.identity(n)
+        assert smc_law_failures(slist, (a, b, c, a)) == [] and smc_law_failures(finbij, (n, m, k, n)) == []

@@ -52,3 +52,19 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     assert [n for n, _ in curves["k_hcomp"]["points"]] == [1, 4]
     assert all(t > 0 for c in (*apex_curves, curves["k_hcomp"]) for _, t in c["points"])
     assert all(t > 0 for c in curves["psi_hom_reversal"].values() for _, t in c["points"])
+
+
+def test_same_outputs_finds_a_tree_the_same_as_itself():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "same_outputs.py"), str(ROOT), str(ROOT),
+         "--seeds", "5", "--suites", "braiding"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["coherence", "spans", "unbias", "check-laws"]
+    assert all(line.endswith("  same") for line in lines)
+    # check-laws runs at two seeds, in two formats
+    assert lines[-1].split()[1] == "4"

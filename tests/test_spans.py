@@ -1,10 +1,12 @@
 """Spans of finite sets: pullbacks, cells, adjunctions, base change."""
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from functools import reduce
 from random import Random
 
 import pytest
-from check_oracle import pullback_lift
+from check_oracle import pullback_lift, vertical_compose
 from hypothesis import given, strategies as st
 
 from smckit import spans
@@ -25,8 +27,8 @@ from smckit.spans import (
     adjunction_cells,
     assoc_cell,
     base_change_1cell,
-    compose_pullback,
     compose_span,
+    composite,
     fcompose,
     fibers,
     horizontal_compose,
@@ -42,7 +44,6 @@ from smckit.spans import (
     square_from_cospan,
     transpose_span,
     vcomp,
-    vertical_compose,
 )
 from smckit.laws import all_functions, random_chain, random_pith_cell, random_span, random_span_from
 
@@ -198,8 +199,20 @@ def test_compose_span_examples():
     t = Span(FinFun(two, one, (0, 0)), FinFun(two, one, (0, 0)))
     u = Span(FinFun(FinSet(3), one, (0, 0, 0)), FinFun(FinSet(3), one, (0, 0, 0)))
     assert compose_span(t, u).apex.size == 6
-    pb = compose_pullback(t, u)
+    pb, tu = composite(t, u)
+    assert pb == pullback(t.right, u.left) and tu == compose_span(t, u)
     assert pb.lift(pb.apex, pb.p1.img, pb.p2.img).img == tuple(range(6))
+
+
+@pytest.mark.parametrize("scoped", [False, True])
+def test_composite_refuses_spans_that_do_not_compose_before_any_pullback(scoped, monkeypatch):
+    calls = []
+    monkeypatch.setattr(spans, "pullback", lambda f, g: calls.append((f, g)))
+    s, t = identity_span(FinSet(2)), identity_span(FinSet(3))
+    with spans.shared_composites() if scoped else nullcontext():
+        with pytest.raises(TargetMismatch, match=r"^spans not composable: FinSet\(size=2\) != FinSet\(size=3\)$"):
+            composite(s, t)
+    assert calls == []
 
 
 def test_structural_cells_are_pith_and_project():
@@ -210,10 +223,10 @@ def test_structural_cells_are_pith_and_project():
         assert acell.is_pith()
         assert left_unitor_cell(s).is_pith() and right_unitor_cell(u).is_pith()
         # associator preserves the three projections
-        outer = compose_pullback(compose_span(s, t), u)
-        inner = compose_pullback(s, t)
-        dst_outer = compose_pullback(s, compose_span(t, u))
-        dst_inner = compose_pullback(t, u)
+        outer = composite(compose_span(s, t), u)[0]
+        inner = composite(s, t)[0]
+        dst_outer = composite(s, compose_span(t, u))[0]
+        dst_inner = composite(t, u)[0]
         amap = acell.map
         for idx, (x, cc) in enumerate(outer.pairs):
             aa, bb = inner.pairs[x]
@@ -239,9 +252,9 @@ def test_cell_ops():
     for _ in range(100):
         s = random_span(rng, 3)
         c = random_pith_cell(rng, s)
-        assert vertical_compose(identity_cell(s), c) == c
-        assert vertical_compose(c, identity_cell(c.dst)) == c
-        assert vertical_compose(c, invert_cell(c)) == identity_cell(s)
+        assert vcomp(identity_cell(s), c) == c
+        assert vcomp(c, identity_cell(c.dst)) == c
+        assert vcomp(c, invert_cell(c)) == identity_cell(s)
         t = random_span_from(rng, s.cod, 3)
         d = random_pith_cell(rng, t)
         h = horizontal_compose(c, d)
@@ -252,6 +265,40 @@ def test_cell_ops():
         assert vcomp(h, horizontal_compose(c2, d2)) == horizontal_compose(
             vcomp(c, c2), vcomp(d, d2)
         )
+
+
+def _pith_chain(rng: Random, s: Span, length: int) -> list:
+    """``length`` pith cells, each starting where the one before ends."""
+    cells = [random_pith_cell(rng, s)]
+    while len(cells) < length:
+        cells.append(random_pith_cell(rng, cells[-1].dst))
+    return cells
+
+
+def test_vcomp_is_the_left_fold_of_binary_vertical_composition():
+    rng = Random(25)
+    for _ in range(200):
+        s = random_span(rng, 3)
+        cells = _pith_chain(rng, s, rng.randint(1, 5))
+        assert vcomp(*cells) == reduce(vertical_compose, cells)
+        assert vcomp(*cells, invert_cell(vcomp(*cells))) == identity_cell(s)
+
+
+def test_vcomp_refuses_a_mismatched_middle_span_anywhere_in_a_chain():
+    rng = Random(26)
+    for length in range(2, 6):
+        for position in range(1, length):
+            while True:
+                s = random_span(rng, 3)
+                cells = _pith_chain(rng, s, length)
+                stranger = identity_cell(random_span(rng, 3))
+                if stranger.src != cells[position - 1].dst:
+                    break
+            cells[position] = stranger
+            with pytest.raises(BoundaryMismatch, match="^vertical composition needs matching middle span$"):
+                vcomp(*cells)
+            with pytest.raises(BoundaryMismatch, match="^vertical composition needs matching middle span$"):
+                reduce(vertical_compose, cells)
 
 
 def test_cell_boundary_errors():

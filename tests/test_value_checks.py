@@ -17,8 +17,8 @@ from smckit.spans import (
     SpanCell,
     adjunction_cells,
     assoc_cell,
-    compose_pullback,
     compose_span,
+    composite,
     fcompose,
     horizontal_compose,
     identity_fun,
@@ -171,12 +171,12 @@ def test_cell_lifts_match_the_oracle_on_cone_legs(size, seed):
     lift = check_oracle.pullback_lift
 
     c, d = random_pith_cell(rng, s), random_pith_cell(rng, t)
-    src_pb, dst_pb = compose_pullback(c.src, d.src), compose_pullback(c.dst, d.dst)
+    (src_pb, _), (dst_pb, _) = composite(c.src, d.src), composite(c.dst, d.dst)
     legs = fcompose(src_pb.p1, c.map), fcompose(src_pb.p2, d.map)
     assert horizontal_compose(c, d).map == lift(dst_pb, c.dst.right, d.dst.left, *legs)
 
-    st_pb, tu_pb, tu = compose_pullback(s, t), compose_pullback(t, u), compose_span(t, u)
-    outer, dst_pb = compose_pullback(compose_span(s, t), u), compose_pullback(s, tu)
+    (st_pb, _), (tu_pb, tu) = composite(s, t), composite(t, u)
+    outer, dst_pb = composite(compose_span(s, t), u)[0], composite(s, tu)[0]
     to_tu = lift(tu_pb, t.right, u.left, fcompose(outer.p1, st_pb.p2), outer.p2)
     assert assoc_cell(s, t, u).map == lift(dst_pb, s.right, tu.left, fcompose(outer.p1, st_pb.p1), to_tu)
 
