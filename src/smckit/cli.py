@@ -437,7 +437,8 @@ _TEXT = {
 def emit(out, fmt: str, record: dict):
     """Write a result record: as one JSON line with its schema, or as its text form."""
     if fmt == "record":
-        out.write(json.dumps({"schema": SCHEMA, **record}, sort_keys=True) + "\n")  # dumps runs the C encoder
+        # dumps runs the C encoder; dump does not
+        out.write(json.dumps({"schema": SCHEMA, **record}, sort_keys=True) + "\n")
     else:
         out.write(_TEXT[record["kind"]](record))
 
