@@ -406,7 +406,7 @@ def _listed(values) -> str:
     return f"[{','.join(map(str, values))}]"
 
 
-# the text form of each kind of record: its fields, one line per value
+# the text form of each kind of record, which shows its fields
 _TEXT = {
     "normal-form": lambda r: (
         f"source: {_listed(r['source'])}\ntarget: {_listed(r['target'])}\nphi={_listed(r['phi'])}\n"
