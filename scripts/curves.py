@@ -21,6 +21,12 @@ without ``--out`` they are printed.  The curves are:
   permutation of n distinct labels, against the term's node count, for
   the same sizes up to ``--term-max-n``.  Nodes are counted as perfbench's
   tracer counts ``terms.nodes``: a shared subterm once per occurrence;
+* ``equal_text``: ``smckit equal`` run in-process on the texts of the
+  canonical terms of two permutations of n labels with one target (the
+  labels repeat, and the permutations differ by a swap of two equal target
+  labels, so the answer is "not equal"), for n = 4 .. 24, against the
+  number of tokens of both texts.  It times the whole request: argv,
+  tokenizing, parsing, normalizing and the output;
 * ``unbias_comp_iso``: ``unbias.unbias_comp_iso`` of a one-fiber span of
   the given arity over an eight-entry family, factored as a pull then a
   push the way ``smckit unbias --cells`` does, against arity, in the term
@@ -47,17 +53,20 @@ size: about 1 for linear growth, about 3 for cubic.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import platform
+import re
 import statistics
 import sys
 import time
 from pathlib import Path
 from random import Random
 
-from smckit.cli import parse_obj
+from smckit import cli
+from smckit.cli import parse_obj, render_mor
 from smckit.kleisli import KCell, KHom, k_hcomp
 from smckit.laws import random_function
 from smckit.models import FinBijModel, FreeTermModel, SListModel
@@ -73,7 +82,9 @@ ARITIES = (4, 8, 12, 16, 24, 32, 40, 48)
 ENTRIES = 8
 APEX_SIZES = (4, 8, 16, 32, 64, 128, 256)
 LIST_LENGTHS = (10, 20, 40, 80, 160, 320, 640)
+EQUAL_SIZES = (4, 8, 12, 16, 20, 24)
 MIN_SAMPLE_S = 0.02
+TOKEN = re.compile(r"[()*;]|[^\W\d]\w*|\S")  # a token of the CLI's term syntax
 
 
 def sample_time(call, repeats: int) -> float:
@@ -151,6 +162,24 @@ def normalize_calls(sizes) -> dict:
         labels = tuple(f"x{i}" for i in range(n))
         t = canonical_term(SListHom(SList(labels), SList(tuple(labels[i] for i in phi.img)), phi))
         calls[term_nodes(t)] = lambda t=t: normalize(t)
+    return calls
+
+
+def equal_text_calls(sizes) -> dict:
+    """Token count -> a call of ``smckit equal`` on two permutations of n labels with one target."""
+    calls = {}
+    for n in sizes:
+        rng = Random(n)
+        labels = [f"y{rng.randrange(n * 3 // 4)}" for _ in range(n)]  # fewer labels than places
+        img = list(range(n))
+        rng.shuffle(img)
+        target = [labels[i] for i in img]
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if target[i] == target[j])
+        other = list(img)
+        other[i], other[j] = other[j], other[i]
+        texts = [render_mor(canonical_term(SListHom(SList(labels), SList(target), Perm(p)))) for p in (img, other)]
+        argv = ["equal", *texts]
+        calls[sum(len(TOKEN.findall(t)) for t in texts)] = lambda argv=argv: cli.main(argv, out=io.StringIO())
     return calls
 
 
@@ -234,6 +263,7 @@ def singleton(label) -> SList:
 
 def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeats: int) -> dict:
     normalize_at = normalize_calls([n for n in psi_sizes if n <= term_max_n])
+    equal_at = equal_text_calls(EQUAL_SIZES)
     return {
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(), "platform": platform.platform()},
         "repeats": repeats,
@@ -244,6 +274,7 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
         },
         "reduced_word": curve("n", psi_sizes, reduced_word_call, repeats),
         "normalize": curve("nodes", list(normalize_at), normalize_at.get, repeats),
+        "equal_text": curve("tokens", list(equal_at), equal_at.get, repeats),
         "unbias_comp_iso": {
             name: curve("arity", arities, comp_iso_call(name), repeats) for name in ("term", "slist")
         },

@@ -41,24 +41,27 @@ from .spans import (
     span_push,
 )
 from .terms import (
+    COMP,
+    INV,
+    PAR,
     Assoc,
     Braid,
     Comp,
-    Gen,
     Id,
     Inv,
     LeftUnitor,
     MorTerm,
+    Objects,
     ObjTerm,
     Par,
     RightUnitor,
     Tensor,
-    Unit,
+    build_term,
     canonical_term,
-    normal_forms,
-    normalize,
     normalize_obj,
     obj_text,
+    program_normal_form,
+    program_normal_forms,
 )
 from .terms import typecheck  # noqa: F401  unused: normalize typechecks; perfbench's tests patch cli.typecheck
 from .unbias import unbias_comp_iso, unbias_eval, unbias_unit_iso
@@ -74,6 +77,7 @@ KEYWORDS = {"I", "id", "a", "l", "r", "b", "inv"}
 
 
 _TOKEN = re.compile(r"[()*;]|[^\W\d]\w*|\S")
+_IDENT = re.compile(r"[^\W\d]\w*")
 _KINDS = {**{c: c for c in "()*;"}, **{word: word for word in KEYWORDS}}
 
 
@@ -95,127 +99,132 @@ def _tokenize(text: str) -> tuple[list[str], list[str]]:
     """Kinds and texts of the tokens of ``text``, closed by an ``eof`` token.
 
     An identifier starts with ``_`` or a letter; any other character that
-    is not punctuation or white space is an error.
+    is not punctuation or white space is an error.  With punctuation spaced
+    out, the pieces between white space are the tokens when each distinct
+    piece is punctuation, a keyword or a whole identifier.  Otherwise some
+    piece holds a character that starts no token, and ``_TOKEN`` finds the
+    first one in the text.
     """
-    texts = _TOKEN.findall(text)
+    texts = text.replace("(", " ( ").replace(")", " ) ").replace("*", " * ").replace(";", " ; ").split()
     kinds = dict(_KINDS)
     for word in set(texts).difference(kinds):
-        if word[0].isalpha() or word[0] == "_":
-            kinds[word] = "ident"
+        if not ((word[0].isalpha() or word[0] == "_") and _IDENT.fullmatch(word)):
+            raise _unexpected(text)
+        kinds[word] = "ident"
     out = list(map(kinds.get, texts))
-    if None in out:
-        index = out.index(None)
-        raise _error(text, index, f"unexpected character {texts[index][0]!r}")
     out.append("eof")
     texts.append("")
     return out, texts
+
+
+def _unexpected(text: str) -> ParseError:
+    """The error for the first token of ``text`` that is no punctuation, keyword or identifier."""
+    for match in _TOKEN.finditer(text):
+        word = match.group()
+        if word not in _KINDS and not (word[0].isalpha() or word[0] == "_"):
+            return ParseError(f"unexpected character {word[0]!r}", *_line_column(text, match.start()))
 
 
 def _expected(what: str, texts: list[str], i: int) -> str:
     return f"expected {what}, found {texts[i] or 'end of input'!r}"
 
 
-def _parse_obj(kinds: list[str], texts: list[str], i: int, text: str, shared: dict) -> tuple[ObjTerm, int]:
-    """The object starting at token i, and the index of the token after it.
-
-    ``shared`` holds the objects read so far in this parse (leaves by their
-    text, tensors by the ids of their parts), so equal objects are one.
-    """
-    tensors: list = []  # per open "(": None, then its left part once read
+def _parse_obj(kinds: list[str], texts: list[str], i: int, text: str, objs: Objects) -> tuple[int, int]:
+    """The number in ``objs`` of the object starting at token i, and the index of the token after it."""
+    lefts: list = []  # per open "(": None, then the number of its left part once read
     while True:
         kind = kinds[i]
         if kind == "(":
-            tensors.append(None)
+            lefts.append(None)
             i += 1
             continue
-        if kind != "ident" and kind != "I":
+        if kind == "ident":
+            k = objs[texts[i],]
+        elif kind == "I":
+            k = 0
+        else:
             raise _error(text, i, _expected("an object", texts, i))
-        word = texts[i]
-        obj = shared.get(word)
-        if obj is None:
-            obj = shared[word] = Gen(word) if kind == "ident" else Unit()
         i += 1
-        while tensors:
-            left = tensors[-1]
+        while lefts:
+            left = lefts[-1]
             if left is None:
                 if kinds[i] != "*":
                     raise _error(text, i, _expected("'*'", texts, i))
-                tensors[-1] = obj
+                lefts[-1] = k
                 i += 1
                 break
             if kinds[i] != ")":
                 raise _error(text, i, _expected("')'", texts, i))
             i += 1
-            tensors.pop()
-            key = (id(left), id(obj))
-            pair = shared.get(key)
-            if pair is None:
-                pair = shared[key] = Tensor(left, obj)
-            obj = pair
+            lefts.pop()
+            k = objs[left, k]
         else:
-            return obj, i
+            return k, i
 
 
-def _parse_mor(kinds: list[str], texts: list[str], text: str) -> tuple[MorTerm, int]:
-    """The morphism starting at the first token, and the index of the token after it."""
-    shared: dict = {}  # see _parse_obj
+def _parse_mor(kinds: list[str], texts: list[str], text: str, objs: Objects) -> tuple[list, int]:
+    """The program of the morphism starting at the first token, and the index of the token after it."""
+    program: list = []
     i = 0
-    chain = None  # the atoms before the current one, joined by ";"
-    brackets: list = []  # per open bracket: (what closes it, chain before it, left of a tensor)
+    chained = False  # whether the current atom follows a ";"
+    brackets: list = []  # per open bracket: (what closes it, its marker, chained before it)
     while True:
         kind = kinds[i]
         if kind == "(":
-            brackets.append(("*", chain, None))
-            chain = None
+            brackets.append(("*", PAR, chained))
+            chained = False
             i += 1
             continue
         if kind == "inv":
             if kinds[i + 1] != "(":
                 raise _error(text, i + 1, _expected("'('", texts, i + 1))
-            brackets.append((")", chain, None))
-            chain = None
+            brackets.append((")", INV, chained))
+            chained = False
             i += 2
             continue
         if kind == "id":
-            x, i = _parse_obj(kinds, texts, i + 1, text, shared)
-            atom = Id(x)
+            x, i = _parse_obj(kinds, texts, i + 1, text, objs)
+            atom = (Id, x)
         elif kind == "b":
-            x, i = _parse_obj(kinds, texts, i + 1, text, shared)
-            y, i = _parse_obj(kinds, texts, i, text, shared)
-            atom = Braid(x, y)
+            x, i = _parse_obj(kinds, texts, i + 1, text, objs)
+            y, i = _parse_obj(kinds, texts, i, text, objs)
+            atom = (Braid, x, y)
         elif kind == "a":
-            x, i = _parse_obj(kinds, texts, i + 1, text, shared)
-            y, i = _parse_obj(kinds, texts, i, text, shared)
-            z, i = _parse_obj(kinds, texts, i, text, shared)
-            atom = Assoc(x, y, z)
+            x, i = _parse_obj(kinds, texts, i + 1, text, objs)
+            y, i = _parse_obj(kinds, texts, i, text, objs)
+            z, i = _parse_obj(kinds, texts, i, text, objs)
+            atom = (Assoc, x, y, z)
         elif kind == "l":
-            x, i = _parse_obj(kinds, texts, i + 1, text, shared)
-            atom = LeftUnitor(x)
+            x, i = _parse_obj(kinds, texts, i + 1, text, objs)
+            atom = (LeftUnitor, x)
         elif kind == "r":
-            x, i = _parse_obj(kinds, texts, i + 1, text, shared)
-            atom = RightUnitor(x)
+            x, i = _parse_obj(kinds, texts, i + 1, text, objs)
+            atom = (RightUnitor, x)
         else:
             raise _error(text, i, _expected("a morphism", texts, i))
-        term = atom if chain is None else Comp(chain, atom)
+        program.append(atom)
+        if chained:
+            program.append(COMP)
         # a chain ends where no ";" follows; close the brackets it ends
         while kinds[i] != ";":
             if not brackets:
-                return term, i
-            closer, outer, left = brackets.pop()
+                return program, i
+            closer, marker, chained = brackets.pop()
             if closer == "*":
                 if kinds[i] != "*":
                     raise _error(text, i, _expected("'*'", texts, i))
-                brackets.append((")", outer, term))
-                chain = None
+                brackets.append((")", marker, chained))
+                chained = False
                 i += 1
                 break
             if kinds[i] != ")":
                 raise _error(text, i, _expected("')'", texts, i))
             i += 1
-            atom = Inv(term) if left is None else Par(left, term)
-            term = atom if outer is None else Comp(outer, atom)
+            program.append(marker)
+            if chained:
+                program.append(COMP)
         else:
-            chain = term
+            chained = True
             i += 1
 
 
@@ -225,17 +234,24 @@ def _check_end(kinds: list[str], texts: list[str], i: int, text: str) -> None:
 
 
 def parse_obj(text: str) -> ObjTerm:
+    objs = Objects()
     kinds, texts = _tokenize(text)
-    out, i = _parse_obj(kinds, texts, 0, text, {})
+    out, i = _parse_obj(kinds, texts, 0, text, objs)
+    _check_end(kinds, texts, i, text)
+    return objs.term(out)
+
+
+def parse_program(text: str, objs: Objects) -> list:
+    """The program of a morphism (see ``terms.flatten``), its objects numbered in ``objs``."""
+    kinds, texts = _tokenize(text)
+    out, i = _parse_mor(kinds, texts, text, objs)
     _check_end(kinds, texts, i, text)
     return out
 
 
 def parse_mor(text: str) -> MorTerm:
-    kinds, texts = _tokenize(text)
-    out, i = _parse_mor(kinds, texts, text)
-    _check_end(kinds, texts, i, text)
-    return out
+    objs = Objects()
+    return build_term(parse_program(text, objs), objs)
 
 
 def render_obj(t: ObjTerm) -> str:
@@ -321,6 +337,19 @@ def _text(arg: str) -> str:
         return text
 
 
+# in a repr, an escaped backslash, or the surrogate escape of an undecodable byte
+_REPR_ESCAPE = re.compile(r"\\\\|\\udc([89a-f][0-9a-f])")
+
+
+def _escapes_as_bytes(text: str) -> str:
+    """``text``, which holds reprs of a path, with each undecodable byte of the path shown as ``\\xNN``.
+
+    Python reads an undecodable byte b of argv as U+DC00+b, which a repr
+    shows as ``\\udcNN``.
+    """
+    return _REPR_ESCAPE.sub(lambda m: f"\\x{m[1]}" if m[1] else m[0], text)
+
+
 def load_record(source: str, kind: str) -> dict:
     """Read a JSON record from a literal string, a file path, or '-' (stdin)."""
     literal = source.lstrip().startswith("{")
@@ -332,7 +361,7 @@ def load_record(source: str, kind: str) -> dict:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         shown = "an argument" if literal else repr(source)
-        raise RecordFormatError(f"cannot read record from {shown}: {exc}") from None
+        raise RecordFormatError(_escapes_as_bytes(f"cannot read record from {shown}: {exc}")) from None
     try:
         record = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -458,7 +487,8 @@ def term_text(arg: str) -> str:
 
 
 def cmd_normalize(args, out) -> int:
-    hom = normalize(parse_mor(term_text(args.term)))
+    objs = Objects()
+    hom = program_normal_form(parse_program(term_text(args.term), objs), objs)
     emit(out, args.format, {
         "kind": "normal-form",
         "source": [str(x) for x in hom.src.labels],
@@ -474,7 +504,11 @@ def cmd_equal(args, out) -> int:
     if args.lhs == args.rhs == "-":
         print("error: only one term can be read from stdin ('-')", file=sys.stderr)
         return 2
-    lhs, rhs = normal_forms(parse_mor(term_text(args.lhs)), parse_mor(term_text(args.rhs)))
+    # both are parsed before either is run, so a syntax error comes before a typing error
+    objs = Objects()
+    lhs = parse_program(term_text(args.lhs), objs)
+    rhs = parse_program(term_text(args.rhs), objs)
+    lhs, rhs = program_normal_forms(lhs, rhs, objs)
     equal = hom_equal(lhs, rhs)
     record = {"kind": "decision", "equal": equal}
     if not equal:

@@ -4,16 +4,20 @@ Term language for the free symmetric monoidal category on an alphabet.
 Objects are trees built from Unit, generators and a binary tensor; structural
 morphisms are trees built from identities, composition (diagram order),
 tensor, the four structural isomorphism families and a formal inverse.
-Checking a term, reading its boundaries and normalizing it are one
-iterative pass, which computes what evaluation into symmetric lists with
-each generator sent to a singleton gives; evaluation into any model is a
-pass of the same shape.  The resulting index bijection is a complete
-invariant of the term modulo the symmetric monoidal axioms, so equality of
-well-typed terms with equal boundaries is decidable by comparing normal
-forms.  The extension Psi of an assignment to lists and list morphisms
-writes the canonical formula of a permutation directly as model calls; the
-canonical term is that formula in the free term model.  None of these
-recurse, so they work on terms of any depth.
+The program of a morphism lists its atoms, their objects numbered up to
+equality, and the markers that combine them, in post-order; ``flatten``
+writes it for a term, and the CLI's parser writes it straight from text,
+so a request builds no term.  Checking a morphism, reading its boundaries
+and normalizing it are one run over its program, which computes what
+evaluation into symmetric lists with each generator sent to a singleton
+gives; evaluation into any model is a pass of the same shape.  The
+resulting index bijection is a complete invariant of the term modulo the
+symmetric monoidal axioms, so equality of well-typed terms with equal
+boundaries is decidable by comparing normal forms.  The extension Psi of
+an assignment to lists and list morphisms writes the canonical formula of
+a permutation directly as model calls; the canonical term is that formula
+in the free term model.  None of these recurse, so they work on terms of
+any depth.
 """
 
 from __future__ import annotations
@@ -346,48 +350,51 @@ def normalize_obj(t: ObjTerm) -> SList:
     return SList(obj_labels(t))
 
 
-class _Objects:
-    """Object terms numbered up to equality, for the length of one call.
+class Objects(dict):
+    """Objects numbered up to equality, for the length of one call.
 
     Equal objects get equal numbers, so boundaries compare in constant time
-    and no comparison recurses.  ``terms[k]`` is an object numbered k and
-    ``sizes[k]`` its number of generators; number 0 is the unit.
+    and no comparison recurses.  As a dict the table maps ``(label,)`` to
+    the number of the generator with that hashable label, and ``(left,
+    right)`` to the number of the tensor of the objects numbered left and
+    right.  Looking up a missing key numbers a new object, so a parser
+    numbers the objects it reads without building them; ``term(k)`` builds
+    the object numbered k when it is asked for, once.  ``sizes[k]`` is its
+    number of generators; number 0 is the unit.
     """
 
+    __slots__ = ("sizes", "_terms", "_parts", "_seen", "_unhashable")
+
     def __init__(self):
-        self.terms: list[ObjTerm] = [Unit()]
         self.sizes: list[int] = [0]
+        self._terms: list[ObjTerm | None] = [Unit()]  # per number: the object, None until built
+        self._parts: list[tuple | None] = [None]  # per number: the key of a tensor
         self._seen: dict[int, int] = {}  # id of a visited object -> its number
-        self._gens: dict = {}  # label -> number
         self._unhashable: list[int] = []  # numbers of generators with unhashable labels
-        self._tensors: dict[tuple[int, int], int] = {}  # numbers of the parts -> number
 
-    def _new(self, term: ObjTerm, size: int) -> int:
-        self.terms.append(term)
+    def _new(self, term: ObjTerm | None, size: int, parts: tuple | None = None) -> int:
+        self._terms.append(term)
         self.sizes.append(size)
-        return len(self.terms) - 1
+        self._parts.append(parts)
+        return len(self.sizes) - 1
 
-    def tensor(self, left: int, right: int, term: ObjTerm | None = None) -> int:
-        """The number of the tensor of two numbered objects (``term``, if given, is it)."""
-        k = self._tensors.get((left, right))
-        if k is None:
-            if term is None:
-                term = Tensor(self.terms[left], self.terms[right])
-            k = self._tensors[left, right] = self._new(term, self.sizes[left] + self.sizes[right])
+    def __missing__(self, key: tuple) -> int:
+        if len(key) == 1:
+            k = self[key] = self._new(Gen(key[0]), 1)
+        else:
+            k = self[key] = self._new(None, self.sizes[key[0]] + self.sizes[key[1]], key)
         return k
 
-    def _gen(self, g: Gen) -> int:
+    def gen(self, label) -> int:
+        """The number of the generator with this label, hashable or not."""
         try:
-            k = self._gens.get(g.label)
+            return self[label,]
         except TypeError:  # an unhashable label is looked up by equality
-            k = next((j for j in self._unhashable if self.terms[j].label == g.label), None)
+            k = next((j for j in self._unhashable if self._terms[j].label == label), None)
             if k is None:
-                k = self._new(g, 1)
+                k = self._new(Gen(label), 1)
                 self._unhashable.append(k)
             return k
-        if k is None:
-            k = self._gens[g.label] = self._new(g, 1)
-        return k
 
     def number(self, obj: ObjTerm) -> int:
         """The number of an object; each node object is visited once per call."""
@@ -406,9 +413,11 @@ class _Objects:
                     if right is None:
                         todo.append(o.right)
                     continue
-                k = self.tensor(left, right, o)
+                k = self[left, right]
+                if self._terms[k] is None:
+                    self._terms[k] = o
             elif isinstance(o, Gen):
-                k = self._gen(o)
+                k = self.gen(o.label)
             elif isinstance(o, Unit):
                 k = 0
             else:
@@ -417,68 +426,135 @@ class _Objects:
             todo.pop()
         return k
 
+    def term(self, k: int) -> ObjTerm:
+        """The object numbered k, its parts shared with every term built before."""
+        terms, parts = self._terms, self._parts
+        if terms[k] is not None:
+            return terms[k]
+        todo = [k]
+        while todo:
+            j = todo[-1]
+            if terms[j] is not None:
+                todo.pop()
+                continue
+            left, right = parts[j]
+            if terms[left] is None or terms[right] is None:
+                todo += (left, right)
+                continue
+            terms[j] = Tensor(terms[left], terms[right])
+            todo.pop()
+        return terms[k]
 
-# markers for the combining steps of the post-order pass
-_COMP, _PAR, _INV = object(), object(), object()
+
+# The program of a morphism term lists its atoms and the markers that
+# combine them in post-order: an atom is its class followed by the numbers
+# of its objects, e.g. ``(Assoc, x, y, z)``; a marker combines the last two
+# results (``COMP``, ``PAR``) or the last one (``INV``).
+COMP, PAR, INV = object(), object(), object()
 
 
-def _normal_data(t: MorTerm, objs: _Objects) -> tuple[int, int, tuple]:
-    """Source and target numbers and phi of a term, in one post-order pass.
-
-    Both parts of a composite are finished before its boundaries are
-    compared, first part first, so the first ill-typed composition in
-    that order raises ``IllTyped``.
-    """
-    number, tensor, sizes = objs.number, objs.tensor, objs.sizes
-    done: list[tuple[int, int, tuple]] = []  # (source, target, phi) per finished subterm
+def flatten(t: MorTerm, objs: Objects) -> list:
+    """The program of a term, its objects numbered in ``objs``."""
+    number = objs.number
+    program: list = []
     todo: list = [t]
     while todo:
         node = todo.pop()
-        if node is _COMP:
+        if node is COMP or node is PAR or node is INV:
+            program.append(node)
+        elif isinstance(node, Comp):
+            todo += (COMP, node.second, node.first)
+        elif isinstance(node, Par):
+            todo += (PAR, node.right, node.left)
+        elif isinstance(node, Inv):
+            todo += (INV, node.arg)
+        elif isinstance(node, Id):
+            program.append((Id, number(node.obj)))
+        elif isinstance(node, Braid):
+            program.append((Braid, number(node.x), number(node.y)))
+        elif isinstance(node, Assoc):
+            program.append((Assoc, number(node.x), number(node.y), number(node.z)))
+        elif isinstance(node, LeftUnitor):
+            program.append((LeftUnitor, number(node.x)))
+        elif isinstance(node, RightUnitor):
+            program.append((RightUnitor, number(node.x)))
+        else:
+            raise TypeError(f"not a morphism term: {node!r}")
+    return program
+
+
+def build_term(program: list, objs: Objects) -> MorTerm:
+    """The term of a program; equal objects are one node."""
+    term = objs.term
+    done: list = []
+    for item in program:
+        if item is COMP:
+            second = done.pop()
+            done[-1] = Comp(done[-1], second)
+        elif item is PAR:
+            right = done.pop()
+            done[-1] = Par(done[-1], right)
+        elif item is INV:
+            done[-1] = Inv(done[-1])
+        else:
+            done.append(item[0](*map(term, item[1:])))
+    return done[0]
+
+
+def run(program: list, objs: Objects) -> tuple[int, int, tuple]:
+    """Source and target numbers and phi of a program, in one pass over it.
+
+    Both parts of a composite are finished before its boundaries are
+    compared, first part first, so the first ill-typed composition in that
+    order raises ``IllTyped``.  The phi of a part that moves nothing is
+    ``None`` until it meets one that does, so identities, associators and
+    unitors build no tuple.
+    """
+    sizes = objs.sizes
+    done: list[tuple[int, int, tuple | None]] = []  # (source, target, phi) per finished part
+    for item in program:
+        if item is COMP:
             g_src, g_tgt, g_phi = done.pop()
             f_src, f_tgt, f_phi = done[-1]
             if f_tgt != g_src:
-                raise IllTyped(
-                    f"composition boundary mismatch: {objs.terms[f_tgt]} != {objs.terms[g_src]}"
-                )
-            done[-1] = (f_src, g_tgt, tuple([f_phi[j] for j in g_phi]))
-        elif node is _PAR:
+                raise IllTyped(f"composition boundary mismatch: {objs.term(f_tgt)} != {objs.term(g_src)}")
+            phi = f_phi if g_phi is None else g_phi if f_phi is None else tuple([f_phi[j] for j in g_phi])
+            done[-1] = (f_src, g_tgt, phi)
+        elif item is PAR:
             r_src, r_tgt, r_phi = done.pop()
             l_src, l_tgt, l_phi = done[-1]
-            m = len(l_phi)
-            done[-1] = (tensor(l_src, r_src), tensor(l_tgt, r_tgt), l_phi + tuple([m + j for j in r_phi]))
-        elif node is _INV:
+            phi = None
+            if l_phi is not None or r_phi is not None:
+                m = sizes[l_src]
+                phi = (tuple(range(m)) if l_phi is None else l_phi) + tuple(
+                    range(m, m + sizes[r_src]) if r_phi is None else [m + j for j in r_phi]
+                )
+            done[-1] = (objs[l_src, r_src], objs[l_tgt, r_tgt], phi)
+        elif item is INV:
             src, tgt, phi = done[-1]
-            inverse = [0] * len(phi)
-            for i, j in enumerate(phi):
-                inverse[j] = i
-            done[-1] = (tgt, src, tuple(inverse))
-        elif isinstance(node, Comp):
-            todo += (_COMP, node.second, node.first)
-        elif isinstance(node, Par):
-            todo += (_PAR, node.right, node.left)
-        elif isinstance(node, Inv):
-            todo += (_INV, node.arg)
-        elif isinstance(node, Id):
-            x = number(node.obj)
-            done.append((x, x, tuple(range(sizes[x]))))
-        elif isinstance(node, Braid):
-            x, y = number(node.x), number(node.y)
-            nx, ny = sizes[x], sizes[y]
-            done.append((tensor(x, y), tensor(y, x), tuple(range(nx, nx + ny)) + tuple(range(nx))))
-        elif isinstance(node, Assoc):
-            x, y, z = number(node.x), number(node.y), number(node.z)
-            n = sizes[x] + sizes[y] + sizes[z]
-            done.append((tensor(tensor(x, y), z), tensor(x, tensor(y, z)), tuple(range(n))))
-        elif isinstance(node, LeftUnitor):
-            x = number(node.x)
-            done.append((tensor(0, x), x, tuple(range(sizes[x]))))
-        elif isinstance(node, RightUnitor):
-            x = number(node.x)
-            done.append((tensor(x, 0), x, tuple(range(sizes[x]))))
+            if phi is not None:
+                inverse = [0] * len(phi)
+                for i, j in enumerate(phi):
+                    inverse[j] = i
+                phi = tuple(inverse)
+            done[-1] = (tgt, src, phi)
         else:
-            raise TypeError(f"not a morphism term: {node!r}")
-    return done[0]
+            kind, x = item[0], item[1]
+            if kind is Id:
+                done.append((x, x, None))
+            elif kind is Assoc:
+                y, z = item[2], item[3]
+                done.append((objs[objs[x, y], z], objs[x, objs[y, z]], None))
+            elif kind is Braid:
+                y = item[2]
+                nx, ny = sizes[x], sizes[y]
+                done.append((objs[x, y], objs[y, x], tuple(range(nx, nx + ny)) + tuple(range(nx))))
+            elif kind is LeftUnitor:
+                done.append((objs[0, x], x, None))
+            else:
+                done.append((objs[x, 0], x, None))
+    src, tgt, phi = done[0]
+    return src, tgt, tuple(range(sizes[src])) if phi is None else phi
 
 
 def typecheck(t: MorTerm) -> None:
@@ -486,7 +562,8 @@ def typecheck(t: MorTerm) -> None:
 
     It is the normalizing pass with its result dropped.
     """
-    _normal_data(t, _Objects())
+    objs = Objects()
+    run(flatten(t, objs), objs)
 
 
 def boundaries(t: MorTerm) -> tuple[ObjTerm, ObjTerm]:
@@ -498,15 +575,20 @@ def boundaries(t: MorTerm) -> tuple[ObjTerm, ObjTerm]:
     >>> boundaries(Inv(Braid(Gen("a"), Unit())))
     (Tensor(left=Unit(), right=Gen(label='a')), Tensor(left=Gen(label='a'), right=Unit()))
     """
-    objs = _Objects()
-    src, tgt, _ = _normal_data(t, objs)
-    return objs.terms[src], objs.terms[tgt]
+    objs = Objects()
+    src, tgt, _ = run(flatten(t, objs), objs)
+    return objs.term(src), objs.term(tgt)
 
 
-def _normal_form(t: MorTerm, objs: _Objects) -> tuple[SListHom, int, int]:
-    src, tgt, phi = _normal_data(t, objs)
-    hom = SListHom(SList(obj_labels(objs.terms[src])), SList(obj_labels(objs.terms[tgt])), Perm(phi))
+def _normal_form(program: list, objs: Objects) -> tuple[SListHom, int, int]:
+    src, tgt, phi = run(program, objs)
+    hom = SListHom(SList(obj_labels(objs.term(src))), SList(obj_labels(objs.term(tgt))), Perm(phi))
     return hom, src, tgt
+
+
+def program_normal_form(program: list, objs: Objects) -> SListHom:
+    """The normal form of a program; see ``normalize``."""
+    return _normal_form(program, objs)[0]
 
 
 def normalize(t: MorTerm) -> SListHom:
@@ -521,7 +603,17 @@ def normalize(t: MorTerm) -> SListHom:
     >>> normalize(Assoc(a, b, Gen("c"))).phi.img
     (0, 1, 2)
     """
-    return _normal_form(t, _Objects())[0]
+    objs = Objects()
+    return program_normal_form(flatten(t, objs), objs)
+
+
+def program_normal_forms(p: list, q: list, objs: Objects) -> tuple[SListHom, SListHom]:
+    """Normal forms of two programs over one table whose boundaries are equal; p is run first."""
+    hp, p_src, p_tgt = _normal_form(p, objs)
+    hq, q_src, q_tgt = _normal_form(q, objs)
+    if p_src != q_src or p_tgt != q_tgt:
+        raise BoundaryMismatch("decide_equal needs syntactically equal boundaries")
+    return hp, hq
 
 
 def normal_forms(s: MorTerm, t: MorTerm) -> tuple[SListHom, SListHom]:
@@ -529,12 +621,8 @@ def normal_forms(s: MorTerm, t: MorTerm) -> tuple[SListHom, SListHom]:
 
     Normalizing typechecks each term, so each is typechecked once.
     """
-    objs = _Objects()
-    hs, s_src, s_tgt = _normal_form(s, objs)
-    ht, t_src, t_tgt = _normal_form(t, objs)
-    if s_src != t_src or s_tgt != t_tgt:
-        raise BoundaryMismatch("decide_equal needs syntactically equal boundaries")
-    return hs, ht
+    objs = Objects()
+    return program_normal_forms(flatten(s, objs), flatten(t, objs), objs)
 
 
 def decide_equal(s: MorTerm, t: MorTerm) -> bool:

@@ -596,6 +596,18 @@ def test_undecodable_bytes_are_reported_as_such():
     assert run_bytes(["unbias", SPAN_A, family]) == cannot_read("an argument", family)
 
 
+def test_undecodable_bytes_in_a_record_path_are_shown_as_bytes(capsys):
+    def missing(shown):
+        return 2, f"error: cannot read record from {shown}: [Errno 2] No such file or directory: {shown}\n"
+
+    assert run_bytes(["span-compose", b"/nonexistent/\xff.json"]) == missing("'/nonexistent/\\xff.json'")
+    assert run_bytes(["unbias", SPAN_A, b"/nonexistent/\xc3(\x80.json"]) == missing("'/nonexistent/\\xc3(\\x80.json'")
+    assert run_bytes(["span-compose", "/nonexistent/é.json".encode()]) == missing("'/nonexistent/é.json'")
+    # a backslash in a path is shown escaped, as repr shows it, and starts no byte
+    assert run("span-compose", "/nonexistent/\\udcff.json") == (2, "")
+    assert capsys.readouterr().err == missing("'/nonexistent/\\\\udcff.json'")[1]
+
+
 def test_lone_surrogates_that_are_no_escapes_stay_unexpected_characters(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("b x \ud800"))
     assert run("normalize", "-") == (2, "")

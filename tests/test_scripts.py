@@ -46,6 +46,10 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     # one canonical term, of the one size up to --term-max-n, against its node count
     assert curves["normalize"]["x"] == "nodes" and len(curves["normalize"]["points"]) == 1
     assert all(n > 1 and t > 0 for c in (curves["reduced_word"], curves["normalize"]) for n, t in c["points"])
+    # CLI equal on the texts of permutations of 4, 8, .. 24 labels, which no option changes
+    tokens = [n for n, _ in curves["equal_text"]["points"]]
+    assert curves["equal_text"]["x"] == "tokens" and len(tokens) == 6 and tokens == sorted(set(tokens))
+    assert all(t > 0 for _, t in curves["equal_text"]["points"])
     assert [n for n, _ in curves["unbias_comp_iso"]["term"]["points"]] == [1, 2]
     apex_curves = [curves[name] for name in ("f_comp_cell", "pullback", "compose_span", "assoc_cell")]
     assert all([n for n, _ in c["points"]] == [1, 3] for c in apex_curves)
