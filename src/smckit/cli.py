@@ -77,7 +77,6 @@ KEYWORDS = {"I", "id", "a", "l", "r", "b", "inv"}
 
 
 _TOKEN = re.compile(r"[()*;]|[^\W\d]\w*|\S")
-_IDENT = re.compile(r"[^\W\d]\w*")
 _KINDS = {**{c: c for c in "()*;"}, **{word: word for word in KEYWORDS}}
 
 
@@ -108,7 +107,8 @@ def _tokenize(text: str) -> tuple[list[str], list[str]]:
     texts = text.replace("(", " ( ").replace(")", " ) ").replace("*", " * ").replace(";", " ; ").split()
     kinds = dict(_KINDS)
     for word in set(texts).difference(kinds):
-        if not ((word[0].isalpha() or word[0] == "_") and _IDENT.fullmatch(word)):
+        # after a letter or "_", only the identifier pattern of _TOKEN can match a whole piece
+        if not ((word[0].isalpha() or word[0] == "_") and _TOKEN.fullmatch(word)):
             raise _unexpected(text)
         kinds[word] = "ident"
     out = list(map(kinds.get, texts))
@@ -337,17 +337,14 @@ def _text(arg: str) -> str:
         return text
 
 
-# in a repr, an escaped backslash, or the surrogate escape of an undecodable byte
-_REPR_ESCAPE = re.compile(r"\\\\|\\udc([89a-f][0-9a-f])")
-
-
 def _escapes_as_bytes(text: str) -> str:
     """``text``, which holds reprs of a path, with each undecodable byte of the path shown as ``\\xNN``.
 
     Python reads an undecodable byte b of argv as U+DC00+b, which a repr
     shows as ``\\udcNN``.
     """
-    return _REPR_ESCAPE.sub(lambda m: f"\\x{m[1]}" if m[1] else m[0], text)
+    # an escaped backslash is kept, so that the text after it starts no escape
+    return re.sub(r"\\\\|\\udc([89a-f][0-9a-f])", lambda m: f"\\x{m[1]}" if m[1] else m[0], text)
 
 
 def load_record(source: str, kind: str) -> dict:

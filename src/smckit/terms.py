@@ -350,6 +350,9 @@ def normalize_obj(t: ObjTerm) -> SList:
     return SList(obj_labels(t))
 
 
+_UNIT = Unit()
+
+
 class Objects(dict):
     """Objects numbered up to equality, for the length of one call.
 
@@ -363,26 +366,23 @@ class Objects(dict):
     number of generators; number 0 is the unit.
     """
 
-    __slots__ = ("sizes", "_terms", "_parts", "_seen", "_unhashable")
+    __slots__ = ("sizes", "_terms", "_seen", "_unhashable")
 
     def __init__(self):
         self.sizes: list[int] = [0]
-        self._terms: list[ObjTerm | None] = [Unit()]  # per number: the object, None until built
-        self._parts: list[tuple | None] = [None]  # per number: the key of a tensor
+        self._terms: list = [_UNIT]  # per number: the object, or the key of a tensor not yet built
         self._seen: dict[int, int] = {}  # id of a visited object -> its number
         self._unhashable: list[int] = []  # numbers of generators with unhashable labels
 
-    def _new(self, term: ObjTerm | None, size: int, parts: tuple | None = None) -> int:
-        self._terms.append(term)
-        self.sizes.append(size)
-        self._parts.append(parts)
-        return len(self.sizes) - 1
-
     def __missing__(self, key: tuple) -> int:
+        sizes = self.sizes
+        k = self[key] = len(sizes)
         if len(key) == 1:
-            k = self[key] = self._new(Gen(key[0]), 1)
+            self._terms.append(Gen(key[0]))
+            sizes.append(1)
         else:
-            k = self[key] = self._new(None, self.sizes[key[0]] + self.sizes[key[1]], key)
+            self._terms.append(key)
+            sizes.append(sizes[key[0]] + sizes[key[1]])
         return k
 
     def gen(self, label) -> int:
@@ -392,7 +392,9 @@ class Objects(dict):
         except TypeError:  # an unhashable label is looked up by equality
             k = next((j for j in self._unhashable if self._terms[j].label == label), None)
             if k is None:
-                k = self._new(Gen(label), 1)
+                k = len(self.sizes)
+                self._terms.append(Gen(label))
+                self.sizes.append(1)
                 self._unhashable.append(k)
             return k
 
@@ -414,7 +416,7 @@ class Objects(dict):
                         todo.append(o.right)
                     continue
                 k = self[left, right]
-                if self._terms[k] is None:
+                if type(self._terms[k]) is tuple:
                     self._terms[k] = o
             elif isinstance(o, Gen):
                 k = self.gen(o.label)
@@ -428,21 +430,19 @@ class Objects(dict):
 
     def term(self, k: int) -> ObjTerm:
         """The object numbered k, its parts shared with every term built before."""
-        terms, parts = self._terms, self._parts
-        if terms[k] is not None:
-            return terms[k]
-        todo = [k]
-        while todo:
-            j = todo[-1]
-            if terms[j] is not None:
-                todo.pop()
-                continue
-            left, right = parts[j]
-            if terms[left] is None or terms[right] is None:
-                todo += (left, right)
-                continue
-            terms[j] = Tensor(terms[left], terms[right])
-            todo.pop()
+        terms = self._terms
+        if type(terms[k]) is tuple:
+            todo = [k]  # a path of unbuilt tensors down from k
+            while todo:
+                j = todo[-1]
+                left, right = terms[j]
+                if type(terms[left]) is tuple:
+                    todo.append(left)
+                elif type(terms[right]) is tuple:
+                    todo.append(right)
+                else:
+                    terms[j] = Tensor(terms[left], terms[right])
+                    todo.pop()
         return terms[k]
 
 
