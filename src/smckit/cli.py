@@ -107,14 +107,21 @@ def _tokenize(text: str) -> tuple[list[str], list[str]]:
     texts = text.replace("(", " ( ").replace(")", " ) ").replace("*", " * ").replace(";", " ; ").split()
     kinds = dict(_KINDS)
     for word in set(texts).difference(kinds):
-        # after a letter or "_", only the identifier pattern of _TOKEN can match a whole piece
-        if not ((word[0].isalpha() or word[0] == "_") and _TOKEN.fullmatch(word)):
+        if not _is_identifier(word):
             raise _unexpected(text)
         kinds[word] = "ident"
     out = list(map(kinds.get, texts))
     out.append("eof")
     texts.append("")
     return out, texts
+
+
+def _is_identifier(word: str) -> bool:
+    """Whether ``word`` is one identifier token: ``_`` or a letter, then word characters."""
+    if word.isascii():
+        return word.isidentifier()  # on ASCII text, the same set of words
+    # after a letter or "_", only the identifier pattern of _TOKEN can match a whole word
+    return (word[0].isalpha() or word[0] == "_") and _TOKEN.fullmatch(word) is not None
 
 
 def _unexpected(text: str) -> ParseError:
@@ -238,7 +245,7 @@ def parse_obj(text: str) -> ObjTerm:
     kinds, texts = _tokenize(text)
     out, i = _parse_obj(kinds, texts, 0, text, objs)
     _check_end(kinds, texts, i, text)
-    return objs.term(out)
+    return objs.terms[out]
 
 
 def parse_program(text: str, objs: Objects) -> list:

@@ -360,29 +360,30 @@ class Objects(dict):
     and no comparison recurses.  As a dict the table maps ``(label,)`` to
     the number of the generator with that hashable label, and ``(left,
     right)`` to the number of the tensor of the objects numbered left and
-    right.  Looking up a missing key numbers a new object, so a parser
-    numbers the objects it reads without building them; ``term(k)`` builds
-    the object numbered k when it is asked for, once.  ``sizes[k]`` is its
-    number of generators; number 0 is the unit.
+    right; looking up a missing key numbers a new object, so a parser
+    numbers the objects it reads as it reads them.  ``terms[k]`` is the
+    object numbered k and ``sizes[k]`` its number of generators; number 0
+    is the unit.
     """
 
-    __slots__ = ("sizes", "_terms", "_seen", "_unhashable")
+    __slots__ = ("terms", "sizes", "_seen", "_unhashable")
 
     def __init__(self):
+        self.terms: list[ObjTerm] = [_UNIT]
         self.sizes: list[int] = [0]
-        self._terms: list = [_UNIT]  # per number: the object, or the key of a tensor not yet built
         self._seen: dict[int, int] = {}  # id of a visited object -> its number
         self._unhashable: list[int] = []  # numbers of generators with unhashable labels
 
     def __missing__(self, key: tuple) -> int:
-        sizes = self.sizes
+        terms, sizes = self.terms, self.sizes
         k = self[key] = len(sizes)
         if len(key) == 1:
-            self._terms.append(Gen(key[0]))
+            terms.append(Gen(key[0]))
             sizes.append(1)
         else:
-            self._terms.append(key)
-            sizes.append(sizes[key[0]] + sizes[key[1]])
+            left, right = key
+            terms.append(Tensor(terms[left], terms[right]))
+            sizes.append(sizes[left] + sizes[right])
         return k
 
     def gen(self, label) -> int:
@@ -390,10 +391,10 @@ class Objects(dict):
         try:
             return self[label,]
         except TypeError:  # an unhashable label is looked up by equality
-            k = next((j for j in self._unhashable if self._terms[j].label == label), None)
+            k = next((j for j in self._unhashable if self.terms[j].label == label), None)
             if k is None:
                 k = len(self.sizes)
-                self._terms.append(Gen(label))
+                self.terms.append(Gen(label))
                 self.sizes.append(1)
                 self._unhashable.append(k)
             return k
@@ -415,9 +416,11 @@ class Objects(dict):
                     if right is None:
                         todo.append(o.right)
                     continue
-                k = self[left, right]
-                if type(self._terms[k]) is tuple:
-                    self._terms[k] = o
+                k = self.get((left, right))
+                if k is None:  # numbered with o as its term
+                    k = self[left, right] = len(self.sizes)
+                    self.terms.append(o)
+                    self.sizes.append(self.sizes[left] + self.sizes[right])
             elif isinstance(o, Gen):
                 k = self.gen(o.label)
             elif isinstance(o, Unit):
@@ -427,23 +430,6 @@ class Objects(dict):
             seen[id(o)] = k
             todo.pop()
         return k
-
-    def term(self, k: int) -> ObjTerm:
-        """The object numbered k, its parts shared with every term built before."""
-        terms = self._terms
-        if type(terms[k]) is tuple:
-            todo = [k]  # a path of unbuilt tensors down from k
-            while todo:
-                j = todo[-1]
-                left, right = terms[j]
-                if type(terms[left]) is tuple:
-                    todo.append(left)
-                elif type(terms[right]) is tuple:
-                    todo.append(right)
-                else:
-                    terms[j] = Tensor(terms[left], terms[right])
-                    todo.pop()
-        return terms[k]
 
 
 # The program of a morphism term lists its atoms and the markers that
@@ -485,7 +471,7 @@ def flatten(t: MorTerm, objs: Objects) -> list:
 
 def build_term(program: list, objs: Objects) -> MorTerm:
     """The term of a program; equal objects are one node."""
-    term = objs.term
+    terms = objs.terms
     done: list = []
     for item in program:
         if item is COMP:
@@ -497,7 +483,7 @@ def build_term(program: list, objs: Objects) -> MorTerm:
         elif item is INV:
             done[-1] = Inv(done[-1])
         else:
-            done.append(item[0](*map(term, item[1:])))
+            done.append(item[0](*[terms[k] for k in item[1:]]))
     return done[0]
 
 
@@ -517,7 +503,7 @@ def run(program: list, objs: Objects) -> tuple[int, int, tuple]:
             g_src, g_tgt, g_phi = done.pop()
             f_src, f_tgt, f_phi = done[-1]
             if f_tgt != g_src:
-                raise IllTyped(f"composition boundary mismatch: {objs.term(f_tgt)} != {objs.term(g_src)}")
+                raise IllTyped(f"composition boundary mismatch: {objs.terms[f_tgt]} != {objs.terms[g_src]}")
             phi = f_phi if g_phi is None else g_phi if f_phi is None else tuple([f_phi[j] for j in g_phi])
             done[-1] = (f_src, g_tgt, phi)
         elif item is PAR:
@@ -577,12 +563,12 @@ def boundaries(t: MorTerm) -> tuple[ObjTerm, ObjTerm]:
     """
     objs = Objects()
     src, tgt, _ = run(flatten(t, objs), objs)
-    return objs.term(src), objs.term(tgt)
+    return objs.terms[src], objs.terms[tgt]
 
 
 def _normal_form(program: list, objs: Objects) -> tuple[SListHom, int, int]:
     src, tgt, phi = run(program, objs)
-    hom = SListHom(SList(obj_labels(objs.term(src))), SList(obj_labels(objs.term(tgt))), Perm(phi))
+    hom = SListHom(SList(obj_labels(objs.terms[src])), SList(obj_labels(objs.terms[tgt])), Perm(phi))
     return hom, src, tgt
 
 

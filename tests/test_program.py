@@ -161,7 +161,7 @@ def test_the_program_path_agrees_with_the_oracle(seed):
             if not isinstance(found, str):
                 objs = Objects()
                 src, tgt, _ = run(parse_program(lhs, objs), objs)
-                assert (objs.term(src), objs.term(tgt)) == found[0]
+                assert (objs.terms[src], objs.terms[tgt]) == found[0]
     assert kinds == {0, 1, " IllTyped", " BoundaryMismatch"}
 
 
