@@ -7,12 +7,12 @@ tensor, the four structural isomorphism families and a formal inverse.
 The program of a morphism lists its atoms, their objects numbered up to
 equality, and the markers that combine them, in post-order; ``flatten``
 writes it for a term, and the CLI's parser writes it straight from text,
-so a request builds no term.  Checking a morphism, reading its boundaries
-and normalizing it are one run over its program, which computes what
-evaluation into symmetric lists with each generator sent to a singleton
-gives; evaluation into any model is a pass of the same shape.  The
-resulting index bijection is a complete invariant of the term modulo the
-symmetric monoidal axioms, so equality of well-typed terms with equal
+so a request builds no morphism term.  Checking a morphism, reading its
+boundaries and normalizing it are one run over its program, which computes
+what evaluation into symmetric lists with each generator sent to a
+singleton gives; evaluation into any model is a pass of the same shape.
+The resulting index bijection is a complete invariant of the term modulo
+the symmetric monoidal axioms, so equality of well-typed terms with equal
 boundaries is decidable by comparing normal forms.  The extension Psi of
 an assignment to lists and list morphisms writes the canonical formula of
 a permutation directly as model calls; the canonical term is that formula
