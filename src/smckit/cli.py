@@ -118,8 +118,6 @@ def _tokenize(text: str) -> tuple[list[str], list[str]]:
 
 def _is_identifier(word: str) -> bool:
     """Whether ``word`` is one identifier token: ``_`` or a letter, then word characters."""
-    if word.isascii():
-        return word.isidentifier()  # on ASCII text, the same set of words
     # after a letter or "_", only the identifier pattern of _TOKEN can match a whole word
     return (word[0].isalpha() or word[0] == "_") and _TOKEN.fullmatch(word) is not None
 
@@ -240,8 +238,10 @@ def _check_end(kinds: list[str], texts: list[str], i: int, text: str) -> None:
         raise _error(text, i, f"trailing input {texts[i]!r}")
 
 
-def parse_obj(text: str) -> ObjTerm:
-    objs = Objects()
+def parse_obj(text: str, objs: Objects | None = None) -> ObjTerm:
+    """The object of ``text``; objects numbered in one table ``objs`` share their equal parts."""
+    if objs is None:
+        objs = Objects()
     kinds, texts = _tokenize(text)
     out, i = _parse_obj(kinds, texts, 0, text, objs)
     _check_end(kinds, texts, i, text)
@@ -541,7 +541,8 @@ def cmd_span_compose(args, out) -> int:
 
 def _family_assignment(entries: dict, model_name: str):
     """The model and the assignment index -> object, every entry parsed once."""
-    objs = {j: parse_obj(text) for j, text in entries.items()}
+    table = Objects()
+    objs = {j: parse_obj(text, table) for j, text in entries.items()}
     if model_name == "term":
         return FreeTermModel(), objs
     return SListModel(), {j: normalize_obj(obj) for j, obj in objs.items()}

@@ -386,6 +386,11 @@ class Objects(dict):
             sizes.append(sizes[left] + sizes[right])
         return k
 
+    def _new(self, term: ObjTerm, size: int) -> int:
+        self.terms.append(term)
+        self.sizes.append(size)
+        return len(self.sizes) - 1
+
     def gen(self, label) -> int:
         """The number of the generator with this label, hashable or not."""
         try:
@@ -393,9 +398,7 @@ class Objects(dict):
         except TypeError:  # an unhashable label is looked up by equality
             k = next((j for j in self._unhashable if self.terms[j].label == label), None)
             if k is None:
-                k = len(self.sizes)
-                self.terms.append(Gen(label))
-                self.sizes.append(1)
+                k = self._new(Gen(label), 1)
                 self._unhashable.append(k)
             return k
 
@@ -418,9 +421,7 @@ class Objects(dict):
                     continue
                 k = self.get((left, right))
                 if k is None:  # numbered with o as its term
-                    k = self[left, right] = len(self.sizes)
-                    self.terms.append(o)
-                    self.sizes.append(self.sizes[left] + self.sizes[right])
+                    k = self[left, right] = self._new(o, self.sizes[left] + self.sizes[right])
             elif isinstance(o, Gen):
                 k = self.gen(o.label)
             elif isinstance(o, Unit):

@@ -270,9 +270,9 @@ def test_unbias_cells_parses_each_family_entry_once(monkeypatch):
     })
     calls = []
 
-    def counting_parse_obj(text):
+    def counting_parse_obj(text, *table):
         calls.append(text)
-        return parse_obj(text)
+        return parse_obj(text, *table)
 
     monkeypatch.setattr(cli, "parse_obj", counting_parse_obj)
     code, text = run("unbias", span, family, "--cells")
