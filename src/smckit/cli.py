@@ -118,8 +118,9 @@ def _tokenize(text: str) -> tuple[list[str], list[str]]:
 
 def _is_identifier(word: str) -> bool:
     """Whether ``word`` is one identifier token: ``_`` or a letter, then word characters."""
-    # after a letter or "_", only the identifier pattern of _TOKEN can match a whole word
-    return (word[0].isalpha() or word[0] == "_") and _TOKEN.fullmatch(word) is not None
+    # the word characters of _TOKEN's identifier pattern are those that isalnum() and "_", so
+    # after a letter or "_" this is a full match of that pattern, without entering the regex engine
+    return (word[0].isalpha() or word[0] == "_") and word.replace("_", "a").isalnum()
 
 
 def _unexpected(text: str) -> ParseError:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 from random import Random
 
 import pytest
@@ -53,6 +54,15 @@ def split_tokens(text: str):
 @given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
 def test_tokenize_gives_the_tokens_of_the_regex(text):
     assert split_tokens(text) == regex_tokens(text)
+
+
+def test_identifier_check_accepts_what_the_identifier_pattern_does_on_every_character():
+    # every code point as a one-character word and after a letter
+    ident = re.compile(r"[^\W\d]\w*")
+    for c in map(chr, range(sys.maxunicode + 1)):
+        for word in (c, "x" + c):
+            expected = (word[0].isalpha() or word[0] == "_") and ident.fullmatch(word) is not None
+            assert cli._is_identifier(word) == expected, word
 
 
 def test_tokenize_examples():
