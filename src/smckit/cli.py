@@ -118,8 +118,8 @@ def _tokenize(text: str) -> tuple[list[str], list[str]]:
 
 def _is_identifier(word: str) -> bool:
     """Whether ``word`` is one identifier token: ``_`` or a letter, then word characters."""
-    # the word characters of _TOKEN's identifier pattern are those that isalnum() and "_", so
-    # after a letter or "_" this is a full match of that pattern, without entering the regex engine
+    # a word character of the regex engine is "_" or one for which isalnum() holds, so after
+    # a letter or "_" this is a full match of _TOKEN's identifier pattern, with no regex call
     return (word[0].isalpha() or word[0] == "_") and word.replace("_", "a").isalnum()
 
 
