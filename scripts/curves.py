@@ -31,6 +31,10 @@ without ``--out`` they are printed.  The curves are:
   the given arity over an eight-entry family, factored as a pull then a
   push the way ``smckit unbias --cells`` does, against arity, in the term
   and slist models;
+* ``render_cells``: ``cli.render_mor`` of each term-model cell that
+  ``unbias_comp_iso`` gives for the span of that curve, one call per cell
+  as ``smckit unbias --cells`` makes them, against the number of characters
+  written, for the same arities;
 * ``f_comp_cell``: ``unbias.f_comp_cell`` of two spans with n apex
   elements each, against n.  The middle set has n elements and t's left
   leg is a bijection onto it, so the composite apex has exactly n pairs;
@@ -183,23 +187,42 @@ def equal_text_calls(sizes) -> dict:
     return calls
 
 
-def comp_iso_call(model_name: str):
-    # fixed family entries of one and three generators, as the CLI parses them
+def family(model_name: str):
+    """The model and fixed family entries of one and three generators, as the CLI parses them."""
     texts = [f"p{j % 6}" if j % 2 == 0 else f"(p{j % 6} * (p{(j + 1) % 6} * p{(j + 2) % 6}))"
              for j in range(ENTRIES)]
     objs = {j: parse_obj(text) for j, text in enumerate(texts)}
     if model_name == "term":
-        m, assign = FreeTermModel(), objs
-    else:
-        m, assign = SListModel(), {j: normalize_obj(o) for j, o in objs.items()}
+        return FreeTermModel(), objs
+    return SListModel(), {j: normalize_obj(o) for j, o in objs.items()}
+
+
+def one_fiber_span(arity: int) -> tuple[Span, Span]:
+    """A one-fiber span of the given arity over the family, factored as a pull then a push."""
+    rng = Random(arity)
+    apex = FinSet(arity)
+    left = FinFun(apex, FinSet(ENTRIES), tuple(rng.randrange(ENTRIES) for _ in range(arity)))
+    right = FinFun(apex, FinSet(1), (0,) * arity)
+    return span_pull(left), span_push(right)
+
+
+def comp_iso_call(model_name: str):
+    m, assign = family(model_name)
 
     def make(arity: int):
-        rng = Random(arity)
-        apex = FinSet(arity)
-        left = FinFun(apex, FinSet(ENTRIES), tuple(rng.randrange(ENTRIES) for _ in range(arity)))
-        right = FinFun(apex, FinSet(1), (0,) * arity)
-        return lambda: unbias_comp_iso(span_pull(left), span_push(right), m, assign)
+        pull, push = one_fiber_span(arity)
+        return lambda: unbias_comp_iso(pull, push, m, assign)
     return make
+
+
+def render_cells_calls(arities) -> dict:
+    """Output characters -> a call rendering the term-model cells of ``comp_iso_call``'s span."""
+    m, assign = family("term")
+    calls = {}
+    for arity in arities:
+        cells = unbias_comp_iso(*one_fiber_span(arity), m, assign)
+        calls[sum(len(render_mor(c)) for c in cells)] = lambda cells=cells: [render_mor(c) for c in cells]
+    return calls
 
 
 def bijective_chain(n: int, length: int) -> list[Span]:
@@ -264,6 +287,7 @@ def singleton(label) -> SList:
 def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeats: int) -> dict:
     normalize_at = normalize_calls([n for n in psi_sizes if n <= term_max_n])
     equal_at = equal_text_calls(EQUAL_SIZES)
+    render_at = render_cells_calls(arities)
     return {
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(), "platform": platform.platform()},
         "repeats": repeats,
@@ -278,6 +302,7 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
         "unbias_comp_iso": {
             name: curve("arity", arities, comp_iso_call(name), repeats) for name in ("term", "slist")
         },
+        "render_cells": curve("chars", list(render_at), render_at.get, repeats),
         "f_comp_cell": curve("apex", apex_sizes, f_comp_call, repeats),
         "pullback": curve("apex", apex_sizes, pullback_call, repeats),
         "compose_span": curve("apex", apex_sizes, compose_span_call, repeats),

@@ -46,22 +46,19 @@ from .terms import (
     PAR,
     Assoc,
     Braid,
-    Comp,
     Id,
-    Inv,
     LeftUnitor,
     MorTerm,
     Objects,
     ObjTerm,
-    Par,
     RightUnitor,
-    Tensor,
     build_term,
     canonical_term,
     normalize_obj,
     obj_text,
     program_normal_form,
     program_normal_forms,
+    syntax,
 )
 from .terms import typecheck  # noqa: F401  unused: normalize typechecks; perfbench's tests patch cli.typecheck
 from .unbias import unbias_comp_iso, unbias_eval, unbias_unit_iso
@@ -266,65 +263,9 @@ def render_obj(t: ObjTerm) -> str:
     return obj_text(t, " * ")
 
 
-def _shared_tensors(t: MorTerm) -> set[int]:
-    """The ids of the tensor nodes that ``t`` reaches more than once; each node is walked once."""
-    seen: set[int] = set()
-    shared: set[int] = set()
-    todo: list = [t]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, Tensor):
-            if id(item) in seen:
-                shared.add(id(item))
-                continue
-            seen.add(id(item))
-        if isinstance(item, (MorTerm, Tensor)):
-            todo += vars(item).values()
-    return shared
-
-
 def render_mor(t: MorTerm) -> str:
-    """Concrete syntax for a term; composition prints flat and left-associated.
-
-    An object node that the term reaches more than once (the unbiased
-    formulas share their folds) is rendered once per call and its text
-    reused; the node ids and texts are dropped when the call returns.
-    Memory stays linear in the size of the term plus that of the output:
-    beyond one id per tensor node, only shared nodes' texts are kept, and
-    the output holds each of them at least twice.
-    """
-    texts = dict.fromkeys(_shared_tensors(t))
-
-    def obj(o: ObjTerm) -> str:
-        return obj_text(o, " * ", texts)
-
-    out = []
-    todo: list = [t]
-    while todo:
-        item = todo.pop()
-        if type(item) is str:
-            out.append(item)
-        elif isinstance(item, Comp):
-            todo += (item.second, " ; ", item.first)
-        elif isinstance(item, Par):
-            out.append("(")
-            todo += (")", item.right, " * ", item.left)
-        elif isinstance(item, Inv):
-            out.append("inv (")
-            todo += (")", item.arg)
-        elif isinstance(item, Id):
-            out.append(f"id {obj(item.obj)}")
-        elif isinstance(item, Assoc):
-            out.append(f"a {obj(item.x)} {obj(item.y)} {obj(item.z)}")
-        elif isinstance(item, LeftUnitor):
-            out.append(f"l {obj(item.x)}")
-        elif isinstance(item, RightUnitor):
-            out.append(f"r {obj(item.x)}")
-        elif isinstance(item, Braid):
-            out.append(f"b {obj(item.x)} {obj(item.y)}")
-        else:
-            raise TypeError(f"not a morphism term: {item!r}")
-    return "".join(out)
+    """Concrete syntax for a term; composition prints flat and left-associated."""
+    return syntax(t, " * ", " ; ")
 
 
 # ---------------------------------------------------------------------------

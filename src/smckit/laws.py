@@ -305,25 +305,16 @@ def random_obj(rng: Random, labels, max_depth: int = 3) -> ObjTerm:
     return Tensor(random_obj(rng, labels, max_depth - 1), random_obj(rng, labels, max_depth - 1))
 
 
-def _paths(obj: ObjTerm):
-    yield ()
-    if isinstance(obj, Tensor):
-        for p in _paths(obj.left):
-            yield ("L",) + p
-        for p in _paths(obj.right):
-            yield ("R",) + p
-
-
-def _subtree(obj: ObjTerm, path) -> ObjTerm:
-    for step in path:
-        obj = obj.left if step == "L" else obj.right
-    return obj
-
-
-def _node_count(obj: ObjTerm) -> int:
-    if isinstance(obj, Tensor):
-        return 1 + _node_count(obj.left) + _node_count(obj.right)
-    return 1
+def _positions(obj: ObjTerm) -> list[tuple[tuple, ObjTerm]]:
+    """(path, subtree) for every node of ``obj``, in preorder."""
+    out = []
+    todo = [((), obj)]
+    while todo:
+        path, sub = todo.pop()
+        out.append((path, sub))
+        if isinstance(sub, Tensor):
+            todo += ((path + ("R",), sub.right), (path + ("L",), sub.left))
+    return out
 
 
 def _moves_at(sub: ObjTerm, allow_growth: bool) -> list[MorTerm]:
@@ -342,6 +333,22 @@ def _moves_at(sub: ObjTerm, allow_growth: bool) -> list[MorTerm]:
         moves.append(Inv(LeftUnitor(sub)))
         moves.append(Inv(RightUnitor(sub)))
     return moves
+
+
+def _move_target(move: MorTerm) -> ObjTerm:
+    """The target of a move of ``_moves_at``, read off its constructor."""
+    if isinstance(move, Braid):
+        return Tensor(move.y, move.x)
+    if isinstance(move, Assoc):
+        return Tensor(move.x, Tensor(move.y, move.z))
+    if isinstance(move, (LeftUnitor, RightUnitor)):
+        return move.x
+    inverse = move.arg
+    if isinstance(inverse, Assoc):
+        return Tensor(Tensor(inverse.x, inverse.y), inverse.z)
+    if isinstance(inverse, LeftUnitor):
+        return Tensor(Unit(), inverse.x)
+    return Tensor(inverse.x, Unit())
 
 
 def _whisker(obj: ObjTerm, path, move: MorTerm) -> MorTerm:
@@ -366,30 +373,30 @@ def _replace_at(obj: ObjTerm, path, new: ObjTerm) -> ObjTerm:
 def random_walk_term(rng: Random, labels, steps: int) -> MorTerm:
     """A random well-typed structural morphism, built as a left-nested walk.
 
-    The walk carries its current object: after each step only the moved
-    subtree's target is worked out and put in at the move's path.
+    The walk carries its current object: after each step the moved
+    subtree's target is put in at the move's path.
     """
     obj = random_obj(rng, labels)
     term: MorTerm = Id(obj)
     for _ in range(steps):
-        path, move = _random_move(rng, obj)
+        path, move, target = _random_move(rng, obj)
         term = Comp(term, _whisker(obj, path, move))
-        obj = _replace_at(obj, path, boundaries(move)[1])
+        obj = _replace_at(obj, path, target)
     return term
 
 
 def _random_move(rng: Random, obj: ObjTerm) -> tuple:
-    """A random (path, move): a structural move at the subtree of ``obj`` at the path."""
-    allow_growth = _node_count(obj) < 15
-    candidates = []
-    for path in _paths(obj):
-        for move in _moves_at(_subtree(obj, path), allow_growth):
-            candidates.append((path, move))
-    return rng.choice(candidates)
+    """A random (path, move, target): a structural move at the subtree of ``obj`` at the path."""
+    positions = _positions(obj)
+    allow_growth = len(positions) < 15
+    path, move = rng.choice([(path, move) for path, sub in positions for move in _moves_at(sub, allow_growth)])
+    return path, move, _move_target(move)
 
 
-def _random_structural_from(rng: Random, obj: ObjTerm) -> MorTerm:
-    return _whisker(obj, *_random_move(rng, obj))
+def _random_structural_from(rng: Random, obj: ObjTerm) -> tuple[MorTerm, ObjTerm]:
+    """A random structural step out of ``obj``, whiskered to all of it, and its target."""
+    path, move, target = _random_move(rng, obj)
+    return _whisker(obj, path, move), _replace_at(obj, path, target)
 
 
 def axiom_rewrite(rng: Random, t: MorTerm, depth: int = 0) -> MorTerm:
@@ -409,7 +416,7 @@ def axiom_rewrite(rng: Random, t: MorTerm, depth: int = 0) -> MorTerm:
     options = [
         lambda: Comp(Id(src), t),
         lambda: Comp(t, Id(tgt)),
-        lambda: Comp(t, Comp(_m := _random_structural_from(rng, tgt), Inv(_m))),
+        lambda: Comp(t, Comp(_m := _random_structural_from(rng, tgt)[0], Inv(_m))),
         lambda: Comp(Comp(Inv(LeftUnitor(src)), Par(Id(Unit()), t)), LeftUnitor(tgt)),
         lambda: Comp(Comp(Inv(RightUnitor(src)), Par(t, Id(Unit()))), RightUnitor(tgt)),
         lambda: Inv(Inv(t)),
@@ -455,10 +462,8 @@ def coherence_suite(n_terms: int = 1000, n_labels: int = 5, seed: int = 0) -> La
         failures = smc_law_failures(FreeTermModel(), (w, x, y, z))
         check(not failures, f"term-model instance fails: {failures}")
         # a structural step from an object has that object as its source
-        f = _random_structural_from(rng, x)
-        g = _random_structural_from(rng, y)
-        _, tx = boundaries(f)
-        _, ty = boundaries(g)
+        f, tx = _random_structural_from(rng, x)
+        g, ty = _random_structural_from(rng, y)
         check(
             decide_equal(Comp(Par(f, g), Braid(tx, ty)), Comp(Braid(x, y), Par(g, f))),
             "braid naturality fails",
@@ -471,8 +476,7 @@ def coherence_suite(n_terms: int = 1000, n_labels: int = 5, seed: int = 0) -> La
             decide_equal(Comp(Par(f, Id(Unit())), RightUnitor(tx)), Comp(RightUnitor(x), f)),
             "right unitor naturality fails",
         )
-        h = _random_structural_from(rng, z)
-        _, tz = boundaries(h)
+        h, tz = _random_structural_from(rng, z)
         check(
             decide_equal(
                 Comp(Par(Par(f, g), h), Assoc(tx, ty, tz)),

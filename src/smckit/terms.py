@@ -4,6 +4,8 @@ Term language for the free symmetric monoidal category on an alphabet.
 Objects are trees built from Unit, generators and a binary tensor; structural
 morphisms are trees built from identities, composition (diagram order),
 tensor, the four structural isomorphism families and a formal inverse.
+``syntax`` writes the concrete syntax of both in one walk, which walks a
+tensor node that the term reaches more than once only once.
 The program of a morphism lists its atoms, their objects numbered up to
 equality, and the markers that combine them, in post-order; ``flatten``
 writes it for a term, and the CLI's parser writes it straight from text,
@@ -54,49 +56,6 @@ class Gen(ObjTerm):
 class Tensor(ObjTerm):
     left: ObjTerm
     right: ObjTerm
-
-
-_END = object()  # closes the text of a shared tensor on obj_text's stack
-
-
-def obj_text(t: ObjTerm, sep: str = "*", texts: dict | None = None) -> str:
-    """An object as text, each tensor parenthesized with ``sep`` between its parts.
-
-    A tensor node whose id is a key of ``texts`` is rendered once: its
-    ``None`` value is replaced by its text, which every later visit reuses,
-    in this call and in later calls given the same dict.
-
-    >>> obj_text(Tensor(Gen("x"), Tensor(Unit(), Gen("y"))), " * ")
-    '(x * (I * y))'
-    """
-    if texts is None:
-        texts = {}
-    out = []
-    todo: list = [t]
-    while todo:
-        item = todo.pop()
-        if type(item) is str:
-            out.append(item)
-        elif item is _END:
-            key, start = todo.pop(), todo.pop()
-            texts[key] = out[start] = "".join(out[start:])
-            del out[start + 1 :]
-        elif isinstance(item, Tensor):
-            key = id(item)
-            if key in texts:
-                if texts[key] is not None:
-                    out.append(texts[key])
-                    continue
-                todo += (len(out), key, _END)
-            out.append("(")
-            todo += (")", item.right, sep, item.left)
-        elif isinstance(item, Gen):
-            out.append(str(item.label))
-        elif isinstance(item, Unit):
-            out.append("I")
-        else:
-            raise TypeError(f"not an object term: {item!r}")
-    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -163,6 +122,97 @@ class Braid(MorTerm):
 @dataclass(frozen=True)
 class Inv(MorTerm):
     arg: MorTerm
+
+
+def obj_text(t: ObjTerm, sep: str = "*") -> str:
+    """An object as text, each tensor parenthesized with ``sep`` between its parts.
+
+    >>> obj_text(Tensor(Gen("x"), Tensor(Unit(), Gen("y"))), " * ")
+    '(x * (I * y))'
+    """
+    return syntax(t, sep)
+
+
+_MORPHISMS = object()  # on syntax's stack below the objects of an atom
+
+
+def syntax(t, sep: str, comp: str | None = None) -> str:
+    """The concrete syntax of an object, or of a morphism where ``comp`` is given.
+
+    A tensor, of objects or of morphisms, is parenthesized with ``sep``
+    between its parts; composition is written flat with ``comp`` between
+    the parts, which reads as left-associated.  A tensor node of objects
+    reached more than once (the unbiased formulas share their folds) is
+    walked once: its first visit records where its text starts and ends in
+    the output, the next visit joins that range into one text, and every
+    later visit reuses it.  Memory stays linear in the size of the term plus
+    that of the output: one range per tensor node, and a text only for a
+    shared node, which the output holds at least twice.  An object term
+    where a morphism belongs, or a morphism term where an object belongs,
+    raises ``TypeError`` when the walk reaches it.
+
+    >>> syntax(Comp(Braid(Gen("x"), Unit()), Inv(Id(Unit()))), " * ", " ; ")
+    'b x I ; inv (id I)'
+    """
+    out: list[str] = []
+    at: dict[int, Any] = {}  # id of a tensor node -> [start, end] of its text in out, then the text
+    objects = comp is None  # whether the items on the stack down to the next _MORPHISMS are objects
+    todo: list = [t]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+        elif type(item) is list:  # the end of a tensor's first visit
+            out.append(")")
+            item.append(len(out))
+        elif objects:
+            if isinstance(item, Tensor):
+                key = id(item)
+                where = at.get(key)
+                if where is None:
+                    at[key] = where = [len(out)]
+                    out.append("(")
+                    todo += (where, item.right, sep, item.left)
+                else:
+                    if type(where) is list:
+                        where = at[key] = "".join(out[where[0] : where[1]])
+                    out.append(where)
+            elif isinstance(item, Gen):
+                out.append(str(item.label))
+            elif isinstance(item, Unit):
+                out.append("I")
+            elif item is _MORPHISMS:
+                objects = False
+            else:
+                raise TypeError(f"not an object term: {item!r}")
+        elif isinstance(item, Comp):
+            todo += (item.second, comp, item.first)
+        elif isinstance(item, Par):
+            out.append("(")
+            todo += (")", item.right, sep, item.left)
+        elif isinstance(item, Inv):
+            out.append("inv (")
+            todo += (")", item.arg)
+        else:
+            if isinstance(item, Id):
+                out.append("id ")
+                todo += (_MORPHISMS, item.obj)
+            elif isinstance(item, Assoc):
+                out.append("a ")
+                todo += (_MORPHISMS, item.z, " ", item.y, " ", item.x)
+            elif isinstance(item, LeftUnitor):
+                out.append("l ")
+                todo += (_MORPHISMS, item.x)
+            elif isinstance(item, RightUnitor):
+                out.append("r ")
+                todo += (_MORPHISMS, item.x)
+            elif isinstance(item, Braid):
+                out.append("b ")
+                todo += (_MORPHISMS, item.y, " ", item.x)
+            else:
+                raise TypeError(f"not a morphism term: {item!r}")
+            objects = True
+    return "".join(out)
 
 
 def obj_labels(t: ObjTerm) -> tuple:

@@ -16,6 +16,11 @@ whose legs share a source and land in the cospan's sources,
 ``Pullback.lift`` must return the same map, and raise
 ``LiftEquationFails`` with the same text exactly where it does.
 
+``assoc_cell`` is the associator cell as it was before it returned the
+identity: two lifts into the pullbacks of s;(t;u), which match
+((a,b),c) with (a,(b,c)).  On every composable chain it must equal
+``spans.assoc_cell``.
+
 ``vertical_compose`` is the binary vertical composition of span cells that
 the n-ary ``spans.vcomp`` replaced; a chain's ``vcomp`` must equal its left
 fold, and fail with the same text where the fold does.
@@ -31,7 +36,7 @@ from smckit.errors import (
 )
 from smckit.perms import Perm
 from smckit.slist import SList, SListHom, is_linear, underlying_multiset
-from smckit.spans import FinFun, Pullback, Span, SpanCell, fcompose
+from smckit.spans import FinFun, Pullback, Span, SpanCell, composite, fcompose
 
 
 def check_slist_hom(src: SList, dst: SList, phi: Perm) -> None:
@@ -94,6 +99,17 @@ def check_pullback_square(top: FinFun, left: FinFun, right: FinFun, bottom: FinF
         raise BoundaryMismatch("right and bottom must share their target")
     if fcompose(top, right).img != fcompose(left, bottom).img:
         raise BoundaryMismatch("square does not commute")
+
+
+def assoc_cell(s: Span, t: Span, u: Span) -> SpanCell:
+    st_pb, st = composite(s, t)
+    outer, src = composite(st, u)
+    tu_pb, tu = composite(t, u)
+    dst_pb, dst = composite(s, tu)
+    o1, p1, p2 = outer.p1.img, st_pb.p1.img, st_pb.p2.img
+    to_tu = tu_pb.lift(src.apex, [p2[i] for i in o1], outer.p2.img)
+    lift = dst_pb.lift(src.apex, [p1[i] for i in o1], to_tu.img)
+    return SpanCell(src, dst, lift)
 
 
 def vertical_compose(c1: SpanCell, c2: SpanCell) -> SpanCell:

@@ -1,9 +1,13 @@
-"""The renderer that walks every occurrence, kept as the oracle for ``cli.render_mor``.
+"""The renderer that walks every occurrence, kept as the oracle for ``terms.syntax``.
 
-This is ``render_mor`` and ``terms.obj_text`` as they were before
-``render_mor`` rendered each shared object node once: every occurrence of
-an object is walked node by node.  Its output is the concrete syntax the
-CLI prints, so the two must agree byte for byte.
+This is ``cli.render_mor`` and ``terms.obj_text`` as they were before
+rendering wrote each shared object node once: every occurrence of an
+object is walked node by node, and the objects of each atom in a walk of
+their own.  ``terms.syntax`` writes objects and morphisms in one walk;
+``obj_text``, ``str``, ``cli.render_obj`` and ``cli.render_mor`` call it.
+Its output is the concrete syntax the CLI prints, so the two must agree
+byte for byte, and raise ``TypeError`` with the same text for a term of
+the wrong kind.
 """
 
 from smckit.terms import Assoc, Braid, Comp, Gen, Id, Inv, LeftUnitor, Par, RightUnitor, Tensor, Unit

@@ -51,6 +51,10 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     assert curves["equal_text"]["x"] == "tokens" and len(tokens) == 6 and tokens == sorted(set(tokens))
     assert all(t > 0 for _, t in curves["equal_text"]["points"])
     assert [n for n, _ in curves["unbias_comp_iso"]["term"]["points"]] == [1, 2]
+    # rendering the cells of the same spans, against the characters written
+    chars = [n for n, _ in curves["render_cells"]["points"]]
+    assert curves["render_cells"]["x"] == "chars" and len(chars) == 2 and 0 < chars[0] < chars[1]
+    assert all(t > 0 for _, t in curves["render_cells"]["points"])
     apex_curves = [curves[name] for name in ("f_comp_cell", "pullback", "compose_span", "assoc_cell")]
     assert all([n for n, _ in c["points"]] == [1, 3] for c in apex_curves)
     assert [n for n, _ in curves["k_hcomp"]["points"]] == [1, 4]

@@ -210,7 +210,7 @@ def test_random_walk_term_matches_the_walk_over_whole_steps():
         obj = laws.random_obj(rng, labels)
         term = Id(obj)
         for _ in range(steps):
-            step = laws._random_structural_from(rng, obj)
+            step, _ = laws._random_structural_from(rng, obj)
             term = Comp(term, step)
             _, obj = boundaries(step)
         return term
@@ -220,6 +220,18 @@ def test_random_walk_term_matches_the_walk_over_whole_steps():
         steps = seed % 12
         assert random_walk_term(rng, ["a", "b", "c"], steps) == walk_oracle(rng_oracle, ["a", "b", "c"], steps)
         assert rng.getstate() == rng_oracle.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=4))
+def test_each_move_carries_its_target(seed, depth):
+    rng = Random(seed)
+    obj = laws.random_obj(rng, ["a", "b", "c"], depth)
+    for path, sub in laws._positions(obj):
+        for move in laws._moves_at(sub, allow_growth=True):
+            assert boundaries(move) == (sub, laws._move_target(move))
+    step, target = laws._random_structural_from(rng, obj)
+    assert boundaries(step) == (obj, target)
 
 
 def test_normalize_agrees_with_finbij_evaluation():

@@ -185,6 +185,15 @@ def test_cell_lifts_match_the_oracle_on_cone_legs(size, seed):
         assert adjunction_cells(f).unit.map == diagonal
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 2**32))
+@example(0, 0)
+def test_assoc_cell_is_the_cell_of_the_two_lifts(size, seed):
+    """The identity on the canonical apex equals the lift matching ((a,b),c) with (a,(b,c)); apexes may be empty."""
+    s, t, u = random_chain(Random(seed), size, 3)
+    assert assoc_cell(s, t, u) == check_oracle.assoc_cell(s, t, u)
+
+
 @st.composite
 def square_data(draw):
     """top, left, right, bottom: mostly the canonical square with an edge or a corner changed."""
