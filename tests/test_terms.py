@@ -227,7 +227,7 @@ def test_random_walk_term_matches_the_walk_over_whole_steps():
 def test_each_move_carries_its_target(seed, depth):
     rng = Random(seed)
     obj = laws.random_obj(rng, ["a", "b", "c"], depth)
-    for path, sub in laws._positions(obj):
+    for _, sub in laws._positions(obj):
         for move in laws._moves_at(sub, allow_growth=True):
             assert boundaries(move) == (sub, laws._move_target(move))
     step, target = laws._random_structural_from(rng, obj)
