@@ -11,7 +11,9 @@ runs are that script, unchanged, with ``--trace 0``.  For every workload
 and seed the two trees run back to back, the parent first in even pairs
 and the change first in odd ones.  The file holds the machine, each tree's
 commit and ``src/`` line count, every run's end-to-end metrics, and per
-workload and side the median of each metric.
+workload and side the median of each metric.  A tree made with ``git
+archive`` carries no commit; name it with ``--commit`` (the change) or
+``--parent-commit`` (the parent).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--seconds", type=float, default=15.0)
     p.add_argument("--commit", help="the change's commit, where its tree is no git checkout")
+    p.add_argument("--parent-commit", help="the parent's commit, where its tree is no git checkout")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
 
@@ -68,7 +71,7 @@ def main(argv=None) -> int:
     report = {
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(), "platform": platform.platform()},
         "commit": args.commit or meta["change"]["commit"],
-        "parent_commit": meta["parent"]["commit"],
+        "parent_commit": args.parent_commit or meta["parent"]["commit"],
         "src_lines": {side: meta[side]["src_lines"] for side in trees},
         "seconds": args.seconds,
         "trace": 0,

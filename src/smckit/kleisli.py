@@ -47,6 +47,16 @@ class KHom:
                         f"label {label!r} outside target of size {self.dst.size}"
                     )
 
+    @staticmethod
+    def _unchecked(src: FinSet, dst: FinSet, lists: tuple[SList, ...]) -> "KHom":
+        """The KHom of these fields without the check, for callers whose construction bounds every label."""
+        f = object.__new__(KHom)
+        d = f.__dict__
+        d["src"] = src
+        d["dst"] = dst
+        d["lists"] = lists
+        return f
+
 
 @dataclass(frozen=True)
 class KCell:
@@ -64,6 +74,16 @@ class KCell:
         for i, h in enumerate(self.homs):
             if h.src != self.src.lists[i] or h.dst != self.dst.lists[i]:
                 raise BoundaryMismatch(f"component {i} has the wrong boundary")
+
+    @staticmethod
+    def _unchecked(src: KHom, dst: KHom, homs: tuple[SListHom, ...]) -> "KCell":
+        """The KCell of these fields without the check, for callers whose construction matches every boundary."""
+        c = object.__new__(KCell)
+        d = c.__dict__
+        d["src"] = src
+        d["dst"] = dst
+        d["homs"] = homs
+        return c
 
 
 def theta_apply(g: KHom, l: SList) -> SList:
@@ -98,16 +118,18 @@ def k_compose(f: KHom, g: KHom) -> KHom:
     """Composite family: extend g over each list of f."""
     if f.dst != g.src:
         raise BoundaryMismatch(f"cannot compose: {f.dst} != {g.src}")
-    return KHom(f.src, g.dst, tuple(theta_apply(g, l) for l in f.lists))
+    # one list per element of f.src, each a concatenation of lists of g over g.dst
+    return KHom._unchecked(f.src, g.dst, tuple([theta_apply(g, l) for l in f.lists]))
 
 
 def k_id(i: FinSet) -> KHom:
     """The singleton family; a strict unit for k_compose."""
-    return KHom(i, i, tuple(SList((j,)) for j in range(i.size)))
+    return KHom._unchecked(i, i, tuple([SList((j,)) for j in range(i.size)]))  # j < i.size
 
 
 def k_id_cell(f: KHom) -> KCell:
-    return KCell(f, f, tuple(identity_hom(l) for l in f.lists))
+    # component i is the identity on f.lists[i]
+    return KCell._unchecked(f, f, tuple([identity_hom(l) for l in f.lists]))
 
 
 def k_vcomp(*cells: KCell) -> KCell:
@@ -115,12 +137,13 @@ def k_vcomp(*cells: KCell) -> KCell:
     for c in cells[1:]:
         if out.dst != c.src:
             raise BoundaryMismatch("vertical composition needs matching middle 1-cell")
-        out = KCell(out.src, c.dst, tuple(hom_compose(a, b) for a, b in zip(out.homs, c.homs)))
+        # component i of checked cells goes out.src.lists[i] -> c.src.lists[i] -> c.dst.lists[i]
+        out = KCell._unchecked(out.src, c.dst, tuple(map(hom_compose, out.homs, c.homs)))
     return out
 
 
 def invert_kcell(c: KCell) -> KCell:
-    return KCell(c.dst, c.src, tuple(invert(h) for h in c.homs))
+    return KCell._unchecked(c.dst, c.src, tuple(map(invert, c.homs)))  # each component inverts between the same lists
 
 
 def theta_whisker(psi: KCell, l: SList) -> SListHom:
@@ -151,7 +174,8 @@ def k_hcomp(phi: KCell, psi: KCell) -> KCell:
         hom_compose(theta_whisker(psi, f.lists[i]), theta_apply_hom(g2, phi.homs[i]))
         for i in range(f.src.size)
     )
-    return KCell(k_compose(f, g), k_compose(f2, g2), homs)
+    # component i runs from theta_apply(g, f.lists[i]) to theta_apply(g2, f2.lists[i])
+    return KCell._unchecked(k_compose(f, g), k_compose(f2, g2), homs)
 
 
 # ---------------------------------------------------------------------------
@@ -190,4 +214,5 @@ def duality(x: KHom) -> KHom:
     for j, l in enumerate(x.lists):
         for k in l.labels:
             columns[k].append(j)
-    return KHom(x.dst, x.src, tuple(SList(tuple(c)) for c in columns))
+    # one column per element of x.dst, holding indices of x.src
+    return KHom._unchecked(x.dst, x.src, tuple([SList(tuple(c)) for c in columns]))

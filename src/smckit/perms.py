@@ -39,6 +39,13 @@ class Perm:
         if sorted(self.img) != list(range(len(self.img))):
             raise ValueError(f"not a permutation of range({len(self.img)}): {self.img}")
 
+    @staticmethod
+    def _unchecked(img: tuple[int, ...]) -> "Perm":
+        """The Perm of ``img`` without the check, for callers whose construction makes it a bijection."""
+        p = object.__new__(Perm)
+        p.__dict__["img"] = img
+        return p
+
     @property
     def n(self) -> int:
         return len(self.img)
@@ -50,20 +57,22 @@ class Perm:
         # (p * q)(i) = p(q(i)): q acts first.
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        return Perm(tuple(map(self.img.__getitem__, other.img)))
+        # a composite of two bijections of one set is a bijection
+        return Perm._unchecked(tuple(map(self.img.__getitem__, other.img)))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.n
         for i, v in enumerate(self.img):
             inv[v] = i
-        return Perm(tuple(inv))
+        # each position is written once, since img is a bijection
+        return Perm._unchecked(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.img))
 
     @staticmethod
     def identity(n: int) -> "Perm":
-        return Perm(tuple(range(n)))
+        return Perm._unchecked(tuple(range(n)))  # the identity of range(n) is a bijection
 
     def __str__(self) -> str:
         return "[" + ",".join(map(str, self.img)) + "]"
@@ -158,7 +167,8 @@ def word_to_perm(word: Sequence[int], n: int) -> Perm:
         if not 0 <= letter < n - 1:
             raise LetterOutOfRange(f"letter {letter} needs size >= {letter + 2}, got {n}")
         img[letter], img[letter + 1] = img[letter + 1], img[letter]
-    return Perm(tuple(img))
+    # swaps of the identity, each inside range(n)
+    return Perm._unchecked(tuple(img))
 
 
 def inversion_length(p: Perm) -> int:

@@ -81,6 +81,16 @@ class SListHom:
                         f"{self.src}[{j}] != {self.dst}[{i}]"
                     )
 
+    @staticmethod
+    def _unchecked(src: SList, dst: SList, phi: Perm) -> "SListHom":
+        """The SListHom of these fields without the check, for callers whose construction transports labels."""
+        h = object.__new__(SListHom)
+        d = h.__dict__
+        d["src"] = src
+        d["dst"] = dst
+        d["phi"] = phi
+        return h
+
     def __str__(self) -> str:
         return f"phi={self.phi}"
 
@@ -102,7 +112,7 @@ class GenWord:
 
 
 def identity_hom(l: SList) -> SListHom:
-    return SListHom(l, l, Perm.identity(len(l)))
+    return SListHom._unchecked(l, l, Perm.identity(len(l)))  # the identity transports every label
 
 
 def hom_from_word(g: GenWord) -> SListHom:
@@ -113,7 +123,8 @@ def hom_from_word(g: GenWord) -> SListHom:
     ('[b,c,a]', (1, 2, 0))
     """
     phi = word_to_perm(g.positions, len(g.start))
-    return SListHom(g.start, SList(tuple(map(g.start.labels.__getitem__, phi.img))), phi)
+    # dst is read off start through phi, so phi transports its labels
+    return SListHom._unchecked(g.start, SList(tuple(map(g.start.labels.__getitem__, phi.img))), phi)
 
 
 def word_from_hom(f: SListHom) -> GenWord:
@@ -125,11 +136,13 @@ def compose(f: SListHom, g: SListHom) -> SListHom:
     """Diagram-order composite: f first, then g."""
     if f.dst != g.src:
         raise SourceTargetMismatch(f"cannot compose: {f.dst} != {g.src}")
-    return SListHom(f.src, g.dst, f.phi * g.phi)
+    # g transports g.src = f.dst to g.dst, and f transports f.src to f.dst
+    return SListHom._unchecked(f.src, g.dst, f.phi * g.phi)
 
 
 def invert(f: SListHom) -> SListHom:
-    return SListHom(f.dst, f.src, f.phi.inverse())
+    # f.src[phi(i)] == f.dst[i] for every i is f.dst[inv(j)] == f.src[j] for every j
+    return SListHom._unchecked(f.dst, f.src, f.phi.inverse())
 
 
 def hom_equal(f: SListHom, g: SListHom) -> bool:
@@ -160,5 +173,6 @@ def unique_hom_linear(src: SList, dst: SList) -> SListHom:
     position = {label: i for i, label in enumerate(src.labels)}
     if len(src) != len(dst) or position.keys() != set(dst.labels):
         raise NotPermutationEquivalent(f"{src} and {dst} differ as multisets")
-    phi = Perm(tuple(position[label] for label in dst.labels))
-    return SListHom(src, dst, phi)
+    # both lists are linear on one label set, so phi is a bijection that transports labels
+    phi = Perm._unchecked(tuple([position[label] for label in dst.labels]))
+    return SListHom._unchecked(src, dst, phi)

@@ -60,6 +60,16 @@ class FinFun:
             if not 0 <= v < self.dst.size:
                 raise ValueError(f"value {v} outside target of size {self.dst.size}")
 
+    @staticmethod
+    def _unchecked(src: FinSet, dst: FinSet, img: tuple[int, ...]) -> "FinFun":
+        """The FinFun of these fields without the check, for callers whose construction bounds the image."""
+        f = object.__new__(FinFun)
+        d = f.__dict__
+        d["src"] = src
+        d["dst"] = dst
+        d["img"] = img
+        return f
+
     def __call__(self, i: int) -> int:
         return self.img[i]
 
@@ -72,11 +82,11 @@ class FinFun:
         inv = [0] * self.src.size
         for i, v in enumerate(self.img):
             inv[v] = i
-        return FinFun(self.dst, self.src, tuple(inv))
+        return FinFun._unchecked(self.dst, self.src, tuple(inv))  # a bijection's inverse is one
 
 
 def identity_fun(x: FinSet) -> FinFun:
-    return FinFun(x, x, tuple(range(x.size)))
+    return FinFun._unchecked(x, x, tuple(range(x.size)))  # range(x.size) lies in x
 
 
 def fcompose(f: FinFun, g: FinFun) -> FinFun:
@@ -84,7 +94,8 @@ def fcompose(f: FinFun, g: FinFun) -> FinFun:
     if f.dst != g.src:
         raise TargetMismatch(f"cannot compose: {f.dst} != {g.src}")
     gi = g.img
-    return FinFun(f.src, g.dst, tuple([gi[v] for v in f.img]))
+    # one value of g per point of f.src; f's values index g.img, since f.dst is g.src
+    return FinFun._unchecked(f.src, g.dst, tuple([gi[v] for v in f.img]))
 
 
 def fibers(f: FinFun) -> tuple[tuple[int, ...], ...]:
@@ -126,7 +137,10 @@ class Pullback:
             img = tuple([index[pair] for pair in zip(left, right, strict=True)])
         except KeyError:
             raise LiftEquationFails("cone does not commute over the shared target") from None
-        return FinFun(src, self.apex, img)
+        if len(img) != src.size:
+            raise ValueError(f"image sequence has length {len(img)}, expected {src.size}")
+        # every value is an index into the apex, which is the range check
+        return FinFun._unchecked(src, self.apex, img)
 
 
 def pullback(f: FinFun, g: FinFun) -> Pullback:
@@ -144,8 +158,9 @@ def pullback(f: FinFun, g: FinFun) -> Pullback:
         buckets.setdefault(v, []).append(b)
     pairs = tuple([(a, b) for a, v in enumerate(f.img) for b in buckets.get(v, ())])
     apex = FinSet(len(pairs))
-    p1 = FinFun(apex, f.src, tuple([a for a, _ in pairs]))
-    p2 = FinFun(apex, g.src, tuple([b for _, b in pairs]))
+    # one entry per pair, each a point of f.src or of g.src
+    p1 = FinFun._unchecked(apex, f.src, tuple([a for a, _ in pairs]))
+    p2 = FinFun._unchecked(apex, g.src, tuple([b for _, b in pairs]))
     return Pullback(apex, p1, p2, pairs)
 
 
@@ -191,6 +206,16 @@ class SpanCell:
             raise BoundaryMismatch("cell map does not commute with left legs")
         if tuple([dr[v] for v in m]) != self.src.right.img:
             raise BoundaryMismatch("cell map does not commute with right legs")
+
+    @staticmethod
+    def _unchecked(src: Span, dst: Span, map: FinFun) -> "SpanCell":
+        """The SpanCell of these fields without the check, for callers whose construction makes it commute."""
+        c = object.__new__(SpanCell)
+        d = c.__dict__
+        d["src"] = src
+        d["dst"] = dst
+        d["map"] = map
+        return c
 
     def is_pith(self) -> bool:
         return self.map.is_bijective()
@@ -270,7 +295,7 @@ def compose_span(s: Span, t: Span) -> Span:
 
 
 def identity_cell(s: Span) -> SpanCell:
-    return SpanCell(s, s, identity_fun(s.apex))
+    return SpanCell._unchecked(s, s, identity_fun(s.apex))  # the identity commutes with any legs
 
 
 def vcomp(*cells: SpanCell) -> SpanCell:
@@ -279,7 +304,8 @@ def vcomp(*cells: SpanCell) -> SpanCell:
     for c in cells[1:]:
         if out.dst != c.src:
             raise BoundaryMismatch("vertical composition needs matching middle span")
-        out = SpanCell(out.src, c.dst, fcompose(out.map, c.map))
+        # maps commuting with the legs of out.src -> c.src -> c.dst compose to one
+        out = SpanCell._unchecked(out.src, c.dst, fcompose(out.map, c.map))
     return out
 
 
@@ -289,13 +315,14 @@ def horizontal_compose(c1: SpanCell, c2: SpanCell) -> SpanCell:
     dst_pb, dst = composite(c1.dst, c2.dst)
     m1, m2 = c1.map.img, c2.map.img
     lift = dst_pb.lift(src.apex, [m1[a] for a in src_pb.p1.img], [m2[b] for b in src_pb.p2.img])
-    return SpanCell(src, dst, lift)
+    # the lift's cone check places (c1(a), c2(b)) over each (a, b); c1 and c2 commute with their legs
+    return SpanCell._unchecked(src, dst, lift)
 
 
 def invert_cell(c: SpanCell) -> SpanCell:
     if not c.is_pith():
         raise NotInvertible("only pith cells invert")
-    return SpanCell(c.dst, c.src, c.map.inverse())
+    return SpanCell._unchecked(c.dst, c.src, c.map.inverse())  # a bijection commutes with legs iff its inverse does
 
 
 def assoc_cell(s: Span, t: Span, u: Span) -> SpanCell:
@@ -313,13 +340,13 @@ def assoc_cell(s: Span, t: Span, u: Span) -> SpanCell:
 def left_unitor_cell(s: Span) -> SpanCell:
     """id;s => s, projecting the pair (j, a) to a."""
     pb, src = composite(identity_span(s.dom), s)
-    return SpanCell(src, s, pb.p2)
+    return SpanCell._unchecked(src, s, pb.p2)  # each pair is (s.left(a), a), so p1 is p2 then s.left
 
 
 def right_unitor_cell(s: Span) -> SpanCell:
     """s;id => s, projecting the pair (a, k) to a."""
     pb, src = composite(s, identity_span(s.cod))
-    return SpanCell(src, s, pb.p1)
+    return SpanCell._unchecked(src, s, pb.p1)  # each pair is (a, s.right(a)), so p2 is p1 then s.right
 
 
 class AdjunctionCells(NamedTuple):
@@ -336,11 +363,13 @@ def adjunction_cells(f: FinFun) -> AdjunctionCells:
     push, pull = span_push(f), span_pull(f)
     unit_pb, push_pull = composite(push, pull)
     unit_map = unit_pb.lift(f.src, range(f.src.size), range(f.src.size))
-    unit = SpanCell(identity_span(f.src), push_pull, unit_map)
+    # the lift sends a to the pair (a, a), which both legs of push;pull project back to a
+    unit = SpanCell._unchecked(identity_span(f.src), push_pull, unit_map)
 
     counit_pb, pull_push = composite(pull, push)
     counit_map = fcompose(counit_pb.p1, f)
-    counit = SpanCell(pull_push, identity_span(f.dst), counit_map)
+    # pull;push pairs each a with itself, and both of its legs send (a, a) to f(a)
+    counit = SpanCell._unchecked(pull_push, identity_span(f.dst), counit_map)
     return AdjunctionCells(unit, counit)
 
 

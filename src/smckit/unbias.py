@@ -53,47 +53,54 @@ from .terms import SmcModel, lookup, psi_hom, psi_obj
 # the fiber/value system
 
 
-def _linear_cell(src: KHom, dst: KHom, src_keys, dst_keys) -> KCell:
+def _linear_cell(src: KHom, dst: KHom, src_keys=None, dst_keys=None) -> KCell:
     """Component k sends the entry keyed x in ``src.lists[k]`` to the one keyed x in ``dst.lists[k]``.
 
-    Each key list has one distinct key per entry; ``SListHom`` checks the labels.
+    Each key list has one distinct key per entry.  Without keys the lists
+    are linear and each entry is its own key; with keys ``SListHom`` checks
+    the labels.
     """
-    phis = (unique_hom_linear(SList(tuple(a)), SList(tuple(b))).phi for a, b in zip(src_keys, dst_keys))
-    return KCell(src, dst, tuple(map(SListHom, src.lists, dst.lists, phis)))
+    if src_keys is None:
+        homs = tuple(map(unique_hom_linear, src.lists, dst.lists))
+    else:
+        phis = (unique_hom_linear(SList(tuple(a)), SList(tuple(b))).phi for a, b in zip(src_keys, dst_keys))
+        homs = tuple(map(SListHom, src.lists, dst.lists, phis))
+    # every caller passes parallel families, and component k runs src.lists[k] -> dst.lists[k]
+    return KCell._unchecked(src, dst, homs)
 
 
 def lambda_u(f: FinFun) -> KHom:
     """Ascending fibers of f, one linear list per target element."""
-    return KHom(f.dst, f.src, tuple(map(SList, fibers(f))))
+    return KHom._unchecked(f.dst, f.src, tuple(map(SList, fibers(f))))  # each fiber holds points of f.src
 
 
 def lambda_v(f: FinFun) -> KHom:
     """Singleton values of f, one linear list per source element."""
-    return KHom(f.src, f.dst, tuple(SList((f(j),)) for j in f.src))
+    return KHom._unchecked(f.src, f.dst, tuple([SList((v,)) for v in f.img]))  # each value is a point of f.dst
 
 
 def u_comp(f: FinFun, g: FinFun) -> KCell:
     """From u(f then g) to the stored form of "u(f) then u(g)"."""
     src, dst = lambda_u(fcompose(f, g)), k_compose(lambda_u(g), lambda_u(f))
-    return _linear_cell(src, dst, src.lists, dst.lists)
+    return _linear_cell(src, dst)
 
 
 def v_comp(f: FinFun, g: FinFun) -> KCell:
     """From v(f then g) to the stored form of "v(g) then v(f)"."""
     src, dst = lambda_v(fcompose(f, g)), k_compose(lambda_v(f), lambda_v(g))
-    return _linear_cell(src, dst, src.lists, dst.lists)
+    return _linear_cell(src, dst)
 
 
 def u_id(x: FinSet) -> KCell:
     """Collapse u(id_x) onto the strict unit at x."""
     src, dst = lambda_u(identity_fun(x)), k_id(x)
-    return _linear_cell(src, dst, src.lists, dst.lists)
+    return _linear_cell(src, dst)
 
 
 def v_id(x: FinSet) -> KCell:
     """Collapse v(id_x) onto the strict unit at x."""
     src, dst = lambda_v(identity_fun(x)), k_id(x)
-    return _linear_cell(src, dst, src.lists, dst.lists)
+    return _linear_cell(src, dst)
 
 
 def base_change_unique(square: PullbackSquare) -> KCell:
@@ -108,7 +115,7 @@ def base_change_unique(square: PullbackSquare) -> KCell:
         raise NotPullbackSquare("base change needs a pullback square")
     src = k_compose(lambda_v(square.bottom), lambda_u(square.right))
     dst = k_compose(lambda_u(square.left), lambda_v(square.top))
-    return _linear_cell(src, dst, src.lists, dst.lists)
+    return _linear_cell(src, dst)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The example scripts run end to end."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,6 +8,13 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_unbias_demo_runs():
@@ -76,3 +84,32 @@ def test_same_outputs_finds_a_tree_the_same_as_itself():
     assert all(line.endswith("  same") for line in lines)
     # check-laws runs at two seeds, in two formats
     assert lines[-1].split()[1] == "4"
+
+
+def test_bench_pairs_names_the_commits_of_archived_trees(tmp_path, monkeypatch):
+    """``--commit`` and ``--parent-commit`` name trees whose runs record no commit; pairs alternate."""
+    bench_pairs = _load_script("bench_pairs")
+    calls = []
+
+    def fake_bench(tree, workload, seed, seconds):
+        calls.append((workload, seed, tree.name))
+        return {"metrics": {"latency_p50_ms": 1.0}, "correct": True, "meta": {"commit": "unknown", "src_lines": 7}}
+
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    out = tmp_path / "bench.json"
+    args = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--seeds", "1", "2", "--seconds", "0.1", "--out", str(out)]
+
+    assert bench_pairs.main(args + ["--commit", "c0ffee", "--parent-commit", "beef"]) == 0
+    report = json.loads(out.read_text())
+    assert (report["commit"], report["parent_commit"]) == ("c0ffee", "beef")
+    assert calls[:4] == [("coherence", 1, "parent"), ("coherence", 1, "change"),
+                         ("coherence", 2, "change"), ("coherence", 2, "parent")]
+    assert len(calls) == 4 * len(bench_pairs.WORKLOADS)
+
+    # without the flags each side reports the commit its runs recorded
+    assert bench_pairs.main(args) == 0
+    report = json.loads(out.read_text())
+    assert (report["commit"], report["parent_commit"]) == ("unknown", "unknown")

@@ -1,14 +1,25 @@
-"""The value checks against their earlier versions: same verdicts, same exceptions."""
+"""The value checks against their earlier versions: same verdicts, same exceptions.
 
+Operations whose output is valid by construction build it with a class's
+unchecked ``_unchecked`` constructor; the tests at the end rebuild each such
+value through the public constructors and run the law suites with every
+``_unchecked`` swapped for the checked constructor.
+"""
+
+import dataclasses
+from collections import Counter
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import check_oracle
+from smckit import kleisli, laws, perms, slist, spans
+from smckit.kleisli import KCell, KHom, duality, invert_kcell, k_compose, k_hcomp, k_id, k_id_cell, k_vcomp
 from smckit.laws import random_chain, random_pith_cell
-from smckit.perms import Perm
-from smckit.slist import SList, SListHom, unique_hom_linear
+from smckit.perms import Perm, reduced_word, word_to_perm
+from smckit.slist import SList, SListHom, compose, hom_from_word, identity_hom, invert, unique_hom_linear, word_from_hom
 from smckit.spans import (
     FinFun,
     FinSet,
@@ -21,9 +32,26 @@ from smckit.spans import (
     composite,
     fcompose,
     horizontal_compose,
+    identity_cell,
     identity_fun,
+    invert_cell,
+    left_unitor_cell,
     pullback,
+    right_unitor_cell,
     square_from_cospan,
+    vcomp,
+)
+from smckit.unbias import (
+    base_change_unique,
+    f_comp_cell,
+    lambda_u,
+    lambda_v,
+    pseudofunctor_on_cell,
+    pseudofunctor_on_span,
+    u_comp,
+    u_id,
+    v_comp,
+    v_id,
 )
 
 LABELS = st.one_of(st.sampled_from("abc"), st.integers(0, 3))
@@ -223,3 +251,125 @@ def square_data(draw):
 @given(square_data())
 def test_pullback_square_checks_like_fcompose(data):
     _agree(lambda: PullbackSquare(*data), lambda: check_oracle.check_pullback_square(*data))
+
+
+# ---------------------------------------------------------------------------
+# values built unchecked
+
+
+UNCHECKED = (Perm, SListHom, FinFun, SpanCell, KHom, KCell)
+
+
+def _rebuilt(value):
+    """``value`` rebuilt through the public constructors, fields first, so that every check runs again."""
+    if type(value) is tuple:
+        return tuple(map(_rebuilt, value))
+    if dataclasses.is_dataclass(value):
+        return type(value)(*[_rebuilt(getattr(value, f.name)) for f in dataclasses.fields(value)])
+    return value
+
+
+def _data(rng: Random, size: int) -> SimpleNamespace:
+    """A chain s, t with pith cells c then c2 out of s and d out of t, the composite s;t over pb, and a cell e out of it."""
+    s, t = random_chain(rng, size, 2)
+    c = random_pith_cell(rng, s)
+    pb, st_ = composite(s, t)
+    return SimpleNamespace(s=s, t=t, c=c, c2=random_pith_cell(rng, c.dst), d=random_pith_cell(rng, t),
+                           pb=pb, st=st_, e=random_pith_cell(rng, st_), p=Perm(c.map.img), h=pseudofunctor_on_cell(c))
+
+
+def _linear_lists(x):
+    """unique_hom_linear on each ascending fiber of s.right, read forward and reversed."""
+    return tuple(unique_hom_linear(l, SList(l.labels[::-1])) for l in lambda_u(x.s.right).lists)
+
+
+def _lift_through(x):
+    """A bijection onto the apex of s;t, lifted back from its composites with the projections."""
+    m = x.e.map
+    lift = x.pb.lift(m.src, fcompose(m, x.pb.p1).img, fcompose(m, x.pb.p2).img)
+    assert lift == m
+    return lift
+
+
+PATHS = {
+    # spans.FinFun
+    "pullback": lambda x: (x.pb.p1, x.pb.p2, pullback(x.t.left, x.s.right).p1),
+    "fcompose": lambda x: (x.st.left, x.st.right, fcompose(x.c.map, x.c.dst.left)),
+    "identity_fun": lambda x: identity_fun(x.s.apex),
+    "FinFun.inverse": lambda x: x.c.map.inverse(),
+    "Pullback.lift": _lift_through,
+    # spans.SpanCell
+    "identity_cell": lambda x: identity_cell(x.s),
+    "vcomp": lambda x: vcomp(x.c, x.c2, invert_cell(x.c2)),
+    "horizontal_compose": lambda x: horizontal_compose(x.c, x.d),
+    "invert_cell": lambda x: invert_cell(x.c),
+    "left_unitor_cell": lambda x: left_unitor_cell(x.s),
+    "right_unitor_cell": lambda x: right_unitor_cell(x.t),
+    "adjunction_cells": lambda x: tuple(adjunction_cells(x.s.left)) + tuple(adjunction_cells(x.t.right)),
+    # kleisli.KHom
+    "k_compose": lambda x: k_compose(pseudofunctor_on_span(x.t), pseudofunctor_on_span(x.s)),
+    "k_id": lambda x: k_id(x.s.apex),
+    "duality": lambda x: duality(pseudofunctor_on_span(x.st)),
+    "lambda_u": lambda x: lambda_u(x.st.right),
+    "lambda_v": lambda x: lambda_v(x.st.left),
+    # kleisli.KCell
+    "k_id_cell": lambda x: k_id_cell(pseudofunctor_on_span(x.s)),
+    "k_vcomp": lambda x: k_vcomp(x.h, pseudofunctor_on_cell(x.c2)),
+    "invert_kcell": lambda x: invert_kcell(x.h),
+    "k_hcomp": lambda x: k_hcomp(pseudofunctor_on_cell(x.d), x.h),
+    "_linear_cell": lambda x: (
+        u_comp(x.pb.p1, x.s.left), v_comp(x.pb.p1, x.s.left), u_id(x.t.apex), v_id(x.t.apex),
+        base_change_unique(square_from_cospan(x.s.right, x.t.left)), x.h, f_comp_cell(x.s, x.t),
+    ),
+    # slist.SListHom
+    "compose": lambda x: tuple(compose(h, invert(h)) for h in x.h.homs),
+    "invert": lambda x: tuple(map(invert, x.h.homs)),
+    "identity_hom": lambda x: tuple(map(identity_hom, pseudofunctor_on_span(x.st).lists)),
+    "unique_hom_linear": _linear_lists,
+    "hom_from_word": lambda x: tuple(hom_from_word(word_from_hom(h)) for h in x.h.homs),
+    # perms.Perm
+    "Perm.__mul__": lambda x: (x.p * x.p, x.p * x.p.inverse()),
+    "Perm.inverse": lambda x: x.p.inverse(),
+    "Perm.identity": lambda x: Perm.identity(x.p.n),
+    "word_to_perm": lambda x: word_to_perm(reduced_word(x.p), x.p.n),
+}
+
+
+@pytest.mark.parametrize("path", PATHS)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 2**32))
+@example(0, 0)  # every apex empty
+def test_unchecked_values_pass_the_public_constructors(path, size, seed):
+    value = PATHS[path](_data(Random(seed), size))
+    assert _rebuilt(value) == value
+
+
+def test_the_swapped_classes_are_all_with_an_unchecked_constructor():
+    found = {cls for module in (perms, slist, spans, kleisli) for cls in vars(module).values()
+             if isinstance(cls, type) and "_unchecked" in vars(cls)}
+    assert found == set(UNCHECKED)
+
+
+def test_lift_refuses_an_image_of_another_length_than_its_source():
+    one = FinFun(FinSet(2), FinSet(1), (0, 0))
+    with pytest.raises(ValueError, match="image sequence has length 2, expected 3"):
+        pullback(one, one).lift(FinSet(3), (0, 1), (0, 1))
+
+
+SWAPPED_SUITES = ("span", "pbc", "kleisli")
+
+
+def test_suites_report_the_same_with_every_value_checked(monkeypatch):
+    """Seed-0 span, pbc and kleisli suites: with each ``_unchecked`` the checked constructor, nothing raises."""
+    unchecked = [laws.run_suite(name, seed=0) for name in SWAPPED_SUITES]
+    calls = Counter()
+    for cls in UNCHECKED:
+        def checked(*fields, cls=cls):
+            calls[cls.__name__] += 1
+            return cls(*fields)
+
+        monkeypatch.setattr(cls, "_unchecked", staticmethod(checked))
+    checked_reports = [laws.run_suite(name, seed=0) for name in SWAPPED_SUITES]
+    assert checked_reports == unchecked
+    assert all(r.ok for reports in unchecked for r in reports)
+    assert set(calls) == {cls.__name__ for cls in UNCHECKED}
