@@ -631,7 +631,7 @@ def _duality_symmetric(x: KHom) -> bool:
 
 def kleisli_suite(samples: int = 1000, seed: int = 0) -> LawReport:
     check = _Check("kleisli")
-    # each inner family list is enumerated once, not once per outer family
+    # each inner family list is enumerated once and reused for every outer family
     families = list(all_khoms(2, 2, 2))
     for f in families:
         for g in families:

@@ -4,12 +4,16 @@ Finite sets, pullbacks and the bicategory of spans.
 A finite set is just a size; a function stores its image sequence.  The
 pullback of two maps into a common target is one hash join that emits the
 agreeing pairs in lexicographic order, the canonical apex of a composite
-span.  Every map into an apex is ``Pullback.lift``, and its index lookup is
-the cone check.
+span.  The associator's map is ``identity_fun`` on that apex; every other
+map into a pullback apex is ``Pullback.lift``, and its index lookup is the
+cone check.
 
 Cells between spans are apex maps commuting with both legs; the pith is
 the cells with bijective maps.  Each equation is checked on image tuples,
-without building the composite map.  Every composite s;t is built by
+without building the composite map.  The public constructors check every
+value; an operation whose output is valid by its construction (a
+projection, a composite, an identity, an inverse, a unitor cell) builds it
+with the class's ``_unchecked`` constructor instead.  Every composite s;t is built by
 ``composite``, which returns its pullback with the span over it, so a cell
 reuses one pullback for the span and for the lifts into its apex.  Inside a
 ``shared_composites()`` scope it also returns the same pair for every later
