@@ -310,7 +310,7 @@ def load_record(source: str, kind: str) -> dict:
         raise RecordFormatError(_escapes_as_bytes(f"cannot read record from {shown}: {exc}")) from None
     try:
         record = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer longer than Python's int-string limit
         raise RecordFormatError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise RecordFormatError("invalid JSON: nested too deeply") from None

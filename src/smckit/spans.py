@@ -2,11 +2,11 @@
 Finite sets, pullbacks and the bicategory of spans.
 
 A finite set is just a size; a function stores its image sequence.  The
-pullback of two maps into a common target is one hash join that emits the
-agreeing pairs in lexicographic order, the canonical apex of a composite
-span.  The associator's map is ``identity_fun`` on that apex; every other
-map into a pullback apex is ``Pullback.lift``, and its index lookup is the
-cone check.
+pullback of two maps into a common target is one hash join that writes the
+agreeing pairs, in lexicographic order, as two projections and keeps no
+pair list; the pairs are the canonical apex of a composite span.  The
+associator's map is ``identity_fun`` on that apex; every other map into a
+pullback apex is ``Pullback.lift``, and its index lookup is the cone check.
 
 Cells between spans are apex maps commuting with both legs; the pith is
 the cells with bijective maps.  Each equation is checked on image tuples,
@@ -114,21 +114,17 @@ def fibers(f: FinFun) -> tuple[tuple[int, ...], ...]:
 class Pullback:
     """The canonical pullback of f and g over their shared target.
 
-    The apex enumerates pairs (a, b) with f(a) = g(b) in lexicographic
-    order; p1 and p2 are the projections.
+    Apex point i is the pair (p1(i), p2(i)); the pairs are every (a, b)
+    with f(a) = g(b), in lexicographic order.
     """
 
     apex: FinSet
     p1: FinFun
     p2: FinFun
-    pairs: tuple[tuple[int, int], ...]
 
     @cached_property
     def _index(self) -> dict:
-        return {pair: i for i, pair in enumerate(self.pairs)}
-
-    def index(self, a: int, b: int) -> int:
-        return self._index[(a, b)]
+        return {pair: i for i, pair in enumerate(zip(self.p1.img, self.p2.img))}
 
     def lift(self, src: FinSet, left, right) -> FinFun:
         """The map x -> (left[x], right[x]) from src into the apex.
@@ -148,24 +144,27 @@ class Pullback:
 
 
 def pullback(f: FinFun, g: FinFun) -> Pullback:
-    """Pairs agreeing under two maps into a common target.
+    """Pairs agreeing under two maps into a common target, as two projections.
 
-    >>> one = FinSet(1); two = FinSet(2)
-    >>> c = FinFun(two, one, (0, 0))
-    >>> pullback(c, c).pairs
-    ((0, 0), (0, 1), (1, 0), (1, 1))
+    >>> c = FinFun(FinSet(2), FinSet(1), (0, 0))
+    >>> pb = pullback(c, c)
+    >>> pb.p1.img, pb.p2.img
+    ((0, 0, 1, 1), (0, 1, 0, 1))
     """
     if f.dst != g.dst:
         raise TargetMismatch(f"pullback needs a shared target: {f.dst} != {g.dst}")
     buckets: dict[int, list[int]] = {}
     for b, v in enumerate(g.img):
         buckets.setdefault(v, []).append(b)
-    pairs = tuple([(a, b) for a, v in enumerate(f.img) for b in buckets.get(v, ())])
-    apex = FinSet(len(pairs))
-    # one entry per pair, each a point of f.src or of g.src
-    p1 = FinFun._unchecked(apex, f.src, tuple([a for a, _ in pairs]))
-    p2 = FinFun._unchecked(apex, g.src, tuple([b for _, b in pairs]))
-    return Pullback(apex, p1, p2, pairs)
+    left, right = [], []  # p1 repeats a once per point of g's fiber over f(a), and p2 lists that fiber
+    for a, v in enumerate(f.img):
+        bucket = buckets.get(v)
+        if bucket:
+            left += [a] * len(bucket)
+            right += bucket
+    apex = FinSet(len(left))
+    # one entry per pair (a, b), each a point of f.src or of g.src
+    return Pullback(apex, FinFun._unchecked(apex, f.src, tuple(left)), FinFun._unchecked(apex, g.src, tuple(right)))
 
 
 @dataclass(frozen=True)

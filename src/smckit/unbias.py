@@ -149,10 +149,10 @@ def pseudofunctor_on_cell(c: SpanCell) -> KCell:
 def f_comp_cell(s: Span, t: Span) -> KCell:
     """Comparison from the image of s;t to "image of s, then image of t".
 
-    Keyed by the apex of s;t, the pullback pairs (a, b): at l the source
-    keys are the right fiber of s;t, in lexicographic order, and the target
-    keys are ``pb.index(a, b)`` for each ``b`` in t's right fiber at l, then
-    each ``a`` in s's right fiber at ``t.left(b)``.
+    Keyed by the pullback pairs (a, b): at l the source keys are the pairs
+    ``(p1(i), p2(i))`` of the right fiber of s;t, in lexicographic order;
+    the target keys are ``(a, b)`` for each ``b`` in t's right fiber at l,
+    then each ``a`` in s's right fiber at ``t.left(b)``.
     """
     return _f_comp_cell(s, t, pseudofunctor_on_span(s), pseudofunctor_on_span(t))
 
@@ -160,9 +160,10 @@ def f_comp_cell(s: Span, t: Span) -> KCell:
 def _f_comp_cell(s: Span, t: Span, fam_s: KHom, fam_t: KHom) -> KCell:
     """``f_comp_cell(s, t)`` given the images ``fam_s`` of s and ``fam_t`` of t."""
     pb, st = composite(s, t)
-    s_fibers = fibers(s.right)
-    dst_keys = [tuple(pb.index(a, b) for b in fiber for a in s_fibers[t.left(b)]) for fiber in fibers(t.right)]
-    return _linear_cell(pseudofunctor_on_span(st), k_compose(fam_t, fam_s), fibers(st.right), dst_keys)
+    p1, p2, tl, s_fibers = pb.p1.img, pb.p2.img, t.left.img, fibers(s.right)
+    src_keys = [[(p1[i], p2[i]) for i in fiber] for fiber in fibers(st.right)]
+    dst_keys = [[(a, b) for b in fiber for a in s_fibers[tl[b]]] for fiber in fibers(t.right)]
+    return _linear_cell(pseudofunctor_on_span(st), k_compose(fam_t, fam_s), src_keys, dst_keys)
 
 
 def f_id_cell(x: FinSet) -> KCell:

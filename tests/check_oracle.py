@@ -9,10 +9,16 @@ compared image tuples: each side built as a checked ``fcompose`` and its
 image compared.  They must accept, reject and word their exceptions
 exactly as the library does.
 
+``pullback_oracle`` is the nested-loop pullback: every pair (a, b) tested,
+in lexicographic order.  ``spans.pullback`` keeps no pairs, so its
+projections, read together, must list exactly these; ``oracle_pullback``
+builds the ``Pullback`` of these pairs through the checked constructors.
+
 ``pullback_lift`` is the checked universal lift that ``Pullback.lift``
 replaced: it takes the cone legs as maps, checks that they commute over
-the shared target, and only then reads the pullback's index.  On a cone
-whose legs share a source and land in the cospan's sources,
+the shared target, and only then finds each cone pair in the oracle's own
+pair list, so it reads nothing of the pullback it is compared with.  On a
+cone whose legs share a source and land in the cospan's sources,
 ``Pullback.lift`` must return the same map, and raise
 ``LiftEquationFails`` with the same text exactly where it does.
 
@@ -36,7 +42,7 @@ from smckit.errors import (
 )
 from smckit.perms import Perm
 from smckit.slist import SList, SListHom, is_linear, underlying_multiset
-from smckit.spans import FinFun, Pullback, Span, SpanCell, composite, fcompose
+from smckit.spans import FinFun, FinSet, Pullback, Span, SpanCell, composite, fcompose
 
 
 def check_slist_hom(src: SList, dst: SList, phi: Perm) -> None:
@@ -81,12 +87,23 @@ def check_span_cell(src: Span, dst: Span, map: FinFun) -> None:
         raise BoundaryMismatch("cell map does not commute with right legs")
 
 
-def pullback_lift(pb: Pullback, f: FinFun, g: FinFun, f1: FinFun, f2: FinFun) -> FinFun:
+def pullback_oracle(f: FinFun, g: FinFun) -> tuple[tuple[int, int], ...]:
+    return tuple((a, b) for a in range(f.src.size) for b in range(g.src.size) if f.img[a] == g.img[b])
+
+
+def oracle_pullback(f: FinFun, g: FinFun) -> Pullback:
+    pairs = pullback_oracle(f, g)
+    apex = FinSet(len(pairs))
+    return Pullback(apex, FinFun(apex, f.src, tuple(a for a, _ in pairs)), FinFun(apex, g.src, tuple(b for _, b in pairs)))
+
+
+def pullback_lift(f: FinFun, g: FinFun, f1: FinFun, f2: FinFun) -> FinFun:
     if f1.src != f2.src:
         raise TargetMismatch("cone legs must share a source")
     if fcompose(f1, f).img != fcompose(f2, g).img:
         raise LiftEquationFails("cone does not commute over the shared target")
-    return FinFun(f1.src, pb.apex, tuple(map(pb.index, f1.img, f2.img)))
+    pairs = pullback_oracle(f, g)
+    return FinFun(f1.src, FinSet(len(pairs)), tuple(map(pairs.index, zip(f1.img, f2.img))))
 
 
 def check_pullback_square(top: FinFun, left: FinFun, right: FinFun, bottom: FinFun) -> None:

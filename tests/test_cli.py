@@ -360,6 +360,22 @@ def test_deeply_nested_record_is_a_record_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
 
 
+def test_integer_past_the_int_string_limit_is_a_record_error(monkeypatch, capsys):
+    digits = "9" * 5000
+    message = ("error: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+               "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default, whatever PYTHONINTMAXSTRDIGITS says
+    try:
+        assert run("span-compose", '{"schema":"smckit/1","kind":"span","apex":' + digits + "}") == (2, "")
+        assert capsys.readouterr().err == message
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"schema":"smckit/1","kind":"family","size":' + digits + "}"))
+        assert run("unbias", SPAN_A, "-") == (2, "")
+        assert capsys.readouterr().err == message
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _with(record: str, path: tuple, value) -> str:
     out = json.loads(record)
     inner = out

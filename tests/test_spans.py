@@ -6,8 +6,8 @@ from functools import reduce
 from random import Random
 
 import pytest
-from check_oracle import pullback_lift, vertical_compose
-from hypothesis import given, strategies as st
+from check_oracle import oracle_pullback, pullback_lift, pullback_oracle, vertical_compose
+from hypothesis import example, given, strategies as st
 
 from smckit import spans
 from smckit.errors import (
@@ -20,7 +20,6 @@ from smckit.errors import (
 from smckit.spans import (
     FinFun,
     FinSet,
-    Pullback,
     PullbackSquare,
     Span,
     SpanCell,
@@ -48,15 +47,9 @@ from smckit.spans import (
 from smckit.laws import all_functions, random_chain, random_pith_cell, random_span, random_span_from
 
 
-def pullback_oracle(f: FinFun, g: FinFun) -> Pullback:
-    """The nested-loop pullback: every pair (a, b) tested, in lexicographic order."""
-    pairs = tuple(
-        (a, b) for a in range(f.src.size) for b in range(g.src.size) if f.img[a] == g.img[b]
-    )
-    apex = FinSet(len(pairs))
-    p1 = FinFun(apex, f.src, tuple(a for a, _ in pairs))
-    p2 = FinFun(apex, g.src, tuple(b for _, b in pairs))
-    return Pullback(apex, p1, p2, pairs)
+def pairs_of(pb) -> tuple:
+    """The apex of a pullback as its pairs (p1(i), p2(i)), in apex order."""
+    return tuple(zip(pb.p1.img, pb.p2.img))
 
 
 def is_pullback_oracle(square: PullbackSquare, max_cone: int = 3) -> bool:
@@ -81,10 +74,10 @@ def test_pullback_examples():
     two, one = FinSet(2), FinSet(1)
     ident = identity_fun(two)
     pb = pullback(ident, ident)
-    assert pb.pairs == ((0, 0), (1, 1))
+    assert pairs_of(pb) == ((0, 0), (1, 1)) == pullback_oracle(ident, ident)
     const = FinFun(two, one, (0, 0))
     pb = pullback(const, const)
-    assert pb.pairs == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert pairs_of(pb) == ((0, 0), (0, 1), (1, 0), (1, 1)) == pullback_oracle(const, const)
     empty = FinFun(FinSet(0), one, ())
     assert pullback(empty, const).apex.size == 0
     with pytest.raises(TargetMismatch):
@@ -110,8 +103,33 @@ def cospans(draw):
 @given(cospans())
 def test_pullback_matches_the_nested_loop_oracle(cospan):
     f, g = cospan
-    pb, expected = pullback(f, g), pullback_oracle(f, g)
-    assert (pb.pairs, pb.p1, pb.p2, pb.apex) == (expected.pairs, expected.p1, expected.p2, expected.apex)
+    pb, expected = pullback(f, g), oracle_pullback(f, g)
+    assert pairs_of(pb) == pullback_oracle(f, g)
+    assert (pb.p1, pb.p2, pb.apex) == (expected.p1, expected.p2, expected.apex)
+
+
+ALL_EMPTY, EMPTY_PULLBACK, EMPTY_INNER_FOOT = (0, 2, 0), (2, 2, 20), (2, 3, 4)  # random_chain (size, length, seed)
+
+
+@given(st.integers(0, 5), st.integers(2, 4), st.integers(0, 2**32))
+@example(*ALL_EMPTY)
+@example(*EMPTY_PULLBACK)
+@example(*EMPTY_INNER_FOOT)
+def test_chain_composites_project_as_the_oracle(size, length, seed):
+    chain = random_chain(Random(seed), size, length)
+    for s, t in zip(chain, chain[1:]):
+        pb, expected = composite(s, t)[0], oracle_pullback(s.right, t.left)
+        assert pairs_of(pb) == pullback_oracle(s.right, t.left)
+        assert (pb.p1, pb.p2, pb.apex) == (expected.p1, expected.p2, expected.apex)
+
+
+def test_chain_examples_hold_empty_apexes_and_feet():
+    chain = random_chain(Random(ALL_EMPTY[2]), *ALL_EMPTY[:2])
+    assert {s.apex.size for s in chain} | {s.dom.size for s in chain} | {chain[-1].cod.size} == {0}
+    s, t = random_chain(Random(EMPTY_PULLBACK[2]), *EMPTY_PULLBACK[:2])
+    assert s.apex.size and t.apex.size and not pullback(s.right, t.left).apex.size
+    chain = random_chain(Random(EMPTY_INNER_FOOT[2]), *EMPTY_INNER_FOOT[:2])
+    assert 0 in [s.cod.size for s in chain[:-1]] and any(s.apex.size for s in chain)
 
 
 @given(cospans())
@@ -124,13 +142,13 @@ def test_fibers_match_the_scanning_oracle(cospan):
 def test_comparison_is_the_pullback_lift(cospan, data):
     # a random commuting square: a corner of up to 8 points, each sent to some pair over the cospan
     bottom, right = cospan
-    pairs = pullback(bottom, right).pairs
+    pairs = pullback_oracle(bottom, right)
     cone = data.draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
     corner = FinSet(len(cone))
     left = FinFun(corner, bottom.src, tuple(a for a, _ in cone))
     top = FinFun(corner, right.src, tuple(b for _, b in cone))
     square = PullbackSquare(top, left, right, bottom)
-    lift = pullback_lift(pullback(bottom, right), bottom, right, left, top)
+    lift = pullback_lift(bottom, right, left, top)
     assert square.comparison() == lift
 
 
@@ -144,7 +162,7 @@ def test_base_change_lift_is_the_pullback_lift(cospan, rng):
     left = FinFun(pb.apex, bottom.src, tuple(pb.p1.img[i] for i in order))
     top = FinFun(pb.apex, right.src, tuple(pb.p2.img[i] for i in order))
     square = PullbackSquare(top, left, right, bottom)
-    assert base_change_1cell(square).map == pullback_lift(pb, bottom, right, left, top)
+    assert base_change_1cell(square).map == pullback_lift(bottom, right, left, top)
 
 
 def _cell_calls():
@@ -172,7 +190,7 @@ def test_each_composite_pullback_is_computed_once(index, monkeypatch):
 
     def counting(f, g):
         calls.append((f, g))
-        return pullback_oracle(f, g)
+        return oracle_pullback(f, g)
 
     monkeypatch.setattr(spans, "pullback", counting)
     call()
@@ -215,6 +233,13 @@ def test_composite_refuses_spans_that_do_not_compose_before_any_pullback(scoped,
     assert calls == []
 
 
+def checked_pairs(pb, f, g) -> tuple:
+    """The pairs of the pullback pb of f and g, after checking them against the oracle."""
+    pairs = pairs_of(pb)
+    assert pairs == pullback_oracle(f, g)
+    return pairs
+
+
 def test_structural_cells_are_pith_and_project():
     rng = Random(21)
     for _ in range(100):
@@ -223,15 +248,16 @@ def test_structural_cells_are_pith_and_project():
         assert acell.is_pith()
         assert left_unitor_cell(s).is_pith() and right_unitor_cell(u).is_pith()
         # associator preserves the three projections
-        outer = composite(compose_span(s, t), u)[0]
-        inner = composite(s, t)[0]
-        dst_outer = composite(s, compose_span(t, u))[0]
-        dst_inner = composite(t, u)[0]
+        st_, tu = compose_span(s, t), compose_span(t, u)
+        outer = checked_pairs(composite(st_, u)[0], st_.right, u.left)
+        inner = checked_pairs(composite(s, t)[0], s.right, t.left)
+        dst_outer = checked_pairs(composite(s, tu)[0], s.right, tu.left)
+        dst_inner = checked_pairs(composite(t, u)[0], t.right, u.left)
         amap = acell.map
-        for idx, (x, cc) in enumerate(outer.pairs):
-            aa, bb = inner.pairs[x]
-            a2, y = dst_outer.pairs[amap(idx)]
-            b2, c2 = dst_inner.pairs[y]
+        for idx, (x, cc) in enumerate(outer):
+            aa, bb = inner[x]
+            a2, y = dst_outer[amap(idx)]
+            b2, c2 = dst_inner[y]
             assert (aa, bb, cc) == (a2, b2, c2)
 
 
