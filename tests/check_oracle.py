@@ -11,7 +11,7 @@ exactly as the library does.
 
 ``pullback_oracle`` is the nested-loop pullback: every pair (a, b) tested,
 in lexicographic order.  ``spans.pullback`` keeps no pairs, so its
-projections, read together, must list exactly these; ``oracle_pullback``
+projections, read together, must list exactly these; ``checked_pullback``
 builds the ``Pullback`` of these pairs through the checked constructors.
 
 ``pullback_lift`` is the checked universal lift that ``Pullback.lift``
@@ -91,7 +91,7 @@ def pullback_oracle(f: FinFun, g: FinFun) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a in range(f.src.size) for b in range(g.src.size) if f.img[a] == g.img[b])
 
 
-def oracle_pullback(f: FinFun, g: FinFun) -> Pullback:
+def checked_pullback(f: FinFun, g: FinFun) -> Pullback:
     pairs = pullback_oracle(f, g)
     apex = FinSet(len(pairs))
     return Pullback(apex, FinFun(apex, f.src, tuple(a for a, _ in pairs)), FinFun(apex, g.src, tuple(b for _, b in pairs)))

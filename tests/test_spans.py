@@ -6,7 +6,7 @@ from functools import reduce
 from random import Random
 
 import pytest
-from check_oracle import oracle_pullback, pullback_lift, pullback_oracle, vertical_compose
+from check_oracle import checked_pullback, pullback_lift, pullback_oracle, vertical_compose
 from hypothesis import example, given, strategies as st
 
 from smckit import spans
@@ -50,6 +50,14 @@ from smckit.laws import all_functions, random_chain, random_pith_cell, random_sp
 def pairs_of(pb) -> tuple:
     """The apex of a pullback as its pairs (p1(i), p2(i)), in apex order."""
     return tuple(zip(pb.p1.img, pb.p2.img))
+
+
+def checked_pairs(pb, f, g) -> tuple:
+    """The pairs of the pullback pb of f and g, after checking pb against the oracle."""
+    pairs, expected = pairs_of(pb), checked_pullback(f, g)
+    assert pairs == pullback_oracle(f, g)
+    assert (pb.p1, pb.p2, pb.apex) == (expected.p1, expected.p2, expected.apex)
+    return pairs
 
 
 def is_pullback_oracle(square: PullbackSquare, max_cone: int = 3) -> bool:
@@ -103,9 +111,7 @@ def cospans(draw):
 @given(cospans())
 def test_pullback_matches_the_nested_loop_oracle(cospan):
     f, g = cospan
-    pb, expected = pullback(f, g), oracle_pullback(f, g)
-    assert pairs_of(pb) == pullback_oracle(f, g)
-    assert (pb.p1, pb.p2, pb.apex) == (expected.p1, expected.p2, expected.apex)
+    checked_pairs(pullback(f, g), f, g)
 
 
 ALL_EMPTY, EMPTY_PULLBACK, EMPTY_INNER_FOOT = (0, 2, 0), (2, 2, 20), (2, 3, 4)  # random_chain (size, length, seed)
@@ -118,9 +124,7 @@ ALL_EMPTY, EMPTY_PULLBACK, EMPTY_INNER_FOOT = (0, 2, 0), (2, 2, 20), (2, 3, 4)  
 def test_chain_composites_project_as_the_oracle(size, length, seed):
     chain = random_chain(Random(seed), size, length)
     for s, t in zip(chain, chain[1:]):
-        pb, expected = composite(s, t)[0], oracle_pullback(s.right, t.left)
-        assert pairs_of(pb) == pullback_oracle(s.right, t.left)
-        assert (pb.p1, pb.p2, pb.apex) == (expected.p1, expected.p2, expected.apex)
+        checked_pairs(composite(s, t)[0], s.right, t.left)
 
 
 def test_chain_examples_hold_empty_apexes_and_feet():
@@ -190,7 +194,7 @@ def test_each_composite_pullback_is_computed_once(index, monkeypatch):
 
     def counting(f, g):
         calls.append((f, g))
-        return oracle_pullback(f, g)
+        return checked_pullback(f, g)
 
     monkeypatch.setattr(spans, "pullback", counting)
     call()
@@ -231,13 +235,6 @@ def test_composite_refuses_spans_that_do_not_compose_before_any_pullback(scoped,
         with pytest.raises(TargetMismatch, match=r"^spans not composable: FinSet\(size=2\) != FinSet\(size=3\)$"):
             composite(s, t)
     assert calls == []
-
-
-def checked_pairs(pb, f, g) -> tuple:
-    """The pairs of the pullback pb of f and g, after checking them against the oracle."""
-    pairs = pairs_of(pb)
-    assert pairs == pullback_oracle(f, g)
-    return pairs
 
 
 def test_structural_cells_are_pith_and_project():
