@@ -46,6 +46,14 @@ without ``--out`` they are printed.  The curves are:
   leg after the first a bijection), against apex size n.  Every composite
   in the chain has exactly n apex elements, and no ``shared_composites``
   scope is open, as in ``smckit span-compose``;
+* ``unitor_cells``: ``spans.left_unitor_cell`` and
+  ``spans.right_unitor_cell`` of one span, both cells in one call as
+  ``smckit span-compose --cells`` makes them, against apex size n.  Both
+  legs go to six elements with fibers that differ in size by at most one;
+* ``pullback_dense``: ``spans.pullback`` of two maps of n points each onto
+  a fixed foot of four, with fibers that differ in size by at most one,
+  for n over the apex sizes, against the number of pairs (about n*n/4).
+  The bijective chains above never build such a pullback;
 * ``k_hcomp``: ``kleisli.k_hcomp`` of a cell on one list of length n over
   eight labels and a cell on eight lists of length 2, against n.  Both
   cells permute their lists at random.
@@ -76,7 +84,18 @@ from smckit.laws import random_function
 from smckit.models import FinBijModel, FreeTermModel, SListModel
 from smckit.perms import Perm, reduced_word
 from smckit.slist import SList, SListHom
-from smckit.spans import FinFun, FinSet, Span, assoc_cell, compose_span, pullback, span_pull, span_push
+from smckit.spans import (
+    FinFun,
+    FinSet,
+    Span,
+    assoc_cell,
+    compose_span,
+    left_unitor_cell,
+    pullback,
+    right_unitor_cell,
+    span_pull,
+    span_push,
+)
 from smckit.terms import Gen, canonical_term, normalize, normalize_obj, psi_hom
 from smckit.unbias import f_comp_cell, unbias_comp_iso
 
@@ -85,6 +104,8 @@ TERM_MAX_N = 60
 ARITIES = (4, 8, 12, 16, 24, 32, 40, 48)
 ENTRIES = 8
 APEX_SIZES = (4, 8, 16, 32, 64, 128, 256)
+UNITOR_FOOT = 6
+DENSE_FOOT = 4
 LIST_LENGTHS = (10, 20, 40, 80, 160, 320, 640)
 EQUAL_SIZES = (4, 8, 12, 16, 20, 24)
 MIN_SAMPLE_S = 0.02
@@ -262,6 +283,29 @@ def assoc_cell_call(n: int):
     return lambda: assoc_cell(s, t, u)
 
 
+def balanced_function(rng: Random, n: int, target: int) -> FinFun:
+    """A random map of n points onto ``target`` elements whose fibers differ in size by at most one."""
+    img = [i % target for i in range(n)]
+    rng.shuffle(img)
+    return FinFun(FinSet(n), FinSet(target), tuple(img))
+
+
+def unitor_cells_call(n: int):
+    rng = Random(n)
+    s = Span(balanced_function(rng, n, UNITOR_FOOT), balanced_function(rng, n, UNITOR_FOOT))
+    return lambda: (left_unitor_cell(s), right_unitor_cell(s))
+
+
+def pullback_dense_calls(sizes) -> dict:
+    """Pair count -> a call of the pullback of two balanced maps of n points onto ``DENSE_FOOT`` elements."""
+    calls = {}
+    for n in sizes:
+        rng = Random(n)
+        f, g = balanced_function(rng, n, DENSE_FOOT), balanced_function(rng, n, DENSE_FOOT)
+        calls[pullback(f, g).apex.size] = lambda f=f, g=g: pullback(f, g)
+    return calls
+
+
 def shuffled_cell(rng: Random, f: KHom) -> KCell:
     """A cell from f to a family with each list permuted at random."""
     homs = []
@@ -288,6 +332,7 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
     normalize_at = normalize_calls([n for n in psi_sizes if n <= term_max_n])
     equal_at = equal_text_calls(EQUAL_SIZES)
     render_at = render_cells_calls(arities)
+    dense_at = pullback_dense_calls(apex_sizes)
     return {
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(), "platform": platform.platform()},
         "repeats": repeats,
@@ -307,6 +352,8 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
         "pullback": curve("apex", apex_sizes, pullback_call, repeats),
         "compose_span": curve("apex", apex_sizes, compose_span_call, repeats),
         "assoc_cell": curve("apex", apex_sizes, assoc_cell_call, repeats),
+        "unitor_cells": curve("apex", apex_sizes, unitor_cells_call, repeats),
+        "pullback_dense": curve("pairs", list(dense_at), dense_at.get, repeats),
         "k_hcomp": curve("n", list_lengths, k_hcomp_call, repeats),
     }
 

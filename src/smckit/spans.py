@@ -19,7 +19,9 @@ reuses one pullback for the span and for the lifts into its apex.  Inside a
 ``shared_composites()`` scope it also returns the same pair for every later
 request of an equal (s, t), so a law check that pastes many cells over the
 same chain builds each composite once; the table is dropped with the scope.
-The law suites open one scope per law check; the CLI opens none.
+The law suites open one scope per law check; the CLI opens none.  The
+unitor cells call no ``composite``: a composite with an identity span has a
+closed form, which they write directly.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import (
@@ -341,15 +344,28 @@ def assoc_cell(s: Span, t: Span, u: Span) -> SpanCell:
 
 
 def left_unitor_cell(s: Span) -> SpanCell:
-    """id;s => s, projecting the pair (j, a) to a."""
-    pb, src = composite(identity_span(s.dom), s)
-    return SpanCell._unchecked(src, s, pb.p2)  # each pair is (s.left(a), a), so p1 is p2 then s.left
+    """id;s => s, projecting the pair (j, a) to a.
+
+    The canonical apex of id;s lists the pairs (s.left(a), a) fiber by
+    fiber of s.left, so the map lists those fibers in turn and the left leg
+    repeats each j once per point of its fiber; no pullback is built.
+    """
+    fibs = fibers(s.left)
+    apex = s.apex
+    proj = FinFun._unchecked(apex, apex, tuple(chain.from_iterable(fibs)))  # the fibers partition the apex
+    # j once per point of its fiber, each a point of s.dom
+    left = FinFun._unchecked(apex, s.dom, tuple(chain.from_iterable([j] * len(f) for j, f in enumerate(fibs))))
+    src = Span(left, fcompose(proj, s.right))
+    return SpanCell._unchecked(src, s, proj)  # proj sends (j, a) to a, and j is s.left(a)
 
 
 def right_unitor_cell(s: Span) -> SpanCell:
-    """s;id => s, projecting the pair (a, k) to a."""
-    pb, src = composite(s, identity_span(s.cod))
-    return SpanCell._unchecked(src, s, pb.p1)  # each pair is (a, s.right(a)), so p2 is p1 then s.right
+    """s;id => s, projecting the pair (a, k) to a.
+
+    The canonical apex of s;id pairs each a with s.right(a), in the order of
+    a, so s;id equals s and the map is the identity; no pullback is built.
+    """
+    return SpanCell._unchecked(s, s, identity_fun(s.apex))  # the identity commutes with any legs
 
 
 class AdjunctionCells(NamedTuple):

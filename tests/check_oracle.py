@@ -27,6 +27,11 @@ identity: two lifts into the pullbacks of s;(t;u), which match
 ((a,b),c) with (a,(b,c)).  On every composable chain it must equal
 ``spans.assoc_cell``.
 
+``left_unitor_cell`` and ``right_unitor_cell`` are the unitor cells as
+they were before they were written in closed form: each composes s with
+the identity span by ``composite`` and returns the pullback projection
+onto s's apex.  On every span they must equal the ``spans`` cells.
+
 ``vertical_compose`` is the binary vertical composition of span cells that
 the n-ary ``spans.vcomp`` replaced; a chain's ``vcomp`` must equal its left
 fold, and fail with the same text where the fold does.
@@ -42,7 +47,7 @@ from smckit.errors import (
 )
 from smckit.perms import Perm
 from smckit.slist import SList, SListHom, is_linear, underlying_multiset
-from smckit.spans import FinFun, FinSet, Pullback, Span, SpanCell, composite, fcompose
+from smckit.spans import FinFun, FinSet, Pullback, Span, SpanCell, composite, fcompose, identity_span
 
 
 def check_slist_hom(src: SList, dst: SList, phi: Perm) -> None:
@@ -127,6 +132,16 @@ def assoc_cell(s: Span, t: Span, u: Span) -> SpanCell:
     to_tu = tu_pb.lift(src.apex, [p2[i] for i in o1], outer.p2.img)
     lift = dst_pb.lift(src.apex, [p1[i] for i in o1], to_tu.img)
     return SpanCell(src, dst, lift)
+
+
+def left_unitor_cell(s: Span) -> SpanCell:
+    pb, src = composite(identity_span(s.dom), s)
+    return SpanCell(src, s, pb.p2)
+
+
+def right_unitor_cell(s: Span) -> SpanCell:
+    pb, src = composite(s, identity_span(s.cod))
+    return SpanCell(src, s, pb.p1)
 
 
 def vertical_compose(c1: SpanCell, c2: SpanCell) -> SpanCell:

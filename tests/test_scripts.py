@@ -63,8 +63,12 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     chars = [n for n, _ in curves["render_cells"]["points"]]
     assert curves["render_cells"]["x"] == "chars" and len(chars) == 2 and 0 < chars[0] < chars[1]
     assert all(t > 0 for _, t in curves["render_cells"]["points"])
-    apex_curves = [curves[name] for name in ("f_comp_cell", "pullback", "compose_span", "assoc_cell")]
+    apex_curves = [curves[name] for name in ("f_comp_cell", "pullback", "compose_span", "assoc_cell", "unitor_cells")]
     assert all([n for n, _ in c["points"]] == [1, 3] for c in apex_curves)
+    # a dense pullback of maps of 1 and 3 points onto a foot of four, against its pairs
+    dense = curves["pullback_dense"]
+    assert dense["x"] == "pairs" and [n for n, _ in dense["points"]] == [1, 3]
+    assert all(t > 0 for _, t in dense["points"])
     assert [n for n, _ in curves["k_hcomp"]["points"]] == [1, 4]
     assert all(t > 0 for c in (*apex_curves, curves["k_hcomp"]) for _, t in c["points"])
     assert all(t > 0 for c in curves["psi_hom_reversal"].values() for _, t in c["points"])

@@ -170,7 +170,11 @@ def test_base_change_lift_is_the_pullback_lift(cospan, rng):
 
 
 def _cell_calls():
-    """(name, thunk, pullbacks it must compute): one per distinct composite."""
+    """(name, thunk, pullbacks it must compute): one per distinct composite.
+
+    The unitor cells compute none: their composites with an identity span
+    are written in closed form.
+    """
     rng = Random(25)
     s, t, u = random_chain(rng, 3, 3)
     c, d = random_pith_cell(rng, s), random_pith_cell(rng, t)
@@ -180,8 +184,8 @@ def _cell_calls():
         ("compose_span", lambda: compose_span(s, t), 1),
         ("horizontal_compose", lambda: horizontal_compose(c, d), 2),
         ("assoc_cell", lambda: assoc_cell(s, t, u), 4),
-        ("left_unitor_cell", lambda: left_unitor_cell(s), 1),
-        ("right_unitor_cell", lambda: right_unitor_cell(s), 1),
+        ("left_unitor_cell", lambda: left_unitor_cell(s), 0),
+        ("right_unitor_cell", lambda: right_unitor_cell(s), 0),
         ("adjunction_cells", lambda: adjunction_cells(f), 2),
         ("base_change_1cell", lambda: base_change_1cell(square), 2),
     ]

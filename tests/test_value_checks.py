@@ -223,6 +223,28 @@ def test_assoc_cell_is_the_cell_of_the_two_lifts(size, seed):
 
 
 @st.composite
+def spans_with_small_feet(draw):
+    """A random span with an apex of 0 to 6 points; feet of one point are common, empty ones need an empty apex."""
+    apex = draw(st.integers(0, 6))
+    lo = 0 if apex == 0 else 1
+    dom, cod = draw(st.integers(lo, 4)), draw(st.integers(lo, 4))
+    return Span(_fun(draw, apex, dom), _fun(draw, apex, cod))
+
+
+@settings(max_examples=500, deadline=None)
+@given(spans_with_small_feet())
+@example(Span(identity_fun(FinSet(0)), identity_fun(FinSet(0))))
+@example(Span(FinFun(FinSet(3), FinSet(1), (0, 0, 0)), FinFun(FinSet(3), FinSet(1), (0, 0, 0))))
+def test_unitor_cells_are_the_pullback_projections(s):
+    """Each closed-form unitor cell equals the projection out of the composite built by pullback."""
+    for cell, oracle in ((left_unitor_cell, check_oracle.left_unitor_cell),
+                         (right_unitor_cell, check_oracle.right_unitor_cell)):
+        c, expected = cell(s), oracle(s)
+        assert (c.src, c.dst, c.map) == (expected.src, expected.dst, expected.map)
+        assert SpanCell(c.src, c.dst, c.map) == c
+
+
+@st.composite
 def square_data(draw):
     """top, left, right, bottom: mostly the canonical square with an edge or a corner changed."""
     z, y, w = draw(SIZES), draw(SIZES), draw(SIZES)
