@@ -71,6 +71,6 @@ from .unbias import (
     pseudofunctor_on_span,
     unbias_eval,
 )
-from .laws import LawReport, check_pbc_laws, pseudofunctor_laws
+from .laws import LawReport
 
 __version__ = "0.1.0"

@@ -94,11 +94,18 @@ def theta_apply(g: KHom, l: SList) -> SList:
     >>> print(theta_apply(g, SList((0, 1))))
     [0,1,2]
     """
-    size, lists = g.src.size, g.lists
-    labels: list = []
+    size = g.src.size
     for label in l.labels:
         if not isinstance(label, int) or not 0 <= label < size:
             raise LabelOutOfRange(f"label {label!r} outside source of size {size}")
+    return _blocks(g, l)
+
+
+def _blocks(g: KHom, l: SList) -> SList:
+    """The lists of g at the labels of l, concatenated, for labels that lie in g.src."""
+    lists = g.lists
+    labels: list = []
+    for label in l.labels:
         labels += lists[label].labels
     return SList(tuple(labels))
 
@@ -118,8 +125,9 @@ def k_compose(f: KHom, g: KHom) -> KHom:
     """Composite family: extend g over each list of f."""
     if f.dst != g.src:
         raise BoundaryMismatch(f"cannot compose: {f.dst} != {g.src}")
+    # f's own check puts every label of its lists in f.dst == g.src, so each block exists;
     # one list per element of f.src, each a concatenation of lists of g over g.dst
-    return KHom._unchecked(f.src, g.dst, tuple([theta_apply(g, l) for l in f.lists]))
+    return KHom._unchecked(f.src, g.dst, tuple([_blocks(g, l) for l in f.lists]))
 
 
 def k_id(i: FinSet) -> KHom:

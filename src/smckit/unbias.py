@@ -109,7 +109,7 @@ def base_change_unique(square: PullbackSquare) -> KCell:
     Both sides are componentwise linear with the same underlying multiset
     (the right fiber over the bottom image), so there is exactly one
     choice; any failure inside signals an implementation bug.
-    ``laws.check_pbc_laws`` checks the pasting and unit-square laws.
+    ``laws.pbc_suite`` checks the pasting and unit-square laws.
     """
     if not square.is_pullback():
         raise NotPullbackSquare("base change needs a pullback square")

@@ -27,53 +27,53 @@ def test_acceptance_coxeter():
     # relations and word/permutation round trips, exhaustive n <= 6 (720
     # permutations at n=6), 10^3 random samples at n <= 8, exchange on
     # every applicable (reduced word, generator) pair for n <= 6
-    _report("coxeter", laws.coxeter_suite(max_exhaustive=6, random_n=8, samples=1000, seed=0), 7967)
+    _report("coxeter", laws.coxeter_suite(seed=0), 7967)
 
 
 def test_acceptance_faithfulness():
     # 10^3 random generator words per list length <= 8; word/hom round
     # trip; words agree as morphisms exactly when their permutations do
-    _report("faithfulness", laws.faithfulness_suite(max_len=8, samples_per_len=1000, seed=0), 16000)
+    _report("faithfulness", laws.faithfulness_suite(seed=0), 16000)
 
 
 def test_acceptance_coherence():
     # 10^3 random well-typed terms over 5 generators survive axiom
     # rewrites; pentagon/triangle/hexagon/symmetry instances decide true;
     # the braid-vs-identity pair on a repeated generator decides false
-    _report("coherence", laws.coherence_suite(n_terms=1000, n_labels=5, seed=0), 2004)
+    _report("coherence", laws.coherence_suite(seed=0), 2004)
 
 
 def test_acceptance_braiding_oracle():
     # block-formula braiding equals the recursive construction, all shapes
     # with |x| + |y| <= 8
-    _report("braiding-oracle", laws.braiding_suite(max_total=8), 90)
+    _report("braiding-oracle", laws.braiding_suite(seed=0), 90)
 
 
 def test_acceptance_span_bicategory():
     # pentagon, triangle, interchange and adjunction triangles; adjunction
     # and triangle exhaustive, pentagon shape-exhaustive at size 1, plus
     # 10^3 seeded random instances at sizes 3 and 5
-    _report("span-bicategory", laws.span_suite(max_size=3, random_size=5, samples=1000, seed=0), 5120)
+    _report("span-bicategory", laws.span_suite(seed=0), 5120)
 
 
 def test_acceptance_kleisli():
     # matrix-like composite multisets and duality multiplicity symmetry,
     # exhaustive small families plus 10^3 random larger ones
-    _report("kleisli", laws.kleisli_suite(samples=1000, seed=0), 32823)
+    _report("kleisli", laws.kleisli_suite(seed=0), 32823)
 
 
 def test_acceptance_pbc_lambda():
     # the defining law families of the fiber/value system over squares
     # with sets of size <= 3, linearity of every produced list, and the
     # generated pseudofunctor's coherence cells
-    _report("pbc-lambda", laws.pbc_suite(max_size=3, seed=0), 3395)
+    _report("pbc-lambda", laws.pbc_suite(seed=0), 3395)
 
 
 def test_acceptance_unbias():
     # per-index objects match the independent fiber oracle for exhaustive
     # spans over sets of size <= 3; every evaluated coherence law decides
     # equal in the free term model
-    _report("unbias", laws.unbias_suite(max_size=3, seed=0), 8395)
+    _report("unbias", laws.unbias_suite(seed=0), 8395)
 
 
 def test_acceptance_cli():

@@ -4,7 +4,7 @@ from collections import Counter
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from smckit.errors import BoundaryMismatch, LabelOutOfRange
 from smckit.kleisli import (
@@ -103,6 +103,18 @@ def test_k_compose_examples():
     assert k_compose(empty, g_example_23()) == KHom(FinSet(0), FinSet(3), ())
     with pytest.raises(BoundaryMismatch):
         k_compose(f, f)
+
+
+@example(seed=0, i=0, j=0, k=0, max_len=0)
+@example(seed=0, i=2, j=0, k=3, max_len=3)
+@example(seed=0, i=2, j=3, k=0, max_len=0)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+def test_k_compose_is_the_checked_extension(seed, i, j, k, max_len):
+    # k_compose concatenates blocks without theta_apply's label check; the checked path must agree
+    rng = Random(seed)
+    f = random_khom(rng, i, j, max_len)
+    g = random_khom(rng, j, k, max_len)
+    assert k_compose(f, g) == KHom(f.src, g.dst, tuple(theta_apply(g, l) for l in f.lists))
 
 
 def g_example_23():

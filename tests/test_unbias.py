@@ -26,8 +26,7 @@ from smckit.spans import (
 )
 from smckit.laws import (
     all_functions,
-    check_pbc_laws,
-    pseudofunctor_laws,
+    pbc_suite,
     psi_family_map,
     random_chain,
     random_khom,
@@ -266,14 +265,11 @@ def test_apex_key_cells_match_the_pasted_cells(case):
         assert f_id_cell(x) == pbc_oracle.f_id_cell(x)
 
 
-def test_pbc_laws_small():
-    report = check_pbc_laws(max_size=2, paste_max_size=1, seed=0, random_pastes=50)
+def test_pbc_suite_small():
+    # base change over sets of size <= 1 (pasting exhaustive at size 2) and the pseudofunctor laws
+    report = pbc_suite(max_size=1, seed=0)
     assert report.ok, report
-
-
-def test_pseudofunctor_laws_small():
-    report = pseudofunctor_laws(max_size=2, seed=0, samples=25)
-    assert report.ok, report
+    assert report.cases == 1312
 
 
 def test_unbias_eval_examples():
@@ -311,13 +307,12 @@ def test_unbias_comp_and_unit_cells_normalize():
 
 def test_end_to_end_coherence_sample():
     m = FreeTermModel()
-
-    def assignment_for(dom):
-        return {j: Gen(f"x{j}") for j in range(dom.size)}
-
     rng = Random(45)
     triples = [random_chain(rng, 2, 3) for _ in range(8)]
-    assert unbias_coherence_failures(m, assignment_for, triples, rng=Random(46)) == []
+    naturality_rng = Random(46)
+    for triple in triples:
+        x = {j: Gen(f"x{j}") for j in range(triple[0].dom.size)}
+        assert unbias_coherence_failures(m, triple, x, naturality_rng) == []
 
 
 def test_unbias_cell_progress():
