@@ -6,6 +6,7 @@ import pbc_oracle
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from smckit import laws
 from smckit.errors import LabelOutOfRange, NotInvertible, NotPullbackSquare
 from smckit.kleisli import KHom, k_compose, k_id, k_id_cell, k_vcomp, theta_apply
 from smckit.models import FinBijModel, FreeTermModel, SListModel
@@ -265,11 +266,20 @@ def test_apex_key_cells_match_the_pasted_cells(case):
         assert f_id_cell(x) == pbc_oracle.f_id_cell(x)
 
 
-def test_pbc_suite_small():
+def test_pbc_laws_small():
     # base change over sets of size <= 1 (pasting exhaustive at size 2) and the pseudofunctor laws
     report = pbc_suite(max_size=1, seed=0)
     assert report.ok, report
     assert report.cases == 1312
+
+
+def test_pseudofunctor_laws_small():
+    # the pseudofunctor half of pbc_suite alone, on chains over sets of size <= 2
+    check = laws._Check("pseudofunctor")
+    laws._check_pseudofunctor(check, max_size=2, seed=0)
+    report = check.report()
+    assert report.ok, report
+    assert report.cases == 600
 
 
 def test_unbias_eval_examples():
