@@ -63,7 +63,6 @@ from .kleisli import (
     k_hcomp,
     k_id,
     theta_apply,
-    theta_apply_hom,
 )
 from .unbias import (
     base_change_unique,

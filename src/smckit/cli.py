@@ -305,7 +305,7 @@ def load_record(source: str, kind: str) -> dict:
         else:
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text, or a NUL byte in the path
         shown = "an argument" if literal else repr(source)
         raise RecordFormatError(_escapes_as_bytes(f"cannot read record from {shown}: {exc}")) from None
     try:

@@ -7,6 +7,11 @@ concatenation, which makes composition strictly associative and unital:
 the associator and unitor cells collapse to identities, and the strict
 equalities they would mediate are tested directly.
 
+A 2-cell is a family of list morphisms.  The horizontal composite of phi
+and psi is one block permutation per component: block t of the target is
+block phi(t) of the source, a list of psi's source family, permuted inside
+by psi at that block's label.
+
 Duality transposes a family, exchanging row and column multiplicities.
 """
 
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import BoundaryMismatch, LabelOutOfRange
-from .perms import Perm, block_perm
+from .perms import Perm
 from .slist import (
     SList,
     SListHom,
@@ -110,17 +115,6 @@ def _blocks(g: KHom, l: SList) -> SList:
     return SList(tuple(labels))
 
 
-def theta_apply_hom(g: KHom, f: SListHom) -> SListHom:
-    """The block permutation extending g along a list morphism.
-
-    Whole blocks move the way f moves labels; positions inside a block are
-    preserved.
-    """
-    src = theta_apply(g, f.src)  # raises LabelOutOfRange before a label indexes g
-    dst = theta_apply(g, f.dst)
-    return SListHom(src, dst, block_perm([len(g.lists[label]) for label in f.src.labels], f.phi))
-
-
 def k_compose(f: KHom, g: KHom) -> KHom:
     """Composite family: extend g over each list of f."""
     if f.dst != g.src:
@@ -154,36 +148,35 @@ def invert_kcell(c: KCell) -> KCell:
     return KCell._unchecked(c.dst, c.src, tuple(map(invert, c.homs)))  # each component inverts between the same lists
 
 
-def theta_whisker(psi: KCell, l: SList) -> SListHom:
-    """Block-diagonal morphism with blocks psi at each label of l."""
-    src = theta_apply(psi.src, l)
-    dst = theta_apply(psi.dst, l)
-    src_off = list(accumulate((len(psi.src.lists[label]) for label in l.labels), initial=0))
-    dst_off = list(accumulate((len(psi.dst.lists[label]) for label in l.labels), initial=0))
-    phi = [0] * len(dst)
-    for t, label in enumerate(l.labels):
-        h = psi.homs[label]
-        for u in range(len(h.dst)):
-            phi[dst_off[t] + u] = src_off[t] + h.phi(u)
-    return SListHom(src, dst, Perm(tuple(phi)))
-
-
 def k_hcomp(phi: KCell, psi: KCell) -> KCell:
-    """Horizontal composite: whisker psi along each list, then move blocks.
+    """Horizontal composite: one block permutation per component.
 
     phi goes between f, f' : I ~> J and psi between g, g' : J ~> K; the
-    result lies over k_compose(f, g) => k_compose(f', g').
+    result lies over k_compose(f, g) => k_compose(f', g').  Component i
+    moves whole blocks the way phi.homs[i] moves labels and permutes inside
+    each block by psi.  With ``labels = f.lists[i].labels`` and ``starts``
+    the running offsets of the blocks g(label) along them, target block t
+    is source block ``j = phi.homs[i].phi(t)``, and its position u comes
+    from ``starts[j] + psi.homs[labels[j]].phi(u)``.
     """
     f, f2 = phi.src, phi.dst
     g, g2 = psi.src, psi.dst
     if f.dst != g.src:
         raise BoundaryMismatch("horizontal composition needs composable boundaries")
-    homs = tuple(
-        hom_compose(theta_whisker(psi, f.lists[i]), theta_apply_hom(g2, phi.homs[i]))
-        for i in range(f.src.size)
-    )
-    # component i runs from theta_apply(g, f.lists[i]) to theta_apply(g2, f2.lists[i])
-    return KCell._unchecked(k_compose(f, g), k_compose(f2, g2), homs)
+    src, dst = k_compose(f, g), k_compose(f2, g2)
+    blocks, inner = g.lists, psi.homs
+    homs = []
+    for i, h in enumerate(phi.homs):
+        labels = f.lists[i].labels
+        starts = list(accumulate([len(blocks[label]) for label in labels], initial=0))
+        img: list[int] = []
+        for j in h.phi.img:
+            start = starts[j]
+            img += [start + u for u in inner[labels[j]].phi.img]
+        # f.dst == g.src, and the checked cells phi and psi bound every label and match every
+        # block, so img is a bijection carrying src.lists[i] onto dst.lists[i]
+        homs.append(SListHom._unchecked(src.lists[i], dst.lists[i], Perm._unchecked(tuple(img))))
+    return KCell._unchecked(src, dst, tuple(homs))
 
 
 # ---------------------------------------------------------------------------

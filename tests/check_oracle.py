@@ -35,6 +35,13 @@ onto s's apex.  On every span they must equal the ``spans`` cells.
 ``vertical_compose`` is the binary vertical composition of span cells that
 the n-ary ``spans.vcomp`` replaced; a chain's ``vcomp`` must equal its left
 fold, and fail with the same text where the fold does.
+
+``theta_whisker`` and ``theta_apply_hom`` are the two checked list
+morphisms that ``kleisli.k_hcomp`` once composed per component: psi
+whiskered along a list, then the blocks moved the way phi moves labels.
+``k_hcomp_two_step`` is that composite, kept as the oracle for the one
+block permutation ``k_hcomp`` now writes; on every composable pair of
+cells the two must be equal.
 """
 
 from smckit.errors import (
@@ -45,8 +52,11 @@ from smckit.errors import (
     SourceTargetMismatch,
     TargetMismatch,
 )
-from smckit.perms import Perm
-from smckit.slist import SList, SListHom, is_linear, underlying_multiset
+from itertools import accumulate
+
+from smckit.kleisli import KCell, KHom, k_compose, theta_apply
+from smckit.perms import Perm, block_perm
+from smckit.slist import SList, SListHom, compose as hom_compose, is_linear, underlying_multiset
 from smckit.spans import FinFun, FinSet, Pullback, Span, SpanCell, composite, fcompose, identity_span
 
 
@@ -148,3 +158,41 @@ def vertical_compose(c1: SpanCell, c2: SpanCell) -> SpanCell:
     if c1.dst != c2.src:
         raise BoundaryMismatch("vertical composition needs matching middle span")
     return SpanCell(c1.src, c2.dst, fcompose(c1.map, c2.map))
+
+
+def theta_apply_hom(g: KHom, f: SListHom) -> SListHom:
+    """The block permutation extending g along a list morphism.
+
+    Whole blocks move the way f moves labels; positions inside a block are
+    preserved.
+    """
+    src = theta_apply(g, f.src)  # raises LabelOutOfRange before a label indexes g
+    dst = theta_apply(g, f.dst)
+    return SListHom(src, dst, block_perm([len(g.lists[label]) for label in f.src.labels], f.phi))
+
+
+def theta_whisker(psi: KCell, l: SList) -> SListHom:
+    """Block-diagonal morphism with blocks psi at each label of l."""
+    src = theta_apply(psi.src, l)
+    dst = theta_apply(psi.dst, l)
+    src_off = list(accumulate((len(psi.src.lists[label]) for label in l.labels), initial=0))
+    dst_off = list(accumulate((len(psi.dst.lists[label]) for label in l.labels), initial=0))
+    phi = [0] * len(dst)
+    for t, label in enumerate(l.labels):
+        h = psi.homs[label]
+        for u in range(len(h.dst)):
+            phi[dst_off[t] + u] = src_off[t] + h.phi(u)
+    return SListHom(src, dst, Perm(tuple(phi)))
+
+
+def k_hcomp_two_step(phi: KCell, psi: KCell) -> KCell:
+    """Horizontal composite: whisker psi along each list, then move blocks."""
+    f, f2 = phi.src, phi.dst
+    g, g2 = psi.src, psi.dst
+    if f.dst != g.src:
+        raise BoundaryMismatch("horizontal composition needs composable boundaries")
+    homs = tuple(
+        hom_compose(theta_whisker(psi, f.lists[i]), theta_apply_hom(g2, phi.homs[i]))
+        for i in range(f.src.size)
+    )
+    return KCell(k_compose(f, g), k_compose(f2, g2), homs)

@@ -572,6 +572,14 @@ def test_input_that_is_not_utf8_is_exit_2(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err == "error: 2:7: stdin is not utf-8 text: invalid start byte\n"
 
 
+def test_nul_byte_in_a_record_path_is_exit_2(capsys):
+    # no shell passes a NUL byte in argv, but main(argv) takes any string
+    assert run("span-compose", "x\x00y") == (2, "")
+    assert capsys.readouterr().err == "error: cannot read record from 'x\\x00y': embedded null byte\n"
+    assert run("unbias", "a\x00", "b") == (2, "")
+    assert capsys.readouterr().err == "error: cannot read record from 'a\\x00': embedded null byte\n"
+
+
 def test_stdin_term_errors_point_into_it(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("b x y ;\n  b y $"))
     assert run("normalize", "-") == (2, "")

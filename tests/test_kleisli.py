@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from check_oracle import k_hcomp_two_step
 from smckit.errors import BoundaryMismatch, LabelOutOfRange
 from smckit.kleisli import (
     KCell,
@@ -19,8 +20,6 @@ from smckit.kleisli import (
     k_id_cell,
     k_vcomp,
     theta_apply,
-    theta_apply_hom,
-    theta_whisker,
 )
 from smckit.laws import random_khom
 from smckit.perms import Perm
@@ -48,13 +47,19 @@ def test_theta_apply_examples():
         theta_apply(g_example, SList((5,)))
 
 
+def theta_on(g: KHom, f: SListHom) -> SListHom:
+    """The extension of g along f: k_hcomp of the one-component cell f with the identity on g."""
+    cell = KCell(KHom(FinSet(1), g.src, (f.src,)), KHom(FinSet(1), g.src, (f.dst,)), (f,))
+    return k_hcomp(cell, k_id_cell(g)).homs[0]
+
+
 def test_theta_apply_hom_examples():
     sw = SListHom(SList((0, 1)), SList((1, 0)), Perm((1, 0)))
-    h = theta_apply_hom(g_example, sw)
+    h = theta_on(g_example, sw)
     assert h.src == SList((0, 1, 2)) and h.dst == SList((2, 0, 1))
     assert h.phi.img == (2, 0, 1)
     ident = identity_hom(SList(()))
-    assert theta_apply_hom(g_example, ident) == identity_hom(SList(()))
+    assert theta_on(g_example, ident) == identity_hom(SList(()))
 
 
 def test_theta_functorial():
@@ -68,10 +73,8 @@ def test_theta_functorial():
         w2 = tuple(rng.randrange(n - 1) for _ in range(rng.randint(0, 4))) if n > 1 else ()
         f1 = hom_from_word(GenWord(start, w1))
         f2 = hom_from_word(GenWord(f1.dst, w2))
-        assert theta_apply_hom(g, hom_compose(f1, f2)) == hom_compose(
-            theta_apply_hom(g, f1), theta_apply_hom(g, f2)
-        )
-        assert theta_apply_hom(g, identity_hom(start)) == identity_hom(theta_apply(g, start))
+        assert theta_on(g, hom_compose(f1, f2)) == hom_compose(theta_on(g, f1), theta_on(g, f2))
+        assert theta_on(g, identity_hom(start)) == identity_hom(theta_apply(g, start))
         # extension preserves the tensor
         l2 = SList(tuple(rng.randrange(g.src.size) for _ in range(rng.randint(0, 4))))
         assert theta_apply(g, tensor_obj(start, l2)) == tensor_obj(
@@ -121,6 +124,18 @@ def g_example_23():
     return KHom(FinSet(2), FinSet(3), (SList((0,)), SList((1, 2))))
 
 
+@example(seed=0, i=0, j=2, k=2, max_len=4)  # an empty family
+@example(seed=0, i=3, j=3, k=3, max_len=0)  # every list empty
+@example(seed=0, i=2, j=3, k=0, max_len=4)  # a target of size 0
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+def test_k_hcomp_is_the_two_step_composite(seed, i, j, k, max_len):
+    # k_hcomp writes one block permutation per component; whiskering then moving blocks must agree
+    rng = Random(seed)
+    phi = _random_kcell(rng, random_khom(rng, i, j, max_len))
+    psi = _random_kcell(rng, random_khom(rng, j, k, max_len))
+    assert k_hcomp(phi, psi) == k_hcomp_two_step(phi, psi)
+
+
 def test_strictness_cells():
     rng = Random(32)
     for _ in range(50):
@@ -139,7 +154,7 @@ def test_k_hcomp_examples():
     # a single swap inside one block moves only that block
     sw = SListHom(SList((0, 1)), SList((1, 0)), Perm((1, 0)))
     psi = KCell(g, KHom(g.src, g.dst, (SList((1, 0)), SList((2,)))), (sw, identity_hom(SList((2,)))))
-    w = theta_whisker(psi, SList((0, 1)))
+    w = k_hcomp(k_id_cell(KHom(FinSet(1), g.src, (SList((0, 1)),))), psi).homs[0]
     assert w.phi.img == (1, 0, 2)
 
 
