@@ -18,7 +18,6 @@ Duality transposes a family, exchanging row and column multiplicities.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import BoundaryMismatch, LabelOutOfRange
@@ -32,9 +31,10 @@ from .slist import (
     underlying_multiset,
 )
 from .spans import FinSet
+from .values import value
 
 
-@dataclass(frozen=True)
+@value
 class KHom:
     """A family of lists over dst, indexed by src: a 1-cell src ~> dst."""
 
@@ -63,7 +63,7 @@ class KHom:
         return f
 
 
-@dataclass(frozen=True)
+@value
 class KCell:
     """A family of list morphisms between two parallel 1-cells."""
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
@@ -121,9 +120,10 @@ from .unbias import (
     v_comp,
     v_id,
 )
+from .values import value
 
 
-@dataclass(frozen=True)
+@value
 class LawReport:
     name: str
     cases: int

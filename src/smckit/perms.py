@@ -15,15 +15,15 @@ final positions back to original ones.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import LetterOutOfRange, NoReductionPossible, NoSuchIndex, NotReduced
+from .values import value
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@value
 class Perm:
     """A bijection of {0..n-1} as an image sequence.
 
@@ -36,6 +36,9 @@ class Perm:
     img: tuple[int, ...]
 
     def __post_init__(self):
+        for v in self.img:
+            if type(v) is not int:
+                raise ValueError(f"value {v!r} is not an integer")
         if sorted(self.img) != list(range(len(self.img))):
             raise ValueError(f"not a permutation of range({len(self.img)}): {self.img}")
 
@@ -78,7 +81,7 @@ class Perm:
         return "[" + ",".join(map(str, self.img)) + "]"
 
 
-@dataclass(frozen=True)
+@value
 class CoxeterMatrixA:
     """The type-A Coxeter matrix on {0..rank-1}.
 

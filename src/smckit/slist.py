@@ -18,7 +18,6 @@ immutable and all operations pure.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Any, Iterator
 
 from .errors import (
@@ -28,9 +27,10 @@ from .errors import (
     SourceTargetMismatch,
 )
 from .perms import Perm, reduced_word, word_to_perm
+from .values import value
 
 
-@dataclass(frozen=True)
+@value
 class SList:
     """A finite list of labels.
 
@@ -53,7 +53,7 @@ class SList:
         return "[" + ",".join(map(str, self.labels)) + "]"
 
 
-@dataclass(frozen=True)
+@value
 class SListHom:
     """A label-preserving index bijection between two lists of equal length.
 
@@ -95,7 +95,7 @@ class SListHom:
         return f"phi={self.phi}"
 
 
-@dataclass(frozen=True)
+@value
 class GenWord:
     """A start list plus adjacent-swap positions applied to the running list."""
 

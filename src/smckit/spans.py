@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
@@ -40,13 +39,16 @@ from .errors import (
     NotPullbackSquare,
     TargetMismatch,
 )
+from .values import value
 
 
-@dataclass(frozen=True)
+@value
 class FinSet:
     size: int
 
     def __post_init__(self):
+        if type(self.size) is not int:
+            raise ValueError(f"size must be an integer, found {self.size!r}")
         if self.size < 0:
             raise ValueError("size must be a natural number")
 
@@ -54,7 +56,7 @@ class FinSet:
         return iter(range(self.size))
 
 
-@dataclass(frozen=True)
+@value
 class FinFun:
     src: FinSet
     dst: FinSet
@@ -63,9 +65,12 @@ class FinFun:
     def __post_init__(self):
         if len(self.img) != self.src.size:
             raise ValueError(f"image sequence has length {len(self.img)}, expected {self.src.size}")
+        n = self.dst.size
         for v in self.img:
-            if not 0 <= v < self.dst.size:
-                raise ValueError(f"value {v} outside target of size {self.dst.size}")
+            if type(v) is not int:
+                raise ValueError(f"value {v!r} is not an integer")
+            if not 0 <= v < n:
+                raise ValueError(f"value {v} outside target of size {n}")
 
     @staticmethod
     def _unchecked(src: FinSet, dst: FinSet, img: tuple[int, ...]) -> "FinFun":
@@ -113,7 +118,7 @@ def fibers(f: FinFun) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, out))
 
 
-@dataclass(frozen=True)
+@value
 class Pullback:
     """The canonical pullback of f and g over their shared target.
 
@@ -170,7 +175,7 @@ def pullback(f: FinFun, g: FinFun) -> Pullback:
     return Pullback(apex, FinFun._unchecked(apex, f.src, tuple(left)), FinFun._unchecked(apex, g.src, tuple(right)))
 
 
-@dataclass(frozen=True)
+@value
 class Span:
     """A pair of maps out of a shared apex; a 1-cell left.dst -> right.dst."""
 
@@ -194,7 +199,7 @@ class Span:
         return self.right.dst
 
 
-@dataclass(frozen=True)
+@value
 class SpanCell:
     """An apex map commuting with both legs."""
 
@@ -392,7 +397,7 @@ def adjunction_cells(f: FinFun) -> AdjunctionCells:
     return AdjunctionCells(unit, counit)
 
 
-@dataclass(frozen=True)
+@value
 class PullbackSquare:
     """A commuting square top/left/right/bottom; pullback-ness checked on demand.
 

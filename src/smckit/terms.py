@@ -24,41 +24,41 @@ any depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from .errors import BoundaryMismatch, IllTyped, UnassignedLabel
 from .perms import Perm, reduced_word
 from .slist import SList, SListHom, hom_equal
+from .values import value
 
 
 # ---------------------------------------------------------------------------
 # object and morphism terms
 
 
-@dataclass(frozen=True)
+@value
 class ObjTerm:
     def __str__(self):
         return obj_text(self)
 
 
-@dataclass(frozen=True)
+@value
 class Unit(ObjTerm):
     pass
 
 
-@dataclass(frozen=True)
+@value
 class Gen(ObjTerm):
     label: Any
 
 
-@dataclass(frozen=True)
+@value
 class Tensor(ObjTerm):
     left: ObjTerm
     right: ObjTerm
 
 
-@dataclass(frozen=True)
+@value
 class MorTerm:
     def __rshift__(self, other: "MorTerm") -> "MorTerm":
         return Comp(self, other)
@@ -67,12 +67,12 @@ class MorTerm:
         return Par(self, other)
 
 
-@dataclass(frozen=True)
+@value
 class Id(MorTerm):
     obj: ObjTerm
 
 
-@dataclass(frozen=True)
+@value
 class Comp(MorTerm):
     """first then second, diagram order"""
 
@@ -80,7 +80,7 @@ class Comp(MorTerm):
     second: MorTerm
 
 
-@dataclass(frozen=True)
+@value
 class Par(MorTerm):
     """tensor of morphisms"""
 
@@ -88,7 +88,7 @@ class Par(MorTerm):
     right: MorTerm
 
 
-@dataclass(frozen=True)
+@value
 class Assoc(MorTerm):
     """(x*y)*z -> x*(y*z)"""
 
@@ -97,21 +97,21 @@ class Assoc(MorTerm):
     z: ObjTerm
 
 
-@dataclass(frozen=True)
+@value
 class LeftUnitor(MorTerm):
     """I*x -> x"""
 
     x: ObjTerm
 
 
-@dataclass(frozen=True)
+@value
 class RightUnitor(MorTerm):
     """x*I -> x"""
 
     x: ObjTerm
 
 
-@dataclass(frozen=True)
+@value
 class Braid(MorTerm):
     """x*y -> y*x"""
 
@@ -119,7 +119,7 @@ class Braid(MorTerm):
     y: ObjTerm
 
 
-@dataclass(frozen=True)
+@value
 class Inv(MorTerm):
     arg: MorTerm
 

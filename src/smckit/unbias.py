@@ -30,8 +30,6 @@ the left-leg image of the right fiber at k, in ascending apex order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotInvertible, NotPullbackSquare
 from .kleisli import KCell, KHom, k_compose, k_id, k_id_cell, theta_apply
 from .slist import SList, SListHom, unique_hom_linear
@@ -47,6 +45,7 @@ from .spans import (
     identity_fun,
 )
 from .terms import SmcModel, lookup, psi_hom, psi_obj
+from .values import value
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +174,7 @@ def f_id_cell(x: FinSet) -> KCell:
 # the end-to-end evaluator
 
 
-@dataclass(frozen=True)
+@value
 class UnbiasResult:
     """Per-target-index unbiased tensors for a span, in a chosen model."""
 

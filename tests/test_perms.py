@@ -205,6 +205,13 @@ def test_perm_group_basics():
         Perm((0, 0, 1))
 
 
+@pytest.mark.parametrize("img, shown", [((0.0, 1.0), "0.0"), ((0, True), "True"), ((1, "0"), "'0'")])
+def test_perm_refuses_a_value_that_is_not_an_int(img, shown):
+    # each passed the sorted-range check or broke inverse() before
+    with pytest.raises(ValueError, match=rf"^value {shown} is not an integer$"):
+        Perm(img)
+
+
 @given(st.integers(0, 6), st.integers(0, 6))
 def test_block_perm_of_the_swap_is_block_swap(a, b):
     assert block_perm((a, b), Perm((1, 0))) == block_swap(a, b)

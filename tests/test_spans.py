@@ -78,6 +78,24 @@ def is_pullback_oracle(square: PullbackSquare, max_cone: int = 3) -> bool:
     return True
 
 
+@pytest.mark.parametrize("size, shown", [(2.5, "2.5"), (True, "True"), ("2", "'2'")])
+def test_finset_refuses_a_size_that_is_not_an_int(size, shown):
+    # FinSet(2.5) used to build and then fail in __iter__
+    with pytest.raises(ValueError, match=rf"^size must be an integer, found {shown}$"):
+        FinSet(size)
+    with pytest.raises(ValueError, match="^size must be a natural number$"):
+        FinSet(-1)
+
+
+@pytest.mark.parametrize("img, shown", [((0.5, 1), "0.5"), ((0, False), "False"), ((1.0, 0), "1.0")])
+def test_finfun_refuses_a_value_that_is_not_an_int(img, shown):
+    # such a value broke fcompose, and pullback dropped its point
+    with pytest.raises(ValueError, match=rf"^value {shown} is not an integer$"):
+        FinFun(FinSet(2), FinSet(2), img)
+    with pytest.raises(ValueError, match="^value 2 outside target of size 2$"):
+        FinFun(FinSet(2), FinSet(2), (0, 2))
+
+
 def test_pullback_examples():
     two, one = FinSet(2), FinSet(1)
     ident = identity_fun(two)

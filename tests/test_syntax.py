@@ -39,7 +39,7 @@ def _objects(t) -> list:
         elif isinstance(node, Inv):
             todo.append(node.arg)
         else:
-            out += [getattr(node, name) for name in node.__dataclass_fields__]
+            out += [getattr(node, name) for name in node._fields]
     return out
 
 

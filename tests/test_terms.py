@@ -447,8 +447,8 @@ def test_eval_matches_the_recursive_oracle(seed):
 
 
 def test_term_functions_on_terms_3000_deep(shallow_stack):
-    # deep terms are compared through normal forms and text: the dataclass
-    # __eq__, __hash__ and __repr__ recurse
+    # deep terms are compared through normal forms and text: the value
+    # classes' __eq__, __hash__ and __repr__ recurse
     x, swap = Tensor(a, a), Braid(a, a)
     t = swap
     for _ in range(600):  # five levels each, with inverses over composites and tensors

@@ -6,7 +6,6 @@ value through the public constructors and run the law suites with every
 ``_unchecked`` swapped for the checked constructor.
 """
 
-import dataclasses
 from collections import Counter
 from random import Random
 from types import SimpleNamespace
@@ -286,8 +285,8 @@ def _rebuilt(value):
     """``value`` rebuilt through the public constructors, fields first, so that every check runs again."""
     if type(value) is tuple:
         return tuple(map(_rebuilt, value))
-    if dataclasses.is_dataclass(value):
-        return type(value)(*[_rebuilt(getattr(value, f.name)) for f in dataclasses.fields(value)])
+    if hasattr(value, "_fields"):
+        return type(value)(*[_rebuilt(getattr(value, name)) for name in value._fields])
     return value
 
 
