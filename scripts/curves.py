@@ -57,13 +57,11 @@ without ``--out`` they are printed.  The curves are:
 * ``k_hcomp``: ``kleisli.k_hcomp`` of a cell on one list of length n over
   eight labels and a cell on eight lists of length 2, against n.  Both
   cells permute their lists at random;
-* ``startup``: the CLI's start-up, not a curve.  ``median_s`` is the median
-  over ``--startup-runs`` fresh ``python -I`` interpreters (default 9) of
-  the time to import ``smckit.cli`` and build its parser, timed inside the
-  child as the benchmark's ``setup_s`` is; ``module_own_s`` is each
-  ``smckit`` module's own import time, the median over as many more
-  interpreters run with ``-X importtime``.  One interpreter runs first,
-  untimed, to write the bytecode caches.
+* ``startup``: where the CLI's start-up goes, not a curve.  ``module_own_s``
+  is each ``smckit`` module's own import time, the median over 9 fresh
+  ``python -I -X importtime`` interpreters that import ``smckit.cli`` and
+  build its parser.  One interpreter runs first, unread, to write the
+  bytecode caches.  The whole start-up is the benchmark's ``setup_s``.
 
 Each curve also holds the least-squares slope of log time against log
 size: about 1 for linear growth, about 3 for cubic.
@@ -118,11 +116,8 @@ LIST_LENGTHS = (10, 20, 40, 80, 160, 320, 640)
 EQUAL_SIZES = (4, 8, 12, 16, 20, 24)
 MIN_SAMPLE_S = 0.02
 STARTUP_RUNS = 9
-# the benchmark's set-up spawn: argv[1] is the directory that holds smckit
-STARTUP_CODE = (
-    "import sys, time; t0 = time.perf_counter(); sys.path.insert(0, sys.argv[1]); "
-    "import smckit.cli; smckit.cli.build_parser(); print(time.perf_counter() - t0)"
-)
+# argv[1] is the directory that holds smckit
+STARTUP_CODE = "import sys; sys.path.insert(0, sys.argv[1]); import smckit.cli; smckit.cli.build_parser()"
 TOKEN = re.compile(r"[()*;]|[^\W\d]\w*|\S")  # a token of the CLI's term syntax
 
 
@@ -338,28 +333,23 @@ def k_hcomp_call(n: int):
     return lambda: k_hcomp(phi, psi)
 
 
-def startup(runs: int) -> dict:
-    """Median start-up of the CLI in fresh interpreters, and each smckit module's own import time."""
+def startup() -> dict:
+    """Each smckit module's own import time in the CLI's start-up, the median over fresh interpreters."""
     src = str(Path(cli.__file__).resolve().parents[1])
-
-    def spawn(*options: str) -> subprocess.CompletedProcess:
-        return subprocess.run([sys.executable, "-I", *options, "-c", STARTUP_CODE, src],
-                              check=True, stdin=subprocess.DEVNULL, capture_output=True, text=True)
-
-    spawn()
-    samples = [float(spawn().stdout) for _ in range(runs)]
     own = {}
-    for _ in range(runs):
+    for run in range(STARTUP_RUNS + 1):
+        proc = subprocess.run([sys.executable, "-I", "-X", "importtime", "-c", STARTUP_CODE, src],
+                              check=True, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+        if run == 0:  # writes the bytecode caches
+            continue
         # each line is "import time: <own us> | <cumulative us> | <indented module name>"
-        for line in spawn("-X", "importtime").stderr.splitlines():
+        for line in proc.stderr.splitlines():
             us, _, name = line.removeprefix("import time:").split("|")
             if name.strip().split(".")[0] == "smckit":
                 own.setdefault(name.strip(), []).append(int(us) / 1e6)
     return {
         "unit": "s",
-        "runs": runs,
-        "median_s": statistics.median(samples),
-        "samples_s": samples,
+        "runs": STARTUP_RUNS,
         "module_own_s": {name: statistics.median(times) for name, times in own.items()},
     }
 
@@ -368,7 +358,7 @@ def singleton(label) -> SList:
     return SList((label,))
 
 
-def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeats: int, startup_runs: int) -> dict:
+def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeats: int) -> dict:
     normalize_at = normalize_calls([n for n in psi_sizes if n <= term_max_n])
     equal_at = equal_text_calls(EQUAL_SIZES)
     render_at = render_cells_calls(arities)
@@ -395,7 +385,7 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
         "unitor_cells": curve("apex", apex_sizes, unitor_cells_call, repeats),
         "pullback_dense": curve("pairs", list(dense_at), dense_at.get, repeats),
         "k_hcomp": curve("n", list_lengths, k_hcomp_call, repeats),
-        "startup": startup(startup_runs),
+        "startup": startup(),
     }
 
 
@@ -408,12 +398,10 @@ def main(argv=None) -> int:
     p.add_argument("--arities", type=int, nargs="+", default=ARITIES)
     p.add_argument("--apex-sizes", type=int, nargs="+", default=APEX_SIZES)
     p.add_argument("--list-lengths", type=int, nargs="+", default=LIST_LENGTHS)
-    p.add_argument("--startup-runs", type=int, default=STARTUP_RUNS)
     args = p.parse_args(argv)
 
     t0 = time.perf_counter()
-    data = curves(args.psi_sizes, args.term_max_n, args.arities, args.apex_sizes, args.list_lengths, args.repeats,
-                  args.startup_runs)
+    data = curves(args.psi_sizes, args.term_max_n, args.arities, args.apex_sizes, args.list_lengths, args.repeats)
     data["elapsed_s"] = time.perf_counter() - t0
     if args.out is None:
         print(json.dumps(data, indent=1))

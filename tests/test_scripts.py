@@ -38,7 +38,7 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "curves.py"), "--out", str(out), "--repeats", "1",
          "--psi-sizes", "2", "3", "--term-max-n", "2", "--arities", "1", "2",
-         "--apex-sizes", "1", "3", "--list-lengths", "1", "4", "--startup-runs", "2"],
+         "--apex-sizes", "1", "3", "--list-lengths", "1", "4"],
         capture_output=True,
         text=True,
         env=env,
@@ -72,13 +72,11 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     assert [n for n, _ in curves["k_hcomp"]["points"]] == [1, 4]
     assert all(t > 0 for c in (*apex_curves, curves["k_hcomp"]) for _, t in c["points"])
     assert all(t > 0 for c in curves["psi_hom_reversal"].values() for _, t in c["points"])
-    # start-up over two fresh interpreters, and the own import time of every smckit module
+    # the own import time of each smckit module that start-up loads
     startup = curves["startup"]
-    assert startup["runs"] == 2 and len(startup["samples_s"]) == 2
-    assert 0 < startup["median_s"] == sum(startup["samples_s"]) / 2
     modules = {"smckit", *(f"smckit.{p.stem}" for p in (ROOT / "src" / "smckit").glob("*.py") if p.stem[0] != "_")}
-    assert set(startup["module_own_s"]) == modules
-    assert all(t > 0 for t in startup["module_own_s"].values())
+    assert {"smckit", "smckit.cli", "smckit.values"} <= set(startup["module_own_s"]) <= modules
+    assert all(t >= 0 for t in startup["module_own_s"].values())
 
 
 def test_same_outputs_finds_a_tree_the_same_as_itself():
