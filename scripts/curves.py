@@ -61,7 +61,13 @@ without ``--out`` they are printed.  The curves are:
   is each ``smckit`` module's own import time, the median over 9 fresh
   ``python -I -X importtime`` interpreters that import ``smckit.cli`` and
   build its parser.  One interpreter runs first, unread, to write the
-  bytecode caches.  The whole start-up is the benchmark's ``setup_s``.
+  bytecode caches.  The whole start-up is the benchmark's ``setup_s``;
+* ``values``: the instance layout of a value class, not a curve.  For a
+  ``FinFun`` over shared fields, built through its public constructor and
+  through ``FinFun._unchecked``: the bytes per instance, the traced
+  allocations of 1000 instances (the list holding them not counted), and
+  the median ns per build and per read of its three fields, each over a
+  loop of 1000 whose own overhead is included.
 
 Each curve also holds the least-squares slope of log time against log
 size: about 1 for linear growth, about 3 for cubic.
@@ -80,6 +86,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from random import Random
 
@@ -116,6 +123,7 @@ LIST_LENGTHS = (10, 20, 40, 80, 160, 320, 640)
 EQUAL_SIZES = (4, 8, 12, 16, 20, 24)
 MIN_SAMPLE_S = 0.02
 STARTUP_RUNS = 9
+VALUE_COUNT = 1000
 # argv[1] is the directory that holds smckit
 STARTUP_CODE = "import sys; sys.path.insert(0, sys.argv[1]); import smckit.cli; smckit.cli.build_parser()"
 TOKEN = re.compile(r"[()*;]|[^\W\d]\w*|\S")  # a token of the CLI's term syntax
@@ -354,6 +362,33 @@ def startup() -> dict:
     }
 
 
+def values_layout(repeats: int) -> dict:
+    """Bytes per ``FinFun``, and ns per build and per three field reads, for each way of building one."""
+    src, dst, img = FinSet(3), FinSet(3), (0, 1, 2)
+    out = {"class": "FinFun", "count": VALUE_COUNT}
+    for path, build in (("public", FinFun), ("unchecked", FinFun._unchecked)):
+        f = build(src, dst, img)
+        tracemalloc.start()
+        made = [build(src, dst, img) for _ in range(VALUE_COUNT)]
+        used = tracemalloc.get_traced_memory()[0] - sys.getsizeof(made)
+        tracemalloc.stop()
+
+        def builds():
+            for _ in range(VALUE_COUNT):
+                build(src, dst, img)
+
+        def reads():
+            for _ in range(VALUE_COUNT):
+                f.src, f.dst, f.img
+
+        out[path] = {
+            "bytes": used / VALUE_COUNT,
+            "build_ns": sample_time(builds, repeats) / VALUE_COUNT * 1e9,
+            "read3_ns": sample_time(reads, repeats) / VALUE_COUNT * 1e9,
+        }
+    return out
+
+
 def singleton(label) -> SList:
     return SList((label,))
 
@@ -386,6 +421,7 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
         "pullback_dense": curve("pairs", list(dense_at), dense_at.get, repeats),
         "k_hcomp": curve("n", list_lengths, k_hcomp_call, repeats),
         "startup": startup(),
+        "values": values_layout(repeats),
     }
 
 

@@ -34,7 +34,7 @@ from .spans import FinSet
 from .values import value
 
 
-@value
+@value(unchecked=True)
 class KHom:
     """A family of lists over dst, indexed by src: a 1-cell src ~> dst."""
 
@@ -47,23 +47,13 @@ class KHom:
             raise ValueError(f"family has {len(self.lists)} lists, expected {self.src.size}")
         for l in self.lists:
             for label in l.labels:
-                if not isinstance(label, int) or not 0 <= label < self.dst.size:
+                if type(label) is not int or not 0 <= label < self.dst.size:
                     raise LabelOutOfRange(
                         f"label {label!r} outside target of size {self.dst.size}"
                     )
 
-    @staticmethod
-    def _unchecked(src: FinSet, dst: FinSet, lists: tuple[SList, ...]) -> "KHom":
-        """The KHom of these fields without the check, for callers whose construction bounds every label."""
-        f = object.__new__(KHom)
-        d = f.__dict__
-        d["src"] = src
-        d["dst"] = dst
-        d["lists"] = lists
-        return f
 
-
-@value
+@value(unchecked=True)
 class KCell:
     """A family of list morphisms between two parallel 1-cells."""
 
@@ -80,16 +70,6 @@ class KCell:
             if h.src != self.src.lists[i] or h.dst != self.dst.lists[i]:
                 raise BoundaryMismatch(f"component {i} has the wrong boundary")
 
-    @staticmethod
-    def _unchecked(src: KHom, dst: KHom, homs: tuple[SListHom, ...]) -> "KCell":
-        """The KCell of these fields without the check, for callers whose construction matches every boundary."""
-        c = object.__new__(KCell)
-        d = c.__dict__
-        d["src"] = src
-        d["dst"] = dst
-        d["homs"] = homs
-        return c
-
 
 def theta_apply(g: KHom, l: SList) -> SList:
     """Extend the family g to a list: concatenate the blocks g(label).
@@ -101,7 +81,7 @@ def theta_apply(g: KHom, l: SList) -> SList:
     """
     size = g.src.size
     for label in l.labels:
-        if not isinstance(label, int) or not 0 <= label < size:
+        if type(label) is not int or not 0 <= label < size:
             raise LabelOutOfRange(f"label {label!r} outside source of size {size}")
     return _blocks(g, l)
 

@@ -23,7 +23,7 @@ from .values import value
 Word = tuple[int, ...]
 
 
-@value
+@value(unchecked=True)
 class Perm:
     """A bijection of {0..n-1} as an image sequence.
 
@@ -41,13 +41,6 @@ class Perm:
                 raise ValueError(f"value {v!r} is not an integer")
         if sorted(self.img) != list(range(len(self.img))):
             raise ValueError(f"not a permutation of range({len(self.img)}): {self.img}")
-
-    @staticmethod
-    def _unchecked(img: tuple[int, ...]) -> "Perm":
-        """The Perm of ``img`` without the check, for callers whose construction makes it a bijection."""
-        p = object.__new__(Perm)
-        p.__dict__["img"] = img
-        return p
 
     @property
     def n(self) -> int:

@@ -53,7 +53,7 @@ class SList:
         return "[" + ",".join(map(str, self.labels)) + "]"
 
 
-@value
+@value(unchecked=True)
 class SListHom:
     """A label-preserving index bijection between two lists of equal length.
 
@@ -80,16 +80,6 @@ class SListHom:
                         f"label transport fails at index {i}: "
                         f"{self.src}[{j}] != {self.dst}[{i}]"
                     )
-
-    @staticmethod
-    def _unchecked(src: SList, dst: SList, phi: Perm) -> "SListHom":
-        """The SListHom of these fields without the check, for callers whose construction transports labels."""
-        h = object.__new__(SListHom)
-        d = h.__dict__
-        d["src"] = src
-        d["dst"] = dst
-        d["phi"] = phi
-        return h
 
     def __str__(self) -> str:
         return f"phi={self.phi}"

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -56,7 +55,7 @@ class FinSet:
         return iter(range(self.size))
 
 
-@value
+@value(unchecked=True)
 class FinFun:
     src: FinSet
     dst: FinSet
@@ -71,16 +70,6 @@ class FinFun:
                 raise ValueError(f"value {v!r} is not an integer")
             if not 0 <= v < n:
                 raise ValueError(f"value {v} outside target of size {n}")
-
-    @staticmethod
-    def _unchecked(src: FinSet, dst: FinSet, img: tuple[int, ...]) -> "FinFun":
-        """The FinFun of these fields without the check, for callers whose construction bounds the image."""
-        f = object.__new__(FinFun)
-        d = f.__dict__
-        d["src"] = src
-        d["dst"] = dst
-        d["img"] = img
-        return f
 
     def __call__(self, i: int) -> int:
         return self.img[i]
@@ -129,10 +118,7 @@ class Pullback:
     apex: FinSet
     p1: FinFun
     p2: FinFun
-
-    @cached_property
-    def _index(self) -> dict:
-        return {pair: i for i, pair in enumerate(zip(self.p1.img, self.p2.img))}
+    __slots__ = ("_index",)  # each pair's apex point, filled by the first lift
 
     def lift(self, src: FinSet, left, right) -> FinFun:
         """The map x -> (left[x], right[x]) from src into the apex.
@@ -140,7 +126,11 @@ class Pullback:
         A cone commutes exactly when each of its pairs lies in the pullback,
         so the index lookup is the cone check.
         """
-        index = self._index
+        try:
+            index = self._index
+        except AttributeError:
+            index = {pair: i for i, pair in enumerate(zip(self.p1.img, self.p2.img))}
+            object.__setattr__(self, "_index", index)
         try:
             img = tuple([index[pair] for pair in zip(left, right, strict=True)])
         except KeyError:
@@ -199,7 +189,7 @@ class Span:
         return self.right.dst
 
 
-@value
+@value(unchecked=True)
 class SpanCell:
     """An apex map commuting with both legs."""
 
@@ -217,16 +207,6 @@ class SpanCell:
             raise BoundaryMismatch("cell map does not commute with left legs")
         if tuple([dr[v] for v in m]) != self.src.right.img:
             raise BoundaryMismatch("cell map does not commute with right legs")
-
-    @staticmethod
-    def _unchecked(src: Span, dst: Span, map: FinFun) -> "SpanCell":
-        """The SpanCell of these fields without the check, for callers whose construction makes it commute."""
-        c = object.__new__(SpanCell)
-        d = c.__dict__
-        d["src"] = src
-        d["dst"] = dst
-        d["map"] = map
-        return c
 
     def is_pith(self) -> bool:
         return self.map.is_bijective()

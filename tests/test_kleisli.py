@@ -47,6 +47,17 @@ def test_theta_apply_examples():
         theta_apply(g_example, SList((5,)))
 
 
+def test_bool_labels_are_refused():
+    """``True == 1``, but a bool is no label: a family or a list holding one is refused."""
+    with pytest.raises(LabelOutOfRange, match=r"^label True outside target of size 2$"):
+        KHom(FinSet(1), FinSet(2), (SList((True, 0)),))
+    with pytest.raises(LabelOutOfRange, match=r"^label False outside target of size 3$"):
+        KHom(FinSet(2), FinSet(3), (SList((0,)), SList((False,))))
+    with pytest.raises(LabelOutOfRange, match=r"^label True outside source of size 2$"):
+        theta_apply(g_example, SList((0, True)))
+    assert KHom(FinSet(1), FinSet(2), (SList((1, 0)),)).lists == (SList((1, 0)),)
+
+
 def theta_on(g: KHom, f: SListHom) -> SListHom:
     """The extension of g along f: k_hcomp of the one-component cell f with the identity on g."""
     cell = KCell(KHom(FinSet(1), g.src, (f.src,)), KHom(FinSet(1), g.src, (f.dst,)), (f,))

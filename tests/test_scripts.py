@@ -77,6 +77,11 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     modules = {"smckit", *(f"smckit.{p.stem}" for p in (ROOT / "src" / "smckit").glob("*.py") if p.stem[0] != "_")}
     assert {"smckit", "smckit.cli", "smckit.values"} <= set(startup["module_own_s"]) <= modules
     assert all(t >= 0 for t in startup["module_own_s"].values())
+    # a FinFun's bytes, build and three reads, through each constructor
+    values = curves["values"]
+    assert values["class"] == "FinFun" and values["count"] > 0
+    for path in ("public", "unchecked"):
+        assert set(values[path]) == {"bytes", "build_ns", "read3_ns"} and all(v > 0 for v in values[path].values())
 
 
 def test_same_outputs_finds_a_tree_the_same_as_itself():

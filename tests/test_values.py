@@ -6,7 +6,9 @@ twin made with ``dataclasses.make_dataclass`` over the same fields is the
 reference for equality, hash and repr.
 """
 
+import copy
 import dataclasses
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -156,7 +158,7 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
             delattr(v, name)
     with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
         v.extra = 1
-    assert _fields(v) == before and "extra" not in vars(v)
+    assert _fields(v) == before and not hasattr(v, "extra")
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -212,8 +214,29 @@ def test_unchecked_builds_what_the_public_constructor_refuses():
 def test_a_cached_property_does_not_change_equality():
     pb, fresh = EXAMPLES[Pullback](), EXAMPLES[Pullback]()
     pb.lift(FinSet(1), (1,), (0,))
-    assert "_index" in vars(pb) and "_index" not in vars(fresh)
+    assert hasattr(pb, "_index") and not hasattr(fresh, "_index")
     assert pb == fresh and hash(pb) == hash(fresh)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_values_copy_and_pickle_to_an_equal_value(cls):
+    v = EXAMPLES[cls]()
+    for copied in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
+        assert type(copied) is cls and copied == v and hash(copied) == hash(v)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_no_instance_has_a_dict(cls):
+    """One layout, the class's slots, however the value was built."""
+    v = EXAMPLES[cls]()
+    built = [v, cls._unchecked(*_fields(v))] if cls in UNCHECKED else [v]
+    assert not any(hasattr(b, "__dict__") for b in built)
+
+
+def test_only_values_py_names_the_instance_dict():
+    """Every value class has one instance layout, its slots, so no other module reads or writes ``__dict__``."""
+    package = Path(smckit.__file__).resolve().parent
+    assert sorted(p.name for p in package.glob("*.py") if "__dict__" in p.read_text()) == ["values.py"]
 
 
 def test_start_up_imports_neither_dataclasses_nor_inspect():
