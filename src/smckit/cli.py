@@ -334,13 +334,22 @@ def _integer(value) -> int:
     return value
 
 
+def _leg_from_record(apex: FinSet, leg: dict) -> FinFun:
+    dst = FinSet(_integer(leg["target"]))
+    img = leg["img"]
+    try:
+        return FinFun(apex, dst, img)  # FinFun type-tests each image value
+    except (TypeError, ValueError):
+        # a value that is no integer is named before a length or range error
+        for v in img:
+            _integer(v)
+        raise
+
+
 def span_from_record(record: dict) -> Span:
     try:
         apex = FinSet(_integer(record["apex"]))
-        legs = [
-            FinFun(apex, FinSet(_integer(leg["target"])), tuple(map(_integer, leg["img"])))
-            for leg in (record["left"], record["right"])
-        ]
+        legs = [_leg_from_record(apex, leg) for leg in (record["left"], record["right"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise RecordFormatError(f"malformed span record: {exc}") from None
     return Span(*legs)

@@ -46,11 +46,7 @@ class KHom:
         if len(self.lists) != self.src.size:
             raise ValueError(f"family has {len(self.lists)} lists, expected {self.src.size}")
         for l in self.lists:
-            for label in l.labels:
-                if type(label) is not int or not 0 <= label < self.dst.size:
-                    raise LabelOutOfRange(
-                        f"label {label!r} outside target of size {self.dst.size}"
-                    )
+            _check_labels(l, self.dst.size, "target")
 
 
 @value(unchecked=True)
@@ -79,11 +75,15 @@ def theta_apply(g: KHom, l: SList) -> SList:
     >>> print(theta_apply(g, SList((0, 1))))
     [0,1,2]
     """
-    size = g.src.size
+    _check_labels(l, g.src.size, "source")
+    return _blocks(g, l)
+
+
+def _check_labels(l: SList, size: int, side: str) -> None:
+    """Refuse a label of l that is not an int in range(size); a bool is no label."""
     for label in l.labels:
         if type(label) is not int or not 0 <= label < size:
-            raise LabelOutOfRange(f"label {label!r} outside source of size {size}")
-    return _blocks(g, l)
+            raise LabelOutOfRange(f"label {label!r} outside {side} of size {size}")
 
 
 def _blocks(g: KHom, l: SList) -> SList:

@@ -36,6 +36,8 @@ class Perm:
     img: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.img) is not tuple:
+            object.__setattr__(self, "img", tuple(self.img))
         for v in self.img:
             if type(v) is not int:
                 raise ValueError(f"value {v!r} is not an integer")

@@ -62,6 +62,8 @@ class FinFun:
     img: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.img) is not tuple:
+            object.__setattr__(self, "img", tuple(self.img))
         if len(self.img) != self.src.size:
             raise ValueError(f"image sequence has length {len(self.img)}, expected {self.src.size}")
         n = self.dst.size

@@ -42,6 +42,11 @@ def _reduce(self):
     return self.__class__, tuple([getattr(self, name) for name in self._fields])
 
 
+def _repr(self):
+    shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+    return f"{self.__class__.__qualname__}({shown})"
+
+
 def value(cls=None, *, unchecked=False):
     """Make ``cls`` an immutable value class over its annotated fields (see the module docstring)."""
     if cls is None:
@@ -60,7 +65,6 @@ def _value(cls, unchecked):
     sets = "".join(f"\n    _set_{n}(self, {n})" for n in names)
     post_init = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else "\n    pass"
     mine, theirs = (f"({''.join(f'{who}.{n}, ' for n in names)})" for who in ("self", "other"))
-    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
     source = f"""
 def __init__(self{params}):{sets}{post_init}
 def __eq__(self, other):
@@ -69,16 +73,14 @@ def __eq__(self, other):
     return NotImplemented
 def __hash__(self):
     return hash({mine})
-def __repr__(self):
-    return f"{{self.__class__.__qualname__}}({shown})"
 """
     if unchecked:
         source += f"@staticmethod\ndef _unchecked({', '.join(names)}):\n    self = _new(_cls){sets}\n    return self\n"
     exec(source, namespace)
     body = {k: v for k, v in own.items() if k not in slots and k not in ("__dict__", "__weakref__")}
-    body.update({k: namespace[k] for k in ("__init__", "__eq__", "__hash__", "__repr__", "_unchecked") if k in namespace})
+    body.update({k: namespace[k] for k in ("__init__", "__eq__", "__hash__", "_unchecked") if k in namespace})
     body.update(__slots__=slots, __qualname__=cls.__qualname__, _fields=names,
-                __setattr__=_setattr, __delattr__=_delattr, __reduce__=_reduce)
+                __setattr__=_setattr, __delattr__=_delattr, __reduce__=_reduce, __repr__=_repr)
     cls = type(cls)(cls.__name__, cls.__bases__, body)
     # the generated functions read these globals when called, so they may be bound after the rebuild
     namespace.update({f"_set_{n}": getattr(cls, n).__set__ for n in names}, _new=object.__new__, _cls=cls)

@@ -396,11 +396,37 @@ def _with(record: str, path: tuple, value) -> str:
         (("apex",), "3", '"3"'),
         (("left", "target"), 2.7, "2.7"),
         (("right", "target"), None, "null"),
+        (("left", "img"), [5, 0.5, 0], "0.5"),
+        (("left", "img"), [0.5], "0.5"),
     ],
 )
 def test_span_records_take_only_integers(path, value, shown, capsys):
     assert run("span-compose", _with(SPAN_A, path, value)) == (2, "")
     assert capsys.readouterr().err == f"error: malformed span record: expected an integer, found {shown}\n"
+
+
+@pytest.mark.parametrize("apex", [1, 200])
+def test_span_records_cost_three_integer_checks_each(apex, monkeypatch):
+    """``_integer`` reads apex and targets; ``FinFun`` alone type-tests each image value."""
+    calls = []
+    integer = cli._integer
+
+    def counting_integer(value):
+        calls.append(value)
+        return integer(value)
+
+    def record(left_target, left, right_target, right):
+        return json.dumps({
+            "schema": "smckit/1", "kind": "span", "apex": apex,
+            "left": {"target": left_target, "img": left},
+            "right": {"target": right_target, "img": right},
+        })
+
+    monkeypatch.setattr(cli, "_integer", counting_integer)
+    ones, identity = [0] * apex, list(range(apex))
+    chain = (record(1, ones, apex, identity), record(apex, identity, 1, ones))
+    assert run("span-compose", *chain)[0] == 0
+    assert len(calls) == 3 * len(chain)
 
 
 @pytest.mark.parametrize("value, shown", [(2.0, "2.0"), (True, "true"), ("2", '"2"'), ({}, "an object")])

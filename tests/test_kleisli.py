@@ -56,6 +56,15 @@ def test_bool_labels_are_refused():
     with pytest.raises(LabelOutOfRange, match=r"^label True outside source of size 2$"):
         theta_apply(g_example, SList((0, True)))
     assert KHom(FinSet(1), FinSet(2), (SList((1, 0)),)).lists == (SList((1, 0)),)
+    # nor is a float or a string
+    with pytest.raises(LabelOutOfRange, match=r"^label 1\.0 outside target of size 2$"):
+        KHom(FinSet(1), FinSet(2), (SList((0, 1.0)),))
+    with pytest.raises(LabelOutOfRange, match=r"^label '0' outside target of size 2$"):
+        KHom(FinSet(1), FinSet(2), (SList(("0",)),))
+    with pytest.raises(LabelOutOfRange, match=r"^label 0\.0 outside source of size 2$"):
+        theta_apply(g_example, SList((0.0,)))
+    with pytest.raises(LabelOutOfRange, match=r"^label '1' outside source of size 2$"):
+        theta_apply(g_example, SList((0, "1")))
 
 
 def theta_on(g: KHom, f: SListHom) -> SListHom:

@@ -212,6 +212,13 @@ def test_perm_refuses_a_value_that_is_not_an_int(img, shown):
         Perm(img)
 
 
+def test_perm_from_a_list_is_the_perm_from_a_tuple():
+    p = Perm([1, 0])
+    assert p.img == (1, 0)
+    assert p == Perm((1, 0))
+    assert hash(p) == hash(Perm((1, 0)))
+
+
 @given(st.integers(0, 6), st.integers(0, 6))
 def test_block_perm_of_the_swap_is_block_swap(a, b):
     assert block_perm((a, b), Perm((1, 0))) == block_swap(a, b)

@@ -87,13 +87,22 @@ def test_finset_refuses_a_size_that_is_not_an_int(size, shown):
         FinSet(-1)
 
 
-@pytest.mark.parametrize("img, shown", [((0.5, 1), "0.5"), ((0, False), "False"), ((1.0, 0), "1.0")])
+@pytest.mark.parametrize(
+    "img, shown", [((0.5, 1), "0.5"), ((0, False), "False"), ((1.0, 0), "1.0"), (("0", 1), "'0'")]
+)
 def test_finfun_refuses_a_value_that_is_not_an_int(img, shown):
     # such a value broke fcompose, and pullback dropped its point
     with pytest.raises(ValueError, match=rf"^value {shown} is not an integer$"):
         FinFun(FinSet(2), FinSet(2), img)
     with pytest.raises(ValueError, match="^value 2 outside target of size 2$"):
         FinFun(FinSet(2), FinSet(2), (0, 2))
+
+
+def test_finfun_from_a_list_is_the_finfun_from_a_tuple():
+    f = FinFun(FinSet(2), FinSet(2), [0, 1])
+    assert f.img == (0, 1)
+    assert f == FinFun(FinSet(2), FinSet(2), (0, 1))
+    assert hash(f) == hash(FinFun(FinSet(2), FinSet(2), (0, 1)))
 
 
 def test_pullback_examples():
