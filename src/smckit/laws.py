@@ -1003,8 +1003,10 @@ def suite_names() -> tuple[str, ...]:
 
 def run_suite(name: str, max_size: int | None = None, seed: int = 0) -> list[LawReport]:
     """Run one named suite, or all of them; max_size None runs each suite's default size."""
-    if max_size is not None and max_size < 1:
-        raise ValueError(f"max_size must be a positive integer, not {max_size}")
+    if max_size is not None and (type(max_size) is not int or max_size < 1):
+        raise ValueError(f"max_size must be a positive integer, not {max_size!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, not {seed!r}")
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(suite_names())}")
     # looked up at call time, so that a replaced NAME_suite (e.g. a tracing wrapper) is the one run

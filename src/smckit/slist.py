@@ -40,6 +40,10 @@ class SList:
 
     labels: tuple[Any, ...]
 
+    def __post_init__(self):
+        if type(self.labels) is not tuple:
+            object.__setattr__(self, "labels", tuple(self.labels))
+
     def __len__(self) -> int:
         return len(self.labels)
 

@@ -26,12 +26,16 @@ Orientation conventions, fixed once here and used throughout:
 
 A span J <- A -> K maps to "v(left) then u(right)"; its component at k is
 the left-leg image of the right fiber at k, in ascending apex order.
+
+The evaluator folds each list of that image into a model object.  Its
+composition comparison reads its cell off pullback pairs and its blocks off
+fibers, so ``smckit unbias --cells`` builds the image once, in ``unbias_eval``.
 """
 
 from __future__ import annotations
 
 from .errors import NotInvertible, NotPullbackSquare
-from .kleisli import KCell, KHom, k_compose, k_id, k_id_cell, theta_apply
+from .kleisli import KCell, KHom, k_compose, k_id, k_id_cell
 from .slist import SList, SListHom, unique_hom_linear
 from .spans import (
     FinFun,
@@ -151,18 +155,17 @@ def f_comp_cell(s: Span, t: Span) -> KCell:
     Keyed by the pullback pairs (a, b): at l the source keys are the pairs
     ``(p1(i), p2(i))`` of the right fiber of s;t, in lexicographic order;
     the target keys are ``(a, b)`` for each ``b`` in t's right fiber at l,
-    then each ``a`` in s's right fiber at ``t.left(b)``.
+    then each ``a`` in s's right fiber at ``t.left(b)``.  Both families are
+    read off the keys: the entry keyed (a, b) is ``s.left(a)``.
     """
-    return _f_comp_cell(s, t, pseudofunctor_on_span(s), pseudofunctor_on_span(t))
-
-
-def _f_comp_cell(s: Span, t: Span, fam_s: KHom, fam_t: KHom) -> KCell:
-    """``f_comp_cell(s, t)`` given the images ``fam_s`` of s and ``fam_t`` of t."""
     pb, st = composite(s, t)
-    p1, p2, tl, s_fibers = pb.p1.img, pb.p2.img, t.left.img, fibers(s.right)
+    p1, p2, sl, tl, s_fibers = pb.p1.img, pb.p2.img, s.left.img, t.left.img, fibers(s.right)
     src_keys = [[(p1[i], p2[i]) for i in fiber] for fiber in fibers(st.right)]
     dst_keys = [[(a, b) for b in fiber for a in s_fibers[tl[b]]] for fiber in fibers(t.right)]
-    return _linear_cell(pseudofunctor_on_span(st), k_compose(fam_t, fam_s), src_keys, dst_keys)
+    # one list per element of t.cod, each of values of s.left in s.dom
+    src, dst = (KHom._unchecked(t.cod, s.dom, tuple([SList(tuple([sl[a] for a, _ in k])) for k in keys]))
+                for keys in (src_keys, dst_keys))
+    return _linear_cell(src, dst, src_keys, dst_keys)
 
 
 def f_id_cell(x: FinSet) -> KCell:
@@ -208,29 +211,19 @@ def unbias_cell(c: SpanCell, m: SmcModel, assignment) -> tuple:
     return tuple(psi_hom(m, assignment, h) for h in kcell.homs)
 
 
-def psi_theta_iso(g: KHom, l: SList, assignment, m: SmcModel):
-    """From the fold of a concatenated extension to the iterated fold.
-
-    Sends the value at Theta_g(l) to the fold over l of the per-label
-    values, with no braidings: the model's ``regroup`` of the blocks
-    g(label), one per label of l.
-    """
-    theta_apply(g, l)  # raises LabelOutOfRange unless every label of l is in g's source
-    return m.regroup([[lookup(assignment, label) for label in g.lists[head].labels] for head in l.labels])
-
-
 def unbias_comp_iso(s: Span, t: Span, m: SmcModel, assignment) -> tuple:
     """Composition comparison of the evaluated pseudofunctor, per index.
 
     Component l goes from the object of the composite span to the object
-    obtained by folding t's fibers over the family of s's objects.
+    obtained by folding t's fibers over the family of s's objects: the
+    image of ``f_comp_cell``, then ``regroup`` of the blocks s.left(a) for
+    a over s's right fiber at t.left(b), one per b in t's right fiber at l.
     """
-    fam_s, fam_t = pseudofunctor_on_span(s), pseudofunctor_on_span(t)
-    kcell = _f_comp_cell(s, t, fam_s, fam_t)
+    sl, tl, s_fibers = s.left.img, t.left.img, fibers(s.right)
     out = []
-    for l in range(fam_t.src.size):
-        move = psi_hom(m, assignment, kcell.homs[l])
-        unpack = psi_theta_iso(fam_s, fam_t.lists[l], assignment, m)
+    for h, fiber in zip(f_comp_cell(s, t).homs, fibers(t.right)):
+        move = psi_hom(m, assignment, h)
+        unpack = m.regroup([[lookup(assignment, sl[a]) for a in s_fibers[tl[b]]] for b in fiber])
         out.append(m.compose(move, unpack))
     return tuple(out)
 

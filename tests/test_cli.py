@@ -338,12 +338,18 @@ def test_check_laws_usage_errors(argv, env_seed, message, monkeypatch, capsys):
 
 
 def test_run_suite_refuses_sizes_below_one():
-    # the library counterpart of --max-size: no silent default, no vacuous suite
-    for max_size in (0, -3):
+    # the library counterpart of --max-size: no silent default, no vacuous suite, and a bool is no size
+    for max_size in (0, -3, True, False, 2.0, "3"):
         with pytest.raises(ValueError, match="max_size must be a positive integer"):
             laws.run_suite("braiding", max_size=max_size)
     assert [r.cases for r in laws.run_suite("braiding")] == [90]
     assert [r.cases for r in laws.run_suite("braiding", max_size=2)] == [12]
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.5, "3"])
+def test_run_suite_refuses_a_seed_that_is_not_an_int(seed):
+    with pytest.raises(ValueError, match=f"^seed must be an integer, not {seed!r}$"):
+        laws.run_suite("braiding", seed=seed)
 
 
 def test_check_laws_seed_option_overrides_the_environment(monkeypatch):

@@ -21,6 +21,7 @@ PACKAGE = ROOT / "src" / "smckit"
 
 ALLOWED = {
     "spans.base_change_1cell": "the span-side Beck-Chevalley cell of a pullback square; the README names it",
+    "kleisli.theta_apply": "the checked extension of a family to a list; tests/check_oracle.py builds the k_hcomp oracle from it",
 }
 
 

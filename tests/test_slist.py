@@ -241,3 +241,10 @@ def test_presentation_relations():
         first = hom_from_word(GenWord(head_start, shifted(u)))
         second = hom_from_word(GenWord(first.dst, shifted(v)))
         assert whole == compose(first, second)
+
+
+def test_slist_from_a_list_is_the_slist_from_a_tuple():
+    l = SList([0, 1])
+    assert l.labels == (0, 1)
+    assert l == SList((0, 1))
+    assert hash(l) == hash(SList((0, 1)))

@@ -1,13 +1,15 @@
 """The fiber/value system, the span pseudofunctor, and the evaluator."""
 
+import io
+import json
 from random import Random
 
 import pbc_oracle
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from smckit import laws
-from smckit.errors import LabelOutOfRange, NotInvertible, NotPullbackSquare
+from smckit import cli, laws, unbias
+from smckit.errors import NotInvertible, NotPullbackSquare
 from smckit.kleisli import KHom, k_compose, k_id, k_id_cell, k_vcomp, theta_apply
 from smckit.models import FinBijModel, FreeTermModel, SListModel
 from smckit.perms import Perm
@@ -44,7 +46,6 @@ from smckit.unbias import (
     lambda_v,
     pseudofunctor_on_cell,
     pseudofunctor_on_span,
-    psi_theta_iso,
     u_comp,
     u_id,
     unbias_cell,
@@ -347,7 +348,13 @@ def psi_theta_iso_recursive(g, l, assignment, m):
     return m.compose(unpack, m.tensor_mor(m.identity(psi_obj(m, assignment, block.labels)), inner))
 
 
+def theta_blocks(g, l, assignment):
+    """The values of the blocks g(label), one block per label of l: what ``regroup`` takes for Theta_g(l)."""
+    return [[lookup(assignment, label) for label in g.lists[head].labels] for head in l.labels]
+
+
 def test_psi_theta_iso_matches_the_recursion():
+    # the regroup of the blocks g(label) is the iso from the fold of Theta_g(l) to the iterated fold
     rng = Random(47)
     for _ in range(100):
         i, j = rng.randint(1, 4), rng.randint(0, 4)
@@ -355,8 +362,8 @@ def test_psi_theta_iso_matches_the_recursion():
         l = SList(tuple(rng.randrange(i) for _ in range(rng.randint(0, 5))))
         terms = {k: Gen(f"x{k}") for k in range(j)}
         lists = {k: SList((f"x{k}", "y")) for k in range(j)}
-        assert psi_theta_iso(g, l, terms, FreeTermModel()) == psi_theta_iso_recursive(g, l, terms, FreeTermModel())
-        assert psi_theta_iso(g, l, lists, SListModel()) == psi_theta_iso_recursive(g, l, lists, SListModel())
+        for m, assignment in ((FreeTermModel(), terms), (SListModel(), lists)):
+            assert m.regroup(theta_blocks(g, l, assignment)) == psi_theta_iso_recursive(g, l, assignment, m)
 
 
 @pytest.mark.parametrize(
@@ -379,13 +386,56 @@ def test_strict_models_evaluate_no_formula(monkeypatch, m, value):
     for name in ("compose", "tensor_mor", "braid", "assoc", "assoc_inv"):
         monkeypatch.setattr(type(m), name, forbidden)
     assert psi_hom(m, assignment, f) == want_hom
-    assert psi_theta_iso(g, l, assignment, m) == want_iso
+    assert m.regroup(theta_blocks(g, l, assignment)) == want_iso
 
 
-def test_psi_theta_iso_checks_labels():
-    g = KHom(FinSet(1), FinSet(1), (SList((0,)),))
-    with pytest.raises(LabelOutOfRange):
-        psi_theta_iso(g, SList((0, 1)), {0: Gen("x")}, FreeTermModel())
+@settings(max_examples=300, deadline=None)
+@given(chain_and_pith_cell())
+def test_unbias_comp_iso_is_the_moved_cell_after_the_recursive_unpack(case):
+    # exact terms and list morphisms, against the pasted cell and the recursive Theta iso
+    s, t, _ = case
+    fam_s, fam_t = pseudofunctor_on_span(s), pseudofunctor_on_span(t)
+    homs = pbc_oracle.f_comp_cell(s, t).homs
+    for m, x in (
+        (FreeTermModel(), {j: Gen(f"x{j}") for j in range(s.dom.size)}),
+        (SListModel(), {j: SList((f"x{j}",) * (j % 3)) for j in range(s.dom.size)}),
+    ):
+        want = tuple(
+            m.compose(psi_hom(m, x, homs[l]), psi_theta_iso_recursive(fam_s, fam_t.lists[l], x, m))
+            for l in range(t.cod.size)
+        )
+        assert unbias_comp_iso(s, t, m, x) == want
+
+
+@pytest.mark.parametrize("model", ["term", "slist"])
+def test_unbias_cells_build_the_span_image_once(monkeypatch, model):
+    span = json.dumps({
+        "schema": "smckit/1", "kind": "span", "apex": 5,
+        "left": {"target": 3, "img": [0, 2, 1, 0, 2]},
+        "right": {"target": 2, "img": [1, 0, 1, 1, 0]},
+    })
+    family = json.dumps({"schema": "smckit/1", "kind": "family", "size": 3, "entries": {"0": "x", "1": "(y*z)", "2": "I"}})
+    calls = {"pseudofunctor_on_span": 0, "k_compose": 0}
+
+    def counted(name):
+        real = getattr(unbias, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(unbias, name, counted(name))
+    out = io.StringIO()
+    assert cli.main(["unbias", span, family, "--model", model, "--cells"], out=out) == 0
+    assert "composition cell k=1" in out.getvalue()
+    assert calls["pseudofunctor_on_span"] == 1
+    calls.update(pseudofunctor_on_span=0, k_compose=0)
+    rng = Random(48)
+    for _ in range(50):
+        f_comp_cell(*random_chain(rng, 3, 2))
+    assert calls == {"pseudofunctor_on_span": 0, "k_compose": 0}
 
 
 def test_psi_family_map_on_2000_labels(shallow_stack):

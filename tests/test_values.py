@@ -186,7 +186,7 @@ UNCHECKED = [c for c in CLASSES if "_unchecked" in vars(c)]
 def test_which_classes_check_at_construction():
     names = {c.__name__ for c in POST_INIT}
     assert names == {"FinSet", "FinFun", "Span", "SpanCell", "PullbackSquare", "Perm", "CoxeterMatrixA",
-                     "SListHom", "GenWord", "KHom", "KCell"}
+                     "SList", "SListHom", "GenWord", "KHom", "KCell"}
     assert set(UNCHECKED) <= set(POST_INIT)
 
 
