@@ -62,6 +62,12 @@ without ``--out`` they are printed.  The curves are:
   ``python -I -X importtime`` interpreters that import ``smckit.cli`` and
   build its parser.  One interpreter runs first, unread, to write the
   bytecode caches.  The whole start-up is the benchmark's ``setup_s``;
+* ``cli_wall``: what a user waits for, not a curve.  For each of
+  ``normalize``, ``equal``, ``span-compose``, ``unbias --cells`` and
+  ``check-laws --suite braiding`` on a small fixed input, the median wall
+  time of 9 fresh ``python -I`` processes that run the package as
+  ``python -m smckit`` does (through ``runpy``), start-up included.  One
+  process per command runs first, unread, to write the bytecode caches;
 * ``values``: the instance layout of a value class, not a curve.  For a
   ``FinFun`` over shared fields, built through its public constructor and
   through ``FinFun._unchecked``: the bytes per instance, the traced
@@ -126,6 +132,19 @@ STARTUP_RUNS = 9
 VALUE_COUNT = 1000
 # argv[1] is the directory that holds smckit
 STARTUP_CODE = "import sys; sys.path.insert(0, sys.argv[1]); import smckit.cli; smckit.cli.build_parser()"
+# the same, then the rest of argv as the arguments of ``python -m smckit``
+CLI_CODE = ("import runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "
+            "runpy.run_module('smckit', run_name='__main__', alter_sys=True)")
+SPAN = json.dumps({"schema": "smckit/1", "kind": "span", "apex": 3,
+                   "left": {"target": 2, "img": [0, 1, 0]}, "right": {"target": 2, "img": [0, 0, 1]}})
+FAMILY = json.dumps({"schema": "smckit/1", "kind": "family", "size": 2, "entries": {"0": "x", "1": "(y*z)"}})
+CLI_COMMANDS = {
+    "normalize": ["normalize", "a x y z ; b x (y*z)"],
+    "equal": ["equal", "b x y ; b y x", "id (x*y)"],
+    "span-compose": ["span-compose", SPAN, SPAN],
+    "unbias --cells": ["unbias", SPAN, FAMILY, "--cells"],
+    "check-laws --suite braiding": ["check-laws", "--suite", "braiding"],
+}
 TOKEN = re.compile(r"[()*;]|[^\W\d]\w*|\S")  # a token of the CLI's term syntax
 
 
@@ -362,6 +381,22 @@ def startup() -> dict:
     }
 
 
+def cli_wall() -> dict:
+    """The median wall time of each CLI command in fresh interpreters, start-up included."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    wall = {}
+    for name, args in CLI_COMMANDS.items():
+        times = []
+        for run in range(STARTUP_RUNS + 1):
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, "-I", "-c", CLI_CODE, src, *args],
+                           check=True, stdin=subprocess.DEVNULL, capture_output=True)
+            if run > 0:  # the first writes the bytecode caches
+                times.append(time.perf_counter() - t0)
+        wall[name] = statistics.median(times)
+    return {"unit": "s", "runs": STARTUP_RUNS, "wall_s": wall}
+
+
 def values_layout(repeats: int) -> dict:
     """Bytes per ``FinFun``, and ns per build and per three field reads, for each way of building one."""
     src, dst, img = FinSet(3), FinSet(3), (0, 1, 2)
@@ -421,6 +456,7 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
         "pullback_dense": curve("pairs", list(dense_at), dense_at.get, repeats),
         "k_hcomp": curve("n", list_lengths, k_hcomp_call, repeats),
         "startup": startup(),
+        "cli_wall": cli_wall(),
         "values": values_layout(repeats),
     }
 

@@ -92,7 +92,7 @@ def _blocks(g: KHom, l: SList) -> SList:
     labels: list = []
     for label in l.labels:
         labels += lists[label].labels
-    return SList(tuple(labels))
+    return SList._unchecked(tuple(labels))
 
 
 def k_compose(f: KHom, g: KHom) -> KHom:
@@ -106,7 +106,7 @@ def k_compose(f: KHom, g: KHom) -> KHom:
 
 def k_id(i: FinSet) -> KHom:
     """The singleton family; a strict unit for k_compose."""
-    return KHom._unchecked(i, i, tuple([SList((j,)) for j in range(i.size)]))  # j < i.size
+    return KHom._unchecked(i, i, tuple([SList._unchecked((j,)) for j in range(i.size)]))  # j < i.size
 
 
 def k_id_cell(f: KHom) -> KCell:
@@ -196,4 +196,4 @@ def duality(x: KHom) -> KHom:
         for k in l.labels:
             columns[k].append(j)
     # one column per element of x.dst, holding indices of x.src
-    return KHom._unchecked(x.dst, x.src, tuple([SList(tuple(c)) for c in columns]))
+    return KHom._unchecked(x.dst, x.src, tuple([SList._unchecked(tuple(c)) for c in columns]))

@@ -30,9 +30,12 @@ from .perms import Perm, reduced_word, word_to_perm
 from .values import value
 
 
-@value
+@value(unchecked=True)
 class SList:
-    """A finite list of labels.
+    """A finite list of labels, always stored as a tuple.
+
+    The public constructor makes a tuple of another sequence;
+    ``SList._unchecked`` takes a tuple and stores it as it is.
 
     >>> print(SList(("a", "b", "c")))
     [a,b,c]

@@ -74,12 +74,13 @@ def _linear_cell(src: KHom, dst: KHom, src_keys=None, dst_keys=None) -> KCell:
 
 def lambda_u(f: FinFun) -> KHom:
     """Ascending fibers of f, one linear list per target element."""
-    return KHom._unchecked(f.dst, f.src, tuple(map(SList, fibers(f))))  # each fiber holds points of f.src
+    return KHom._unchecked(f.dst, f.src, tuple(map(SList._unchecked, fibers(f))))  # each fiber holds points of f.src
 
 
 def lambda_v(f: FinFun) -> KHom:
     """Singleton values of f, one linear list per source element."""
-    return KHom._unchecked(f.src, f.dst, tuple([SList((v,)) for v in f.img]))  # each value is a point of f.dst
+    # each value is a point of f.dst
+    return KHom._unchecked(f.src, f.dst, tuple([SList._unchecked((v,)) for v in f.img]))
 
 
 def u_comp(f: FinFun, g: FinFun) -> KCell:
@@ -163,7 +164,7 @@ def f_comp_cell(s: Span, t: Span) -> KCell:
     src_keys = [[(p1[i], p2[i]) for i in fiber] for fiber in fibers(st.right)]
     dst_keys = [[(a, b) for b in fiber for a in s_fibers[tl[b]]] for fiber in fibers(t.right)]
     # one list per element of t.cod, each of values of s.left in s.dom
-    src, dst = (KHom._unchecked(t.cod, s.dom, tuple([SList(tuple([sl[a] for a, _ in k])) for k in keys]))
+    src, dst = (KHom._unchecked(t.cod, s.dom, tuple([SList._unchecked(tuple([sl[a] for a, _ in k])) for k in keys]))
                 for keys in (src_keys, dst_keys))
     return _linear_cell(src, dst, src_keys, dst_keys)
 

@@ -2,9 +2,17 @@
 Immutable value classes, built without the standard library's data classes.
 
 ``@value`` gives a class with annotated fields what a frozen standard data
-class with slots would, from one ``exec`` of generated source, and imports
-nothing: importing the standard module (and ``inspect``, which it imports)
-and generating its methods took about two thirds of the CLI's start-up.
+class with slots would, and imports nothing but ``types``: importing the
+standard module (and ``inspect``, which it imports) and generating its
+methods took about two thirds of the CLI's start-up.
+
+The generated methods are compiled once per shape, not once per class.  A
+shape is the number of fields, which of them have defaults, whether the
+class has a ``__post_init__``, and ``unchecked``.  Its template is written
+over the placeholder fields ``f0``, ``f1``, ...; each class gets new
+functions over the template's code with those names replaced by its own
+(``code.replace``), so every class runs the same bytecode as if its own
+source had been compiled.  The template cache holds one entry per shape.
 
 The class is rebuilt with ``__slots__``: its own fields, any names in its
 own ``__slots__`` (state that is not a field, such as a cache filled on
@@ -14,9 +22,9 @@ layout, and a field default lives in ``__init__``, not on the class.
 Rebuilding makes a new class object, so no method of a value class may use
 zero-argument ``super()``.  A value class gets:
 
-* ``__init__`` over the fields in order, defaults and keywords kept, which
-  sets each field through its slot's ``__set__`` and then calls
-  ``__post_init__`` where the class has one;
+* ``__init__`` over the fields in order, defaults (a base class's too) and
+  keywords kept, which sets each field through its slot's ``__set__`` and
+  then calls ``__post_init__`` where the class has one;
 * with ``@value(unchecked=True)``, the static method ``_unchecked`` over
   the same fields, which sets them the same way and skips
   ``__post_init__``, for callers whose construction makes the value valid;
@@ -28,6 +36,10 @@ zero-argument ``super()``.  A value class gets:
   its public constructor;
 * ``_fields``, the field names, a base class's first.
 """
+
+from types import CodeType, FunctionType
+
+_templates = {}  # shape -> {method name: code}
 
 
 def _setattr(self, name, value):
@@ -54,19 +66,21 @@ def value(cls=None, *, unchecked=False):
     return _value(cls, unchecked)
 
 
-def _value(cls, unchecked):
-    inherited = getattr(cls, "_fields", ())
-    own = cls.__dict__
-    names = tuple(dict.fromkeys((*inherited, *own.get("__annotations__", ()))))
-    slots = (*[n for n in names if n not in inherited], *own.get("__slots__", ()))
-    slots += ("__weakref__",) if cls.__bases__ == (object,) else ()
-    namespace = {f"_default_{n}": own[n] for n in names if n in own}
-    params = "".join(f", {n}=_default_{n}" if f"_default_{n}" in namespace else f", {n}" for n in names)
-    sets = "".join(f"\n    _set_{n}(self, {n})" for n in names)
-    post_init = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else "\n    pass"
-    mine, theirs = (f"({''.join(f'{who}.{n}, ' for n in names)})" for who in ("self", "other"))
-    source = f"""
-def __init__(self{params}):{sets}{post_init}
+def _template(shape):
+    """The code of each generated method of a shape, over the fields ``f0``, ``f1``, ...
+
+    ``_set<i>`` (field i's slot setter), ``_new`` and ``_cls`` are globals of
+    each class's own functions.
+    """
+    if shape not in _templates:
+        has_default, post_init, unchecked = shape
+        names = [f"f{i}" for i in range(len(has_default))]
+        params = "".join(f", {n}=_" if d else f", {n}" for n, d in zip(names, has_default))
+        sets = "".join(f"\n    _set{i}(self, {n})" for i, n in enumerate(names))
+        post = "\n    self.__post_init__()" if post_init else "\n    pass"
+        mine, theirs = (f"({''.join(f'{who}.{n}, ' for n in names)})" for who in ("self", "other"))
+        source = f"""
+def __init__(self{params}):{sets}{post}
 def __eq__(self, other):
     if other.__class__ is self.__class__:
         return {mine} == {theirs}
@@ -74,14 +88,38 @@ def __eq__(self, other):
 def __hash__(self):
     return hash({mine})
 """
+        if unchecked:
+            source += f"def _unchecked({', '.join(names)}):\n    self = _new(_cls){sets}\n    return self\n"
+        module = compile(source, "<value>", "exec")
+        _templates[shape] = {c.co_name: c for c in module.co_consts if isinstance(c, CodeType)}
+    return _templates[shape]
+
+
+def _value(cls, unchecked):
+    inherited = getattr(cls, "_fields", ())
+    own = cls.__dict__
+    names = tuple(dict.fromkeys((*inherited, *own.get("__annotations__", ()))))
+    slots = (*[n for n in names if n not in inherited], *own.get("__slots__", ()))
+    slots += ("__weakref__",) if cls.__bases__ == (object,) else ()
+    # a base class keeps its defaults in its __init__, not on the class
+    defaults = dict(zip(inherited[::-1], (getattr(super(cls, cls).__init__, "__defaults__", None) or ())[::-1]))
+    defaults.update((n, own[n]) for n in names if n in own)
+    codes = _template((tuple(n in defaults for n in names), hasattr(cls, "__post_init__"), unchecked))
+    relabel = {f"f{i}": n for i, n in enumerate(names)}.get
+    namespace = {"_new": object.__new__}
+    methods = {
+        name: FunctionType(code.replace(co_names=tuple(relabel(s, s) for s in code.co_names),
+                                        co_varnames=tuple(relabel(s, s) for s in code.co_varnames)),
+                           namespace, name)
+        for name, code in codes.items()
+    }
+    methods["__init__"].__defaults__ = tuple(defaults[n] for n in names if n in defaults) or None
     if unchecked:
-        source += f"@staticmethod\ndef _unchecked({', '.join(names)}):\n    self = _new(_cls){sets}\n    return self\n"
-    exec(source, namespace)
+        methods["_unchecked"] = staticmethod(methods["_unchecked"])
     body = {k: v for k, v in own.items() if k not in slots and k not in ("__dict__", "__weakref__")}
-    body.update({k: namespace[k] for k in ("__init__", "__eq__", "__hash__", "_unchecked") if k in namespace})
-    body.update(__slots__=slots, __qualname__=cls.__qualname__, _fields=names,
+    body.update(methods, __slots__=slots, __qualname__=cls.__qualname__, _fields=names,
                 __setattr__=_setattr, __delattr__=_delattr, __reduce__=_reduce, __repr__=_repr)
     cls = type(cls)(cls.__name__, cls.__bases__, body)
-    # the generated functions read these globals when called, so they may be bound after the rebuild
-    namespace.update({f"_set_{n}": getattr(cls, n).__set__ for n in names}, _new=object.__new__, _cls=cls)
+    # the functions read these globals when called, so they may be bound after the rebuild
+    namespace.update({f"_set{i}": getattr(cls, n).__set__ for i, n in enumerate(names)}, _cls=cls)
     return cls

@@ -77,6 +77,11 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     modules = {"smckit", *(f"smckit.{p.stem}" for p in (ROOT / "src" / "smckit").glob("*.py") if p.stem[0] != "_")}
     assert {"smckit", "smckit.cli", "smckit.values"} <= set(startup["module_own_s"]) <= modules
     assert all(t >= 0 for t in startup["module_own_s"].values())
+    # the wall time of one fresh process per CLI command
+    wall = curves["cli_wall"]
+    assert wall["unit"] == "s" and wall["runs"] > 0
+    assert list(wall["wall_s"]) == ["normalize", "equal", "span-compose", "unbias --cells", "check-laws --suite braiding"]
+    assert all(t > 0 for t in wall["wall_s"].values())
     # a FinFun's bytes, build and three reads, through each constructor
     values = curves["values"]
     assert values["class"] == "FinFun" and values["count"] > 0

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from smckit import cli, laws, unbias
 from smckit.errors import NotInvertible, NotPullbackSquare
-from smckit.kleisli import KHom, k_compose, k_id, k_id_cell, k_vcomp, theta_apply
+from smckit.kleisli import KHom, duality, k_compose, k_id, k_id_cell, k_vcomp, theta_apply
 from smckit.models import FinBijModel, FreeTermModel, SListModel
 from smckit.perms import Perm
 from smckit.slist import SList, SListHom, is_linear, underlying_multiset, unique_hom_linear
@@ -265,6 +265,23 @@ def test_apex_key_cells_match_the_pasted_cells(case):
     assert pseudofunctor_on_cell(c) == pbc_oracle.pseudofunctor_on_cell(c)
     for x in (s.dom, s.cod, t.cod, s.apex):
         assert f_id_cell(x) == pbc_oracle.f_id_cell(x)
+
+
+def checked_build(f: KHom) -> KHom:
+    """``f`` built again through the public constructors, each list from a Python list."""
+    return KHom(f.src, f.dst, tuple(SList(list(l.labels)) for l in f.lists))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_and_pith_cell(), st.integers(0, 2**32 - 1))
+def test_unchecked_lists_equal_the_checked_build(case, seed):
+    """Each family whose lists are built with ``SList._unchecked`` equals and hashes as its checked build."""
+    s, t, _ = case
+    rng = Random(seed)
+    f, g = random_khom(rng, s.dom.size, s.cod.size, 3), random_khom(rng, s.cod.size, 2, 3)
+    cell = f_comp_cell(s, t)
+    for x in (k_compose(f, g), k_id(s.apex), duality(f), lambda_u(s.left), lambda_v(s.right), cell.src, cell.dst):
+        assert x == checked_build(x) and hash(x) == hash(checked_build(x))
 
 
 def test_pbc_laws_small():

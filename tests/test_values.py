@@ -38,6 +38,7 @@ from smckit.terms import (
     Unit,
 )
 from smckit.unbias import UnbiasResult
+from smckit.values import value
 
 MODULES = (cli, errors, kleisli, laws, models, monoidal, perms, slist, spans, terms, unbias)
 
@@ -250,3 +251,141 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+# The generated methods are compiled once per shape, over placeholder fields f0, f1, ..., and
+# relabeled for each class; these classes check the relabeling against a frozen data class.
+
+
+@value(unchecked=True)
+class Swapped:
+    f1: int
+    f0: str
+
+
+@value
+class Defaults:
+    a: int
+    b: str = "b"
+    c: tuple = ()
+
+
+@value
+class Base:
+    a: int
+    b: int = 1
+
+
+@value
+class Sub(Base):
+    c: int = 2
+
+
+@value(unchecked=True)
+class SubSub(Sub):
+    d: int = 3
+
+
+@value(unchecked=True)
+class Empty:
+    pass
+
+
+def _same_as_twin(v, fields):
+    """``v`` holds ``fields``, equals its positional and keyword builds, and hashes and shows as its twin."""
+    assert _fields(v) == fields
+    twin = _twin(v)
+    assert hash(v) == hash(twin) == hash(fields) and repr(v) == repr(twin)
+    assert v == type(v)(*fields) == type(v)(**dict(zip(type(v)._fields, fields)))
+
+
+def test_field_names_that_are_placeholders_keep_their_own_values():
+    v = Swapped(1, "a")
+    assert (v.f1, v.f0) == (1, "a") and Swapped(f0="a", f1=1) == v
+    _same_as_twin(v, (1, "a"))
+    assert Swapped._unchecked(1, "a") == v and Swapped(2, "a") != v and Swapped(1, "b") != v
+    assert repr(v) == "Swapped(f1=1, f0='a')"
+
+
+def test_defaults_with_keywords():
+    assert Defaults(1) == Defaults(1, "b", ()) == Defaults(c=(), a=1) == Defaults(a=1, b="b")
+    assert Defaults(1, c=(2,)).b == "b" and Defaults(1, c=(2,)).c == (2,)
+    _same_as_twin(Defaults(0, c=(1,)), (0, "b", (1,)))
+    with pytest.raises(TypeError):
+        Defaults(b="x")
+    with pytest.raises(TypeError):
+        Defaults(1, a=1)
+
+
+def test_inherited_fields_come_first_with_their_defaults():
+    assert Sub._fields == ("a", "b", "c") and SubSub._fields == ("a", "b", "c", "d")
+    assert Sub(0) == Sub(0, 1, 2) == Sub(c=2, a=0) and Sub(0, c=5).b == 1
+    assert SubSub(0) == SubSub(0, 1, 2, 3) == SubSub._unchecked(0, 1, 2, 3)
+    _same_as_twin(Sub(0, 7), (0, 7, 2))
+    _same_as_twin(SubSub(0, d=4), (0, 1, 2, 4))
+    assert Base(0) != Sub(0, 1) and Sub(0) != SubSub(0, 1, 2)
+    assert Base(0) == Base(a=0, b=1) and Base(0).b == 1
+
+
+def test_a_class_with_no_fields():
+    _same_as_twin(Empty(), ())
+    assert Empty() == Empty._unchecked() and repr(Empty()) == "Empty()"
+    with pytest.raises(TypeError):
+        Empty(1)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_generated_locals_are_named_after_the_fields(cls):
+    """Tracebacks and keyword errors name a class's own fields, not the template's."""
+    n = len(cls._fields)
+    assert cls.__init__.__code__.co_varnames[:n + 1] == ("self", *cls._fields)
+    assert cls.__init__.__code__.co_argcount == n + 1
+    if cls in UNCHECKED:
+        assert cls._unchecked.__code__.co_varnames[:n] == cls._fields
+
+
+def _compiles(code: str) -> list:
+    """What ``code`` prints in a fresh interpreter where ``COMPILES`` counts calls of ``compile``."""
+    prelude = (
+        "import builtins, sys; sys.path.insert(0, sys.argv[1]); COMPILES = []; real = builtins.compile\n"
+        "def counting(*args, **kwargs):\n"
+        "    COMPILES.append(args[1] if len(args) > 1 else kwargs.get('filename'))\n"
+        "    return real(*args, **kwargs)\n"
+    )
+    src = str(Path(smckit.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-I", "-c", prelude + code, src], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return [int(n) for n in proc.stdout.split()]
+
+
+def test_classes_of_one_shape_compile_once():
+    counts = _compiles(
+        "from smckit.values import value\n"
+        "builtins.compile = counting\n"
+        "def make(*names, post_init=False):\n"
+        "    body = {'__annotations__': dict.fromkeys(names, int)}\n"
+        "    if post_init:\n"
+        "        body['__post_init__'] = lambda self: None\n"
+        "    return value(type('C', (), body))\n"
+        "make('a', 'b', 'c', 'd', 'e'); print(len(COMPILES))\n"
+        "make('v', 'w', 'x', 'y', 'z'); make('e', 'd', 'c', 'b', 'a'); print(len(COMPILES))\n"
+        "make('a', 'b', 'c', 'd', 'e', post_init=True); print(len(COMPILES))\n"
+    )
+    assert counts == [1, 1, 2]
+
+
+def test_start_up_compiles_one_template_per_shape():
+    """Building the CLI's parser compiles each value-method shape once, not each of the 28 classes."""
+    shapes, compiles = _compiles(
+        "builtins.compile = counting\n"
+        "import smckit.cli; smckit.cli.build_parser()\n"
+        "classes = {c for m in list(sys.modules.values()) if m.__name__.startswith('smckit')\n"
+        "           for c in vars(m).values() if isinstance(c, type) and '_fields' in vars(c)\n"
+        "           and not issubclass(c, tuple)}\n"
+        "def shape(c):\n"
+        "    n, k = len(c._fields), len(c.__init__.__defaults__ or ())\n"
+        "    return n, k, hasattr(c, '__post_init__'), hasattr(c, '_unchecked')\n"
+        "assert len(classes) == 28, len(classes)\n"
+        "print(len({shape(c) for c in classes}), COMPILES.count('<value>'))\n"
+    )
+    assert compiles == shapes < 28
