@@ -278,7 +278,7 @@ def test_pullback_square_checks_like_fcompose(data):
 # values built unchecked
 
 
-UNCHECKED = (Perm, SListHom, FinFun, SpanCell, KHom, KCell)
+UNCHECKED = (Perm, SList, SListHom, FinFun, SpanCell, KHom, KCell)
 
 
 def _rebuilt(value):
