@@ -64,10 +64,14 @@ without ``--out`` they are printed.  The curves are:
   bytecode caches.  The whole start-up is the benchmark's ``setup_s``;
 * ``cli_wall``: what a user waits for, not a curve.  For each of
   ``normalize``, ``equal``, ``span-compose``, ``unbias --cells`` and
-  ``check-laws --suite braiding`` on a small fixed input, the median wall
-  time of 9 fresh ``python -I`` processes that run the package as
-  ``python -m smckit`` does (through ``runpy``), start-up included.  One
-  process per command runs first, unread, to write the bytecode caches;
+  ``check-laws --suite braiding`` on a small fixed input, ``wall_s`` is
+  the median wall time of 9 fresh ``python -I`` processes that run the
+  package as ``python -m smckit`` does (through ``runpy``), start-up
+  included.  Each of them runs right after a bare ``python -I -c pass``,
+  and ``over_bare_s`` is the median of each run less its bare run: the
+  interpreter's own start-up (``site`` and its ``.pth`` files) and much of
+  the machine's drift cancel out of it.  One process per command runs
+  first, unread, to write the bytecode caches;
 * ``values``: the instance layout of a value class, not a curve.  For a
   ``FinFun`` over shared fields, built through its public constructor and
   through ``FinFun._unchecked``: the bytes per instance, the traced
@@ -381,20 +385,28 @@ def startup() -> dict:
     }
 
 
+def wall_time(argv: list) -> float:
+    """The wall time of one process running ``argv`` to its end."""
+    t0 = time.perf_counter()
+    subprocess.run(argv, check=True, stdin=subprocess.DEVNULL, capture_output=True)
+    return time.perf_counter() - t0
+
+
 def cli_wall() -> dict:
-    """The median wall time of each CLI command in fresh interpreters, start-up included."""
+    """Each CLI command's median wall time in fresh interpreters, and its median excess over a bare one."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    wall = {}
+    wall, over = {}, {}
     for name, args in CLI_COMMANDS.items():
-        times = []
-        for run in range(STARTUP_RUNS + 1):
-            t0 = time.perf_counter()
-            subprocess.run([sys.executable, "-I", "-c", CLI_CODE, src, *args],
-                           check=True, stdin=subprocess.DEVNULL, capture_output=True)
-            if run > 0:  # the first writes the bytecode caches
-                times.append(time.perf_counter() - t0)
+        command = [sys.executable, "-I", "-c", CLI_CODE, src, *args]
+        wall_time(command)  # writes the bytecode caches
+        times, excess = [], []
+        for _ in range(STARTUP_RUNS):
+            bare = wall_time([sys.executable, "-I", "-c", "pass"])
+            times.append(wall_time(command))
+            excess.append(times[-1] - bare)
         wall[name] = statistics.median(times)
-    return {"unit": "s", "runs": STARTUP_RUNS, "wall_s": wall}
+        over[name] = statistics.median(excess)
+    return {"unit": "s", "runs": STARTUP_RUNS, "wall_s": wall, "over_bare_s": over}
 
 
 def values_layout(repeats: int) -> dict:

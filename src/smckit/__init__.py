@@ -8,7 +8,7 @@ unbiased tensor products in any user-supplied model.
 """
 
 from .errors import SmcError
-from .perms import CoxeterMatrixA, Perm, exchange_step, inversion_length, is_reduced, reduced_word, word_to_perm
+from .perms import Perm, coxeter_entry, exchange_step, inversion_length, is_reduced, reduced_word, word_to_perm
 from .slist import (
     GenWord,
     SList,

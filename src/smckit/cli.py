@@ -52,7 +52,6 @@ from .terms import (
     Objects,
     ObjTerm,
     RightUnitor,
-    build_term,
     canonical_term,
     normalize_obj,
     obj_text,
@@ -165,7 +164,7 @@ def _parse_obj(kinds: list[str], texts: list[str], i: int, text: str, objs: Obje
             return k, i
 
 
-def _parse_mor(kinds: list[str], texts: list[str], text: str, objs: Objects) -> tuple[list, int]:
+def _parse_program(kinds: list[str], texts: list[str], text: str, objs: Objects) -> tuple[list, int]:
     """The program of the morphism starting at the first token, and the index of the token after it."""
     program: list = []
     i = 0
@@ -249,14 +248,9 @@ def parse_obj(text: str, objs: Objects | None = None) -> ObjTerm:
 def parse_program(text: str, objs: Objects) -> list:
     """The program of a morphism (see ``terms.flatten``), its objects numbered in ``objs``."""
     kinds, texts = _tokenize(text)
-    out, i = _parse_mor(kinds, texts, text, objs)
+    out, i = _parse_program(kinds, texts, text, objs)
     _check_end(kinds, texts, i, text)
     return out
-
-
-def parse_mor(text: str) -> MorTerm:
-    objs = Objects()
-    return build_term(parse_program(text, objs), objs)
 
 
 def render_obj(t: ObjTerm) -> str:

@@ -76,34 +76,22 @@ class Perm:
         return "[" + ",".join(map(str, self.img)) + "]"
 
 
-@value
-class CoxeterMatrixA:
-    """The type-A Coxeter matrix on {0..rank-1}.
+def coxeter_entry(i: int, j: int) -> int:
+    """Entry m(i, j) of the type-A Coxeter matrix: 1 on the diagonal, 3 next to it, 2 elsewhere.
 
-    Entries are evaluated lazily, so any pair of naturals may be queried;
-    this doubles as the infinite-rank matrix.
+    Any pair of naturals may be queried, so this is the matrix of every
+    rank at once, the infinite one included.
+
+    >>> coxeter_entry(2, 2), coxeter_entry(1, 2), coxeter_entry(0, 3)
+    (1, 3, 2)
     """
-
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("rank must be a natural number")
-
-    def entry(self, i: int, j: int) -> int:
-        """Entry m(i, j): 1 on the diagonal, 3 next to it, 2 elsewhere.
-
-        >>> a4 = CoxeterMatrixA(4)
-        >>> a4.entry(2, 2), a4.entry(1, 2), a4.entry(0, 3)
-        (1, 3, 2)
-        """
-        if i < 0 or j < 0:
-            raise ValueError("indices must be naturals")
-        if i == j:
-            return 1
-        if abs(i - j) == 1:
-            return 3
-        return 2
+    if i < 0 or j < 0:
+        raise ValueError("indices must be naturals")
+    if i == j:
+        return 1
+    if abs(i - j) == 1:
+        return 3
+    return 2
 
 
 def block_sum(p: Perm, q: Perm) -> Perm:

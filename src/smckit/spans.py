@@ -29,7 +29,6 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from itertools import chain
-from typing import NamedTuple
 
 from .errors import (
     BoundaryMismatch,
@@ -355,13 +354,8 @@ def right_unitor_cell(s: Span) -> SpanCell:
     return SpanCell._unchecked(s, s, identity_fun(s.apex))  # the identity commutes with any legs
 
 
-class AdjunctionCells(NamedTuple):
-    unit: SpanCell
-    counit: SpanCell
-
-
-def adjunction_cells(f: FinFun) -> AdjunctionCells:
-    """Unit and counit exhibiting the push span as left adjoint to the pull span.
+def adjunction_cells(f: FinFun) -> tuple[SpanCell, SpanCell]:
+    """The pair (unit, counit) exhibiting the push span as left adjoint to the pull span.
 
     The unit is the diagonal a -> (a, a); the counit sends a diagonal pair
     to its common value under f.  Neither is a pith cell in general.
@@ -376,7 +370,7 @@ def adjunction_cells(f: FinFun) -> AdjunctionCells:
     counit_map = fcompose(counit_pb.p1, f)
     # pull;push pairs each a with itself, and both of its legs send (a, a) to f(a)
     counit = SpanCell._unchecked(pull_push, identity_span(f.dst), counit_map)
-    return AdjunctionCells(unit, counit)
+    return unit, counit
 
 
 @value

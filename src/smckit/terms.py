@@ -60,11 +60,7 @@ class Tensor(ObjTerm):
 
 @value
 class MorTerm:
-    def __rshift__(self, other: "MorTerm") -> "MorTerm":
-        return Comp(self, other)
-
-    def __matmul__(self, other: "MorTerm") -> "MorTerm":
-        return Par(self, other)
+    pass
 
 
 @value
@@ -520,24 +516,6 @@ def flatten(t: MorTerm, objs: Objects) -> list:
     return program
 
 
-def build_term(program: list, objs: Objects) -> MorTerm:
-    """The term of a program; equal objects are one node."""
-    terms = objs.terms
-    done: list = []
-    for item in program:
-        if item is COMP:
-            second = done.pop()
-            done[-1] = Comp(done[-1], second)
-        elif item is PAR:
-            right = done.pop()
-            done[-1] = Par(done[-1], right)
-        elif item is INV:
-            done[-1] = Inv(done[-1])
-        else:
-            done.append(item[0](*[terms[k] for k in item[1:]]))
-    return done[0]
-
-
 def run(program: list, objs: Objects) -> tuple[int, int, tuple]:
     """Source and target numbers and phi of a program, in one pass over it.
 
@@ -686,10 +664,7 @@ def _fold(m: SmcModel, values) -> Any:
 
 def psi_obj(m: SmcModel, assignment, labels) -> Any:
     """Right-fold tensor x_{l0} (x) (x_{l1} (x) (... (x) unit))."""
-    out = m.unit()
-    for label in reversed(tuple(labels)):
-        out = m.tensor_obj(lookup(assignment, label), out)
-    return out
+    return _fold(m, [lookup(assignment, label) for label in labels])
 
 
 def psi_hom(m: SmcModel, assignment, f: SListHom) -> Any:

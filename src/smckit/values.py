@@ -7,24 +7,26 @@ standard module (and ``inspect``, which it imports) and generating its
 methods took about two thirds of the CLI's start-up.
 
 The generated methods are compiled once per shape, not once per class.  A
-shape is the number of fields, which of them have defaults, whether the
-class has a ``__post_init__``, and ``unchecked``.  Its template is written
-over the placeholder fields ``f0``, ``f1``, ...; each class gets new
-functions over the template's code with those names replaced by its own
-(``code.replace``), so every class runs the same bytecode as if its own
-source had been compiled.  The template cache holds one entry per shape.
+shape is the number of fields, whether the class has a ``__post_init__``,
+and ``unchecked``.  Its template is written over the placeholder fields
+``f0``, ``f1``, ...; each class gets new functions over the template's code
+with those names replaced by its own (``code.replace``), so every class
+runs the same bytecode as if its own source had been compiled.  The
+template cache holds one entry per shape.
 
 The class is rebuilt with ``__slots__``: its own fields, any names in its
 own ``__slots__`` (state that is not a field, such as a cache filled on
 first use), and ``__weakref__`` on a class whose only base is ``object``.
-So no instance has a ``__dict__``, every instance of a class has one
-layout, and a field default lives in ``__init__``, not on the class.
-Rebuilding makes a new class object, so no method of a value class may use
-zero-argument ``super()``.  A value class gets:
+So no instance has a ``__dict__`` and every instance of a class has one
+layout.  Rebuilding makes a new class object, so no method of a value
+class may use zero-argument ``super()``.  Every field is declared by its
+own class and has no default: a class that gives a field a value, or
+whose base is a value class with fields, raises ``TypeError`` when it is
+decorated.  A value class gets:
 
-* ``__init__`` over the fields in order, defaults (a base class's too) and
-  keywords kept, which sets each field through its slot's ``__set__`` and
-  then calls ``__post_init__`` where the class has one;
+* ``__init__`` over the fields in order, keywords kept, which sets each
+  field through its slot's ``__set__`` and then calls ``__post_init__``
+  where the class has one;
 * with ``@value(unchecked=True)``, the static method ``_unchecked`` over
   the same fields, which sets them the same way and skips
   ``__post_init__``, for callers whose construction makes the value valid;
@@ -34,7 +36,7 @@ zero-argument ``super()``.  A value class gets:
 * ``__setattr__`` and ``__delattr__`` that raise ``AttributeError``;
 * ``__reduce__``, so that ``pickle`` and ``copy`` rebuild a value through
   its public constructor;
-* ``_fields``, the field names, a base class's first.
+* ``_fields``, the field names in order.
 """
 
 from types import CodeType, FunctionType
@@ -73,9 +75,9 @@ def _template(shape):
     each class's own functions.
     """
     if shape not in _templates:
-        has_default, post_init, unchecked = shape
-        names = [f"f{i}" for i in range(len(has_default))]
-        params = "".join(f", {n}=_" if d else f", {n}" for n, d in zip(names, has_default))
+        count, post_init, unchecked = shape
+        names = [f"f{i}" for i in range(count)]
+        params = "".join(f", {n}" for n in names)
         sets = "".join(f"\n    _set{i}(self, {n})" for i, n in enumerate(names))
         post = "\n    self.__post_init__()" if post_init else "\n    pass"
         mine, theirs = (f"({''.join(f'{who}.{n}, ' for n in names)})" for who in ("self", "other"))
@@ -96,15 +98,16 @@ def __hash__(self):
 
 
 def _value(cls, unchecked):
-    inherited = getattr(cls, "_fields", ())
+    if getattr(cls, "_fields", ()):
+        raise TypeError(f"{cls.__qualname__} inherits the fields {cls._fields}; a value class declares its own")
     own = cls.__dict__
-    names = tuple(dict.fromkeys((*inherited, *own.get("__annotations__", ()))))
-    slots = (*[n for n in names if n not in inherited], *own.get("__slots__", ()))
+    names = tuple(own.get("__annotations__", ()))
+    for name in names:
+        if name in own:
+            raise TypeError(f"{cls.__qualname__}.{name} has a default; a value field has none")
+    slots = (*names, *own.get("__slots__", ()))
     slots += ("__weakref__",) if cls.__bases__ == (object,) else ()
-    # a base class keeps its defaults in its __init__, not on the class
-    defaults = dict(zip(inherited[::-1], (getattr(super(cls, cls).__init__, "__defaults__", None) or ())[::-1]))
-    defaults.update((n, own[n]) for n in names if n in own)
-    codes = _template((tuple(n in defaults for n in names), hasattr(cls, "__post_init__"), unchecked))
+    codes = _template((len(names), hasattr(cls, "__post_init__"), unchecked))
     relabel = {f"f{i}": n for i, n in enumerate(names)}.get
     namespace = {"_new": object.__new__}
     methods = {
@@ -113,7 +116,6 @@ def _value(cls, unchecked):
                            namespace, name)
         for name, code in codes.items()
     }
-    methods["__init__"].__defaults__ = tuple(defaults[n] for n in names if n in defaults) or None
     if unchecked:
         methods["_unchecked"] = staticmethod(methods["_unchecked"])
     body = {k: v for k, v in own.items() if k not in slots and k not in ("__dict__", "__weakref__")}

@@ -13,7 +13,8 @@ import json
 from random import Random
 
 from smckit import laws
-from smckit.cli import main, parse_mor, render_mor
+from smckit.cli import main, parse_program, render_mor
+from smckit.terms import Objects, flatten
 
 
 def _report(name, report, expected_cases):
@@ -121,6 +122,7 @@ def test_acceptance_cli():
     rng = Random(99)
     for _ in range(1000):
         term = laws.random_walk_term(rng, ["x0", "x1", "x2", "x3", "x4"], rng.randint(0, 5))
-        assert parse_mor(render_mor(term)) == term
+        objs = Objects()
+        assert parse_program(render_mor(term), objs) == flatten(term, objs)
         cases += 1
     print(f"ACCEPTANCE cli: PASS ({cases} checks)")

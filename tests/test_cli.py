@@ -16,8 +16,8 @@ import smckit
 from smckit import cli, laws, spans
 from smckit.cli import (
     main,
-    parse_mor,
     parse_obj,
+    parse_program,
     render_mor,
     render_obj,
     span_from_record,
@@ -27,7 +27,7 @@ from smckit.errors import ParseError, RecordFormatError
 from smckit.laws import random_obj, random_walk_term
 from smckit.perms import Perm
 from smckit.slist import SList, SListHom
-from smckit.terms import Assoc, Braid, Comp, Gen, Id, Par, Tensor, Unit, canonical_term
+from smckit.terms import Assoc, Braid, Comp, Gen, Id, Objects, Par, Tensor, Unit, canonical_term, flatten
 
 
 def run(*argv):
@@ -52,27 +52,35 @@ FAMILY = json.dumps({
 })
 
 
+def parses_to(text, term) -> bool:
+    """Whether the program parsed from ``text`` is the program of ``term``, in one object table."""
+    objs = Objects()
+    return parse_program(text, objs) == flatten(term, objs)
+
+
 def test_parse_examples():
-    assert parse_mor("b x y") == Braid(Gen("x"), Gen("y"))
-    assert parse_mor("a x y z ; b (x*y) z") == Comp(
+    assert parses_to("b x y", Braid(Gen("x"), Gen("y")))
+    assert parses_to("a x y z ; b (x*y) z", Comp(
         Assoc(Gen("x"), Gen("y"), Gen("z")),
         Braid(Tensor(Gen("x"), Gen("y")), Gen("z")),
-    )
+    ))
     assert parse_obj("I") == Unit()
     assert parse_obj("(x * (y*I))") == Tensor(Gen("x"), Tensor(Gen("y"), Unit()))
-    assert parse_mor("(id x * b y z)") == Par(Id(Gen("x")), Braid(Gen("y"), Gen("z")))
+    assert parses_to("(id x * b y z)", Par(Id(Gen("x")), Braid(Gen("y"), Gen("z"))))
+    assert not parses_to("b x y", Braid(Gen("y"), Gen("x")))
+    assert not parses_to("id x ; id x ; id x", Comp(Id(Gen("x")), Comp(Id(Gen("x")), Id(Gen("x")))))
 
 
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
-        parse_mor("b x (y")
+        parse_program("b x (y", Objects())
     assert err.value.line == 1 and err.value.column == 7
     with pytest.raises(ParseError):
-        parse_mor("b x y extra")
+        parse_program("b x y extra", Objects())
     with pytest.raises(ParseError):
         parse_obj("(x*y")
     with pytest.raises(ParseError):
-        parse_mor("8")
+        parse_program("8", Objects())
 
 
 def test_parse_render_round_trip_generated():
@@ -80,7 +88,7 @@ def test_parse_render_round_trip_generated():
     labels = ["x0", "x1", "x2", "x3", "x4"]
     for _ in range(1000):
         term = random_walk_term(rng, labels, rng.randint(0, 5))
-        assert parse_mor(render_mor(term)) == term
+        assert parses_to(render_mor(term), term)
         obj = random_obj(rng, labels)
         assert parse_obj(render_obj(obj)) == obj
 

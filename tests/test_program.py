@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 import term_oracle as oracle
 from test_terms import mutate, walk_term
 from smckit import cli
-from smckit.cli import main, parse_mor, parse_program, render_mor
+from smckit.cli import main, parse_program, render_mor
 from smckit.errors import IllTyped, ParseError
 from smckit.laws import axiom_rewrite
 from smckit.models import SListModel
 from smckit.perms import Perm
 from smckit.slist import SList, SListHom
-from smckit.terms import Objects, canonical_term, run
+from smckit.terms import COMP, INV, PAR, Comp, Inv, Objects, Par, canonical_term, run
 
 # ---------------------------------------------------------------------------
 # the split tokenizer against the regex one
@@ -75,7 +75,7 @@ def test_tokenize_examples():
 
 
 # ---------------------------------------------------------------------------
-# the CLI's program path against the recursive oracle on parse_mor's term
+# the CLI's program path against the recursive oracle on the parsed term
 
 LABELS = ["x0", "x1", "x2"]
 
@@ -91,9 +91,27 @@ def cli_run(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def parsed_term(text):
+    """The term whose program ``parse_program`` reads from ``text``; equal objects are one node."""
+    objs = Objects()
+    done = []
+    for item in parse_program(text, objs):
+        if item is COMP:
+            second = done.pop()
+            done[-1] = Comp(done[-1], second)
+        elif item is PAR:
+            right = done.pop()
+            done[-1] = Par(done[-1], right)
+        elif item is INV:
+            done[-1] = Inv(done[-1])
+        else:
+            done.append(item[0](*[objs.terms[k] for k in item[1:]]))
+    return done[0]
+
+
 def oracle_normal_form(text):
-    """(boundaries, hom) of the term parse_mor reads, or the IllTyped text of its first mismatch."""
-    t = parse_mor(text)
+    """(boundaries, hom) of the parsed term, or the IllTyped text of its first mismatch."""
+    t = parsed_term(text)
     try:
         oracle.typecheck(t)
     except IllTyped as exc:

@@ -82,6 +82,9 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     assert wall["unit"] == "s" and wall["runs"] > 0
     assert list(wall["wall_s"]) == ["normalize", "equal", "span-compose", "unbias --cells", "check-laws --suite braiding"]
     assert all(t > 0 for t in wall["wall_s"].values())
+    # each run less a bare interpreter's run beside it: below the wall time, whatever the noise
+    assert list(wall["over_bare_s"]) == list(wall["wall_s"])
+    assert all(wall["over_bare_s"][name] < t for name, t in wall["wall_s"].items())
     # a FinFun's bytes, build and three reads, through each constructor
     values = curves["values"]
     assert values["class"] == "FinFun" and values["count"] > 0

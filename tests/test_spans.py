@@ -366,7 +366,7 @@ def test_cell_boundary_errors():
         FinFun(two, two, (1, 0)),
     )
     assert swap_cell.is_pith()
-    diag = adjunction_cells(FinFun(two, FinSet(1), (0, 0))).unit
+    diag, _ = adjunction_cells(FinFun(two, FinSet(1), (0, 0)))
     with pytest.raises(NotInvertible):
         invert_cell(diag)
 
@@ -381,13 +381,13 @@ def test_transpose():
 
 def test_adjunction_cells_examples():
     ident = identity_fun(FinSet(2))
-    cells = adjunction_cells(ident)
-    assert cells.unit.map.is_bijective() and cells.counit.map.is_bijective()
+    unit, counit = adjunction_cells(ident)
+    assert unit.map.is_bijective() and counit.map.is_bijective()
     f = FinFun(FinSet(2), FinSet(1), (0, 0))
-    cells = adjunction_cells(f)
-    assert cells.unit.dst.apex.size == 4
-    assert cells.unit.map.img == (0, 3)
-    assert not cells.unit.map.is_bijective()
+    unit, counit = adjunction_cells(f)
+    assert unit.dst.apex.size == 4
+    assert unit.map.img == (0, 3)
+    assert not unit.map.is_bijective()
 
 
 def test_adjunction_triangles_exhaustive():

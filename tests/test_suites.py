@@ -28,7 +28,7 @@ def test_run_suite_calls_the_module_attribute(monkeypatch):
     assert laws.run_suite("span") == [marker]
     for name in SUITE_NAMES:
         if name != "span":
-            stub = laws.LawReport(name, 0)
+            stub = laws.LawReport(name, 0, ())
             monkeypatch.setattr(laws, f"{name}_suite", lambda *args, stub=stub, **kwargs: stub)
     reports = laws.run_suite("all", max_size=2, seed=1)
     assert [r.name for r in reports] == list(SUITE_NAMES)

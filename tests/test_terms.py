@@ -243,13 +243,6 @@ def test_normalize_agrees_with_finbij_evaluation():
         assert eval_mor(t, m, lambda label: 1) == normalize(t).phi
 
 
-def test_operator_sugar():
-    t = Braid(a, b) >> Braid(b, a)
-    assert isinstance(t, Comp)
-    p = Id(a) @ Id(b)
-    assert isinstance(p, Par)
-
-
 def test_psi_hom_functorial_random():
     from smckit.slist import GenWord, compose as hom_compose, hom_from_word
     from smckit.terms import psi_hom

@@ -162,7 +162,7 @@ def test_pseudofunctor_on_cell_examples():
     assert k_vcomp(cell, pseudofunctor_on_cell(SpanCell(s, s, FinFun(two, two, (1, 0))))) == k_id_cell(cell.src)
     from smckit.spans import adjunction_cells
 
-    diag = adjunction_cells(FinFun(two, pt, (0, 0))).unit
+    diag, _ = adjunction_cells(FinFun(two, pt, (0, 0)))
     with pytest.raises(NotInvertible):
         pseudofunctor_on_cell(diag)
 

@@ -209,7 +209,7 @@ def test_cell_lifts_match_the_oracle_on_cone_legs(size, seed):
 
     for f in (s.left, t.right):
         diagonal = lift(f, f, identity_fun(f.src), identity_fun(f.src))
-        assert adjunction_cells(f).unit.map == diagonal
+        assert adjunction_cells(f)[0].map == diagonal
 
 
 @settings(max_examples=300, deadline=None)
@@ -326,7 +326,7 @@ PATHS = {
     "invert_cell": lambda x: invert_cell(x.c),
     "left_unitor_cell": lambda x: left_unitor_cell(x.s),
     "right_unitor_cell": lambda x: right_unitor_cell(x.t),
-    "adjunction_cells": lambda x: tuple(adjunction_cells(x.s.left)) + tuple(adjunction_cells(x.t.right)),
+    "adjunction_cells": lambda x: adjunction_cells(x.s.left) + adjunction_cells(x.t.right),
     # kleisli.KHom
     "k_compose": lambda x: k_compose(pseudofunctor_on_span(x.t), pseudofunctor_on_span(x.s)),
     "k_id": lambda x: k_id(x.s.apex),

@@ -19,7 +19,7 @@ import smckit
 from smckit import cli, errors, kleisli, laws, models, monoidal, perms, slist, spans, terms, unbias
 from smckit.kleisli import KCell, KHom
 from smckit.laws import LawReport
-from smckit.perms import CoxeterMatrixA, Perm
+from smckit.perms import Perm
 from smckit.slist import GenWord, SList, SListHom
 from smckit.spans import FinFun, FinSet, Pullback, PullbackSquare, Span, SpanCell, pullback
 from smckit.terms import (
@@ -74,7 +74,6 @@ EXAMPLES = {
                                FinFun(FinSet(2), FinSet(2), (1, 0))),
     PullbackSquare: lambda: spans.square_from_cospan(_fun(0, 1), _fun(1, 1, 0)),
     Perm: lambda: Perm((2, 0, 1)),
-    CoxeterMatrixA: lambda: CoxeterMatrixA(4),
     SList: lambda: SList(("a", "b", "a")),
     SListHom: lambda: SListHom(SList(("a", "b")), SList(("b", "a")), Perm((1, 0))),
     GenWord: lambda: GenWord(SList(("a", "b", "c")), (0, 1)),
@@ -101,7 +100,7 @@ def test_the_value_classes_are_pinned():
     found = {c for module in MODULES for c in vars(module).values()
              if isinstance(c, type) and c.__module__ == module.__name__
              and hasattr(c, "_fields") and not issubclass(c, tuple)}
-    assert found == set(EXAMPLES) and len(found) == 28
+    assert found == set(EXAMPLES) and len(found) == 27
 
 
 def test_fields_are_the_annotations_in_order():
@@ -133,7 +132,7 @@ def test_repr_text():
     assert repr(Tensor(Gen("x"), Unit())) == "Tensor(left=Gen(label='x'), right=Unit())"
     assert repr(Perm((1, 0))) == "Perm(img=(1, 0))"
     assert repr(FinFun(FinSet(1), FinSet(1), (0,))) == "FinFun(src=FinSet(size=1), dst=FinSet(size=1), img=(0,))"
-    assert repr(LawReport("coxeter", 3)) == "LawReport(name='coxeter', cases=3, violations=())"
+    assert repr(LawReport("coxeter", 3, ())) == "LawReport(name='coxeter', cases=3, violations=())"
     assert repr(MorTerm()) == "MorTerm()"
 
 
@@ -169,11 +168,15 @@ def test_keywords_build_the_same_value(cls):
 
 
 def test_defaults_and_missing_arguments():
-    assert LawReport("span", 5) == LawReport(name="span", cases=5, violations=())
-    assert LawReport("span", 5).violations == () and LawReport("span", 5).ok
+    # no field has a default, so every field must be given, once
+    assert LawReport("span", 5, ()) == LawReport(name="span", cases=5, violations=()) and LawReport("span", 5, ()).ok
     assert LawReport(cases=1, name="n", violations=("v",)).violations == ("v",)
     with pytest.raises(TypeError):
-        LawReport("span")
+        LawReport("span", 5)
+    with pytest.raises(TypeError):
+        LawReport(cases=5, violations=())
+    with pytest.raises(TypeError):
+        LawReport("span", 5, (), name="span")
     with pytest.raises(TypeError):
         FinSet(1, 2)
     with pytest.raises(TypeError):
@@ -186,7 +189,7 @@ UNCHECKED = [c for c in CLASSES if "_unchecked" in vars(c)]
 
 def test_which_classes_check_at_construction():
     names = {c.__name__ for c in POST_INIT}
-    assert names == {"FinSet", "FinFun", "Span", "SpanCell", "PullbackSquare", "Perm", "CoxeterMatrixA",
+    assert names == {"FinSet", "FinFun", "Span", "SpanCell", "PullbackSquare", "Perm",
                      "SList", "SListHom", "GenWord", "KHom", "KCell"}
     assert set(UNCHECKED) <= set(POST_INIT)
 
@@ -263,29 +266,6 @@ class Swapped:
     f0: str
 
 
-@value
-class Defaults:
-    a: int
-    b: str = "b"
-    c: tuple = ()
-
-
-@value
-class Base:
-    a: int
-    b: int = 1
-
-
-@value
-class Sub(Base):
-    c: int = 2
-
-
-@value(unchecked=True)
-class SubSub(Sub):
-    d: int = 3
-
-
 @value(unchecked=True)
 class Empty:
     pass
@@ -307,24 +287,29 @@ def test_field_names_that_are_placeholders_keep_their_own_values():
     assert repr(v) == "Swapped(f1=1, f0='a')"
 
 
-def test_defaults_with_keywords():
-    assert Defaults(1) == Defaults(1, "b", ()) == Defaults(c=(), a=1) == Defaults(a=1, b="b")
-    assert Defaults(1, c=(2,)).b == "b" and Defaults(1, c=(2,)).c == (2,)
-    _same_as_twin(Defaults(0, c=(1,)), (0, "b", (1,)))
-    with pytest.raises(TypeError):
-        Defaults(b="x")
-    with pytest.raises(TypeError):
-        Defaults(1, a=1)
+def test_a_field_default_is_refused():
+    with pytest.raises(TypeError, match=r"Defaults\.b has a default; a value field has none$"):
+        @value
+        class Defaults:
+            a: int
+            b: str = "b"
 
 
-def test_inherited_fields_come_first_with_their_defaults():
-    assert Sub._fields == ("a", "b", "c") and SubSub._fields == ("a", "b", "c", "d")
-    assert Sub(0) == Sub(0, 1, 2) == Sub(c=2, a=0) and Sub(0, c=5).b == 1
-    assert SubSub(0) == SubSub(0, 1, 2, 3) == SubSub._unchecked(0, 1, 2, 3)
-    _same_as_twin(Sub(0, 7), (0, 7, 2))
-    _same_as_twin(SubSub(0, d=4), (0, 1, 2, 4))
-    assert Base(0) != Sub(0, 1) and Sub(0) != SubSub(0, 1, 2)
-    assert Base(0) == Base(a=0, b=1) and Base(0).b == 1
+def test_an_inherited_field_is_refused():
+    @value
+    class Base:
+        a: int
+
+    with pytest.raises(TypeError, match=r"Sub inherits the fields \('a',\); a value class declares its own$"):
+        @value
+        class Sub(Base):
+            b: int
+    with pytest.raises(TypeError, match="inherits the fields"):
+        value(type("Bare", (Base,), {}))
+    # a base with no fields passes none on, as ObjTerm does to Gen
+    leaf = value(type("Leaf", (Empty,), {"__annotations__": {"a": int}}))
+    assert leaf._fields == ("a",)
+    _same_as_twin(leaf(1), (1,))
 
 
 def test_a_class_with_no_fields():
@@ -375,7 +360,7 @@ def test_classes_of_one_shape_compile_once():
 
 
 def test_start_up_compiles_one_template_per_shape():
-    """Building the CLI's parser compiles each value-method shape once, not each of the 28 classes."""
+    """Building the CLI's parser compiles each of the 9 value-method shapes once, not each of the 27 classes."""
     shapes, compiles = _compiles(
         "builtins.compile = counting\n"
         "import smckit.cli; smckit.cli.build_parser()\n"
@@ -383,9 +368,8 @@ def test_start_up_compiles_one_template_per_shape():
         "           for c in vars(m).values() if isinstance(c, type) and '_fields' in vars(c)\n"
         "           and not issubclass(c, tuple)}\n"
         "def shape(c):\n"
-        "    n, k = len(c._fields), len(c.__init__.__defaults__ or ())\n"
-        "    return n, k, hasattr(c, '__post_init__'), hasattr(c, '_unchecked')\n"
-        "assert len(classes) == 28, len(classes)\n"
+        "    return len(c._fields), hasattr(c, '__post_init__'), hasattr(c, '_unchecked')\n"
+        "assert len(classes) == 27, len(classes)\n"
         "print(len({shape(c) for c in classes}), COMPILES.count('<value>'))\n"
     )
-    assert compiles == shapes < 28
+    assert compiles == shapes == 9
