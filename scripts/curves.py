@@ -72,6 +72,13 @@ without ``--out`` they are printed.  The curves are:
   interpreter's own start-up (``site`` and its ``.pth`` files) and much of
   the machine's drift cancel out of it.  One process per command runs
   first, unread, to write the bytecode caches;
+* ``argv``: what reading the command line costs, not a curve.  For the
+  argv shape of each workload's requests (``--format record`` and then
+  the command, as the benchmark writes them), ``direct_s`` is the median
+  time of one in-process ``cli._parse_argv`` call that reads it directly,
+  and ``declined_s`` of one on the same argv with ``--format=record``, an
+  ``=`` form that the direct reader leaves to argparse.  ``check-laws`` is
+  always left to argparse, so it has only ``declined_s``;
 * ``values``: the instance layout of a value class, not a curve.  For a
   ``FinFun`` over shared fields, built through its public constructor and
   through ``FinFun._unchecked``: the bytes per instance, the traced
@@ -148,6 +155,14 @@ CLI_COMMANDS = {
     "span-compose": ["span-compose", SPAN, SPAN],
     "unbias --cells": ["unbias", SPAN, FAMILY, "--cells"],
     "check-laws --suite braiding": ["check-laws", "--suite", "braiding"],
+}
+REC = ["--format", "record"]
+ARGV_SHAPES = {
+    "normalize": REC + CLI_COMMANDS["normalize"],
+    "equal": REC + CLI_COMMANDS["equal"],
+    "span-compose --cells": REC + ["span-compose", SPAN, SPAN, SPAN, "--cells"],
+    "unbias --model slist --cells": REC + ["unbias", SPAN, FAMILY, "--model", "slist", "--cells"],
+    "check-laws": REC + ["check-laws", "--suite", "braiding", "--seed", "1"],
 }
 TOKEN = re.compile(r"[()*;]|[^\W\d]\w*|\S")  # a token of the CLI's term syntax
 
@@ -409,6 +424,17 @@ def cli_wall() -> dict:
     return {"unit": "s", "runs": STARTUP_RUNS, "wall_s": wall, "over_bare_s": over}
 
 
+def argv_parse(repeats: int) -> dict:
+    """Median time of one ``cli._parse_argv`` call on each workload's argv, read directly and by argparse."""
+    out = {"unit": "s", "direct_s": {}, "declined_s": {}}
+    for name, argv in ARGV_SHAPES.items():
+        declined = ["--format=record", *argv[2:]]
+        if cli._read_argv(argv) is not None:
+            out["direct_s"][name] = sample_time(lambda: cli._parse_argv(argv), repeats)
+        out["declined_s"][name] = sample_time(lambda: cli._parse_argv(declined), repeats)
+    return out
+
+
 def values_layout(repeats: int) -> dict:
     """Bytes per ``FinFun``, and ns per build and per three field reads, for each way of building one."""
     src, dst, img = FinSet(3), FinSet(3), (0, 1, 2)
@@ -469,6 +495,7 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
         "k_hcomp": curve("n", list_lengths, k_hcomp_call, repeats),
         "startup": startup(),
         "cli_wall": cli_wall(),
+        "argv": argv_parse(repeats),
         "values": values_layout(repeats),
     }
 

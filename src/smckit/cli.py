@@ -17,12 +17,13 @@ decision or law violations, 2 for usage, syntax or record errors.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import os
 import re
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import laws
 from .errors import ParseError, RecordFormatError, SmcError
@@ -61,6 +62,9 @@ from .terms import (
 )
 from .terms import typecheck  # noqa: F401  unused: normalize typechecks; perfbench's tests patch cli.typecheck
 from .unbias import unbias_comp_iso, unbias_eval, unbias_unit_iso
+
+if TYPE_CHECKING:  # at run time argparse is imported only where a parser is built or used
+    import argparse
 
 SCHEMA = "smckit/1"
 SEED_ENV = "SMCKIT_SEED"
@@ -535,6 +539,8 @@ def cmd_check_laws(args, out) -> int:
 
 def _positive_int(text: str) -> int:
     if not (text.strip().isdecimal() and int(text) > 0):
+        import argparse  # called by argparse, so already loaded
+
         raise argparse.ArgumentTypeError(f"expected a positive integer, found {text!r}")
     return int(text)
 
@@ -543,10 +549,14 @@ def _seed(text: str) -> int:
     try:
         return int(text)
     except ValueError:
+        import argparse  # called by argparse, or by _parse_argv's fallback: already loaded
+
         raise argparse.ArgumentTypeError(f"expected an integer (from --seed or ${SEED_ENV}), found {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # a well-formed request is read by _read_argv and never loads it
+
     parser = argparse.ArgumentParser(
         prog="smckit",
         description="normalize, compare and unbias structural morphisms of symmetric monoidal categories",
@@ -581,16 +591,71 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = None  # build_parser(), made by the first _parse_argv call; parsing leaves it unchanged
+# the request commands _read_argv reads: their positionals ("spans" takes one or more) and
+# their options' defaults; check-laws, which runs for seconds, is always left to argparse
+_REQUESTS = {
+    "normalize": (("term",), {}),
+    "equal": (("lhs", "rhs"), {}),
+    "span-compose": (("spans",), {"cells": False}),
+    "unbias": (("span", "family"), {"model": "term", "cells": False}),
+}
 
 
-def _parse_argv(argv=None) -> argparse.Namespace:
-    """Parse argv with the process's one parser; SystemExit on --help or a usage error.
+def _read_argv(argv: list) -> SimpleNamespace | None:
+    """The namespace argparse builds from well-formed ``argv`` of a request command; else None.
+
+    It reads ``--format`` before the command, and after it the command's
+    positionals and exact option names, each value in the next argument.
+    Help, a prefix, an ``=`` form, ``--``, any other argument that starts
+    with ``-`` but ``-`` itself, a bad choice and a missing or extra
+    positional are left to argparse, so its usage and help texts are the
+    only ones.
+    """
+    i, fmt = 0, "text"
+    while argv[i:i + 1] == ["--format"] and argv[i + 1:i + 2] in (["text"], ["record"]):  # argparse checks each
+        fmt, i = argv[i + 1], i + 2
+    if i == len(argv) or argv[i] not in _REQUESTS:
+        return None
+    names, defaults = _REQUESTS[argv[i]]
+    values, positionals, optioned = dict(defaults), [], False
+    rest = iter(argv[i + 1:])
+    for arg in rest:
+        if arg[:1] != "-" or arg == "-":
+            if optioned and names == ("spans",):  # argparse reads no span after an option
+                return None
+            positionals.append(arg)
+        elif arg == "--cells" and "cells" in values:
+            values["cells"] = optioned = True
+        elif arg == "--model" and "model" in values:
+            values["model"] = next(rest, None)
+            if values["model"] not in ("term", "slist"):
+                return None
+            optioned = True
+        else:
+            return None
+    if names == ("spans",) and positionals:
+        positionals = [positionals]
+    if len(positionals) != len(names):
+        return None
+    return SimpleNamespace(format=fmt, command=argv[i], **dict(zip(names, positionals)), **values)
+
+
+_PARSER = None  # build_parser(), made by the first argv that _read_argv declines; parsing leaves it unchanged
+
+
+def _parse_argv(argv=None) -> SimpleNamespace | argparse.Namespace:
+    """Read argv directly, else with the process's one parser; SystemExit on --help or a usage error.
 
     ``--seed`` falls back to ``$SMCKIT_SEED`` as it is when called, else 0.
     The environment is checked before unrecognized arguments are reported,
     the order in which argparse would check a default it converts.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is not None:
+        return args
+    import argparse
+
     global _PARSER
     parser = _PARSER
     if parser is None:

@@ -1,5 +1,6 @@
 """CLI: parser round trips, golden outputs, exit codes, record format."""
 
+import contextlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from random import Random
 
 import pytest
 from cli_state_cases import CASES
+from hypothesis import example, given, settings, strategies as st
 
 import smckit
 from smckit import cli, laws, spans
@@ -705,11 +707,115 @@ def test_parser_is_built_once_per_process(monkeypatch):
 
     monkeypatch.setattr(cli, "_PARSER", None)
     monkeypatch.setattr(cli, "build_parser", counting_build)
-    for _ in range(20):
-        assert run("normalize", "b x y")[0] == 0
-        assert run("equal", "b x y", "b x y")[0] == 0
-        assert run("unbias", SPAN_A, FAMILY)[0] == 0
+
+    def well_formed():
+        for _ in range(20):
+            assert run("normalize", "b x y")[0] == 0
+            assert run("equal", "b x y", "b x y")[0] == 0
+            assert run("unbias", SPAN_A, FAMILY)[0] == 0
+
+    well_formed()  # read directly: no parser at all
+    assert len(builds) == 0
+    # a usage error, a help request and check-laws go to the one parser, built by the first of them
+    assert run("normalize")[0] == 2
+    well_formed()
+    assert run("-h")[0] == 0
+    assert run("check-laws", "--suite", "braiding")[0] == 0
+    well_formed()
     assert len(builds) == 1
+
+
+# ---------------------------------------------------------------------------
+# the direct argv reader against argparse
+
+
+def argparse_reads(argv):
+    """``vars`` of the namespace argparse gives ``argv`` as ``_parse_argv`` takes it, or None if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, extra = ARGPARSE.parse_known_args(argv)
+        except SystemExit:
+            return None
+    return None if extra else vars(args)
+
+
+ARGPARSE = cli.build_parser()
+ARGV_WORDS = (
+    "--format", "--form", "--f", "--format=record", "text", "record", "json",
+    "--cells", "--cel", "--cells=1", "--model", "--mod", "--model=slist", "term", "slist", "TERM",
+    "--suite", "--seed", "--max-size", "-h", "--help", "--", "-", "", "-x", "-1", "-b x y",
+    "b x y", "id (x*y)", SPAN_A, SPAN_ID2, FAMILY,
+    "normalize", "equal", "span-compose", "unbias", "check-laws", "norm",
+)
+POSITIONALS = ("b x y", "id (x*y)", SPAN_A, SPAN_ID2, FAMILY, "-", "")
+GOOD_OPTIONS = (("--cells",), ("--model", "term"), ("--model", "slist"))
+BAD_OPTIONS = (("--model", "json"), ("--model",), ("--mod", "term"), ("--model=slist",), ("--cells=1",), ("-h",),
+               ("--format", "record"), ("--suite", "span"), ("--",), ("-x",), ("b x y",))
+
+
+@st.composite
+def requests(draw, formats, options):
+    """Argv of a command with its number of positionals and some ``options``, in any order."""
+    argv = [word for _ in range(draw(st.integers(0, 2))) for word in ("--format", draw(st.sampled_from(formats)))]
+    command = draw(st.sampled_from(("normalize", "equal", "span-compose", "unbias", "check-laws")))
+    arity = {"normalize": 1, "equal": 2, "span-compose": draw(st.integers(1, 3)), "unbias": 2}.get(command, 0)
+    groups = [(word,) for word in draw(st.lists(st.sampled_from(POSITIONALS), min_size=arity, max_size=arity))]
+    groups += draw(st.lists(st.sampled_from(options), max_size=3))
+    return argv + [command] + [word for group in draw(st.permutations(groups)) for word in group]
+
+
+ARGVS = st.one_of(
+    st.lists(st.sampled_from(ARGV_WORDS), max_size=7),
+    requests(("text", "record"), GOOD_OPTIONS),
+    requests(("text", "record", "json"), GOOD_OPTIONS + BAD_OPTIONS),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(ARGVS)
+@example(["span-compose", SPAN_A, "--cells", SPAN_ID2])  # argparse: "unrecognized arguments"
+@example(["unbias", SPAN_A, "--cells", FAMILY])  # argparse reads it
+@example(["--format", "record", "--format", "text", "equal", "-", ""])
+def test_the_direct_reader_reads_as_argparse_or_declines(argv):
+    read = cli._read_argv(list(argv))
+    assert read is None or vars(read) == argparse_reads(argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "b x y"],
+    ["--format", "record", "equal", "b x y", "-"],
+    ["equal", "", "id (x*y)"],
+    ["--format", "text", "--format", "record", "span-compose", SPAN_A, SPAN_ID2, "--cells", "--cells"],
+    ["span-compose", "-"],
+    ["unbias", SPAN_A, "--cells", FAMILY, "--model", "slist", "--model", "term"],
+    ["unbias", "--model", "slist", "-", FAMILY],
+])
+def test_the_direct_reader_reads_well_formed_requests(argv):
+    read = cli._read_argv(argv)
+    assert read is not None and vars(read) == argparse_reads(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["span-compose", SPAN_A, "--cells", SPAN_ID2],  # argparse refuses it
+    ["span-compose", "--cells", SPAN_A],  # argparse reads it, but no span after an option is read here
+    ["normalize", "b x y", "--format", "record"],
+    ["--form", "record", "normalize", "b x y"],
+    ["--format=record", "normalize", "b x y"],
+    ["unbias", SPAN_A, FAMILY, "--model=slist"],
+    ["unbias", SPAN_A, FAMILY, "--mod", "slist"],
+    ["unbias", SPAN_A, FAMILY, "--model", "json"],
+    ["unbias", SPAN_A, FAMILY, "--model"],
+    ["equal", "b x y", "--", "-x"],
+    ["normalize", "-h"],
+    ["normalize"],
+    ["normalize", "b x y", "b x y"],
+    ["check-laws"],
+    ["--format", "json", "normalize", "b x y"],
+    ["--format"],
+    [],
+])
+def test_the_direct_reader_declines(argv):
+    assert cli._read_argv(argv) is None
 
 
 def test_parser_is_not_built_at_import():

@@ -85,6 +85,12 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     # each run less a bare interpreter's run beside it: below the wall time, whatever the noise
     assert list(wall["over_bare_s"]) == list(wall["wall_s"])
     assert all(wall["over_bare_s"][name] < t for name, t in wall["wall_s"].items())
+    # argv read directly for the request commands, and by argparse for an "=" form and check-laws
+    argv = curves["argv"]
+    requests = ["normalize", "equal", "span-compose --cells", "unbias --model slist --cells"]
+    assert argv["unit"] == "s" and list(argv["direct_s"]) == requests
+    assert list(argv["declined_s"]) == [*requests, "check-laws"]
+    assert all(t > 0 for times in (argv["direct_s"], argv["declined_s"]) for t in times.values())
     # a FinFun's bytes, build and three reads, through each constructor
     values = curves["values"]
     assert values["class"] == "FinFun" and values["count"] > 0

@@ -33,3 +33,19 @@ def test_run_suite_calls_the_module_attribute(monkeypatch):
     reports = laws.run_suite("all", max_size=2, seed=1)
     assert [r.name for r in reports] == list(SUITE_NAMES)
     assert reports[SUITE_NAMES.index("span")] is marker
+
+
+def test_unbias_naturality_draws_its_cells_on_nonempty_apexes(monkeypatch):
+    # the comparison-naturality law of each triple runs on a pith cell of s; a cell of an empty
+    # apex is an identity, so a check that drew only those would test nothing
+    apexes = []
+    draw = laws.random_pith_cell
+
+    def counting(rng, s):
+        apexes.append(s.apex.size)
+        return draw(rng, s)
+
+    monkeypatch.setattr(laws, "random_pith_cell", counting)
+    (report,) = laws.run_suite("unbias", seed=0)
+    assert report.ok and report.cases == 8395
+    assert len(apexes) == 38 and min(apexes) > 0  # 38 of the 55 triples have a non-empty apex

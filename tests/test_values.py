@@ -256,6 +256,24 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
     assert proc.stdout.split() == []
 
 
+def test_a_well_formed_request_imports_no_argparse():
+    """A fresh interpreter runs requests read directly, without ``argparse`` and the modules it loads."""
+    code = (
+        "import io, sys; sys.path.insert(0, sys.argv[1]); from smckit import cli; "
+        "codes = [cli.main(argv, out=io.StringIO()) for argv in "
+        "(['equal', 'b x y ; b y x', 'id (x*y)'], ['equal', 'b x y', 'b y x ; b x y'])]; "
+        "print(*codes, *sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))); "
+        "sys.exit(cli.main(['-h']))"
+    )
+    src = str(Path(smckit.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # a true decision, then a typing error (the two sides have different boundaries)
+    first, help_text = proc.stdout.split("\n", 1)
+    assert first.split() == ["0", "2"]
+    assert help_text.startswith("usage: smckit [-h] [--format {text,record}]")
+
+
 # The generated methods are compiled once per shape, over placeholder fields f0, f1, ..., and
 # relabeled for each class; these classes check the relabeling against a frozen data class.
 
