@@ -729,6 +729,9 @@ def test_parser_is_built_once_per_process(monkeypatch):
 # the direct argv reader against argparse
 
 
+ARGPARSE = cli.build_parser()
+
+
 def argparse_reads(argv):
     """``vars`` of the namespace argparse gives ``argv`` as ``_parse_argv`` takes it, or None if it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -739,7 +742,6 @@ def argparse_reads(argv):
     return None if extra else vars(args)
 
 
-ARGPARSE = cli.build_parser()
 ARGV_WORDS = (
     "--format", "--form", "--f", "--format=record", "text", "record", "json",
     "--cells", "--cel", "--cells=1", "--model", "--mod", "--model=slist", "term", "slist", "TERM",
@@ -796,7 +798,6 @@ def test_the_direct_reader_reads_well_formed_requests(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["span-compose", SPAN_A, "--cells", SPAN_ID2],  # argparse refuses it
     ["span-compose", "--cells", SPAN_A],  # argparse reads it, but no span after an option is read here
     ["normalize", "b x y", "--format", "record"],
     ["--form", "record", "normalize", "b x y"],
