@@ -54,10 +54,9 @@ from .terms import (
     ObjTerm,
     RightUnitor,
     canonical_term,
+    normal_forms,
     normalize_obj,
     obj_text,
-    program_normal_form,
-    program_normal_forms,
     syntax,
 )
 from .terms import typecheck  # noqa: F401  unused: normalize typechecks; perfbench's tests patch cli.typecheck
@@ -441,7 +440,7 @@ def term_text(arg: str) -> str:
 
 def cmd_normalize(args, out) -> int:
     objs = Objects()
-    hom = program_normal_form(parse_program(term_text(args.term), objs), objs)
+    (hom,) = normal_forms(objs, parse_program(term_text(args.term), objs))
     emit(out, args.format, {
         "kind": "normal-form",
         "source": [str(x) for x in hom.src.labels],
@@ -461,7 +460,7 @@ def cmd_equal(args, out) -> int:
     objs = Objects()
     lhs = parse_program(term_text(args.lhs), objs)
     rhs = parse_program(term_text(args.rhs), objs)
-    lhs, rhs = program_normal_forms(lhs, rhs, objs)
+    lhs, rhs = normal_forms(objs, lhs, rhs)
     equal = hom_equal(lhs, rhs)
     record = {"kind": "decision", "equal": equal}
     if not equal:

@@ -361,52 +361,40 @@ def _move_target(move: MorTerm) -> ObjTerm:
     return Tensor(inverse.x, Unit())
 
 
-def _whisker(obj: ObjTerm, path, move: MorTerm) -> MorTerm:
-    if not path:
-        return move
-    if path[0] == "L":
-        return Par(_whisker(obj.left, path[1:], move), Id(obj.right))
-    return Par(Id(obj.left), _whisker(obj.right, path[1:], move))
-
-
-def _replace_at(obj: ObjTerm, path, new: ObjTerm) -> ObjTerm:
-    """``obj`` with the subtree at ``path`` replaced by ``new``."""
-    spine = []
-    for step in path:
-        spine.append((step, obj))
-        obj = obj.left if step == "L" else obj.right
-    for step, parent in reversed(spine):
-        new = Tensor(new, parent.right) if step == "L" else Tensor(parent.left, new)
-    return new
-
-
 def random_walk_term(rng: Random, labels, steps: int) -> MorTerm:
     """A random well-typed structural morphism, built as a left-nested walk.
 
-    The walk carries its current object: after each step the moved
-    subtree's target is put in at the move's path.
+    The walk carries its current object: each step starts at the last
+    step's target.
     """
     obj = random_obj(rng, labels)
     term: MorTerm = Id(obj)
     for _ in range(steps):
-        path, move, target = _random_move(rng, obj)
-        term = Comp(term, _whisker(obj, path, move))
-        obj = _replace_at(obj, path, target)
+        step, obj = _random_structural_from(rng, obj)
+        term = Comp(term, step)
     return term
 
 
-def _random_move(rng: Random, obj: ObjTerm) -> tuple:
-    """A random (path, move, target): a structural move at the subtree of ``obj`` at the path."""
+def _random_structural_from(rng: Random, obj: ObjTerm) -> tuple[MorTerm, ObjTerm]:
+    """A random structural step out of ``obj``, whiskered to all of it, and its target.
+
+    A move is drawn at a subtree; one walk down its path and back up
+    whiskers the move with identities and puts the move's target in.
+    """
     positions = _positions(obj)
     allow_growth = len(positions) < 15
     path, move = rng.choice([(path, move) for path, sub in positions for move in _moves_at(sub, allow_growth)])
-    return path, move, _move_target(move)
-
-
-def _random_structural_from(rng: Random, obj: ObjTerm) -> tuple[MorTerm, ObjTerm]:
-    """A random structural step out of ``obj``, whiskered to all of it, and its target."""
-    path, move, target = _random_move(rng, obj)
-    return _whisker(obj, path, move), _replace_at(obj, path, target)
+    spine = []
+    for step in path:
+        spine.append((step, obj))
+        obj = obj.left if step == "L" else obj.right
+    target = _move_target(move)
+    for step, parent in reversed(spine):
+        if step == "L":
+            move, target = Par(move, Id(parent.right)), Tensor(target, parent.right)
+        else:
+            move, target = Par(Id(parent.left), move), Tensor(parent.left, target)
+    return move, target
 
 
 def axiom_rewrite(rng: Random, t: MorTerm, depth: int = 0) -> MorTerm:
@@ -436,8 +424,9 @@ def axiom_rewrite(rng: Random, t: MorTerm, depth: int = 0) -> MorTerm:
     if isinstance(t, Comp) and isinstance(t.second, Comp):
         options.append(lambda: Comp(Comp(t.first, t.second.first), t.second.second))
     if isinstance(t, Par):
+        # the boundaries of a tensor of morphisms are the tensors of its parts' boundaries
         a, b = t.left, t.right
-        (a_src, a_tgt), (b_src, b_tgt) = boundaries(a), boundaries(b)
+        a_src, a_tgt, b_src, b_tgt = src.left, tgt.left, src.right, tgt.right
         options.append(lambda: Comp(Par(a, Id(b_src)), Par(Id(a_tgt), b)))
         options.append(lambda: Comp(Par(Id(a_src), b), Par(a, Id(b_tgt))))
         options.append(lambda: Comp(Comp(Braid(a_src, b_src), Par(b, a)), Braid(b_tgt, a_tgt)))

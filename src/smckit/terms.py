@@ -595,15 +595,24 @@ def boundaries(t: MorTerm) -> tuple[ObjTerm, ObjTerm]:
     return objs.terms[src], objs.terms[tgt]
 
 
-def _normal_form(program: list, objs: Objects) -> tuple[SListHom, int, int]:
-    src, tgt, phi = run(program, objs)
-    hom = SListHom(SList(obj_labels(objs.terms[src])), SList(obj_labels(objs.terms[tgt])), Perm(phi))
-    return hom, src, tgt
+def normal_forms(objs: Objects, *programs: list) -> list[SListHom]:
+    """The normal forms of programs over one table, which must share their boundaries.
 
-
-def program_normal_form(program: list, objs: Objects) -> SListHom:
-    """The normal form of a program; see ``normalize``."""
-    return _normal_form(program, objs)[0]
+    The programs are run in order, so the first ill-typed one raises
+    ``IllTyped``; a program whose source or target differs from the
+    first's, syntactically, raises ``BoundaryMismatch``.  The shared
+    source and target are labeled once.
+    """
+    homs = []
+    for program in programs:
+        src, tgt, phi = run(program, objs)
+        if not homs:
+            first_src, first_tgt = src, tgt
+            source, target = SList(obj_labels(objs.terms[src])), SList(obj_labels(objs.terms[tgt]))
+        elif src != first_src or tgt != first_tgt:
+            raise BoundaryMismatch("decide_equal needs syntactically equal boundaries")
+        homs.append(SListHom(source, target, Perm(phi)))
+    return homs
 
 
 def normalize(t: MorTerm) -> SListHom:
@@ -619,25 +628,7 @@ def normalize(t: MorTerm) -> SListHom:
     (0, 1, 2)
     """
     objs = Objects()
-    return program_normal_form(flatten(t, objs), objs)
-
-
-def program_normal_forms(p: list, q: list, objs: Objects) -> tuple[SListHom, SListHom]:
-    """Normal forms of two programs over one table whose boundaries are equal; p is run first."""
-    hp, p_src, p_tgt = _normal_form(p, objs)
-    hq, q_src, q_tgt = _normal_form(q, objs)
-    if p_src != q_src or p_tgt != q_tgt:
-        raise BoundaryMismatch("decide_equal needs syntactically equal boundaries")
-    return hp, hq
-
-
-def normal_forms(s: MorTerm, t: MorTerm) -> tuple[SListHom, SListHom]:
-    """Normal forms of two well-typed terms with syntactically equal boundaries.
-
-    Normalizing typechecks each term, so each is typechecked once.
-    """
-    objs = Objects()
-    return program_normal_forms(flatten(s, objs), flatten(t, objs), objs)
+    return normal_forms(objs, flatten(t, objs))[0]
 
 
 def decide_equal(s: MorTerm, t: MorTerm) -> bool:
@@ -647,7 +638,8 @@ def decide_equal(s: MorTerm, t: MorTerm) -> bool:
     >>> decide_equal(Braid(a, a), Id(Tensor(a, a)))
     False
     """
-    return hom_equal(*normal_forms(s, t))
+    objs = Objects()
+    return hom_equal(*normal_forms(objs, flatten(s, objs), flatten(t, objs)))
 
 
 # ---------------------------------------------------------------------------

@@ -873,10 +873,21 @@ def test_threads_share_the_parser(monkeypatch):
         requests += [("normalize", term), ("equal", term, term)]
     requests += [("span-compose", SPAN_A, SPAN_ID2, "--cells"), ("span-compose", SPAN_ID2, SPAN_A, SPAN_ID2, "--cells")] * 6
     requests += [("unbias", SPAN_A, FAMILY, "--cells"), ("--format", "record", "unbias", SPAN_A, FAMILY, "--model", "slist")] * 6
+    # argv that _read_argv declines, so the threads race to build the one parser
+    usage_error = ("normalize",)
+    requests += [("check-laws", "--suite", "braiding", "--seed", "1"), ("--format=record", "equal", term, term), usage_error] * 2
     Random(3).shuffle(requests)
     serial = [run(*argv) for argv in requests]
-    assert all(code == 0 for code, _ in serial)
-    monkeypatch.setattr(cli, "_PARSER", None)  # the threads also race to build it
+    assert all(code == (2 if argv == usage_error else 0) for argv, (code, _) in zip(requests, serial))
+    builds = []
+    build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -885,3 +896,4 @@ def test_threads_share_the_parser(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+    assert builds  # the parser was built while the threads ran

@@ -14,7 +14,7 @@ import smckit
 PACKAGE = Path(smckit.__file__).parent
 
 ALLOWED = {
-    "laws.py": {"random_obj", "_whisker", "axiom_rewrite"},
+    "laws.py": {"random_obj", "axiom_rewrite"},
     "monoidal.py": {"_partial_braid_word", "_braiding_word"},  # the helpers of the braiding_recursive oracle
 }
 

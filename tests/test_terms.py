@@ -392,10 +392,14 @@ def test_normal_forms_compare_boundaries_structurally():
     # with another bracketing do not
     s = Comp(Braid(a, Tensor(b, c)), Braid(Tensor(b, c), a))
     t = Id(Tensor(Gen("a"), Tensor(Gen("b"), Gen("c"))))
-    hs, ht = normal_forms(s, t)
+    def forms(*ts):
+        objs = terms.Objects()
+        return normal_forms(objs, *(terms.flatten(t, objs) for t in ts))
+
+    hs, ht = forms(s, t)
     assert hom_equal(hs, ht)
     with pytest.raises(BoundaryMismatch):
-        normal_forms(s, Id(Tensor(Tensor(a, b), c)))
+        forms(s, Id(Tensor(Tensor(a, b), c)))
 
 
 # ---------------------------------------------------------------------------
