@@ -697,7 +697,8 @@ def test_render_prints_composition_flat():
 # one parser per process
 
 
-def test_parser_is_built_once_per_process(monkeypatch):
+def _count_builds(monkeypatch) -> list:
+    """Drop the process's parser; each later build_parser call appends to the list returned."""
     builds = []
     build = cli.build_parser
 
@@ -707,6 +708,11 @@ def test_parser_is_built_once_per_process(monkeypatch):
 
     monkeypatch.setattr(cli, "_PARSER", None)
     monkeypatch.setattr(cli, "build_parser", counting_build)
+    return builds
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    builds = _count_builds(monkeypatch)
 
     def well_formed():
         for _ in range(20):
@@ -879,15 +885,7 @@ def test_threads_share_the_parser(monkeypatch):
     Random(3).shuffle(requests)
     serial = [run(*argv) for argv in requests]
     assert all(code == (2 if argv == usage_error else 0) for argv, (code, _) in zip(requests, serial))
-    builds = []
-    build = cli.build_parser
-
-    def counting_build():
-        builds.append(1)
-        return build()
-
-    monkeypatch.setattr(cli, "_PARSER", None)
-    monkeypatch.setattr(cli, "build_parser", counting_build)
+    builds = _count_builds(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
