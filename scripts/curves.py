@@ -45,11 +45,17 @@ without ``--out`` they are printed.  The curves are:
   ``spans.assoc_cell`` of a chain of three built the same way (each left
   leg after the first a bijection), against apex size n.  Every composite
   in the chain has exactly n apex elements, and no ``shared_composites``
-  scope is open, as in ``smckit span-compose``;
+  scope is open;
 * ``unitor_cells``: ``spans.left_unitor_cell`` and
   ``spans.right_unitor_cell`` of one span, both cells in one call as
   ``smckit span-compose --cells`` makes them, against apex size n.  Both
   legs go to six elements with fibers that differ in size by at most one;
+* ``span_compose_cells``: ``smckit --format record span-compose A B C
+  --cells`` run in-process on a chain of three spans of n apex elements
+  each, against the apex of the composite (about 4n, from about 500 to
+  10,000).  Every leg has fibers that differ in size by at most one: the
+  inner feet have n/2 elements, the outer ones eight and three.  It times
+  the whole request: argv, records, the fold, the cells and the output;
 * ``pullback_dense``: ``spans.pullback`` of two maps of n points each onto
   a fixed foot of four, with fibers that differ in size by at most one,
   for n over the apex sizes, against the number of pairs (about n*n/4).
@@ -138,6 +144,7 @@ UNITOR_FOOT = 6
 DENSE_FOOT = 4
 LIST_LENGTHS = (10, 20, 40, 80, 160, 320, 640)
 EQUAL_SIZES = (4, 8, 12, 16, 20, 24)
+CELLS_SPAN_SIZES = (125, 250, 500, 1000, 2500)
 MIN_SAMPLE_S = 0.02
 STARTUP_RUNS = 9
 VALUE_COUNT = 1000
@@ -351,6 +358,19 @@ def unitor_cells_call(n: int):
     return lambda: (left_unitor_cell(s), right_unitor_cell(s))
 
 
+def span_compose_cells_calls(sizes) -> dict:
+    """Composite apex -> a call of ``smckit span-compose --cells`` on a balanced chain of three n-point spans."""
+    calls = {}
+    for n in sizes:
+        rng = Random(n)
+        feet = (ENTRIES, n // 2, n // 2, 3)
+        chain = [Span(balanced_function(rng, n, dom), balanced_function(rng, n, cod)) for dom, cod in zip(feet, feet[1:])]
+        argv = REC + ["span-compose", *(json.dumps({"schema": "smckit/1", **cli.span_to_record(s)}) for s in chain), "--cells"]
+        apex = compose_span(compose_span(*chain[:2]), chain[2]).apex.size
+        calls[apex] = lambda argv=argv: cli.main(argv, out=io.StringIO())
+    return calls
+
+
 def pullback_dense_calls(sizes) -> dict:
     """Pair count -> a call of the pullback of two balanced maps of n points onto ``DENSE_FOOT`` elements."""
     calls = {}
@@ -471,6 +491,7 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
     equal_at = equal_text_calls(EQUAL_SIZES)
     render_at = render_cells_calls(arities)
     dense_at = pullback_dense_calls(apex_sizes)
+    cells_at = span_compose_cells_calls(CELLS_SPAN_SIZES)
     return {
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(), "platform": platform.platform()},
         "repeats": repeats,
@@ -491,6 +512,7 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
         "compose_span": curve("apex", apex_sizes, compose_span_call, repeats),
         "assoc_cell": curve("apex", apex_sizes, assoc_cell_call, repeats),
         "unitor_cells": curve("apex", apex_sizes, unitor_cells_call, repeats),
+        "span_compose_cells": curve("apex", list(cells_at), cells_at.get, repeats),
         "pullback_dense": curve("pairs", list(dense_at), dense_at.get, repeats),
         "k_hcomp": curve("n", list_lengths, k_hcomp_call, repeats),
         "startup": startup(),

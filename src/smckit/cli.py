@@ -22,6 +22,7 @@ import json
 import os
 import re
 import sys
+from contextlib import nullcontext
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -36,8 +37,9 @@ from .spans import (
     Span,
     assoc_cell,
     compose_span,
-    left_unitor_cell,
+    fibers,
     right_unitor_cell,
+    shared_composites,
     span_pull,
     span_push,
 )
@@ -472,18 +474,22 @@ def cmd_equal(args, out) -> int:
 
 def cmd_span_compose(args, out) -> int:
     spans = [span_from_record(load_record(src, "span")) for src in args.spans]
-    composite = spans[0]
-    for nxt in spans[1:]:
-        composite = compose_span(composite, nxt)
-    emit(out, args.format, span_to_record(composite))
-    if args.cells:
-        emit(out, args.format, {
-            "kind": "structural-cells",
-            "lunitor": list(left_unitor_cell(composite).map.img),
-            "runitor": list(right_unitor_cell(composite).map.img),
-        })
-        if len(spans) >= 3:
-            emit(out, args.format, {"kind": "assoc-cell", "map": list(assoc_cell(*spans[:3]).map.img)})
+    # the associator cell reuses the fold's s;t and (s;t);u from one table for the command;
+    # without that cell no composite is asked for twice, and hashing the keys would only cost
+    with shared_composites() if args.cells and len(spans) >= 3 else nullcontext():
+        composite = spans[0]
+        for nxt in spans[1:]:
+            composite = compose_span(composite, nxt)
+        emit(out, args.format, span_to_record(composite))
+        if args.cells:
+            emit(out, args.format, {
+                "kind": "structural-cells",
+                # left_unitor_cell's map, without the source span the record does not show
+                "lunitor": list(itertools.chain.from_iterable(fibers(composite.left))),
+                "runitor": list(right_unitor_cell(composite).map.img),
+            })
+            if len(spans) >= 3:
+                emit(out, args.format, {"kind": "assoc-cell", "map": list(assoc_cell(*spans[:3]).map.img)})
     return 0
 
 

@@ -19,9 +19,12 @@ reuses one pullback for the span and for the lifts into its apex.  Inside a
 ``shared_composites()`` scope it also returns the same pair for every later
 request of an equal (s, t), so a law check that pastes many cells over the
 same chain builds each composite once; the table is dropped with the scope.
-The law suites open one scope per law check; the CLI opens none.  The
-unitor cells call no ``composite``: a composite with an identity span has a
-closed form, which they write directly.
+The law suites open one scope per law check, and ``span-compose --cells``
+opens one for a chain of three or more spans, so that its associator cell
+reuses the fold's s;t and (s;t);u.  The unitor cells call no
+``composite``: a composite with an identity span has a closed form, which
+they write directly, and ``span-compose`` reads the left unitor's map off
+the fibers without building the cell.
 """
 
 from __future__ import annotations

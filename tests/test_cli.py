@@ -1,7 +1,9 @@
 """CLI: parser round trips, golden outputs, exit codes, record format."""
 
 import contextlib
+import functools
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -195,19 +197,72 @@ def test_record_errors():
     assert code == 2
 
 
-def test_span_compose_shares_no_composites(monkeypatch):
-    """``span-compose`` builds each composite afresh: no ``shared_composites`` scope is open."""
-    tables = []
-    composite = spans.composite
+# composable spans 2 -> 2, pairwise distinct, none a unit for another, so no two composites coincide
+CHAIN = [SPAN_A, *(json.dumps({
+    "schema": "smckit/1", "kind": "span", "apex": len(left),
+    "left": {"target": 2, "img": left},
+    "right": {"target": 2, "img": right},
+}) for left, right in (([1, 0], [0, 1]), ([0, 0, 1], [1, 0, 1]), ([1], [0])))]
 
-    def watching(s, t):
-        tables.append(spans._scope.table)
-        return composite(s, t)
 
-    monkeypatch.setattr(spans, "composite", watching)
-    for fmt in ("text", "record"):
-        assert run("--format", fmt, "span-compose", SPAN_A, SPAN_ID2, SPAN_ID2, "--cells")[0] == 0
-    assert tables and all(table is None for table in tables)
+@pytest.mark.parametrize("fmt", ["text", "record"])
+def test_span_compose_builds_each_pullback_once(fmt, monkeypatch):
+    """A k-chain builds its k - 1 composites; ``--cells`` adds only the associator's t;u and s;(t;u)."""
+    built = []
+    pullback = spans.pullback
+
+    def counting(f, g):
+        built.append((f, g))
+        return pullback(f, g)
+
+    monkeypatch.setattr(spans, "pullback", counting)
+    # chain length -> pullbacks without and with --cells (at 3 and 4 the cells rebuilt s;t and (s;t);u: 6 and 7)
+    for k, (bare, cells) in {1: (0, 0), 2: (1, 1), 3: (2, 4), 4: (3, 5)}.items():
+        for options, want in (([], bare), (["--cells"], cells)):
+            built.clear()
+            assert run("--format", fmt, "span-compose", *CHAIN[:k], *options)[0] == 0
+            assert len(built) == want, (k, options)
+            assert spans._scope.table is None  # no composite outlives the command
+
+
+def _edge_chains():
+    """(seed, size, length) of chains with an empty foot and of chains with an empty apex over non-empty feet."""
+    empty_foot = empty_apex = None
+    for seed in itertools.count():
+        chain = laws.random_chain(Random(seed), 3, 4)
+        if empty_foot is None and any(s.dom.size == 0 or s.cod.size == 0 for s in chain):
+            empty_foot = seed
+        if empty_apex is None and any(s.apex.size == 0 and s.dom.size and s.cod.size for s in chain):
+            empty_apex = seed
+        if empty_foot is not None and empty_apex is not None:
+            return [(0, 0, 1), (0, 0, 4), (empty_foot, 3, 4), (empty_apex, 3, 4)]
+
+
+def _with_edge_examples(test):
+    for seed, size, length in _edge_chains():
+        test = example(seed=seed, size=size, length=length)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 3), length=st.integers(1, 4))
+@_with_edge_examples
+def test_span_compose_cells_agree_with_the_library(seed, size, length):
+    """The records of ``span-compose --cells`` are the library's fold and cells, built afresh."""
+    chain = laws.random_chain(Random(seed), size, length)
+    argv = [json.dumps({"schema": "smckit/1", **span_to_record(s)}) for s in chain]
+    code, text = run("--format", "record", "span-compose", *argv, "--cells")
+    assert code == 0
+    records = [json.loads(line) for line in text.splitlines()]
+    composite = functools.reduce(spans.compose_span, chain)
+    assert span_from_record(records[0]) == composite
+    assert records[1]["kind"] == "structural-cells"
+    assert records[1]["lunitor"] == list(spans.left_unitor_cell(composite).map.img)
+    assert records[1]["runitor"] == list(range(composite.apex.size))
+    if length >= 3:
+        assert records[2] == {"schema": "smckit/1", "kind": "assoc-cell",
+                              "map": list(spans.assoc_cell(*chain[:3]).map.img)}
+    assert len(records) == (3 if length >= 3 else 2)
 
 
 def test_unbias_golden():

@@ -69,6 +69,11 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     dense = curves["pullback_dense"]
     assert dense["x"] == "pairs" and [n for n, _ in dense["points"]] == [1, 3]
     assert all(t > 0 for _, t in dense["points"])
+    # span-compose --cells in-process on balanced 3-chains, against the composite's apex, which no option changes
+    cells = curves["span_compose_cells"]
+    apexes = [n for n, _ in cells["points"]]
+    assert cells["x"] == "apex" and len(apexes) == 5 and apexes == sorted(set(apexes))
+    assert 400 < apexes[0] and apexes[-1] <= 10_000 and all(t > 0 for _, t in cells["points"])
     assert [n for n, _ in curves["k_hcomp"]["points"]] == [1, 4]
     assert all(t > 0 for c in (*apex_curves, curves["k_hcomp"]) for _, t in c["points"])
     assert all(t > 0 for c in curves["psi_hom_reversal"].values() for _, t in c["points"])
