@@ -364,8 +364,9 @@ def span_compose_cells_calls(sizes) -> dict:
     for n in sizes:
         rng = Random(n)
         feet = (ENTRIES, n // 2, n // 2, 3)
-        chain = [Span(balanced_function(rng, n, dom), balanced_function(rng, n, cod)) for dom, cod in zip(feet, feet[1:])]
-        argv = REC + ["span-compose", *(json.dumps({"schema": "smckit/1", **cli.span_to_record(s)}) for s in chain), "--cells"]
+        chain = [Span(balanced_function(rng, n, a), balanced_function(rng, n, b)) for a, b in zip(feet, feet[1:])]
+        records = [json.dumps({"schema": "smckit/1", **cli.span_to_record(s)}) for s in chain]
+        argv = REC + ["span-compose", *records, "--cells"]
         apex = compose_span(compose_span(*chain[:2]), chain[2]).apex.size
         calls[apex] = lambda argv=argv: cli.main(argv, out=io.StringIO())
     return calls

@@ -3,7 +3,6 @@
 import contextlib
 import functools
 import io
-import itertools
 import json
 import os
 import subprocess
@@ -225,28 +224,12 @@ def test_span_compose_builds_each_pullback_once(fmt, monkeypatch):
             assert spans._scope.table is None  # no composite outlives the command
 
 
-def _edge_chains():
-    """(seed, size, length) of chains with an empty foot and of chains with an empty apex over non-empty feet."""
-    empty_foot = empty_apex = None
-    for seed in itertools.count():
-        chain = laws.random_chain(Random(seed), 3, 4)
-        if empty_foot is None and any(s.dom.size == 0 or s.cod.size == 0 for s in chain):
-            empty_foot = seed
-        if empty_apex is None and any(s.apex.size == 0 and s.dom.size and s.cod.size for s in chain):
-            empty_apex = seed
-        if empty_foot is not None and empty_apex is not None:
-            return [(0, 0, 1), (0, 0, 4), (empty_foot, 3, 4), (empty_apex, 3, 4)]
-
-
-def _with_edge_examples(test):
-    for seed, size, length in _edge_chains():
-        test = example(seed=seed, size=size, length=length)(test)
-    return test
-
-
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 3), length=st.integers(1, 4))
-@_with_edge_examples
+@example(seed=0, size=0, length=1)
+@example(seed=0, size=0, length=4)  # every apex and foot empty
+@example(seed=1, size=3, length=4)  # an empty foot (tests/test_draws.py pins what random_chain draws)
+@example(seed=0, size=3, length=4)  # an empty apex over non-empty feet
 def test_span_compose_cells_agree_with_the_library(seed, size, length):
     """The records of ``span-compose --cells`` are the library's fold and cells, built afresh."""
     chain = laws.random_chain(Random(seed), size, length)
