@@ -47,9 +47,9 @@ without ``--out`` they are printed.  The curves are:
   in the chain has exactly n apex elements, and no ``shared_composites``
   scope is open;
 * ``unitor_cells``: ``spans.left_unitor_cell`` and
-  ``spans.right_unitor_cell`` of one span, both cells in one call as
-  ``smckit span-compose --cells`` makes them, against apex size n.  Both
-  legs go to six elements with fibers that differ in size by at most one;
+  ``spans.right_unitor_cell`` of one span, both cells in one call,
+  against apex size n.  Both legs go to six elements with fibers that
+  differ in size by at most one;
 * ``span_compose_cells``: ``smckit --format record span-compose A B C
   --cells`` run in-process on a chain of three spans of n apex elements
   each, against the apex of the composite (about 4n, from about 500 to
