@@ -14,7 +14,12 @@ without ``--out`` they are printed.  The curves are:
 
 * ``psi_hom_reversal``: ``terms.psi_hom`` of the n-element reversal of
   singleton values, against n, in the SList and FinBij models (strict, so
-  a block permutation) and in the term model (the structural formula);
+  a block permutation) and in the term model (the structural formula).
+  Two more entries time the text of that formula, what ``smckit
+  normalize`` prints as the canonical term, for n up to ``--text-max-n``:
+  ``term_rendered`` builds the term and writes it with ``cli.render_mor``,
+  and ``syntax`` evaluates the formula in ``cli.SyntaxModel`` and joins
+  it, as the CLI does;
 * ``reduced_word``: ``perms.reduced_word`` of a random permutation of n
   elements, against n, over the same sizes;
 * ``normalize``: ``terms.normalize`` of ``canonical_term`` of a random
@@ -32,9 +37,13 @@ without ``--out`` they are printed.  The curves are:
   push the way ``smckit unbias --cells`` does, against arity, in the term
   and slist models;
 * ``render_cells``: ``cli.render_mor`` of each term-model cell that
-  ``unbias_comp_iso`` gives for the span of that curve, one call per cell
-  as ``smckit unbias --cells`` makes them, against the number of characters
-  written, for the same arities;
+  ``unbias_comp_iso`` gives for the span of that curve, one call per cell,
+  against the number of characters written, for the same arities;
+* ``cells_text``: the texts of those cells from the span, against arity:
+  ``term_rendered`` evaluates ``unbias_comp_iso`` in the term model and
+  writes each cell with ``cli.render_mor``, and ``syntax`` evaluates it in
+  ``cli.SyntaxModel`` and joins each cell, as ``smckit unbias --cells``
+  does;
 * ``f_comp_cell``: ``unbias.f_comp_cell`` of two spans with n apex
   elements each, against n.  The middle set has n elements and t's left
   leg is a bijection onto it, so the composite apex has exactly n pairs;
@@ -114,7 +123,7 @@ from pathlib import Path
 from random import Random
 
 from smckit import cli
-from smckit.cli import parse_obj, render_mor
+from smckit.cli import SyntaxModel, joined, parse_obj, render_mor, render_obj
 from smckit.kleisli import KCell, KHom, k_hcomp
 from smckit.laws import random_function
 from smckit.models import FinBijModel, FreeTermModel, SListModel
@@ -135,9 +144,10 @@ from smckit.spans import (
 from smckit.terms import Gen, canonical_term, normalize, normalize_obj, psi_hom
 from smckit.unbias import f_comp_cell, unbias_comp_iso
 
-PSI_SIZES = (10, 20, 30, 40, 60, 80, 100, 120)
+PSI_SIZES = (10, 20, 30, 40, 60, 72, 80, 100, 120)
 TERM_MAX_N = 60
-ARITIES = (4, 8, 12, 16, 24, 32, 40, 48)
+TEXT_MAX_N = 72
+ARITIES = (4, 8, 12, 16, 24, 32, 40, 48, 100, 200, 400)
 ENTRIES = 8
 APEX_SIZES = (4, 8, 16, 32, 64, 128, 256)
 UNITOR_FOOT = 6
@@ -206,11 +216,25 @@ def curve(size_name: str, sizes, make_call, repeats: int) -> dict:
     return {"x": size_name, "unit": "s", "points": points, "loglog_slope": loglog_slope(points)}
 
 
+def reversal(n: int) -> SListHom:
+    labels = tuple(range(n))
+    return SListHom(SList(labels), SList(labels[::-1]), Perm(labels[::-1]))
+
+
 def reversal_call(m, value):
     def make(n: int):
-        labels = tuple(range(n))
-        f = SListHom(SList(labels), SList(labels[::-1]), Perm(labels[::-1]))
+        f = reversal(n)
         return lambda: psi_hom(m, value, f)
+    return make
+
+
+def reversal_text_call(model_name: str):
+    """The canonical text of the n-element reversal: the term written out, or the formula joined."""
+    def make(n: int):
+        f = reversal(n)
+        if model_name == "term":
+            return lambda: render_mor(psi_hom(FreeTermModel(), Gen, f))
+        return lambda: joined(psi_hom(SyntaxModel(), str, f))
     return make
 
 
@@ -271,12 +295,18 @@ def equal_text_calls(sizes) -> dict:
 
 
 def family(model_name: str):
-    """The model and fixed family entries of one and three generators, as the CLI parses them."""
+    """The model and fixed family entries of one and three generators, as the CLI parses them.
+
+    ``model_name`` is ``term``, ``slist`` or ``syntax``, whose entries are
+    the texts ``cli.render_obj`` writes of the parsed objects.
+    """
     texts = [f"p{j % 6}" if j % 2 == 0 else f"(p{j % 6} * (p{(j + 1) % 6} * p{(j + 2) % 6}))"
              for j in range(ENTRIES)]
     objs = {j: parse_obj(text) for j, text in enumerate(texts)}
     if model_name == "term":
         return FreeTermModel(), objs
+    if model_name == "syntax":
+        return SyntaxModel(), {j: render_obj(o) for j, o in objs.items()}
     return SListModel(), {j: normalize_obj(o) for j, o in objs.items()}
 
 
@@ -306,6 +336,17 @@ def render_cells_calls(arities) -> dict:
         cells = unbias_comp_iso(*one_fiber_span(arity), m, assign)
         calls[sum(len(render_mor(c)) for c in cells)] = lambda cells=cells: [render_mor(c) for c in cells]
     return calls
+
+
+def cells_text_call(model_name: str):
+    """The texts of the cells of ``comp_iso_call``'s span: term-model cells rendered, or syntax-model cells joined."""
+    m, assign = family(model_name)
+    write = render_mor if model_name == "term" else joined
+
+    def make(arity: int):
+        pull, push = one_fiber_span(arity)
+        return lambda: [write(c) for c in unbias_comp_iso(pull, push, m, assign)]
+    return make
 
 
 def bijective_chain(n: int, length: int) -> list[Span]:
@@ -487,7 +528,7 @@ def singleton(label) -> SList:
     return SList((label,))
 
 
-def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeats: int) -> dict:
+def curves(psi_sizes, term_max_n: int, text_max_n: int, arities, apex_sizes, list_lengths, repeats: int) -> dict:
     normalize_at = normalize_calls([n for n in psi_sizes if n <= term_max_n])
     equal_at = equal_text_calls(EQUAL_SIZES)
     render_at = render_cells_calls(arities)
@@ -500,6 +541,8 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
             "slist": curve("n", psi_sizes, reversal_call(SListModel(), singleton), repeats),
             "finbij": curve("n", psi_sizes, reversal_call(FinBijModel(), lambda label: 1), repeats),
             "term": curve("n", [n for n in psi_sizes if n <= term_max_n], reversal_call(FreeTermModel(), Gen), repeats),
+            **{name: curve("n", [n for n in psi_sizes if n <= text_max_n], reversal_text_call(model), repeats)
+               for name, model in (("term_rendered", "term"), ("syntax", "syntax"))},
         },
         "reduced_word": curve("n", psi_sizes, reduced_word_call, repeats),
         "normalize": curve("nodes", list(normalize_at), normalize_at.get, repeats),
@@ -508,6 +551,10 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
             name: curve("arity", arities, comp_iso_call(name), repeats) for name in ("term", "slist")
         },
         "render_cells": curve("chars", list(render_at), render_at.get, repeats),
+        "cells_text": {
+            name: curve("arity", arities, cells_text_call(model), repeats)
+            for name, model in (("term_rendered", "term"), ("syntax", "syntax"))
+        },
         "f_comp_cell": curve("apex", apex_sizes, f_comp_call, repeats),
         "pullback": curve("apex", apex_sizes, pullback_call, repeats),
         "compose_span": curve("apex", apex_sizes, compose_span_call, repeats),
@@ -529,13 +576,15 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--psi-sizes", type=int, nargs="+", default=PSI_SIZES)
     p.add_argument("--term-max-n", type=int, default=TERM_MAX_N)
+    p.add_argument("--text-max-n", type=int, default=TEXT_MAX_N)
     p.add_argument("--arities", type=int, nargs="+", default=ARITIES)
     p.add_argument("--apex-sizes", type=int, nargs="+", default=APEX_SIZES)
     p.add_argument("--list-lengths", type=int, nargs="+", default=LIST_LENGTHS)
     args = p.parse_args(argv)
 
     t0 = time.perf_counter()
-    data = curves(args.psi_sizes, args.term_max_n, args.arities, args.apex_sizes, args.list_lengths, args.repeats)
+    data = curves(args.psi_sizes, args.term_max_n, args.text_max_n, args.arities, args.apex_sizes, args.list_lengths,
+                  args.repeats)
     data["elapsed_s"] = time.perf_counter() - t0
     if args.out is None:
         print(json.dumps(data, indent=1))

@@ -13,6 +13,11 @@ with a ``schema`` field (currently ``smckit/1``); spans, families and
 results can be piped back as inputs, and a term given as ``-`` is read
 from stdin.  Exit codes: 0 for success or a true decision, 1 for a false
 decision or law violations, 2 for usage, syntax or record errors.
+
+A canonical term and the term-model results of ``unbias`` are evaluated in
+``SyntaxModel``, whose objects and morphisms are their own texts: the
+output is written while the formula is built, and no term is built or
+walked again to print it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from . import laws
 from .errors import ParseError, RecordFormatError, SmcError
-from .models import FreeTermModel, SListModel
+from .models import SListModel
 from .perms import reduced_word
 from .slist import hom_equal
 from .spans import (
@@ -55,10 +60,11 @@ from .terms import (
     Objects,
     ObjTerm,
     RightUnitor,
-    canonical_term,
+    SmcModel,
     normal_forms,
     normalize_obj,
     obj_text,
+    psi_hom,
     syntax,
 )
 from .terms import typecheck  # noqa: F401  unused: normalize typechecks; perfbench's tests patch cli.typecheck
@@ -267,6 +273,81 @@ def render_mor(t: MorTerm) -> str:
     return syntax(t, " * ", " ; ")
 
 
+class SyntaxModel(SmcModel):
+    """The concrete syntax as a model: the texts ``render_obj`` and ``render_mor`` write, built in place.
+
+    An object is its text.  A morphism is a text or a tuple of morphisms,
+    its pieces last first, and ``joined`` writes it out: a formula
+    evaluated here is the text of the term it builds in ``FreeTermModel``,
+    with no term built and no second walk.  A tuple only points at its
+    parts, so composing and tensoring cost the same at any size, where
+    concatenating texts would copy each part once per node above it.
+    Equality parses both texts and decides them.
+
+    >>> m = SyntaxModel()
+    >>> joined(m.compose(m.braid("x", "I"), m.tensor_mor(m.identity("x"), m.braid_inv("y", m.unit()))))
+    'b x I ; (id x * inv (b y I))'
+    """
+
+    def unit(self):
+        return "I"
+
+    def tensor_obj(self, a, b):
+        return f"({a} * {b})"
+
+    def identity(self, a):
+        return "id " + a
+
+    def compose(self, f, g):
+        return (g, " ; ", f)
+
+    def tensor_mor(self, f, g):
+        return (")", g, " * ", f, "(")
+
+    def assoc(self, a, b, c):
+        return f"a {a} {b} {c}"
+
+    def assoc_inv(self, a, b, c):
+        return f"inv (a {a} {b} {c})"
+
+    def left_unitor(self, a):
+        return "l " + a
+
+    def left_unitor_inv(self, a):
+        return f"inv (l {a})"
+
+    def right_unitor(self, a):
+        return "r " + a
+
+    def right_unitor_inv(self, a):
+        return f"inv (r {a})"
+
+    def braid(self, a, b):
+        return f"b {a} {b}"
+
+    def braid_inv(self, a, b):
+        return f"inv (b {a} {b})"
+
+    def mor_equal(self, f, g):
+        objs = Objects()
+        return hom_equal(*normal_forms(objs, parse_program(joined(f), objs), parse_program(joined(g), objs)))
+
+
+def joined(f) -> str:
+    """The text of a ``SyntaxModel`` morphism, in time linear in its length and with no recursion."""
+    if type(f) is str:
+        return f
+    out: list[str] = []
+    todo = [f]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+        else:  # its pieces last first: the first is popped first
+            todo += item
+    return "".join(out)
+
+
 # ---------------------------------------------------------------------------
 # records
 
@@ -449,7 +530,7 @@ def cmd_normalize(args, out) -> int:
         "target": [str(x) for x in hom.dst.labels],
         "phi": list(hom.phi.img),
         "word": list(reduced_word(hom.phi)),
-        "canonical": render_mor(canonical_term(hom)),
+        "canonical": joined(psi_hom(SyntaxModel(), str, hom)),
     })
     return 0
 
@@ -498,7 +579,7 @@ def _family_assignment(entries: dict, model_name: str):
     table = Objects()
     objs = {j: parse_obj(text, table) for j, text in entries.items()}
     if model_name == "term":
-        return FreeTermModel(), objs
+        return SyntaxModel(), {j: render_obj(obj) for j, obj in objs.items()}
     return SListModel(), {j: normalize_obj(obj) for j, obj in objs.items()}
 
 
@@ -509,24 +590,24 @@ def cmd_unbias(args, out) -> int:
         raise RecordFormatError(
             f"family of size {size} does not match span foot of size {s.dom.size}"
         )
+    # the term model is written as text while it is built: its objects are texts already
     model, assign = _family_assignment(entries, args.model)
     result = unbias_eval(s, model, assign)
-    render = render_obj if args.model == "term" else str
     emit(out, args.format, {
         "kind": "unbias-result",
         "model": args.model,
         "fibers": {str(k): list(map(int, l.labels)) for k, l in enumerate(result.family.lists)},
-        "objects": {str(k): render(o) for k, o in enumerate(result.objects)},
+        "objects": {str(k): str(o) for k, o in enumerate(result.objects)},
     })
     if args.cells:
         # the span factors through its apex as a pull followed by a push
         comp = unbias_comp_iso(span_pull(s.left), span_push(s.right), model, assign)
         units = unbias_unit_iso(s.dom, model, assign)
-        render_m = render_mor if args.model == "term" else str
+        render = joined if args.model == "term" else str
         emit(out, args.format, {
             "kind": "coherence-cells",
-            "composition": {str(k): render_m(c) for k, c in enumerate(comp)},
-            "unit": {str(j): render_m(c) for j, c in enumerate(units)},
+            "composition": {str(k): render(c) for k, c in enumerate(comp)},
+            "unit": {str(j): render(c) for j, c in enumerate(units)},
         })
     return 0
 

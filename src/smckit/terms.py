@@ -5,7 +5,9 @@ Objects are trees built from Unit, generators and a binary tensor; structural
 morphisms are trees built from identities, composition (diagram order),
 tensor, the four structural isomorphism families and a formal inverse.
 ``syntax`` writes the concrete syntax of both in one walk, which walks a
-tensor node that the term reaches more than once only once.
+tensor node that the term reaches more than once only once; the CLI writes
+the same texts of the formulas it evaluates in ``cli.SyntaxModel``, whose
+values are those texts, and so renders only the objects it reads.
 The program of a morphism lists its atoms, their objects numbered up to
 equality, and the markers that combine them, in post-order; ``flatten``
 writes it for a term, and the CLI's parser writes it straight from text,
@@ -18,8 +20,8 @@ the symmetric monoidal axioms, so equality of well-typed terms with equal
 boundaries is decidable by comparing normal forms.  The extension Psi of
 an assignment to lists and list morphisms writes the canonical formula of
 a permutation directly as model calls; the canonical term is that formula
-in the free term model.  None of these recurse, so they work on terms of
-any depth.
+in the free term model, and its text that formula in ``cli.SyntaxModel``.
+None of these recurse, so they work on terms of any depth.
 """
 
 from __future__ import annotations

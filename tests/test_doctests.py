@@ -4,10 +4,10 @@ import doctest
 
 import pytest
 
-from smckit import kleisli, monoidal, perms, slist, spans, terms, unbias
+from smckit import cli, kleisli, monoidal, perms, slist, spans, terms, unbias
 
 
-@pytest.mark.parametrize("module", [perms, slist, monoidal, terms, spans, kleisli, unbias])
+@pytest.mark.parametrize("module", [perms, slist, monoidal, terms, spans, kleisli, unbias, cli])
 def test_doctests(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

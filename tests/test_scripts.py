@@ -37,7 +37,7 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "curves.py"), "--out", str(out), "--repeats", "1",
-         "--psi-sizes", "2", "3", "--term-max-n", "2", "--arities", "1", "2",
+         "--psi-sizes", "2", "3", "--term-max-n", "2", "--text-max-n", "2", "--arities", "1", "2",
          "--apex-sizes", "1", "3", "--list-lengths", "1", "4"],
         capture_output=True,
         text=True,
@@ -50,6 +50,9 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     curves = report["curves"]
     assert [n for n, _ in curves["psi_hom_reversal"]["slist"]["points"]] == [2, 3]
     assert [n for n, _ in curves["psi_hom_reversal"]["term"]["points"]] == [2]
+    # the canonical text, rendered from the term and joined in the syntax model, up to --text-max-n
+    for name in ("term_rendered", "syntax"):
+        assert [n for n, _ in curves["psi_hom_reversal"][name]["points"]] == [2]
     assert [n for n, _ in curves["reduced_word"]["points"]] == [2, 3]
     # one canonical term, of the one size up to --term-max-n, against its node count
     assert curves["normalize"]["x"] == "nodes" and len(curves["normalize"]["points"]) == 1
@@ -63,6 +66,10 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     chars = [n for n, _ in curves["render_cells"]["points"]]
     assert curves["render_cells"]["x"] == "chars" and len(chars) == 2 and 0 < chars[0] < chars[1]
     assert all(t > 0 for _, t in curves["render_cells"]["points"])
+    # the texts of those cells, by the term model and a render, and by the syntax model, against arity
+    assert set(curves["cells_text"]) == {"term_rendered", "syntax"}
+    for c in curves["cells_text"].values():
+        assert c["x"] == "arity" and [n for n, _ in c["points"]] == [1, 2] and all(t > 0 for _, t in c["points"])
     apex_curves = [curves[name] for name in ("f_comp_cell", "pullback", "compose_span", "assoc_cell", "unitor_cells")]
     assert all([n for n, _ in c["points"]] == [1, 3] for c in apex_curves)
     # a dense pullback of maps of 1 and 3 points onto a foot of four, against its pairs
