@@ -335,8 +335,6 @@ class SyntaxModel(SmcModel):
 
 def joined(f) -> str:
     """The text of a ``SyntaxModel`` morphism, in time linear in its length and with no recursion."""
-    if type(f) is str:
-        return f
     out: list[str] = []
     todo = [f]
     while todo:
@@ -590,7 +588,7 @@ def cmd_unbias(args, out) -> int:
         raise RecordFormatError(
             f"family of size {size} does not match span foot of size {s.dom.size}"
         )
-    # the term model is written as text while it is built: its objects are texts already
+    # in the term model the objects are their texts already
     model, assign = _family_assignment(entries, args.model)
     result = unbias_eval(s, model, assign)
     emit(out, args.format, {
