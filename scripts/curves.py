@@ -16,7 +16,7 @@ without ``--out`` they are printed.  The curves are:
   singleton values, against n, in the SList and FinBij models (strict, so
   a block permutation) and in the term model (the structural formula).
   Two more entries time the text of that formula, what ``smckit
-  normalize`` prints as the canonical term, for n up to ``--text-max-n``:
+  normalize`` prints as the canonical term, for n up to 72:
   ``term_rendered`` builds the term and writes it with ``cli.render_mor``,
   and ``syntax`` evaluates the formula in ``cli.SyntaxModel`` and joins
   it, as the CLI does;
@@ -528,7 +528,7 @@ def singleton(label) -> SList:
     return SList((label,))
 
 
-def curves(psi_sizes, term_max_n: int, text_max_n: int, arities, apex_sizes, list_lengths, repeats: int) -> dict:
+def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeats: int) -> dict:
     normalize_at = normalize_calls([n for n in psi_sizes if n <= term_max_n])
     equal_at = equal_text_calls(EQUAL_SIZES)
     render_at = render_cells_calls(arities)
@@ -541,7 +541,7 @@ def curves(psi_sizes, term_max_n: int, text_max_n: int, arities, apex_sizes, lis
             "slist": curve("n", psi_sizes, reversal_call(SListModel(), singleton), repeats),
             "finbij": curve("n", psi_sizes, reversal_call(FinBijModel(), lambda label: 1), repeats),
             "term": curve("n", [n for n in psi_sizes if n <= term_max_n], reversal_call(FreeTermModel(), Gen), repeats),
-            **{name: curve("n", [n for n in psi_sizes if n <= text_max_n], reversal_text_call(model), repeats)
+            **{name: curve("n", [n for n in psi_sizes if n <= TEXT_MAX_N], reversal_text_call(model), repeats)
                for name, model in (("term_rendered", "term"), ("syntax", "syntax"))},
         },
         "reduced_word": curve("n", psi_sizes, reduced_word_call, repeats),
@@ -576,15 +576,13 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--psi-sizes", type=int, nargs="+", default=PSI_SIZES)
     p.add_argument("--term-max-n", type=int, default=TERM_MAX_N)
-    p.add_argument("--text-max-n", type=int, default=TEXT_MAX_N)
     p.add_argument("--arities", type=int, nargs="+", default=ARITIES)
     p.add_argument("--apex-sizes", type=int, nargs="+", default=APEX_SIZES)
     p.add_argument("--list-lengths", type=int, nargs="+", default=LIST_LENGTHS)
     args = p.parse_args(argv)
 
     t0 = time.perf_counter()
-    data = curves(args.psi_sizes, args.term_max_n, args.text_max_n, args.arities, args.apex_sizes, args.list_lengths,
-                  args.repeats)
+    data = curves(args.psi_sizes, args.term_max_n, args.arities, args.apex_sizes, args.list_lengths, args.repeats)
     data["elapsed_s"] = time.perf_counter() - t0
     if args.out is None:
         print(json.dumps(data, indent=1))

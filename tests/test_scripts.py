@@ -37,7 +37,7 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "curves.py"), "--out", str(out), "--repeats", "1",
-         "--psi-sizes", "2", "3", "--term-max-n", "2", "--text-max-n", "2", "--arities", "1", "2",
+         "--psi-sizes", "2", "3", "--term-max-n", "2", "--arities", "1", "2",
          "--apex-sizes", "1", "3", "--list-lengths", "1", "4"],
         capture_output=True,
         text=True,
@@ -50,9 +50,9 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     curves = report["curves"]
     assert [n for n, _ in curves["psi_hom_reversal"]["slist"]["points"]] == [2, 3]
     assert [n for n, _ in curves["psi_hom_reversal"]["term"]["points"]] == [2]
-    # the canonical text, rendered from the term and joined in the syntax model, up to --text-max-n
+    # the canonical text, rendered from the term and joined in the syntax model, for sizes up to 72
     for name in ("term_rendered", "syntax"):
-        assert [n for n, _ in curves["psi_hom_reversal"][name]["points"]] == [2]
+        assert [n for n, _ in curves["psi_hom_reversal"][name]["points"]] == [2, 3]
     assert [n for n, _ in curves["reduced_word"]["points"]] == [2, 3]
     # one canonical term, of the one size up to --term-max-n, against its node count
     assert curves["normalize"]["x"] == "nodes" and len(curves["normalize"]["points"]) == 1
