@@ -10,7 +10,7 @@ monoidal laws hold in it and a false equation is refused.
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smckit.cli import SyntaxModel, joined, parse_obj, render_mor, render_obj
 from smckit.errors import BoundaryMismatch
@@ -39,7 +39,8 @@ def _span(rng: Random, dom: int, cod: int, max_fiber: int) -> Span:
     right = [k for k, n in enumerate(sizes) for _ in range(n)]
     rng.shuffle(right)
     apex = FinSet(len(right))
-    return Span(FinFun(apex, FinSet(dom), tuple(rng.randrange(dom) for _ in right)), FinFun(apex, FinSet(cod), tuple(right)))
+    left = tuple(rng.randrange(dom) for _ in right)
+    return Span(FinFun(apex, FinSet(dom), left), FinFun(apex, FinSet(cod), tuple(right)))
 
 
 def _both_models(rng: Random, dom: int) -> tuple[dict, dict]:
@@ -57,11 +58,15 @@ def _rendered(cells) -> list[str]:
 
 
 @settings(max_examples=150, deadline=None)
-@given(SEEDS)
-def test_unbiased_objects_and_cells_match_the_term_model(seed):
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 60), SEEDS)
+@example(0, 0, 60, 0)  # every set empty
+@example(0, 3, 60, 0)  # an empty foot and apex under a non-empty one
+@example(3, 0, 60, 0)
+@example(3, 3, 0, 0)  # an empty apex over non-empty feet
+@example(3, 3, 60, 1)
+def test_unbiased_objects_and_cells_match_the_term_model(dom, cod, max_fiber, seed):
     rng = Random(seed)
-    dom, cod = rng.randint(0, 3), rng.randint(0, 3)
-    s = _span(rng, dom, cod, 60)
+    s = _span(rng, dom, cod, max_fiber)
     terms, texts = _both_models(rng, dom)
     free, syntax = FreeTermModel(), SyntaxModel()
     assert list(unbias_eval(s, syntax, texts).objects) == list(map(render_obj, unbias_eval(s, free, terms).objects))
