@@ -69,6 +69,14 @@ without ``--out`` they are printed.  The curves are:
   a fixed foot of four, with fibers that differ in size by at most one,
   for n over the apex sizes, against the number of pairs (about n*n/4).
   The bijective chains above never build such a pullback;
+* ``record_ints``: ``json.dumps`` of an int tuple against
+  ``cli._ints``, the writer of span-compose's integer lists, for tuple
+  lengths 10^3 to 10^5, against length.  ``below_8`` draws the values
+  below 8, as in a leg onto a small foot, and ``below_length`` below the
+  length, as in a unitor map of an apex that long.  ``table_cold`` empties
+  the digit table before each call, so the call builds it up to its
+  bound; ``table_warm`` finds it built.  A bound at or past the table's
+  cap of 2^14 takes ``json.dumps``;
 * ``k_hcomp``: ``kleisli.k_hcomp`` of a cell on one list of length n over
   eight labels and a cell on eight lists of length 2, against n.  Both
   cells permute their lists at random;
@@ -155,6 +163,7 @@ DENSE_FOOT = 4
 LIST_LENGTHS = (10, 20, 40, 80, 160, 320, 640)
 EQUAL_SIZES = (4, 8, 12, 16, 20, 24)
 CELLS_SPAN_SIZES = (125, 250, 500, 1000, 2500)
+INT_LENGTHS = (1_000, 10_000, 100_000)
 MIN_SAMPLE_S = 0.02
 STARTUP_RUNS = 9
 VALUE_COUNT = 1000
@@ -423,6 +432,32 @@ def pullback_dense_calls(sizes) -> dict:
     return calls
 
 
+def record_ints(lengths, repeats: int) -> dict:
+    """``json.dumps`` against ``cli._ints`` on an int tuple of each length, on a cold and on a warm table."""
+    saved = cli._DIGITS
+    out = {}
+    try:
+        for name, high in (("below_8", lambda n: 8), ("below_length", lambda n: n)):
+            ints = {n: tuple(Random(n).randrange(high(n)) for _ in range(n)) for n in lengths}
+
+            def cold(n: int):
+                def call(values=ints[n], bound=high(n)):
+                    cli._DIGITS = []
+                    cli._ints(values, bound, ", ")
+                return call
+
+            out[name] = {
+                "dumps": curve("length", lengths, lambda n: lambda v=ints[n]: json.dumps(v), repeats),
+                "table_cold": curve("length", lengths, cold, repeats),
+                # the first call of a sample fills the table
+                "table_warm": curve("length", lengths, lambda n: lambda v=ints[n], b=high(n): cli._ints(v, b, ", "),
+                                    repeats),
+            }
+    finally:
+        cli._DIGITS = saved
+    return out
+
+
 def shuffled_cell(rng: Random, f: KHom) -> KCell:
     """A cell from f to a family with each list permuted at random."""
     homs = []
@@ -562,6 +597,7 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
         "unitor_cells": curve("apex", apex_sizes, unitor_cells_call, repeats),
         "span_compose_cells": curve("apex", list(cells_at), cells_at.get, repeats),
         "pullback_dense": curve("pairs", list(dense_at), dense_at.get, repeats),
+        "record_ints": record_ints(INT_LENGTHS, repeats),
         "k_hcomp": curve("n", list_lengths, k_hcomp_call, repeats),
         "startup": startup(),
         "cli_wall": cli_wall(),

@@ -433,13 +433,18 @@ def span_from_record(record: dict) -> Span:
     return Span(*legs)
 
 
-def span_to_record(s: Span) -> dict:
+def _span_record(s: Span, seq) -> dict:
     return {
         "kind": "span",
         "apex": s.apex.size,
-        "left": {"target": s.dom.size, "img": list(s.left.img)},
-        "right": {"target": s.cod.size, "img": list(s.right.img)},
+        "left": {"target": s.dom.size, "img": seq(s.left.img)},
+        "right": {"target": s.cod.size, "img": seq(s.right.img)},
     }
+
+
+def span_to_record(s: Span) -> dict:
+    """A span's record, its images as lists that the caller may edit."""
+    return _span_record(s, list)
 
 
 def family_from_record(record: dict) -> tuple[int, dict]:
@@ -464,8 +469,49 @@ def family_from_record(record: dict) -> tuple[int, dict]:
     return size, entries
 
 
-def _listed(values) -> str:
-    return f"[{','.join(map(str, values))}]"
+# _DIGITS[i] == str(i): span-compose writes its image lists from this table, each int in about
+# half of json.dumps's time.  It grows to the largest bound asked for below _DIGITS_CAP, by
+# replacing the list, never in place, so that a thread always reads a consistent table.
+_DIGITS_CAP = 1 << 14
+_DIGITS: list[str] = []
+
+
+def _ints(values, bound: int, sep: str) -> str:
+    """A list of ints, each in range(bound), as JSON writes it with ``sep`` between items."""
+    global _DIGITS
+    table = _DIGITS
+    if bound > len(table):
+        if bound >= _DIGITS_CAP:
+            return json.dumps(tuple(values), separators=(sep, ":"))
+        table = _DIGITS = table + list(map(str, range(len(table), bound)))
+    return f"[{sep.join(map(table.__getitem__, values))}]"
+
+
+def _listed(values, bound=None) -> str:
+    """The text form of a list; given a bound, of ints in range(bound), from the table."""
+    return f"[{','.join(map(str, values))}]" if bound is None else _ints(values, bound, ",")
+
+
+def _leg_json(leg: dict) -> str:
+    return f'{{"img": {_ints(leg["img"], leg["target"], ", ")}, "target": {leg["target"]}}}'
+
+
+# The JSON line of each kind that span-compose writes, as json.dumps({"schema": SCHEMA, **r},
+# sort_keys=True) writes it.  Each unitor and associator map is a bijection of an apex, so its
+# length bounds its values; the lunitor map may be an iterator, and the runitor map is as long.
+_JSON = {
+    "span": lambda r: (
+        f'{{"apex": {r["apex"]}, "kind": "span", "left": {_leg_json(r["left"])}, '
+        f'"right": {_leg_json(r["right"])}, "schema": "{SCHEMA}"}}\n'
+    ),
+    "structural-cells": lambda r: (
+        f'{{"kind": "structural-cells", "lunitor": {_ints(r["lunitor"], len(r["runitor"]), ", ")}, '
+        f'"runitor": {_ints(r["runitor"], len(r["runitor"]), ", ")}, "schema": "{SCHEMA}"}}\n'
+    ),
+    "assoc-cell": lambda r: (
+        f'{{"kind": "assoc-cell", "map": {_ints(r["map"], len(r["map"]), ", ")}, "schema": "{SCHEMA}"}}\n'
+    ),
+}
 
 
 # the text form of each kind of record, which shows its fields
@@ -478,10 +524,14 @@ _TEXT = {
         "" if r["equal"] else f"lhs phi={_listed(r['lhs_phi'])}\nrhs phi={_listed(r['rhs_phi'])}\n"
     ),
     "span": lambda r: f"apex: {r['apex']}\n" + "".join(
-        f"{leg}: target={r[leg]['target']} img={_listed(r[leg]['img'])}\n" for leg in ("left", "right")
+        f"{leg}: target={r[leg]['target']} img={_listed(r[leg]['img'], r[leg]['target'])}\n"
+        for leg in ("left", "right")
     ),
-    "structural-cells": lambda r: f"lunitor map={_listed(r['lunitor'])}\nrunitor map={_listed(r['runitor'])}\n",
-    "assoc-cell": lambda r: f"assoc map={_listed(r['map'])}\n",
+    "structural-cells": lambda r: (
+        f"lunitor map={_listed(r['lunitor'], len(r['runitor']))}\n"
+        f"runitor map={_listed(r['runitor'], len(r['runitor']))}\n"
+    ),
+    "assoc-cell": lambda r: f"assoc map={_listed(r['map'], len(r['map']))}\n",
     "unbias-result": lambda r: "".join(
         f"k={k}: fiber={_listed(fiber)} object: {r['objects'][k]}\n" for k, fiber in r["fibers"].items()
     ),
@@ -499,8 +549,10 @@ _TEXT = {
 def emit(out, fmt: str, record: dict):
     """Write a result record: as one JSON line with its schema, or as its text form."""
     if fmt == "record":
-        # dumps runs the C encoder; dump does not
-        out.write(json.dumps({"schema": SCHEMA, **record}, sort_keys=True) + "\n")
+        # span-compose's kinds write their int lists from the digit table; any other kind is one
+        # dumps call, which runs the C encoder (dump does not)
+        line = _JSON.get(record["kind"])
+        out.write(line(record) if line else json.dumps({"schema": SCHEMA, **record}, sort_keys=True) + "\n")
     else:
         out.write(_TEXT[record["kind"]](record))
 
@@ -559,16 +611,17 @@ def cmd_span_compose(args, out) -> int:
         composite = spans[0]
         for nxt in spans[1:]:
             composite = compose_span(composite, nxt)
-        emit(out, args.format, span_to_record(composite))
+        # the records hold the maps' own tuples, which emit reads as they are
+        emit(out, args.format, _span_record(composite, tuple))
         if args.cells:
             emit(out, args.format, {
                 "kind": "structural-cells",
-                # left_unitor_cell's map, without the source span the record does not show
-                "lunitor": list(itertools.chain.from_iterable(fibers(composite.left))),
-                "runitor": list(right_unitor_cell(composite).map.img),
+                # left_unitor_cell's map, without the source span the record does not show; read once
+                "lunitor": itertools.chain.from_iterable(fibers(composite.left)),
+                "runitor": right_unitor_cell(composite).map.img,
             })
             if len(spans) >= 3:
-                emit(out, args.format, {"kind": "assoc-cell", "map": list(assoc_cell(*spans[:3]).map.img)})
+                emit(out, args.format, {"kind": "assoc-cell", "map": assoc_cell(*spans[:3]).map.img})
     return 0
 
 

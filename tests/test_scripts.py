@@ -153,3 +153,17 @@ def test_bench_pairs_names_the_commits_of_archived_trees(tmp_path, monkeypatch):
     assert bench_pairs.main(args) == 0
     report = json.loads(out.read_text())
     assert (report["commit"], report["parent_commit"]) == ("unknown", "unknown")
+
+
+def test_record_ints_times_both_writers_and_keeps_the_table():
+    curves = _load_script("curves")
+    from smckit import cli
+
+    table = cli._DIGITS
+    report = curves.record_ints([10, 100], 1)
+    assert cli._DIGITS is table
+    assert set(report) == {"below_8", "below_length"}
+    for writers in report.values():
+        assert set(writers) == {"dumps", "table_cold", "table_warm"}
+        assert all([n for n, _ in c["points"]] == [10, 100] and all(t > 0 for _, t in c["points"])
+                   for c in writers.values())

@@ -274,6 +274,15 @@ def test_a_well_formed_request_imports_no_argparse():
     assert help_text.startswith("usage: smckit [-h] [--format {text,record}]")
 
 
+def test_start_up_builds_no_digit_table():
+    """A fresh interpreter that imports the CLI and builds its parser leaves ``cli._DIGITS`` empty."""
+    code = "import sys; sys.path.insert(0, sys.argv[1]); from smckit import cli; cli.build_parser(); print(cli._DIGITS)"
+    src = str(Path(smckit.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # The generated methods are compiled once per shape, over placeholder fields f0, f1, ..., and
 # relabeled for each class; these classes check the relabeling against a frozen data class.
 
