@@ -17,7 +17,9 @@ decision or law violations, 2 for usage, syntax or record errors.
 A canonical term and the term-model results of ``unbias`` are evaluated in
 ``SyntaxModel``, whose objects and morphisms are their own texts: the
 output is written while the formula is built, and no term is built or
-walked again to print it.
+walked again to print it.  ``span-compose`` writes the integer lists of
+its records as joins of decimal texts from a bounded table, in about half
+the time ``json.dumps`` takes, with the same bytes.
 """
 
 from __future__ import annotations

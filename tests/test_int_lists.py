@@ -138,6 +138,7 @@ def test_two_threads_grow_one_table_from_empty():
                     t.start()
                 for t in threads:
                     t.join(timeout=120)
+                    assert not t.is_alive()
                 assert outputs == serial
                 assert_table_holds_digits()
     finally:

@@ -157,11 +157,9 @@ def test_bench_pairs_names_the_commits_of_archived_trees(tmp_path, monkeypatch):
 
 def test_record_ints_times_both_writers_and_keeps_the_table():
     curves = _load_script("curves")
-    from smckit import cli
-
-    table = cli._DIGITS
+    table = curves.cli._DIGITS
     report = curves.record_ints([10, 100], 1)
-    assert cli._DIGITS is table
+    assert curves.cli._DIGITS is table
     assert set(report) == {"below_8", "below_length"}
     for writers in report.values():
         assert set(writers) == {"dumps", "table_cold", "table_warm"}
