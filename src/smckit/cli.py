@@ -473,7 +473,8 @@ def family_from_record(record: dict) -> tuple[int, dict]:
 
 # _DIGITS[i] == str(i): span-compose writes its image lists from this table, each int in about
 # half of json.dumps's time.  It grows to the largest bound asked for below _DIGITS_CAP, by
-# replacing the list, never in place, so that a thread always reads a consistent table.
+# replacing the list, never in place, so that a thread always reads a consistent table; no lock
+# is needed, since a thread that puts back a shorter table than another built leaves it correct.
 _DIGITS_CAP = 1 << 14
 _DIGITS: list[str] = []
 
