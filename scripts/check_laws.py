@@ -14,9 +14,7 @@ def main() -> int:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
     t_start = time.time()
     ok = True
-    for name in laws.suite_names():
-        if name == "all":
-            continue
+    for name in laws.SUITES:
         t0 = time.time()
         (report,) = laws.run_suite(name, seed=seed)
         ok = ok and report.ok

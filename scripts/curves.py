@@ -36,14 +36,10 @@ without ``--out`` they are printed.  The curves are:
   the given arity over an eight-entry family, factored as a pull then a
   push the way ``smckit unbias --cells`` does, against arity, in the term
   and slist models;
-* ``render_cells``: ``cli.render_mor`` of each term-model cell that
-  ``unbias_comp_iso`` gives for the span of that curve, one call per cell,
-  against the number of characters written, for the same arities;
-* ``cells_text``: the texts of those cells from the span, against arity:
-  ``term_rendered`` evaluates ``unbias_comp_iso`` in the term model and
-  writes each cell with ``cli.render_mor``, and ``syntax`` evaluates it in
-  ``cli.SyntaxModel`` and joins each cell, as ``smckit unbias --cells``
-  does;
+* ``cells_text``: the texts of the term-model cells that
+  ``unbias_comp_iso`` gives for the span of that curve, against arity:
+  ``syntax`` evaluates it in ``cli.SyntaxModel`` and joins each cell, as
+  ``smckit unbias --cells`` does;
 * ``f_comp_cell``: ``unbias.f_comp_cell`` of two spans with n apex
   elements each, against n.  The middle set has n elements and t's left
   leg is a bijection onto it, so the composite apex has exactly n pairs;
@@ -69,14 +65,13 @@ without ``--out`` they are printed.  The curves are:
   a fixed foot of four, with fibers that differ in size by at most one,
   for n over the apex sizes, against the number of pairs (about n*n/4).
   The bijective chains above never build such a pullback;
-* ``record_ints``: ``json.dumps`` of an int tuple against
-  ``cli._ints``, the writer of span-compose's integer lists, for tuple
-  lengths 10^3 to 10^5, against length.  ``below_8`` draws the values
-  below 8, as in a leg onto a small foot, and ``below_length`` below the
-  length, as in a unitor map of an apex that long.  ``table_cold`` empties
-  the digit table before each call, so the call builds it up to its
-  bound; ``table_warm`` finds it built.  A bound at or past the table's
-  cap of 2^14 takes ``json.dumps``;
+* ``record_ints``: ``cli._ints``, the writer of span-compose's integer
+  lists, on an int tuple, for tuple lengths 10^3 to 10^5, against length.
+  ``below_8`` draws the values below 8, as in a leg onto a small foot, and
+  ``below_length`` below the length, as in a unitor map of an apex that
+  long.  ``table_cold`` empties the digit table before each call, so the
+  call builds it up to its bound; ``table_warm`` finds it built.  A bound
+  at or past the table's cap of 2^14 takes ``json.dumps``;
 * ``k_hcomp``: ``kleisli.k_hcomp`` of a cell on one list of length n over
   eight labels and a cell on eight lists of length 2, against n.  Both
   cells permute their lists at random;
@@ -95,13 +90,6 @@ without ``--out`` they are printed.  The curves are:
   interpreter's own start-up (``site`` and its ``.pth`` files) and much of
   the machine's drift cancel out of it.  One process per command runs
   first, unread, to write the bytecode caches;
-* ``argv``: what reading the command line costs, not a curve.  For the
-  argv shape of each workload's requests (``--format record`` and then
-  the command, as the benchmark writes them), ``direct_s`` is the median
-  time of one in-process ``cli._parse_argv`` call that reads it directly,
-  and ``declined_s`` of one on the same argv with ``--format=record``, an
-  ``=`` form that the direct reader leaves to argparse.  ``check-laws`` is
-  always left to argparse, so it has only ``declined_s``;
 * ``values``: the instance layout of a value class, not a curve.  For a
   ``FinFun`` over shared fields, built through its public constructor and
   through ``FinFun._unchecked``: the bytes per instance, the traced
@@ -183,13 +171,6 @@ CLI_COMMANDS = {
     "check-laws --suite braiding": ["check-laws", "--suite", "braiding"],
 }
 REC = ["--format", "record"]
-ARGV_SHAPES = {
-    "normalize": REC + CLI_COMMANDS["normalize"],
-    "equal": REC + CLI_COMMANDS["equal"],
-    "span-compose --cells": REC + ["span-compose", SPAN, SPAN, SPAN, "--cells"],
-    "unbias --model slist --cells": REC + ["unbias", SPAN, FAMILY, "--model", "slist", "--cells"],
-    "check-laws": REC + ["check-laws", "--suite", "braiding", "--seed", "1"],
-}
 TOKEN = re.compile(r"[()*;]|[^\W\d]\w*|\S")  # a token of the CLI's term syntax
 
 
@@ -337,25 +318,11 @@ def comp_iso_call(model_name: str):
     return make
 
 
-def render_cells_calls(arities) -> dict:
-    """Output characters -> a call rendering the term-model cells of ``comp_iso_call``'s span."""
-    m, assign = family("term")
-    calls = {}
-    for arity in arities:
-        cells = unbias_comp_iso(*one_fiber_span(arity), m, assign)
-        calls[sum(len(render_mor(c)) for c in cells)] = lambda cells=cells: [render_mor(c) for c in cells]
-    return calls
-
-
-def cells_text_call(model_name: str):
-    """The texts of the cells of ``comp_iso_call``'s span: term-model cells rendered, or syntax-model cells joined."""
-    m, assign = family(model_name)
-    write = render_mor if model_name == "term" else joined
-
-    def make(arity: int):
-        pull, push = one_fiber_span(arity)
-        return lambda: [write(c) for c in unbias_comp_iso(pull, push, m, assign)]
-    return make
+def cells_text_call(arity: int):
+    """The texts of the term-model cells of ``comp_iso_call``'s span, evaluated in the syntax model and joined."""
+    m, assign = family("syntax")
+    pull, push = one_fiber_span(arity)
+    return lambda: [joined(c) for c in unbias_comp_iso(pull, push, m, assign)]
 
 
 def bijective_chain(n: int, length: int) -> list[Span]:
@@ -433,7 +400,7 @@ def pullback_dense_calls(sizes) -> dict:
 
 
 def record_ints(lengths, repeats: int) -> dict:
-    """``json.dumps`` against ``cli._ints`` on an int tuple of each length, on a cold and on a warm table."""
+    """``cli._ints`` on an int tuple of each length, on a cold and on a warm table."""
     saved = cli._DIGITS
     out = {}
     try:
@@ -447,7 +414,6 @@ def record_ints(lengths, repeats: int) -> dict:
                 return call
 
             out[name] = {
-                "dumps": curve("length", lengths, lambda n: lambda v=ints[n]: json.dumps(v), repeats),
                 "table_cold": curve("length", lengths, cold, repeats),
                 # the first call of a sample fills the table
                 "table_warm": curve("length", lengths, lambda n: lambda v=ints[n], b=high(n): cli._ints(v, b, ", "),
@@ -521,17 +487,6 @@ def cli_wall() -> dict:
     return {"unit": "s", "runs": STARTUP_RUNS, "wall_s": wall, "over_bare_s": over}
 
 
-def argv_parse(repeats: int) -> dict:
-    """Median time of one ``cli._parse_argv`` call on each workload's argv, read directly and by argparse."""
-    out = {"unit": "s", "direct_s": {}, "declined_s": {}}
-    for name, argv in ARGV_SHAPES.items():
-        declined = ["--format=record", *argv[2:]]
-        if cli._read_argv(argv) is not None:
-            out["direct_s"][name] = sample_time(lambda: cli._parse_argv(argv), repeats)
-        out["declined_s"][name] = sample_time(lambda: cli._parse_argv(declined), repeats)
-    return out
-
-
 def values_layout(repeats: int) -> dict:
     """Bytes per ``FinFun``, and ns per build and per three field reads, for each way of building one."""
     src, dst, img = FinSet(3), FinSet(3), (0, 1, 2)
@@ -566,7 +521,6 @@ def singleton(label) -> SList:
 def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeats: int) -> dict:
     normalize_at = normalize_calls([n for n in psi_sizes if n <= term_max_n])
     equal_at = equal_text_calls(EQUAL_SIZES)
-    render_at = render_cells_calls(arities)
     dense_at = pullback_dense_calls(apex_sizes)
     cells_at = span_compose_cells_calls(CELLS_SPAN_SIZES)
     return {
@@ -585,11 +539,7 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
         "unbias_comp_iso": {
             name: curve("arity", arities, comp_iso_call(name), repeats) for name in ("term", "slist")
         },
-        "render_cells": curve("chars", list(render_at), render_at.get, repeats),
-        "cells_text": {
-            name: curve("arity", arities, cells_text_call(model), repeats)
-            for name, model in (("term_rendered", "term"), ("syntax", "syntax"))
-        },
+        "cells_text": {"syntax": curve("arity", arities, cells_text_call, repeats)},
         "f_comp_cell": curve("apex", apex_sizes, f_comp_call, repeats),
         "pullback": curve("apex", apex_sizes, pullback_call, repeats),
         "compose_span": curve("apex", apex_sizes, compose_span_call, repeats),
@@ -601,7 +551,6 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
         "k_hcomp": curve("n", list_lengths, k_hcomp_call, repeats),
         "startup": startup(),
         "cli_wall": cli_wall(),
-        "argv": argv_parse(repeats),
         "values": values_layout(repeats),
     }
 

@@ -574,6 +574,14 @@ def term_text(arg: str) -> str:
         raise ParseError(f"{where} is not {exc.encoding} text: {exc.reason}", *_line_column(read, len(read))) from None
 
 
+def _stdin_twice(what: str, sources) -> bool:
+    """Whether more than one of ``sources`` is '-', said on stderr; stdin is read to its end once."""
+    if sum(source == "-" for source in sources) < 2:
+        return False
+    print(f"error: only one {what} can be read from stdin ('-')", file=sys.stderr)
+    return True
+
+
 def cmd_normalize(args, out) -> int:
     objs = Objects()
     (hom,) = normal_forms(objs, parse_program(term_text(args.term), objs))
@@ -589,8 +597,7 @@ def cmd_normalize(args, out) -> int:
 
 
 def cmd_equal(args, out) -> int:
-    if args.lhs == args.rhs == "-":
-        print("error: only one term can be read from stdin ('-')", file=sys.stderr)
+    if _stdin_twice("term", (args.lhs, args.rhs)):
         return 2
     # both are parsed before either is run, so a syntax error comes before a typing error
     objs = Objects()
@@ -607,6 +614,8 @@ def cmd_equal(args, out) -> int:
 
 
 def cmd_span_compose(args, out) -> int:
+    if _stdin_twice("record", args.spans):
+        return 2
     spans = [span_from_record(load_record(src, "span")) for src in args.spans]
     # the associator cell reuses the fold's s;t and (s;t);u from one table for the command;
     # without that cell no composite is asked for twice, and hashing the keys would only cost
@@ -638,6 +647,8 @@ def _family_assignment(entries: dict, model_name: str):
 
 
 def cmd_unbias(args, out) -> int:
+    if _stdin_twice("record", (args.span, args.family)):
+        return 2
     s = span_from_record(load_record(args.span, "span"))
     size, entries = family_from_record(load_record(args.family, "family"))
     if size != s.dom.size:

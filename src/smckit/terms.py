@@ -4,10 +4,10 @@ Term language for the free symmetric monoidal category on an alphabet.
 Objects are trees built from Unit, generators and a binary tensor; structural
 morphisms are trees built from identities, composition (diagram order),
 tensor, the four structural isomorphism families and a formal inverse.
-``syntax`` writes the concrete syntax of both in one walk, which walks a
-tensor node that the term reaches more than once only once; the CLI writes
-the same texts of the formulas it evaluates in ``cli.SyntaxModel``, whose
-values are those texts, and so renders only the objects it reads.
+``syntax`` writes the concrete syntax of both in one walk over every
+occurrence of each node; the CLI writes the same texts of the formulas it
+evaluates in ``cli.SyntaxModel``, whose values are those texts, and so
+renders only the objects it reads.
 The program of a morphism lists its atoms, their objects numbered up to
 equality, and the markers that combine them, in post-order; ``flatten``
 writes it for a term, and the CLI's parser writes it straight from text,
@@ -139,42 +139,26 @@ def syntax(t, sep: str, comp: str | None = None) -> str:
 
     A tensor, of objects or of morphisms, is parenthesized with ``sep``
     between its parts; composition is written flat with ``comp`` between
-    the parts, which reads as left-associated.  A tensor node of objects
-    reached more than once (the unbiased formulas share their folds) is
-    walked once: its first visit records where its text starts and ends in
-    the output, the next visit joins that range into one text, and every
-    later visit reuses it.  Memory stays linear in the size of the term plus
-    that of the output: one range per tensor node, and a text only for a
-    shared node, which the output holds at least twice.  An object term
-    where a morphism belongs, or a morphism term where an object belongs,
-    raises ``TypeError`` when the walk reaches it.
+    the parts, which reads as left-associated.  The walk keeps an explicit
+    stack and writes every occurrence of a shared node, so time and memory
+    stay linear in the output.  An object term where a morphism belongs, or
+    a morphism term where an object belongs, raises ``TypeError`` when the
+    walk reaches it.
 
     >>> syntax(Comp(Braid(Gen("x"), Unit()), Inv(Id(Unit()))), " * ", " ; ")
     'b x I ; inv (id I)'
     """
     out: list[str] = []
-    at: dict[int, Any] = {}  # id of a tensor node -> [start, end] of its text in out, then the text
     objects = comp is None  # whether the items on the stack down to the next _MORPHISMS are objects
     todo: list = [t]
     while todo:
         item = todo.pop()
         if type(item) is str:
             out.append(item)
-        elif type(item) is list:  # the end of a tensor's first visit
-            out.append(")")
-            item.append(len(out))
         elif objects:
             if isinstance(item, Tensor):
-                key = id(item)
-                where = at.get(key)
-                if where is None:
-                    at[key] = where = [len(out)]
-                    out.append("(")
-                    todo += (where, item.right, sep, item.left)
-                else:
-                    if type(where) is list:
-                        where = at[key] = "".join(out[where[0] : where[1]])
-                    out.append(where)
+                out.append("(")
+                todo += (")", item.right, sep, item.left)
             elif isinstance(item, Gen):
                 out.append(str(item.label))
             elif isinstance(item, Unit):

@@ -628,6 +628,19 @@ def test_two_terms_from_stdin_is_a_usage_error(capsys):
     assert capsys.readouterr().err == "error: only one term can be read from stdin ('-')\n"
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["equal", "-", "-"], "term"),
+    (["span-compose", SPAN_A, "-", "-"], "record"),
+    (["unbias", "-", "-", "--cells"], "record"),
+], ids=["equal", "span-compose", "unbias"])
+def test_a_second_stdin_argument_is_refused_before_stdin_is_read(argv, what, monkeypatch, capsys):
+    stdin = io.StringIO(SPAN_A)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert run(*argv) == (2, "")
+    assert capsys.readouterr().err == f"error: only one {what} can be read from stdin ('-')\n"
+    assert stdin.tell() == 0
+
+
 def strict_stdin(data: bytes) -> io.TextIOWrapper:
     """A stdin that decodes UTF-8 strictly, as with ``PYTHONIOENCODING=utf-8``."""
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")

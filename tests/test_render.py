@@ -1,4 +1,4 @@
-"""Rendering: the CLI renderer against the renderer that walks every occurrence."""
+"""Rendering: the CLI renderer against the oracle renderer; both walk every occurrence of a shared node."""
 
 import tracemalloc
 from random import Random

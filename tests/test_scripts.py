@@ -62,12 +62,8 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     assert curves["equal_text"]["x"] == "tokens" and len(tokens) == 6 and tokens == sorted(set(tokens))
     assert all(t > 0 for _, t in curves["equal_text"]["points"])
     assert [n for n, _ in curves["unbias_comp_iso"]["term"]["points"]] == [1, 2]
-    # rendering the cells of the same spans, against the characters written
-    chars = [n for n, _ in curves["render_cells"]["points"]]
-    assert curves["render_cells"]["x"] == "chars" and len(chars) == 2 and 0 < chars[0] < chars[1]
-    assert all(t > 0 for _, t in curves["render_cells"]["points"])
-    # the texts of those cells, by the term model and a render, and by the syntax model, against arity
-    assert set(curves["cells_text"]) == {"term_rendered", "syntax"}
+    # the texts of the cells of the same spans, by the syntax model, against arity
+    assert set(curves["cells_text"]) == {"syntax"}
     for c in curves["cells_text"].values():
         assert c["x"] == "arity" and [n for n, _ in c["points"]] == [1, 2] and all(t > 0 for _, t in c["points"])
     apex_curves = [curves[name] for name in ("f_comp_cell", "pullback", "compose_span", "assoc_cell", "unitor_cells")]
@@ -97,12 +93,6 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     # each run less a bare interpreter's run beside it: below the wall time, whatever the noise
     assert list(wall["over_bare_s"]) == list(wall["wall_s"])
     assert all(wall["over_bare_s"][name] < t for name, t in wall["wall_s"].items())
-    # argv read directly for the request commands, and by argparse for an "=" form and check-laws
-    argv = curves["argv"]
-    requests = ["normalize", "equal", "span-compose --cells", "unbias --model slist --cells"]
-    assert argv["unit"] == "s" and list(argv["direct_s"]) == requests
-    assert list(argv["declined_s"]) == [*requests, "check-laws"]
-    assert all(t > 0 for times in (argv["direct_s"], argv["declined_s"]) for t in times.values())
     # a FinFun's bytes, build and three reads, through each constructor
     values = curves["values"]
     assert values["class"] == "FinFun" and values["count"] > 0
@@ -155,13 +145,13 @@ def test_bench_pairs_names_the_commits_of_archived_trees(tmp_path, monkeypatch):
     assert (report["commit"], report["parent_commit"]) == ("unknown", "unknown")
 
 
-def test_record_ints_times_both_writers_and_keeps_the_table():
+def test_record_ints_times_a_cold_and_a_warm_table_and_keeps_the_table():
     curves = _load_script("curves")
     table = curves.cli._DIGITS
     report = curves.record_ints([10, 100], 1)
     assert curves.cli._DIGITS is table
     assert set(report) == {"below_8", "below_length"}
-    for writers in report.values():
-        assert set(writers) == {"dumps", "table_cold", "table_warm"}
+    for tables in report.values():
+        assert set(tables) == {"table_cold", "table_warm"}
         assert all([n for n, _ in c["points"]] == [10, 100] and all(t > 0 for _, t in c["points"])
-                   for c in writers.values())
+                   for c in tables.values())
