@@ -19,7 +19,8 @@ A canonical term and the term-model results of ``unbias`` are evaluated in
 output is written while the formula is built, and no term is built or
 walked again to print it.  ``span-compose`` writes the integer lists of
 its records as joins of decimal texts from a bounded table, in about half
-the time ``json.dumps`` takes, with the same bytes.
+the time ``json.dumps`` takes, with the same bytes; a run of consecutive
+ints in a unitor map is one slice of that table.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -45,7 +47,6 @@ from .spans import (
     assoc_cell,
     compose_span,
     fibers,
-    right_unitor_cell,
     shared_composites,
     span_pull,
     span_push,
@@ -472,21 +473,36 @@ def family_from_record(record: dict) -> tuple[int, dict]:
 
 
 # _DIGITS[i] == str(i): span-compose writes its image lists from this table, each int in about
-# half of json.dumps's time.  It grows to the largest bound asked for below _DIGITS_CAP, by
-# replacing the list, never in place, so that a thread always reads a consistent table; no lock
-# is needed, since a thread that puts back a shorter table than another built leaves it correct.
+# half of json.dumps's time, and a run of consecutive ints as one slice of it.  It grows to the
+# largest bound asked for below _DIGITS_CAP, by replacing the list, never in place, so that a
+# thread always reads a consistent table; no lock is needed, since a thread that puts back a
+# shorter table than another built leaves it correct.
 _DIGITS_CAP = 1 << 14
 _DIGITS: list[str] = []
 
 
+class _Runs(list):
+    """An int list as its runs of consecutive ints, each a pair (start, stop)."""
+
+
 def _ints(values, bound: int, sep: str) -> str:
-    """A list of ints, each in range(bound), as JSON writes it with ``sep`` between items."""
+    """A list of ints, each in range(bound), as JSON writes it with ``sep`` between items.
+
+    ``values`` is a sequence of ints, a ``range`` (one run) or ``_Runs``;
+    each run is written as one slice of the table.
+    """
     global _DIGITS
     table = _DIGITS
     if bound > len(table):
         if bound >= _DIGITS_CAP:
+            if type(values) is _Runs:
+                values = itertools.chain.from_iterable(itertools.starmap(range, values))
             return json.dumps(tuple(values), separators=(sep, ":"))
         table = _DIGITS = table + list(map(str, range(len(table), bound)))
+    if type(values) is range:
+        return f"[{sep.join(table[values.start:values.stop])}]"
+    if type(values) is _Runs:
+        return f"[{sep.join([sep.join(table[a:b]) for a, b in values if a < b])}]"
     return f"[{sep.join(map(table.__getitem__, values))}]"
 
 
@@ -500,8 +516,8 @@ def _leg_json(leg: dict) -> str:
 
 
 # The JSON line of each kind that span-compose writes, as json.dumps({"schema": SCHEMA, **r},
-# sort_keys=True) writes it.  Each unitor and associator map is a bijection of an apex, so its
-# length bounds its values; the lunitor map may be an iterator, and the runitor map is as long.
+# sort_keys=True) writes it.  Each unitor and associator map is a bijection of an apex, so the
+# apex bounds its values; the runitor map is a range as long as the apex.
 _JSON = {
     "span": lambda r: (
         f'{{"apex": {r["apex"]}, "kind": "span", "left": {_leg_json(r["left"])}, '
@@ -613,6 +629,45 @@ def cmd_equal(args, out) -> int:
     return 0 if equal else 1
 
 
+# span-compose --cells writes the left unitor map as runs where the composite has at least this
+# many apex points per point of the first span, which is per run.  Carrying a run through the
+# fold and writing it costs about as much as six points read off the fibers and written one by
+# one (a 2-span chain of 300 first-span points, 2 vCPUs, Python 3.11).
+_POINTS_PER_RUN = 8
+
+
+def _runs_through(runs: _Runs, s: Span, t: Span) -> _Runs:
+    """Runs of points of s's apex, as the runs of s;t's apex that lie over them.
+
+    The apex of s;t is one block per point a of s's apex, in the order of a:
+    a pair (a, b) for each point b of t.left's fiber over s.right(a).  So the
+    blocks of a run of consecutive points are one run, which starts where the
+    first block starts and ends where the last one ends.
+    """
+    sizes = Counter(t.left.img)  # a dict, since a foot may be far larger than the apex over it
+    starts = list(itertools.accumulate(map(sizes.get, s.right.img, itertools.repeat(0)), initial=0))
+    return _Runs([(starts[p], starts[q]) for p, q in runs])
+
+
+def _left_unitor_map(spans: list, folds: list):
+    """The map of ``left_unitor_cell(folds[-1])``, where folds[k] is spans[0];...;spans[k].
+
+    It lists the fibers of the composite's left leg in turn.  The fold keeps
+    those fibers: fiber x of s;t's left leg is the blocks over the points of
+    fiber x of s's left leg.  So the first span's map, each point a run of
+    one, carried through the fold by ``_runs_through`` is the composite's
+    map as runs, no more of them than the first span has points.  Where the
+    runs would be short, the map is read off the composite's fibers instead.
+    """
+    composite = folds[-1]
+    if composite.apex.size < _POINTS_PER_RUN * spans[0].apex.size:
+        return itertools.chain.from_iterable(fibers(composite.left))  # read once
+    runs = _Runs([(a, a + 1) for a in itertools.chain.from_iterable(fibers(spans[0].left))])
+    for s, t in zip(folds, spans[1:]):
+        runs = _runs_through(runs, s, t)
+    return runs
+
+
 def cmd_span_compose(args, out) -> int:
     if _stdin_twice("record", args.spans):
         return 2
@@ -620,17 +675,17 @@ def cmd_span_compose(args, out) -> int:
     # the associator cell reuses the fold's s;t and (s;t);u from one table for the command;
     # without that cell no composite is asked for twice, and hashing the keys would only cost
     with shared_composites() if args.cells and len(spans) >= 3 else nullcontext():
-        composite = spans[0]
+        folds = [spans[0]]
         for nxt in spans[1:]:
-            composite = compose_span(composite, nxt)
+            folds.append(compose_span(folds[-1], nxt))
+        composite = folds[-1]
         # the records hold the maps' own tuples, which emit reads as they are
         emit(out, args.format, _span_record(composite, tuple))
         if args.cells:
             emit(out, args.format, {
                 "kind": "structural-cells",
-                # left_unitor_cell's map, without the source span the record does not show; read once
-                "lunitor": itertools.chain.from_iterable(fibers(composite.left)),
-                "runitor": right_unitor_cell(composite).map.img,
+                "lunitor": _left_unitor_map(spans, folds),
+                "runitor": range(composite.apex.size),  # right_unitor_cell's map, the identity
             })
             if len(spans) >= 3:
                 emit(out, args.format, {"kind": "assoc-cell", "map": assoc_cell(*spans[:3]).map.img})

@@ -13,18 +13,21 @@ the cells with bijective maps.  Each equation is checked on image tuples,
 without building the composite map.  The public constructors check every
 value; an operation whose output is valid by its construction (a
 projection, a composite, an identity, an inverse, a unitor cell) builds it
-with the class's ``_unchecked`` constructor instead.  Every composite s;t is built by
-``composite``, which returns its pullback with the span over it, so a cell
-reuses one pullback for the span and for the lifts into its apex.  Inside a
-``shared_composites()`` scope it also returns the same pair for every later
-request of an equal (s, t), so a law check that pastes many cells over the
-same chain builds each composite once; the table is dropped with the scope.
-The law suites open one scope per law check, and ``span-compose --cells``
-opens one for a chain of three or more spans, so that its associator cell
-reuses the fold's s;t and (s;t);u.  The unitor cells call no
-``composite``: a composite with an identity span has a closed form, which
-they write directly, and ``span-compose`` reads the left unitor's map off
-the fibers without building the cell.
+with the class's ``_unchecked`` constructor instead.  Every composite s;t
+is built once per scope by ``_built``.  ``composite`` returns its pullback
+with the span over it, so a cell reuses one pullback for the span and for
+the lifts into its apex; ``compose_span`` returns the span alone, and
+builds its legs in one pass over s's apex with no projections.  Inside a
+``shared_composites()`` scope one table entry per value of (s, t) holds
+the span and, once ``composite`` asks for it, the pullback, so a law check
+that pastes many cells over the same chain builds each composite once,
+whichever call asks first; the table is dropped with the scope.  The law
+suites open one scope per law check, and ``span-compose --cells`` opens
+one for a chain of three or more spans, so that its associator cell reuses
+the fold's s;t and (s;t);u.  The unitor cells call no ``composite``: a
+composite with an identity span has a closed form, which they write
+directly, and ``span-compose`` writes the unitor maps without building the
+cells.
 """
 
 from __future__ import annotations
@@ -237,7 +240,7 @@ def transpose_span(s: Span) -> Span:
 class _Scope(threading.local):
     """Per thread, so that a scope in one thread shares nothing with another."""
 
-    table: dict | None = None  # value key of (s, t) -> composite(s, t), while a scope is open
+    table: dict | None = None  # value key of (s, t) -> (its pullback or None, s;t), while a scope is open
 
 
 _scope = _Scope()
@@ -260,12 +263,33 @@ def shared_composites():
         _scope.table = None
 
 
-def composite(s: Span, t: Span) -> tuple[Pullback, Span]:
-    """The pullback of s's right leg and t's left leg, and the span s;t over it.
+def _built(s: Span, t: Span, with_pullback: bool) -> tuple[Pullback | None, Span]:
+    """A new composite s;t, with its pullback or, where no caller reads it, None.
 
-    Inside ``shared_composites`` an equal (s, t) gets the pair built first;
-    only a composable pair is ever built or stored.
+    Without the pullback the legs take one pass over s's apex: t's left leg
+    grouped by value gives a row of t.right images per point of s.cod, and
+    each point a of s's apex contributes s.left(a) once per entry of its
+    row, and the row.  The pairs (a, b) run in lexicographic order, so these
+    are the legs that the projections would give.
     """
+    if with_pullback:
+        pb = pullback(s.right, t.left)
+        return pb, Span(fcompose(pb.p1, s.left), fcompose(pb.p2, t.right))
+    rows: dict[int, list[int]] = {}
+    for v, w in zip(t.left.img, t.right.img):
+        rows.setdefault(v, []).append(w)
+    left, right = [], []
+    for x, v in zip(s.left.img, s.right.img):
+        row = rows.get(v)
+        if row:
+            left += [x] * len(row)
+            right += row
+    apex = FinSet(len(left))
+    # one entry per pair (a, b): s.left(a), a point of s.dom, and t.right(b), a point of t.cod
+    return None, Span(FinFun._unchecked(apex, s.dom, tuple(left)), FinFun._unchecked(apex, t.cod, tuple(right)))
+
+
+def _composite(s: Span, t: Span, with_pullback: bool) -> tuple[Pullback | None, Span]:
     table = _scope.table
     if table is not None:
         # the legs' images and feet determine s and t, apexes included (an
@@ -274,19 +298,30 @@ def composite(s: Span, t: Span) -> tuple[Pullback, Span]:
         key = (sl.img, sr.img, tl.img, tr.img, sl.dst.size, sr.dst.size, tl.dst.size, tr.dst.size)
         found = table.get(key)
         if found is not None:
+            if with_pullback and found[0] is None:  # built bare: its span stays, with the pullback added
+                found = table[key] = pullback(sr, tl), found[1]
             return found
     if s.cod != t.dom:
         raise TargetMismatch(f"spans not composable: {s.cod} != {t.dom}")
-    pb = pullback(s.right, t.left)
-    found = pb, Span(fcompose(pb.p1, s.left), fcompose(pb.p2, t.right))
+    found = _built(s, t, with_pullback)
     if table is not None:
         table[key] = found
     return found
 
 
+def composite(s: Span, t: Span) -> tuple[Pullback, Span]:
+    """The pullback of s's right leg and t's left leg, and the span s;t over it.
+
+    Inside ``shared_composites`` an equal (s, t) gets the span built first,
+    whichever of ``composite`` and ``compose_span`` built it; only a
+    composable pair is ever built or stored.
+    """
+    return _composite(s, t, True)
+
+
 def compose_span(s: Span, t: Span) -> Span:
-    """The total span over the canonical pullback of the inner legs."""
-    return composite(s, t)[1]
+    """The total span over the canonical pullback of the inner legs, built without its projections."""
+    return _composite(s, t, False)[1]
 
 
 def identity_cell(s: Span) -> SpanCell:
@@ -327,8 +362,8 @@ def assoc_cell(s: Span, t: Span, u: Span) -> SpanCell:
     order, so the map is the identity; the cell's check proves that it
     commutes with both legs.
     """
-    src = composite(composite(s, t)[1], u)[1]
-    dst = composite(s, composite(t, u)[1])[1]
+    src = compose_span(compose_span(s, t), u)
+    dst = compose_span(s, compose_span(t, u))
     return SpanCell(src, dst, identity_fun(src.apex))
 
 

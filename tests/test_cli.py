@@ -206,22 +206,29 @@ CHAIN = [SPAN_A, *(json.dumps({
 
 @pytest.mark.parametrize("fmt", ["text", "record"])
 def test_span_compose_builds_each_pullback_once(fmt, monkeypatch):
-    """A k-chain builds its k - 1 composites; ``--cells`` adds only the associator's t;u and s;(t;u)."""
-    built = []
-    pullback = spans.pullback
+    """A k-chain builds its k - 1 composites; ``--cells`` adds only the associator's t;u and s;(t;u).
 
-    def counting(f, g):
-        built.append((f, g))
-        return pullback(f, g)
+    None of them builds a pullback or composes maps: the legs take one pass,
+    and the unitor maps are written as runs.
+    """
+    built, projected = [], []
+    build = spans._built
 
-    monkeypatch.setattr(spans, "pullback", counting)
-    # chain length -> pullbacks without and with --cells (at 3 and 4 the cells rebuilt s;t and (s;t);u: 6 and 7)
+    def counting(s, t, with_pullback):
+        built.append((s, t))
+        return build(s, t, with_pullback)
+
+    monkeypatch.setattr(spans, "_built", counting)
+    for name in ("pullback", "fcompose"):
+        monkeypatch.setattr(spans, name, lambda *args, name=name: projected.append(name))
+    # chain length -> composites without and with --cells (at 3 and 4 the cells rebuilt s;t and (s;t);u: 6 and 7)
     for k, (bare, cells) in {1: (0, 0), 2: (1, 1), 3: (2, 4), 4: (3, 5)}.items():
         for options, want in (([], bare), (["--cells"], cells)):
             built.clear()
             assert run("--format", fmt, "span-compose", *CHAIN[:k], *options)[0] == 0
             assert len(built) == want, (k, options)
             assert spans._scope.table is None  # no composite outlives the command
+    assert projected == []
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,9 @@ are written without ``json.dumps``.  Each line is checked against the line
 ``json.dumps`` writes for the record built from the library's own cells,
 and each text form against the text form of the lists written with
 ``str``.  The table's cap is patched down, so that bounds below, at and
-above it are all drawn.
+above it are all drawn.  The left unitor map is written as runs of
+consecutive ints where they are long; one test writes it as runs for every
+chain, so that each edge of the runs reaches the writer.
 """
 
 import io
@@ -104,6 +106,42 @@ def test_span_compose_writes_what_dumps_and_str_write(chain, cells):
         record_lines = run(["--format", "record", *argv(chain, cells)]).splitlines(keepends=True)
         text = run(argv(chain, cells))
         assert_table_holds_digits()
+    assert record_lines == [json.dumps({"schema": SCHEMA, **r}, sort_keys=True) + "\n" for r in records]
+    assert text == "".join(TEXT[r["kind"]](r) for r in records)
+
+
+def three_blocks(n: int) -> list:
+    """Two spans whose composite has n points in three blocks; s.left's fibers list them out of order."""
+    return [Span(fun(2, [1, 0, 1]), fun(3, [0, 1, 2])), Span(fun(3, [i % 3 for i in range(n)]), fun(2, [i % 2 for i in range(n)]))]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(chain=chains())
+@example(chain=[Span(fun(3, [0]), fun(1, [0])), Span(fun(1, [0] * 9), fun(2, [1] * 9))])  # empty fibers of s.left
+@example(chain=[Span(fun(2, [0, 1]), fun(2, [0, 1])), Span(fun(2, [0, 0, 0]), fun(1, [0, 0, 0]))])  # an empty run
+@example(chain=[Span(fun(1, [0, 0]), fun(2, [0, 0])), Span(fun(2, [1]), fun(1, [0]))])  # a composite apex of 0
+@example(chain=three_blocks(CAP - 1))  # the slice path, just below the cap
+@example(chain=three_blocks(CAP))  # json.dumps, at it
+@example(chain=three_blocks(CAP + 1))  # and above it
+@example(chain=[Span(fun(3, [2, 0, 2, 1]), fun(2, [0, 1, 1, 0]))])  # one span: each point a run of one
+@example(chain=[Span(fun(3, []), fun(3, []))] * 3)  # empty apices, carried through the fold
+def test_left_unitor_runs_write_what_dumps_and_str_write(chain):
+    """With every chain's left unitor map written as runs, both forms match the library's cells."""
+    records = expected_records(chain, True)
+    carried = []
+    runs_through = cli._runs_through
+
+    def counting(runs, s, t):
+        carried.append(len(runs))
+        return runs_through(runs, s, t)
+
+    with mock.patch.object(cli, "_DIGITS_CAP", CAP), mock.patch.object(cli, "_DIGITS", []), \
+            mock.patch.object(cli, "_POINTS_PER_RUN", 0), mock.patch.object(cli, "_runs_through", counting):
+        record_lines = run(["--format", "record", *argv(chain, True)]).splitlines(keepends=True)
+        text = run(argv(chain, True))
+        assert_table_holds_digits()
+    # one step per composite in each form, each with one run per point of the first span
+    assert carried == [chain[0].apex.size] * (2 * (len(chain) - 1))
     assert record_lines == [json.dumps({"schema": SCHEMA, **r}, sort_keys=True) + "\n" for r in records]
     assert text == "".join(TEXT[r["kind"]](r) for r in records)
 

@@ -154,6 +154,36 @@ def test_chain_composites_project_as_the_oracle(size, length, seed):
         checked_pairs(composite(s, t)[0], s.right, t.left)
 
 
+def oracle_legs(s: Span, t: Span) -> tuple:
+    """The legs of s;t read off the nested-loop pullback's pairs."""
+    pairs = pullback_oracle(s.right, t.left)
+    return tuple(s.left(a) for a, _ in pairs), tuple(t.right(b) for _, b in pairs)
+
+
+def checked_composite(s: Span, t: Span) -> Span:
+    """``composite(s, t)``'s span, after checking its pullback against the oracle."""
+    pb, span = composite(s, t)
+    checked_pairs(pb, s.right, t.left)
+    return span
+
+
+@given(st.integers(0, 5), st.integers(2, 4), st.integers(0, 2**32))
+@example(*ALL_EMPTY)
+@example(*EMPTY_PULLBACK)
+@example(*EMPTY_INNER_FOOT)
+def test_compose_span_legs_match_the_nested_loop_oracle(size, length, seed):
+    """The one-pass legs, outside a scope and inside one, where ``composite`` asks before or after."""
+    chain = random_chain(Random(seed), size, length)
+    for s, t in zip(chain, chain[1:]):
+        bare = compose_span(s, t)
+        assert (bare.left.img, bare.right.img) == oracle_legs(s, t)
+        assert (bare.dom, bare.cod) == (s.dom, t.cod)
+        assert checked_composite(s, t) == bare
+        for calls in ((compose_span, checked_composite), (checked_composite, compose_span)):
+            with spans.shared_composites():
+                assert [call(s, t) for call in calls] == [bare, bare]
+
+
 def test_chain_examples_hold_empty_apexes_and_feet():
     chain = random_chain(Random(ALL_EMPTY[2]), *ALL_EMPTY[:2])
     assert {s.apex.size for s in chain} | {s.dom.size for s in chain} | {chain[-1].cod.size} == {0}
@@ -197,10 +227,10 @@ def test_base_change_lift_is_the_pullback_lift(cospan, rng):
 
 
 def _cell_calls():
-    """(name, thunk, pullbacks it must compute): one per distinct composite.
+    """(name, thunk, composites it must build, pullbacks it must compute): each distinct composite once.
 
-    The unitor cells compute none: their composites with an identity span
-    are written in closed form.
+    The unitor cells build none: their composites with an identity span
+    are written in closed form.  A bare composite computes no pullback.
     """
     rng = Random(25)
     s, t, u = random_chain(rng, 3, 3)
@@ -208,28 +238,34 @@ def _cell_calls():
     f = FinFun(FinSet(3), FinSet(2), (0, 1, 0))
     square = square_from_cospan(f, FinFun(FinSet(2), FinSet(2), (1, 0)))
     return [
-        ("compose_span", lambda: compose_span(s, t), 1),
-        ("horizontal_compose", lambda: horizontal_compose(c, d), 2),
-        ("assoc_cell", lambda: assoc_cell(s, t, u), 4),
-        ("left_unitor_cell", lambda: left_unitor_cell(s), 0),
-        ("right_unitor_cell", lambda: right_unitor_cell(s), 0),
-        ("adjunction_cells", lambda: adjunction_cells(f), 2),
-        ("base_change_1cell", lambda: base_change_1cell(square), 2),
+        ("compose_span", lambda: compose_span(s, t), 1, 0),
+        ("horizontal_compose", lambda: horizontal_compose(c, d), 2, 2),
+        ("assoc_cell", lambda: assoc_cell(s, t, u), 4, 0),
+        ("left_unitor_cell", lambda: left_unitor_cell(s), 0, 0),
+        ("right_unitor_cell", lambda: right_unitor_cell(s), 0, 0),
+        ("adjunction_cells", lambda: adjunction_cells(f), 2, 2),
+        ("base_change_1cell", lambda: base_change_1cell(square), 2, 2),
     ]
 
 
-@pytest.mark.parametrize("index", range(7), ids=[name for name, _, _ in _cell_calls()])
+@pytest.mark.parametrize("index", range(7), ids=[name for name, *_ in _cell_calls()])
 def test_each_composite_pullback_is_computed_once(index, monkeypatch):
-    _, call, expected = _cell_calls()[index]
-    calls = []
+    _, call, composites, pullbacks = _cell_calls()[index]
+    built, computed = [], []
+    build = spans._built
 
-    def counting(f, g):
-        calls.append((f, g))
+    def counting_builds(s, t, with_pullback):
+        built.append((s, t))
+        return build(s, t, with_pullback)
+
+    def counting_pullbacks(f, g):
+        computed.append((f, g))
         return checked_pullback(f, g)
 
-    monkeypatch.setattr(spans, "pullback", counting)
+    monkeypatch.setattr(spans, "_built", counting_builds)
+    monkeypatch.setattr(spans, "pullback", counting_pullbacks)
     call()
-    assert len(calls) == expected
+    assert (len(built), len(computed)) == (composites, pullbacks)
 
 
 def test_pullback_lift_uniqueness():
