@@ -76,16 +76,16 @@ without ``--out`` they are printed.  The curves are:
   eight labels and a cell on eight lists of length 2, against n.  Both
   cells permute their lists at random;
 * ``startup``: where the CLI's start-up goes, not a curve.  ``module_own_s``
-  is each ``smckit`` module's own import time, the median over 9 fresh
-  ``python -I -X importtime`` interpreters that import ``smckit.cli`` and
-  build its parser.  One interpreter runs first, unread, to write the
+  is each ``smckit`` module's own import time, the median over ``2 *
+  --repeats - 1`` fresh ``python -I -X importtime`` interpreters (9 by
+  default) that import ``smckit.cli`` and build its parser.  One interpreter runs first, unread, to write the
   bytecode caches.  The whole start-up is the benchmark's ``setup_s``;
 * ``cli_wall``: what a user waits for, not a curve.  For each of
   ``normalize``, ``equal``, ``span-compose``, ``unbias --cells`` and
   ``check-laws --suite braiding`` on a small fixed input, ``wall_s`` is
-  the median wall time of 9 fresh ``python -I`` processes that run the
-  package as ``python -m smckit`` does (through ``runpy``), start-up
-  included.  Each of them runs right after a bare ``python -I -c pass``,
+  the median wall time of ``2 * --repeats - 1`` fresh ``python -I``
+  processes (9 by default) that run the package as ``python -m smckit``
+  does (through ``runpy``), start-up included.  Each of them runs right after a bare ``python -I -c pass``,
   and ``over_bare_s`` is the median of each run less its bare run: the
   interpreter's own start-up (``site`` and its ``.pth`` files) and much of
   the machine's drift cancel out of it.  One process per command runs
@@ -153,7 +153,6 @@ EQUAL_SIZES = (4, 8, 12, 16, 20, 24)
 CELLS_SPAN_SIZES = (125, 250, 500, 1000, 2500)
 INT_LENGTHS = (1_000, 10_000, 100_000)
 MIN_SAMPLE_S = 0.02
-STARTUP_RUNS = 9
 VALUE_COUNT = 1000
 # argv[1] is the directory that holds smckit
 STARTUP_CODE = "import sys; sys.path.insert(0, sys.argv[1]); import smckit.cli; smckit.cli.build_parser()"
@@ -442,11 +441,11 @@ def k_hcomp_call(n: int):
     return lambda: k_hcomp(phi, psi)
 
 
-def startup() -> dict:
-    """Each smckit module's own import time in the CLI's start-up, the median over fresh interpreters."""
+def startup(runs: int) -> dict:
+    """Each smckit module's own import time in the CLI's start-up, the median over ``runs`` fresh interpreters."""
     src = str(Path(cli.__file__).resolve().parents[1])
     own = {}
-    for run in range(STARTUP_RUNS + 1):
+    for run in range(runs + 1):
         proc = subprocess.run([sys.executable, "-I", "-X", "importtime", "-c", STARTUP_CODE, src],
                               check=True, stdin=subprocess.DEVNULL, capture_output=True, text=True)
         if run == 0:  # writes the bytecode caches
@@ -458,7 +457,7 @@ def startup() -> dict:
                 own.setdefault(name.strip(), []).append(int(us) / 1e6)
     return {
         "unit": "s",
-        "runs": STARTUP_RUNS,
+        "runs": runs,
         "module_own_s": {name: statistics.median(times) for name, times in own.items()},
     }
 
@@ -470,21 +469,21 @@ def wall_time(argv: list) -> float:
     return time.perf_counter() - t0
 
 
-def cli_wall() -> dict:
-    """Each CLI command's median wall time in fresh interpreters, and its median excess over a bare one."""
+def cli_wall(runs: int) -> dict:
+    """Each CLI command's median wall time in ``runs`` fresh interpreters, and its median excess over a bare one."""
     src = str(Path(cli.__file__).resolve().parents[1])
     wall, over = {}, {}
     for name, args in CLI_COMMANDS.items():
         command = [sys.executable, "-I", "-c", CLI_CODE, src, *args]
         wall_time(command)  # writes the bytecode caches
         times, excess = [], []
-        for _ in range(STARTUP_RUNS):
+        for _ in range(runs):
             bare = wall_time([sys.executable, "-I", "-c", "pass"])
             times.append(wall_time(command))
             excess.append(times[-1] - bare)
         wall[name] = statistics.median(times)
         over[name] = statistics.median(excess)
-    return {"unit": "s", "runs": STARTUP_RUNS, "wall_s": wall, "over_bare_s": over}
+    return {"unit": "s", "runs": runs, "wall_s": wall, "over_bare_s": over}
 
 
 def values_layout(repeats: int) -> dict:
@@ -549,8 +548,9 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
         "pullback_dense": curve("pairs", list(dense_at), dense_at.get, repeats),
         "record_ints": record_ints(INT_LENGTHS, repeats),
         "k_hcomp": curve("n", list_lengths, k_hcomp_call, repeats),
-        "startup": startup(),
-        "cli_wall": cli_wall(),
+        # a run is a fresh process, so fewer repeats take fewer: 9 at the default of 5, 1 at 1
+        "startup": startup(2 * repeats - 1),
+        "cli_wall": cli_wall(2 * repeats - 1),
         "values": values_layout(repeats),
     }
 

@@ -209,7 +209,7 @@ def test_span_compose_builds_each_pullback_once(fmt, monkeypatch):
     """A k-chain builds its k - 1 composites; ``--cells`` adds only the associator's t;u and s;(t;u).
 
     None of them builds a pullback or composes maps: the legs take one pass,
-    and the unitor maps are written as runs.
+    and the unitor maps are written without their cells.
     """
     built, projected = [], []
     build = spans._built
