@@ -61,6 +61,12 @@ without ``--out`` they are printed.  The curves are:
   10,000).  Every leg has fibers that differ in size by at most one: the
   inner feet have n/2 elements, the outer ones eight and three.  It times
   the whole request: argv, records, the fold, the cells and the output;
+* ``span_compose_chain``: ``smckit --format record span-compose A B C
+  D`` run in-process on a dense chain of four spans of n apex elements
+  each, without ``--cells``, against the apex of the composite (n * (n/4)^3,
+  from 324 to 9,604).  Every leg has fibers that differ in size by at most
+  one: the three inner feet have four elements, the outer ones eight and
+  three, so the composite is the blocks of few rows that repeat;
 * ``pullback_dense``: ``spans.pullback`` of two maps of n points each onto
   a fixed foot of four, with fibers that differ in size by at most one,
   for n over the apex sizes, against the number of pairs (about n*n/4).
@@ -115,6 +121,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from functools import reduce
+from itertools import pairwise
 from pathlib import Path
 from random import Random
 
@@ -151,6 +159,7 @@ DENSE_FOOT = 4
 LIST_LENGTHS = (10, 20, 40, 80, 160, 320, 640)
 EQUAL_SIZES = (4, 8, 12, 16, 20, 24)
 CELLS_SPAN_SIZES = (125, 250, 500, 1000, 2500)
+CHAIN_SPAN_SIZES = (12, 16, 20, 24, 28)
 INT_LENGTHS = (1_000, 10_000, 100_000)
 MIN_SAMPLE_S = 0.02
 VALUE_COUNT = 1000
@@ -374,16 +383,18 @@ def unitor_cells_call(n: int):
     return lambda: (left_unitor_cell(s), right_unitor_cell(s))
 
 
-def span_compose_cells_calls(sizes) -> dict:
-    """Composite apex -> a call of ``smckit span-compose --cells`` on a balanced chain of three n-point spans."""
+def span_compose_calls(sizes, feet, options: list) -> dict:
+    """Composite apex -> a call of ``smckit --format record span-compose`` on a balanced chain of n-point spans.
+
+    ``feet(n)`` gives the chain's feet, one more than its spans.
+    """
     calls = {}
     for n in sizes:
         rng = Random(n)
-        feet = (ENTRIES, n // 2, n // 2, 3)
-        chain = [Span(balanced_function(rng, n, a), balanced_function(rng, n, b)) for a, b in zip(feet, feet[1:])]
+        chain = [Span(balanced_function(rng, n, a), balanced_function(rng, n, b)) for a, b in pairwise(feet(n))]
         records = [json.dumps({"schema": "smckit/1", **cli.span_to_record(s)}) for s in chain]
-        argv = REC + ["span-compose", *records, "--cells"]
-        apex = compose_span(compose_span(*chain[:2]), chain[2]).apex.size
+        argv = REC + ["span-compose", *records, *options]
+        apex = reduce(compose_span, chain).apex.size
         calls[apex] = lambda argv=argv: cli.main(argv, out=io.StringIO())
     return calls
 
@@ -521,7 +532,8 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
     normalize_at = normalize_calls([n for n in psi_sizes if n <= term_max_n])
     equal_at = equal_text_calls(EQUAL_SIZES)
     dense_at = pullback_dense_calls(apex_sizes)
-    cells_at = span_compose_cells_calls(CELLS_SPAN_SIZES)
+    cells_at = span_compose_calls(CELLS_SPAN_SIZES, lambda n: (ENTRIES, n // 2, n // 2, 3), ["--cells"])
+    chain_at = span_compose_calls(CHAIN_SPAN_SIZES, lambda n: (ENTRIES, *[DENSE_FOOT] * 3, 3), [])
     return {
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(), "platform": platform.platform()},
         "repeats": repeats,
@@ -545,6 +557,7 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
         "assoc_cell": curve("apex", apex_sizes, assoc_cell_call, repeats),
         "unitor_cells": curve("apex", apex_sizes, unitor_cells_call, repeats),
         "span_compose_cells": curve("apex", list(cells_at), cells_at.get, repeats),
+        "span_compose_chain": curve("apex", list(chain_at), chain_at.get, repeats),
         "pullback_dense": curve("pairs", list(dense_at), dense_at.get, repeats),
         "record_ints": record_ints(INT_LENGTHS, repeats),
         "k_hcomp": curve("n", list_lengths, k_hcomp_call, repeats),

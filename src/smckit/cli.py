@@ -19,19 +19,21 @@ A canonical term and the term-model results of ``unbias`` are evaluated in
 output is written while the formula is built, and no term is built or
 walked again to print it.  ``span-compose`` writes the integer lists of
 its records as joins of decimal texts from a bounded table, in about half
-the time ``json.dumps`` takes, with the same bytes; a run of consecutive
-ints in a unitor map is one slice of that table.
+the time ``json.dumps`` takes, with the same bytes.  It writes them
+straight from ``spans.chain_rows``'s blocks and builds no composite leg: a
+block of the left leg is one repeated digit string, a row of the right leg
+is joined once however often it repeats, and a run of consecutive ints in
+a unitor map is one slice of the table.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 import os
 import re
 import sys
-from collections import Counter
-from contextlib import nullcontext
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -45,9 +47,7 @@ from .spans import (
     FinSet,
     Span,
     assoc_cell,
-    compose_span,
-    fibers,
-    shared_composites,
+    chain_rows,
     span_pull,
     span_push,
 )
@@ -436,18 +436,14 @@ def span_from_record(record: dict) -> Span:
     return Span(*legs)
 
 
-def _span_record(s: Span, seq) -> dict:
+def span_to_record(s: Span) -> dict:
+    """A span's record, its images as lists that the caller may edit."""
     return {
         "kind": "span",
         "apex": s.apex.size,
-        "left": {"target": s.dom.size, "img": seq(s.left.img)},
-        "right": {"target": s.cod.size, "img": seq(s.right.img)},
+        "left": {"target": s.dom.size, "img": list(s.left.img)},
+        "right": {"target": s.cod.size, "img": list(s.right.img)},
     }
-
-
-def span_to_record(s: Span) -> dict:
-    """A span's record, its images as lists that the caller may edit."""
-    return _span_record(s, list)
 
 
 def family_from_record(record: dict) -> tuple[int, dict]:
@@ -481,28 +477,34 @@ _DIGITS_CAP = 1 << 14
 _DIGITS: list[str] = []
 
 
-class _Runs(list):
-    """An int list as its runs of consecutive ints, each a pair (start, stop)."""
+class _Joined:
+    """An int list that writes itself: ``text(table, sep)`` joins its items' texts from the digit
+    table with ``sep``, and ``ints()`` iterates its ints, for a bound past the table's cap."""
+
+    __slots__ = ("text", "ints")
+
+    def __init__(self, text, ints):
+        self.text, self.ints = text, ints
 
 
 def _ints(values, bound: int, sep: str) -> str:
     """A list of ints, each in range(bound), as JSON writes it with ``sep`` between items.
 
-    ``values`` is a sequence of ints, a ``range`` (one run) or ``_Runs``;
-    each run is written as one slice of the table.
+    ``values`` is a sequence of ints, a ``range``, written as one slice of
+    the table, or ``_Joined``.
     """
     global _DIGITS
     table = _DIGITS
     if bound > len(table):
         if bound >= _DIGITS_CAP:
-            if type(values) is _Runs:
-                values = itertools.chain.from_iterable(itertools.starmap(range, values))
+            if type(values) is _Joined:
+                values = values.ints()
             return json.dumps(tuple(values), separators=(sep, ":"))
         table = _DIGITS = table + list(map(str, range(len(table), bound)))
     if type(values) is range:
         return f"[{sep.join(table[values.start:values.stop])}]"
-    if type(values) is _Runs:
-        return f"[{sep.join([sep.join(table[a:b]) for a, b in values if a < b])}]"
+    if type(values) is _Joined:
+        return f"[{values.text(table, sep)}]"
     return f"[{sep.join(map(table.__getitem__, values))}]"
 
 
@@ -629,66 +631,54 @@ def cmd_equal(args, out) -> int:
     return 0 if equal else 1
 
 
-# span-compose --cells writes the left unitor map as runs where the composite has at least this
-# many apex points per point of the first span, which is per run.  Carrying a run through the
-# fold and writing it costs about as much as six points read off the fibers and written one by
-# one (a 2-span chain of 300 first-span points, 2 vCPUs, Python 3.11).
-_POINTS_PER_RUN = 8
-
-
-def _runs_through(runs: _Runs, s: Span, t: Span) -> _Runs:
-    """Runs of points of s's apex, as the runs of s;t's apex that lie over them.
-
-    The apex of s;t is one block per point a of s's apex, in the order of a:
-    a pair (a, b) for each point b of t.left's fiber over s.right(a).  So the
-    blocks of a run of consecutive points are one run, which starts where the
-    first block starts and ends where the last one ends.
-    """
-    sizes = Counter(t.left.img)  # a dict, since a foot may be far larger than the apex over it
-    starts = list(itertools.accumulate(map(sizes.get, s.right.img, itertools.repeat(0)), initial=0))
-    return _Runs([(starts[p], starts[q]) for p, q in runs])
-
-
-def _left_unitor_map(spans: list, folds: list):
-    """The map of ``left_unitor_cell(folds[-1])``, where folds[k] is spans[0];...;spans[k].
-
-    It lists the fibers of the composite's left leg in turn.  The fold keeps
-    those fibers: fiber x of s;t's left leg is the blocks over the points of
-    fiber x of s's left leg.  So the first span's map, each point a run of
-    one, carried through the fold by ``_runs_through`` is the composite's
-    map as runs, no more of them than the first span has points.  Where the
-    runs would be short, the map is read off the composite's fibers instead.
-    """
-    composite = folds[-1]
-    if composite.apex.size < _POINTS_PER_RUN * spans[0].apex.size:
-        return itertools.chain.from_iterable(fibers(composite.left))  # read once
-    runs = _Runs([(a, a + 1) for a in itertools.chain.from_iterable(fibers(spans[0].left))])
-    for s, t in zip(folds, spans[1:]):
-        runs = _runs_through(runs, s, t)
-    return runs
-
-
 def cmd_span_compose(args, out) -> int:
     if _stdin_twice("record", args.spans):
         return 2
     spans = [span_from_record(load_record(src, "span")) for src in args.spans]
-    # the associator cell reuses the fold's s;t and (s;t);u from one table for the command;
-    # without that cell no composite is asked for twice, and hashing the keys would only cost
-    with shared_composites() if args.cells and len(spans) >= 3 else nullcontext():
-        folds = [spans[0]]
-        for nxt in spans[1:]:
-            folds.append(compose_span(folds[-1], nxt))
-        composite = folds[-1]
-        # the records hold the maps' own tuples, which emit reads as they are
-        emit(out, args.format, _span_record(composite, tuple))
-        if args.cells:
-            emit(out, args.format, {
-                "kind": "structural-cells",
-                "lunitor": _left_unitor_map(spans, folds),
-                "runitor": range(composite.apex.size),  # right_unitor_cell's map, the identity
-            })
-            if len(spans) >= 3:
-                emit(out, args.format, {"kind": "assoc-cell", "map": assoc_cell(*spans[:3]).map.img})
+    first, rows = spans[0], chain_rows(spans)
+    # the composite's apex is one block per point a of the first span, in the order of a:
+    # first.left(a) paired with each entry of row first.right(a)
+    blocks = list(map(rows.get, first.right.img, itertools.repeat(())))
+    sizes = list(map(len, blocks))
+    apex = sum(sizes)
+
+    def left(table, sep):  # each block is one repeated digit string
+        repeated = [text + sep for text in table[:first.dom.size]]
+        return "".join(map(operator.mul, map(repeated.__getitem__, first.left.img), sizes))[:-len(sep)]
+
+    def right(table, sep):  # each row is joined once and written once per block
+        if apex < 16 * len(rows):  # rows short or used about once: a join per row costs more than it saves
+            return sep.join(map(table.__getitem__, itertools.chain.from_iterable(blocks)))
+        texts = {v: sep.join(map(table.__getitem__, row)) for v, row in rows.items()}
+        return sep.join(filter(None, map(texts.get, first.right.img)))
+
+    emit(out, args.format, {
+        "kind": "span",
+        "apex": apex,
+        "left": {"target": first.dom.size, "img": _Joined(
+            left, lambda: itertools.chain.from_iterable(map(itertools.repeat, first.left.img, sizes)))},
+        "right": {"target": spans[-1].cod.size, "img": _Joined(
+            right, lambda: itertools.chain.from_iterable(blocks))},
+    })
+    if args.cells:
+        starts = list(itertools.accumulate(sizes, initial=0))  # block a is range(starts[a], starts[a + 1])
+
+        def lunitor(points):
+            # left_unitor_cell's map lists the left leg's fibers in turn: fiber x is the blocks of
+            # the points of the first span's left fiber x, in order, each a run of the apex
+            fibers = [[] for _ in range(first.dom.size)]
+            for x, start, stop in zip(first.left.img, starts, starts[1:]):
+                fibers[x] += points[start:stop]
+            return itertools.chain.from_iterable(fibers)
+
+        emit(out, args.format, {
+            "kind": "structural-cells",
+            "lunitor": _Joined(lambda table, sep: sep.join(lunitor(table)), lambda: lunitor(range(apex))),
+            "runitor": range(apex),  # right_unitor_cell's map, the identity
+        })
+        if len(spans) >= 3:
+            # assoc_cell checks that its map, the identity of its apex, commutes with both legs
+            emit(out, args.format, {"kind": "assoc-cell", "map": range(assoc_cell(*spans[:3]).src.apex.size)})
     return 0
 
 

@@ -22,9 +22,12 @@ builds its legs in one pass over s's apex with no projections.  Inside a
 the span and, once ``composite`` asks for it, the pullback, so a law check
 that pastes many cells over the same chain builds each composite once,
 whichever call asks first; the table is dropped with the scope.  The law
-suites open one scope per law check, and ``span-compose --cells`` opens
-one for a chain of three or more spans, so that its associator cell reuses
-the fold's s;t and (s;t);u.  The unitor cells call no ``composite``: a
+suites open one scope per law check.  ``chain_rows`` gives the composite
+of a whole chain in factored form, composed right to left: one row of
+right images per value of the first span's right leg, so a row that the
+composite repeats is built once.  ``span-compose`` writes its records from
+those rows and builds no composite span, except the two nestings that
+``assoc_cell`` compares.  The unitor cells call no ``composite``: a
 composite with an identity span has a closed form, which they write
 directly, and ``span-compose`` writes the unitor maps without building the
 cells.
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, compress
 
 from .errors import (
     BoundaryMismatch,
@@ -324,6 +327,57 @@ def compose_span(s: Span, t: Span) -> Span:
     return _composite(s, t, False)[1]
 
 
+def chain_rows(spans) -> dict[int, list[int]]:
+    """The composite of a chain s1;...;sn of spans in factored form.
+
+    Row v, for a value v of s1's right leg, lists the right images of the
+    suffix s2;...;sn over v in apex order; a value over which the suffix
+    has no point has no row.  The canonical apex of the composite is one
+    block per point a of s1's apex, in the order of a: s1.left(a) paired
+    with each entry of row s1.right(a).  That is the left fold's
+    lexicographic order of the tuples (a, b, ..., z), so the block sizes
+    give the apex before any leg is written.  A forward pass first keeps
+    the points of each middle span that s1 reaches, and the last span
+    makes rows only over values it reaches, so each loop runs once per
+    point of the input apexes, and each row extended is a disjoint block
+    of the composite.  Raises ``TargetMismatch`` at the first pair in
+    order that does not compose.
+
+    >>> s = Span(FinFun(FinSet(2), FinSet(1), (0, 0)), FinFun(FinSet(2), FinSet(2), (0, 1)))
+    >>> t = Span(FinFun(FinSet(3), FinSet(2), (1, 0, 1)), FinFun(FinSet(3), FinSet(3), (0, 1, 2)))
+    >>> chain_rows([s, t])  # blocks [1] over point 0 of s and [0, 2] over point 1
+    {1: [0, 2], 0: [1]}
+    >>> compose_span(s, t).right.img
+    (1, 0, 2)
+    """
+    for s, t in zip(spans, spans[1:]):
+        if s.cod != t.dom:
+            raise TargetMismatch(f"spans not composable: {s.cod} != {t.dom}")
+    reach, kept = set(spans[0].right.img), []
+    for t in spans[1:-1]:
+        hit = list(map(reach.__contains__, t.left.img))
+        kept.append((compress(t.left.img, hit), list(compress(t.right.img, hit))))
+        reach = set(kept[-1][1])
+    if len(spans) == 1:
+        return {v: [v] for v in reach}
+    rows, last = {}, spans[-1]
+    for v, w in zip(last.left.img, last.right.img):  # the last span's rows are its own right images
+        if v in rows:
+            rows[v].append(w)
+        elif v in reach:
+            rows[v] = [w]
+    for left, right in reversed(kept):
+        after, rows = rows, {}
+        for v, w in zip(left, right):
+            row = after.get(w)
+            if row:
+                if v in rows:
+                    rows[v] += row
+                else:
+                    rows[v] = row[:]  # a row of after may be read again at this span
+    return rows
+
+
 def identity_cell(s: Span) -> SpanCell:
     return SpanCell._unchecked(s, s, identity_fun(s.apex))  # the identity commutes with any legs
 
@@ -359,12 +413,18 @@ def assoc_cell(s: Span, t: Span, u: Span) -> SpanCell:
     """(s;t);u => s;(t;u), matching ((a,b),c) with (a,(b,c)).
 
     Both canonical apexes list the triples (a, b, c) in lexicographic
-    order, so the map is the identity; the cell's check proves that it
-    commutes with both legs.
+    order, so the map is the identity.  For the identity, the checks of
+    ``SpanCell`` are equal apexes and equal leg tuples, made here directly.
     """
     src = compose_span(compose_span(s, t), u)
     dst = compose_span(s, compose_span(t, u))
-    return SpanCell(src, dst, identity_fun(src.apex))
+    if src.apex != dst.apex:
+        raise BoundaryMismatch("cell map must go between the apices")
+    if src.left.img != dst.left.img:
+        raise BoundaryMismatch("cell map does not commute with left legs")
+    if src.right.img != dst.right.img:
+        raise BoundaryMismatch("cell map does not commute with right legs")
+    return SpanCell._unchecked(src, dst, identity_fun(src.apex))
 
 
 def left_unitor_cell(s: Span) -> SpanCell:

@@ -206,10 +206,10 @@ CHAIN = [SPAN_A, *(json.dumps({
 
 @pytest.mark.parametrize("fmt", ["text", "record"])
 def test_span_compose_builds_each_pullback_once(fmt, monkeypatch):
-    """A k-chain builds its k - 1 composites; ``--cells`` adds only the associator's t;u and s;(t;u).
+    """A bare chain builds no composite span; ``--cells`` adds only the associator's four.
 
-    None of them builds a pullback or composes maps: the legs take one pass,
-    and the unitor maps are written without their cells.
+    The composite is written from ``spans.chain_rows``, and the unitor maps
+    without their cells.  Nothing builds a pullback or composes maps.
     """
     built, projected = [], []
     build = spans._built
@@ -221,8 +221,8 @@ def test_span_compose_builds_each_pullback_once(fmt, monkeypatch):
     monkeypatch.setattr(spans, "_built", counting)
     for name in ("pullback", "fcompose"):
         monkeypatch.setattr(spans, name, lambda *args, name=name: projected.append(name))
-    # chain length -> composites without and with --cells (at 3 and 4 the cells rebuilt s;t and (s;t);u: 6 and 7)
-    for k, (bare, cells) in {1: (0, 0), 2: (1, 1), 3: (2, 4), 4: (3, 5)}.items():
+    # chain length -> composites without and with --cells: s;t, (s;t);u, t;u and s;(t;u) for assoc_cell
+    for k, (bare, cells) in {1: (0, 0), 2: (0, 0), 3: (0, 4), 4: (0, 4)}.items():
         for options, want in (([], bare), (["--cells"], cells)):
             built.clear()
             assert run("--format", fmt, "span-compose", *CHAIN[:k], *options)[0] == 0

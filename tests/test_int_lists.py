@@ -5,9 +5,9 @@ are written without ``json.dumps``.  Each line is checked against the line
 ``json.dumps`` writes for the record built from the library's own cells,
 and each text form against the text form of the lists written with
 ``str``.  The table's cap is patched down, so that bounds below, at and
-above it are all drawn.  The left unitor map is written as runs of
-consecutive ints where they are long; one test writes it as runs for every
-chain, so that each edge of the runs reaches the writer.
+above it are all drawn.  Each leg and map is written from the blocks of
+the composite's apex, one block per point of the first span; one test
+draws the edges of the left unitor map's runs, one per block.
 """
 
 import io
@@ -81,6 +81,11 @@ def through_a_point(n: int) -> list:
     return [Span(fun(n, range(n)), fun(1, [0] * n)), Span(fun(1, [0]), fun(2, [1]))]
 
 
+def one_row(cod: int) -> list:
+    """A chain whose composite repeats one row of two points 20 times, so that each row is joined once."""
+    return [Span(fun(2, [i % 2 for i in range(20)]), fun(1, [0] * 20)), Span(fun(1, [0, 0]), fun(cod, [cod - 1, 0]))]
+
+
 @st.composite
 def chains(draw) -> list:
     """2-4 spans; feet and apices lie around CAP, and an empty foot has an empty apex over it."""
@@ -100,6 +105,9 @@ def chains(draw) -> list:
 @example(chain=through_a_point(CAP - 1), cells=True)  # bounds just below the cap
 @example(chain=through_a_point(CAP), cells=True)  # at it
 @example(chain=through_a_point(CAP + 1), cells=True)  # above it
+@example(chain=one_row(CAP - 1), cells=False)  # a right leg of repeated rows, its bound just below the cap
+@example(chain=one_row(CAP), cells=False)  # at it
+@example(chain=one_row(CAP + 1), cells=True)  # above it
 def test_span_compose_writes_what_dumps_and_str_write(chain, cells):
     records = expected_records(chain, cells)
     with mock.patch.object(cli, "_DIGITS_CAP", CAP), mock.patch.object(cli, "_DIGITS", []):
@@ -124,24 +132,14 @@ def three_blocks(n: int) -> list:
 @example(chain=three_blocks(CAP))  # json.dumps, at it
 @example(chain=three_blocks(CAP + 1))  # and above it
 @example(chain=[Span(fun(3, [2, 0, 2, 1]), fun(2, [0, 1, 1, 0]))])  # one span: each point a run of one
-@example(chain=[Span(fun(3, []), fun(3, []))] * 3)  # empty apices, carried through the fold
+@example(chain=[Span(fun(3, []), fun(3, []))] * 3)  # empty apices through three spans
 def test_left_unitor_runs_write_what_dumps_and_str_write(chain):
-    """With every chain's left unitor map written as runs, both forms match the library's cells."""
+    """The left unitor map, written as one run per point of the first span, matches the library's cells in both forms."""
     records = expected_records(chain, True)
-    carried = []
-    runs_through = cli._runs_through
-
-    def counting(runs, s, t):
-        carried.append(len(runs))
-        return runs_through(runs, s, t)
-
-    with mock.patch.object(cli, "_DIGITS_CAP", CAP), mock.patch.object(cli, "_DIGITS", []), \
-            mock.patch.object(cli, "_POINTS_PER_RUN", 0), mock.patch.object(cli, "_runs_through", counting):
+    with mock.patch.object(cli, "_DIGITS_CAP", CAP), mock.patch.object(cli, "_DIGITS", []):
         record_lines = run(["--format", "record", *argv(chain, True)]).splitlines(keepends=True)
         text = run(argv(chain, True))
         assert_table_holds_digits()
-    # one step per composite in each form, each with one run per point of the first span
-    assert carried == [chain[0].apex.size] * (2 * (len(chain) - 1))
     assert record_lines == [json.dumps({"schema": SCHEMA, **r}, sort_keys=True) + "\n" for r in records]
     assert text == "".join(TEXT[r["kind"]](r) for r in records)
 

@@ -77,6 +77,10 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     apexes = [n for n, _ in cells["points"]]
     assert cells["x"] == "apex" and len(apexes) == 5 and apexes == sorted(set(apexes))
     assert 400 < apexes[0] and apexes[-1] <= 10_000 and all(t > 0 for _, t in cells["points"])
+    # bare span-compose in-process on dense 4-chains of n = 12 .. 28 points per span, against n * (n / 4) ** 3
+    chain = curves["span_compose_chain"]
+    assert chain["x"] == "apex" and [n for n, _ in chain["points"]] == [324, 1024, 2500, 5184, 9604]
+    assert all(t > 0 for _, t in chain["points"])
     assert [n for n, _ in curves["k_hcomp"]["points"]] == [1, 4]
     assert all(t > 0 for c in (*apex_curves, curves["k_hcomp"]) for _, t in c["points"])
     assert all(t > 0 for c in curves["psi_hom_reversal"].values() for _, t in c["points"])

@@ -1,5 +1,6 @@
 """Spans of finite sets: pullbacks, cells, adjunctions, base change."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from functools import reduce
@@ -184,6 +185,71 @@ def test_compose_span_legs_match_the_nested_loop_oracle(size, length, seed):
                 assert [call(s, t) for call in calls] == [bare, bare]
 
 
+def factored_span(chain: list) -> Span:
+    """``chain_rows(chain)`` written out: per point a of the first span, s1.left(a) paired with row s1.right(a)."""
+    first, rows = chain[0], spans.chain_rows(chain)
+    blocks = [rows.get(v, ()) for v in first.right.img]
+    left = [x for x, row in zip(first.left.img, blocks) for _ in row]
+    apex = FinSet(len(left))
+    return Span(FinFun(apex, first.dom, left), FinFun(apex, chain[-1].cod, [w for row in blocks for w in row]))
+
+
+def oracle_fold(chain: list) -> Span:
+    """The left fold of the chain, each composite read off the nested-loop pullback's pairs."""
+    out = chain[0]
+    for t in chain[1:]:
+        left, right = oracle_legs(out, t)
+        apex = FinSet(len(left))
+        out = Span(FinFun(apex, out.dom, left), FinFun(apex, t.cod, right))
+    return out
+
+
+@given(st.integers(0, 5), st.integers(1, 5), st.integers(0, 2**32))
+@example(*ALL_EMPTY)
+@example(*EMPTY_PULLBACK)
+@example(*EMPTY_INNER_FOOT)
+def test_chain_rows_are_the_left_fold(size, length, seed):
+    """The factored composite, written out, is the fold of ``compose_span`` and the nested-loop oracle's."""
+    chain = random_chain(Random(seed), size, length)
+    composite = factored_span(chain)
+    assert composite == reduce(compose_span, chain) == oracle_fold(chain)
+    # a row is kept only for a value of the first right leg, and only when it is not empty
+    rows = spans.chain_rows(chain)
+    assert set(rows) <= set(chain[0].right.img) and all(rows.values())
+
+
+def test_chain_rows_refuse_the_first_pair_that_does_not_compose():
+    one, two, three = (identity_span(FinSet(n)) for n in (1, 2, 3))
+    with pytest.raises(TargetMismatch, match=r"^spans not composable: FinSet\(size=2\) != FinSet\(size=3\)$"):
+        spans.chain_rows([two, two, three, one])
+
+
+def test_chain_rows_build_only_the_rows_the_first_span_reaches():
+    """A suffix of 10^6 points over one foot value, which the first span misses, is never built.
+
+    The first span hits value 0 of a two-point foot.  Over value 1, s2 has
+    1000 points and s3 1000 more, so s2;s3 has 10^6 points there, a row of
+    8 MB of list slots; over value 0 each has one point, so the composite
+    has one.
+    """
+    def fun(dst: int, img: list) -> FinFun:
+        return FinFun(FinSet(len(img)), FinSet(dst), img)
+
+    n = 1000
+    s1 = Span(fun(1, [0]), fun(2, [0]))
+    s2 = Span(fun(2, [0] + [1] * n), fun(2, [0] + [1] * n))
+    s3 = Span(fun(2, [0] + [1] * n), fun(1, [0] * (n + 1)))
+    unpruned = 8 * n * n  # one pointer per point of s2;s3 over value 1
+    tracemalloc.start()
+    try:
+        rows = spans.chain_rows([s1, s2, s3])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == {0: [0]}
+    assert peak < unpruned / 50
+
+
 def test_chain_examples_hold_empty_apexes_and_feet():
     chain = random_chain(Random(ALL_EMPTY[2]), *ALL_EMPTY[:2])
     assert {s.apex.size for s in chain} | {s.dom.size for s in chain} | {chain[-1].cod.size} == {0}
@@ -302,6 +368,48 @@ def test_composite_refuses_spans_that_do_not_compose_before_any_pullback(scoped,
         with pytest.raises(TargetMismatch, match=r"^spans not composable: FinSet\(size=2\) != FinSet\(size=3\)$"):
             composite(s, t)
     assert calls == []
+
+
+def _reversed_leg(s: Span, leg: str) -> Span:
+    left, right = s.left, s.right
+    if leg == "left":
+        left = FinFun(s.apex, s.dom, left.img[::-1])
+    else:
+        right = FinFun(s.apex, s.cod, right.img[::-1])
+    return Span(left, right)
+
+
+def _one_point_less(s: Span) -> Span:
+    apex = FinSet(s.apex.size - 1)
+    return Span(FinFun(apex, s.dom, s.left.img[1:]), FinFun(apex, s.cod, s.right.img[1:]))
+
+
+@pytest.mark.parametrize("wrong, message", [
+    (lambda s: _reversed_leg(s, "left"), "cell map does not commute with left legs"),
+    (lambda s: _reversed_leg(s, "right"), "cell map does not commute with right legs"),
+    (_one_point_less, "cell map must go between the apices"),
+], ids=["left-leg", "right-leg", "apex"])
+def test_assoc_cell_refuses_nestings_that_disagree(wrong, message, monkeypatch):
+    """With (s;t);u made wrong, assoc_cell raises what the checked ``SpanCell`` would, with the identity map."""
+    one, two = FinSet(1), FinSet(2)
+    s = Span(FinFun(two, two, (0, 1)), FinFun(two, one, (0, 0)))
+    t = Span(FinFun(FinSet(3), one, (0, 0, 0)), FinFun(FinSet(3), two, (0, 1, 1)))
+    u = identity_span(two)
+    calls, compose = [], spans.compose_span
+
+    def second_call_wrong(a, b):
+        calls.append((a, b))
+        out = compose(a, b)
+        return wrong(out) if len(calls) == 2 else out  # the outer composite of (s;t);u
+
+    monkeypatch.setattr(spans, "compose_span", second_call_wrong)
+    src = wrong(compose(compose(s, t), u))
+    dst = compose(s, compose(t, u))
+    with pytest.raises(BoundaryMismatch, match=f"^{message}$"):
+        SpanCell(src, dst, identity_fun(src.apex))
+    with pytest.raises(BoundaryMismatch, match=f"^{message}$"):
+        assoc_cell(s, t, u)
+    assert calls[1] == (compose(s, t), u)
 
 
 def test_structural_cells_are_pith_and_project():
