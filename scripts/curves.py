@@ -32,6 +32,12 @@ without ``--out`` they are printed.  The curves are:
   labels, so the answer is "not equal"), for n = 4 .. 24, against the
   number of tokens of both texts.  It times the whole request: argv,
   tokenizing, parsing, normalizing and the output;
+* ``parse_phases``: three phases of that request on the same texts,
+  against the same token counts, each timed on its own within one loop:
+  ``tokenize`` is ``cli._tokenize`` of both texts, ``parse`` is
+  ``cli.parse_program`` of both into a fresh ``Objects`` (it tokenizes
+  too, so ``parse`` less ``tokenize`` is the parser's own time), and
+  ``normal_forms`` is ``terms.normal_forms`` of the two programs;
 * ``unbias_comp_iso``: ``unbias.unbias_comp_iso`` of a one-fiber span of
   the given arity over an eight-entry family, factored as a pull then a
   push the way ``smckit unbias --cells`` does, against arity, in the term
@@ -145,7 +151,7 @@ from smckit.spans import (
     span_pull,
     span_push,
 )
-from smckit.terms import Gen, canonical_term, normalize, normalize_obj, psi_hom
+from smckit.terms import Gen, Objects, canonical_term, normal_forms, normalize, normalize_obj, psi_hom
 from smckit.unbias import f_comp_cell, unbias_comp_iso
 
 PSI_SIZES = (10, 20, 30, 40, 60, 72, 80, 100, 120)
@@ -197,6 +203,15 @@ def sample_time(call, repeats: int) -> float:
             call()
         samples.append((time.perf_counter() - start) / number)
     return statistics.median(samples)
+
+
+def sample_phases(call, repeats: int) -> list:
+    """Per phase, the median over ``repeats`` samples of its time in one call; ``call`` returns its phase times."""
+    number = 1
+    while number * sum(call()) < MIN_SAMPLE_S and number < 1 << 16:
+        number *= 2
+    samples = [[sum(times) / number for times in zip(*(call() for _ in range(number)))] for _ in range(repeats)]
+    return [statistics.median(phase) for phase in zip(*samples)]
 
 
 def loglog_slope(points: list) -> float | None:
@@ -274,9 +289,9 @@ def normalize_calls(sizes) -> dict:
     return calls
 
 
-def equal_text_calls(sizes) -> dict:
-    """Token count -> a call of ``smckit equal`` on two permutations of n labels with one target."""
-    calls = {}
+def equal_texts(sizes) -> dict:
+    """Token count -> the texts of two permutations of n labels with one target, as ``smckit equal`` reads them."""
+    pairs = {}
     for n in sizes:
         rng = Random(n)
         labels = [f"y{rng.randrange(n * 3 // 4)}" for _ in range(n)]  # fewer labels than places
@@ -287,9 +302,29 @@ def equal_text_calls(sizes) -> dict:
         other = list(img)
         other[i], other[j] = other[j], other[i]
         texts = [render_mor(canonical_term(SListHom(SList(labels), SList(target), Perm(p)))) for p in (img, other)]
-        argv = ["equal", *texts]
-        calls[sum(len(TOKEN.findall(t)) for t in texts)] = lambda argv=argv: cli.main(argv, out=io.StringIO())
-    return calls
+        pairs[sum(len(TOKEN.findall(t)) for t in texts)] = texts
+    return pairs
+
+
+def parse_phases(pairs: dict, repeats: int) -> dict:
+    """Curves of the tokenize, parse and ``normal_forms`` phases of ``smckit equal`` on each pair of texts."""
+    def call(texts):
+        t0 = time.perf_counter()
+        for text in texts:
+            cli._tokenize(text)
+        t1 = time.perf_counter()
+        objs = Objects()
+        programs = [cli.parse_program(text, objs) for text in texts]
+        t2 = time.perf_counter()
+        normal_forms(objs, *programs)
+        return t1 - t0, t2 - t1, time.perf_counter() - t2
+
+    times = {tokens: sample_phases(lambda texts=texts: call(texts), repeats) for tokens, texts in pairs.items()}
+    out = {}
+    for k, name in enumerate(("tokenize", "parse", "normal_forms")):
+        points = [[tokens, phases[k]] for tokens, phases in times.items()]
+        out[name] = {"x": "tokens", "unit": "s", "points": points, "loglog_slope": loglog_slope(points)}
+    return out
 
 
 def family(model_name: str):
@@ -530,7 +565,7 @@ def singleton(label) -> SList:
 
 def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeats: int) -> dict:
     normalize_at = normalize_calls([n for n in psi_sizes if n <= term_max_n])
-    equal_at = equal_text_calls(EQUAL_SIZES)
+    equal_pairs = equal_texts(EQUAL_SIZES)
     dense_at = pullback_dense_calls(apex_sizes)
     cells_at = span_compose_calls(CELLS_SPAN_SIZES, lambda n: (ENTRIES, n // 2, n // 2, 3), ["--cells"])
     chain_at = span_compose_calls(CHAIN_SPAN_SIZES, lambda n: (ENTRIES, *[DENSE_FOOT] * 3, 3), [])
@@ -546,7 +581,9 @@ def curves(psi_sizes, term_max_n: int, arities, apex_sizes, list_lengths, repeat
         },
         "reduced_word": curve("n", psi_sizes, reduced_word_call, repeats),
         "normalize": curve("nodes", list(normalize_at), normalize_at.get, repeats),
-        "equal_text": curve("tokens", list(equal_at), equal_at.get, repeats),
+        "equal_text": curve("tokens", list(equal_pairs),
+                            lambda n: lambda: cli.main(["equal", *equal_pairs[n]], out=io.StringIO()), repeats),
+        "parse_phases": parse_phases(equal_pairs, repeats),
         "unbias_comp_iso": {
             name: curve("arity", arities, comp_iso_call(name), repeats) for name in ("term", "slist")
         },

@@ -87,7 +87,7 @@ KEYWORDS = {"I", "id", "a", "l", "r", "b", "inv"}
 
 
 _TOKEN = re.compile(r"[()*;]|[^\W\d]\w*|\S")
-_KINDS = {**{c: c for c in "()*;"}, **{word: word for word in KEYWORDS}}
+_RESERVED = frozenset("()*;").union(KEYWORDS, [""])  # every token text that is no identifier
 
 
 def _line_column(text: str, offset: int) -> tuple[int, int]:
@@ -104,26 +104,23 @@ def _error(text: str, index: int, message: str) -> ParseError:
     return ParseError(message, *_position(text, index))
 
 
-def _tokenize(text: str) -> tuple[list[str], list[str]]:
-    """Kinds and texts of the tokens of ``text``, closed by an ``eof`` token.
+def _tokenize(text: str) -> list[str]:
+    """The texts of the tokens of ``text``, closed by the end marker ``""``.
 
-    An identifier starts with ``_`` or a letter; any other character that
-    is not punctuation or white space is an error.  With punctuation spaced
-    out, the pieces between white space are the tokens when each distinct
-    piece is punctuation, a keyword or a whole identifier.  Otherwise some
-    piece holds a character that starts no token, and ``_TOKEN`` finds the
-    first one in the text.
+    A token is an identifier exactly when its text is not in ``_RESERVED``,
+    so the parser dispatches on the texts alone.  An identifier starts with
+    ``_`` or a letter; any other character that is not punctuation or white
+    space is an error.  With punctuation spaced out, the pieces between
+    white space are the tokens when each distinct piece is punctuation, a
+    keyword or a whole identifier.  Otherwise some piece holds a character
+    that starts no token, and ``_TOKEN`` finds the first one in the text.
     """
     texts = text.replace("(", " ( ").replace(")", " ) ").replace("*", " * ").replace(";", " ; ").split()
-    kinds = dict(_KINDS)
-    for word in set(texts).difference(kinds):
+    for word in set(texts).difference(_RESERVED):
         if not _is_identifier(word):
             raise _unexpected(text)
-        kinds[word] = "ident"
-    out = list(map(kinds.get, texts))
-    out.append("eof")
     texts.append("")
-    return out, texts
+    return texts
 
 
 def _is_identifier(word: str) -> bool:
@@ -137,7 +134,7 @@ def _unexpected(text: str) -> ParseError:
     """The error for the first token of ``text`` that is no punctuation, keyword or identifier."""
     for match in _TOKEN.finditer(text):
         word = match.group()
-        if word not in _KINDS and not (word[0].isalpha() or word[0] == "_"):
+        if word not in _RESERVED and not (word[0].isalpha() or word[0] == "_"):
             return ParseError(f"unexpected character {word[0]!r}", *_line_column(text, match.start()))
 
 
@@ -145,31 +142,30 @@ def _expected(what: str, texts: list[str], i: int) -> str:
     return f"expected {what}, found {texts[i] or 'end of input'!r}"
 
 
-def _parse_obj(kinds: list[str], texts: list[str], i: int, text: str, objs: Objects) -> tuple[int, int]:
+def _parse_obj(texts: list[str], i: int, text: str, objs: Objects, names: dict) -> tuple[int, int]:
     """The number in ``objs`` of the object starting at token i, and the index of the token after it."""
     lefts: list = []  # per open "(": None, then the number of its left part once read
     while True:
-        kind = kinds[i]
-        if kind == "(":
+        word = texts[i]
+        if word == "(":
             lefts.append(None)
             i += 1
             continue
-        if kind == "ident":
-            k = objs[texts[i],]
-        elif kind == "I":
-            k = 0
-        else:
-            raise _error(text, i, _expected("an object", texts, i))
+        k = names.get(word)  # the parse's number of each generator text it has met, and of "I"
+        if k is None:
+            if word in _RESERVED:
+                raise _error(text, i, _expected("an object", texts, i))
+            k = names[word] = objs[word,]
         i += 1
         while lefts:
             left = lefts[-1]
             if left is None:
-                if kinds[i] != "*":
+                if texts[i] != "*":
                     raise _error(text, i, _expected("'*'", texts, i))
                 lefts[-1] = k
                 i += 1
                 break
-            if kinds[i] != ")":
+            if texts[i] != ")":
                 raise _error(text, i, _expected("')'", texts, i))
             i += 1
             lefts.pop()
@@ -178,43 +174,43 @@ def _parse_obj(kinds: list[str], texts: list[str], i: int, text: str, objs: Obje
             return k, i
 
 
-def _parse_program(kinds: list[str], texts: list[str], text: str, objs: Objects) -> tuple[list, int]:
+def _parse_program(texts: list[str], text: str, objs: Objects, names: dict) -> tuple[list, int]:
     """The program of the morphism starting at the first token, and the index of the token after it."""
     program: list = []
     i = 0
     chained = False  # whether the current atom follows a ";"
     brackets: list = []  # per open bracket: (what closes it, its marker, chained before it)
     while True:
-        kind = kinds[i]
-        if kind == "(":
+        word = texts[i]
+        if word == "(":
             brackets.append(("*", PAR, chained))
             chained = False
             i += 1
             continue
-        if kind == "inv":
-            if kinds[i + 1] != "(":
+        if word == "inv":
+            if texts[i + 1] != "(":
                 raise _error(text, i + 1, _expected("'('", texts, i + 1))
             brackets.append((")", INV, chained))
             chained = False
             i += 2
             continue
-        if kind == "id":
-            x, i = _parse_obj(kinds, texts, i + 1, text, objs)
+        if word == "id":
+            x, i = _parse_obj(texts, i + 1, text, objs, names)
             atom = (Id, x)
-        elif kind == "b":
-            x, i = _parse_obj(kinds, texts, i + 1, text, objs)
-            y, i = _parse_obj(kinds, texts, i, text, objs)
+        elif word == "b":
+            x, i = _parse_obj(texts, i + 1, text, objs, names)
+            y, i = _parse_obj(texts, i, text, objs, names)
             atom = (Braid, x, y)
-        elif kind == "a":
-            x, i = _parse_obj(kinds, texts, i + 1, text, objs)
-            y, i = _parse_obj(kinds, texts, i, text, objs)
-            z, i = _parse_obj(kinds, texts, i, text, objs)
+        elif word == "a":
+            x, i = _parse_obj(texts, i + 1, text, objs, names)
+            y, i = _parse_obj(texts, i, text, objs, names)
+            z, i = _parse_obj(texts, i, text, objs, names)
             atom = (Assoc, x, y, z)
-        elif kind == "l":
-            x, i = _parse_obj(kinds, texts, i + 1, text, objs)
+        elif word == "l":
+            x, i = _parse_obj(texts, i + 1, text, objs, names)
             atom = (LeftUnitor, x)
-        elif kind == "r":
-            x, i = _parse_obj(kinds, texts, i + 1, text, objs)
+        elif word == "r":
+            x, i = _parse_obj(texts, i + 1, text, objs, names)
             atom = (RightUnitor, x)
         else:
             raise _error(text, i, _expected("a morphism", texts, i))
@@ -222,18 +218,18 @@ def _parse_program(kinds: list[str], texts: list[str], text: str, objs: Objects)
         if chained:
             program.append(COMP)
         # a chain ends where no ";" follows; close the brackets it ends
-        while kinds[i] != ";":
+        while texts[i] != ";":
             if not brackets:
                 return program, i
             closer, marker, chained = brackets.pop()
             if closer == "*":
-                if kinds[i] != "*":
+                if texts[i] != "*":
                     raise _error(text, i, _expected("'*'", texts, i))
                 brackets.append((")", marker, chained))
                 chained = False
                 i += 1
                 break
-            if kinds[i] != ")":
+            if texts[i] != ")":
                 raise _error(text, i, _expected("')'", texts, i))
             i += 1
             program.append(marker)
@@ -244,8 +240,8 @@ def _parse_program(kinds: list[str], texts: list[str], text: str, objs: Objects)
             i += 1
 
 
-def _check_end(kinds: list[str], texts: list[str], i: int, text: str) -> None:
-    if kinds[i] != "eof":
+def _check_end(texts: list[str], i: int, text: str) -> None:
+    if texts[i]:
         raise _error(text, i, f"trailing input {texts[i]!r}")
 
 
@@ -253,17 +249,17 @@ def parse_obj(text: str, objs: Objects | None = None) -> ObjTerm:
     """The object of ``text``; objects numbered in one table ``objs`` share their equal parts."""
     if objs is None:
         objs = Objects()
-    kinds, texts = _tokenize(text)
-    out, i = _parse_obj(kinds, texts, 0, text, objs)
-    _check_end(kinds, texts, i, text)
+    texts = _tokenize(text)
+    out, i = _parse_obj(texts, 0, text, objs, {"I": 0})
+    _check_end(texts, i, text)
     return objs.terms[out]
 
 
 def parse_program(text: str, objs: Objects) -> list:
     """The program of a morphism (see ``terms.flatten``), its objects numbered in ``objs``."""
-    kinds, texts = _tokenize(text)
-    out, i = _parse_program(kinds, texts, text, objs)
-    _check_end(kinds, texts, i, text)
+    texts = _tokenize(text)
+    out, i = _parse_program(texts, text, objs, {"I": 0})
+    _check_end(texts, i, text)
     return out
 
 

@@ -124,6 +124,22 @@ MALFORMED = [
     ("id x ; id y ; b x y", "error: IllTyped: composition boundary mismatch: x != y"),
     ("(id x * a y z w ; b x x)", "error: IllTyped: composition boundary mismatch: (y*(z*w)) != (x*x)"),
     ("b (x*I) y ; b (I*x) y", "error: IllTyped: composition boundary mismatch: (y*(x*I)) != ((I*x)*y)"),
+    # keywords, punctuation and identifiers where another class of token is expected
+    ("b x id", "error: 1:5: expected an object, found 'id'"),
+    ("a x y inv (b x y)", "error: 1:7: expected an object, found 'inv'"),
+    ("id )", "error: 1:4: expected an object, found ')'"),
+    ("l ;", "error: 1:3: expected an object, found ';'"),
+    ("r (x * ;)", "error: 1:8: expected an object, found ';'"),
+    ("id (I * inv)", "error: 1:9: expected an object, found 'inv'"),
+    ("a a x y", "error: 1:3: expected an object, found 'a'"),
+    ("id (x * b)", "error: 1:9: expected an object, found 'b'"),
+    ("x", "error: 1:1: expected a morphism, found 'x'"),
+    ("b x y ; I", "error: 1:9: expected a morphism, found 'I'"),
+    ("(x * id y)", "error: 1:2: expected a morphism, found 'x'"),
+    ("inv (b x y ; x)", "error: 1:14: expected a morphism, found 'x'"),
+    (")", "error: 1:1: expected a morphism, found ')'"),
+    ("inv (id x *", "error: 1:11: expected ')', found '*'"),
+    ("inv (b x y) id", "error: 1:13: trailing input 'id'"),
 ]
 
 

@@ -33,14 +33,14 @@ PIECES = [
 
 
 def regex_tokens(text: str):
-    """The kinds and texts that a findall of the token regex gives, or the error it names."""
+    """The texts that a findall of the token regex gives, closed by the end marker "", or the error it names."""
     texts = TOKEN.findall(text)
     for index, word in enumerate(texts):
         if word not in KINDS and not (word[0].isalpha() or word[0] == "_"):
             start = list(TOKEN.finditer(text))[index].start()
             line, column = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
             return "error", f"unexpected character {word[0]!r}", line, column
-    return [w if w in KINDS else "ident" for w in texts] + ["eof"], texts + [""]
+    return texts + [""]
 
 
 def split_tokens(text: str):
@@ -67,7 +67,8 @@ def test_identifier_check_accepts_what_the_identifier_pattern_does_on_every_char
 
 def test_tokenize_examples():
     assert split_tokens("inv(a x\u3000_y (z*I));b\x1cx y") == regex_tokens("inv(a x\u3000_y (z*I));b\x1cx y")
-    assert split_tokens("id (x * y)")[0] == ["id", "(", "ident", "*", "ident", ")", "eof"]
+    assert split_tokens("id (x * y)") == ["id", "(", "x", "*", "y", ")", ""]
+    assert split_tokens("inv(b x_ I);l\tI") == ["inv", "(", "b", "x_", "I", ")", ";", "l", "I", ""]
     # pieces that are no single token: the regex names the first bad character
     assert split_tokens("id x$ y") == ("error", "unexpected character '$'", 1, 5)
     assert split_tokens("b x\n y²z ²") == ("error", "unexpected character '²'", 2, 6)

@@ -61,6 +61,11 @@ def test_curves_runs_on_tiny_sizes(tmp_path):
     tokens = [n for n, _ in curves["equal_text"]["points"]]
     assert curves["equal_text"]["x"] == "tokens" and len(tokens) == 6 and tokens == sorted(set(tokens))
     assert all(t > 0 for _, t in curves["equal_text"]["points"])
+    # its tokenize, parse and normal_forms phases, each timed on its own, at the same token counts
+    phases = curves["parse_phases"]
+    assert list(phases) == ["tokenize", "parse", "normal_forms"]
+    assert all(c["x"] == "tokens" and [n for n, _ in c["points"]] == tokens for c in phases.values())
+    assert all(t > 0 for c in phases.values() for _, t in c["points"])
     assert [n for n, _ in curves["unbias_comp_iso"]["term"]["points"]] == [1, 2]
     # the texts of the cells of the same spans, by the syntax model, against arity
     assert set(curves["cells_text"]) == {"syntax"}
