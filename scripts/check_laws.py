@@ -12,14 +12,14 @@ from smckit import laws
 
 def main() -> int:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
-    t_start = time.time()
+    t_start = time.perf_counter()
     ok = True
     for name in laws.SUITES:
-        t0 = time.time()
+        t0 = time.perf_counter()
         (report,) = laws.run_suite(name, seed=seed)
         ok = ok and report.ok
-        print(f"{report}  [{time.time() - t0:.1f}s]")
-    print(f"total: {time.time() - t_start:.1f}s, {'all ok' if ok else 'FAILURES'}")
+        print(f"{report}  [{time.perf_counter() - t0:.1f}s]")
+    print(f"total: {time.perf_counter() - t_start:.1f}s, {'all ok' if ok else 'FAILURES'}")
     return 0 if ok else 1
 
 

@@ -741,7 +741,7 @@ def _seed(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        import argparse  # called by argparse, or by _parse_argv's fallback: already loaded
+        import argparse  # called by argparse, so already loaded
 
         raise argparse.ArgumentTypeError(f"expected an integer (from --seed or ${SEED_ENV}), found {text!r}") from None
 
@@ -776,9 +776,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-laws", help="run a law suite")
     p.add_argument("--suite", default="all", choices=laws.suite_names())
     p.add_argument("--max-size", type=_positive_int, default=None)
-    # no default here: the parser is built once, so $SMCKIT_SEED is read in _parse_argv
-    p.add_argument("--seed", type=_seed, default=None, help=f"default: ${SEED_ENV}, else 0")
-    p.set_defaults(seed_error=p.error)
+    # argparse converts a string default only when --seed is absent
+    p.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV, "0"), help=f"default: ${SEED_ENV}, else 0")
 
     return parser
 
@@ -832,35 +831,13 @@ def _read_argv(argv: list) -> SimpleNamespace | None:
     return SimpleNamespace(format=fmt, command=argv[i], **dict(zip(names, positionals)), **values)
 
 
-_PARSER = None  # build_parser(), made by the first argv that _read_argv declines; parsing leaves it unchanged
-
-
 def _parse_argv(argv=None) -> SimpleNamespace | argparse.Namespace:
-    """Read argv directly, else with the process's one parser; SystemExit on --help or a usage error.
+    """Read argv directly, else with a parser built for this call; SystemExit on --help or a usage error.
 
     ``--seed`` falls back to ``$SMCKIT_SEED`` as it is when called, else 0.
-    The environment is checked before unrecognized arguments are reported,
-    the order in which argparse would check a default it converts.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_argv(argv)
-    if args is not None:
-        return args
-    import argparse
-
-    global _PARSER
-    parser = _PARSER
-    if parser is None:
-        parser = _PARSER = build_parser()  # threads that race here build equal parsers; the last is kept
-    args, extra = parser.parse_known_args(argv)
-    if args.command == "check-laws" and args.seed is None:
-        try:
-            args.seed = _seed(os.environ.get(SEED_ENV, "0"))
-        except argparse.ArgumentTypeError as exc:
-            args.seed_error(f"argument --seed: {exc}")
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
+    return _read_argv(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None, out=None) -> int:

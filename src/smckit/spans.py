@@ -6,7 +6,8 @@ pullback of two maps into a common target is one hash join that writes the
 agreeing pairs, in lexicographic order, as two projections and keeps no
 pair list; the pairs are the canonical apex of a composite span.  The
 associator's map is ``identity_fun`` on that apex; every other map into a
-pullback apex is ``Pullback.lift``, and its index lookup is the cone check.
+pullback apex is ``Pullback.lift``, which indexes the apex's pairs on each
+call and whose index lookup is the cone check.
 
 Cells between spans are apex maps commuting with both legs; the pith is
 the cells with bijective maps.  Each equation is checked on image tuples,
@@ -128,7 +129,6 @@ class Pullback:
     apex: FinSet
     p1: FinFun
     p2: FinFun
-    __slots__ = ("_index",)  # each pair's apex point, filled by the first lift
 
     def lift(self, src: FinSet, left, right) -> FinFun:
         """The map x -> (left[x], right[x]) from src into the apex.
@@ -136,11 +136,7 @@ class Pullback:
         A cone commutes exactly when each of its pairs lies in the pullback,
         so the index lookup is the cone check.
         """
-        try:
-            index = self._index
-        except AttributeError:
-            index = {pair: i for i, pair in enumerate(zip(self.p1.img, self.p2.img))}
-            object.__setattr__(self, "_index", index)
+        index = {pair: i for i, pair in enumerate(zip(self.p1.img, self.p2.img))}
         try:
             img = tuple([index[pair] for pair in zip(left, right, strict=True)])
         except KeyError:
@@ -447,9 +443,10 @@ def right_unitor_cell(s: Span) -> SpanCell:
     """s;id => s, projecting the pair (a, k) to a.
 
     The canonical apex of s;id pairs each a with s.right(a), in the order of
-    a, so s;id equals s and the map is the identity; no pullback is built.
+    a, so s;id equals s and the cell is ``identity_cell(s)``; no pullback is
+    built.
     """
-    return SpanCell._unchecked(s, s, identity_fun(s.apex))  # the identity commutes with any legs
+    return identity_cell(s)
 
 
 def adjunction_cells(f: FinFun) -> tuple[SpanCell, SpanCell]:

@@ -14,9 +14,8 @@ with those names replaced by its own (``code.replace``), so every class
 runs the same bytecode as if its own source had been compiled.  The
 template cache holds one entry per shape.
 
-The class is rebuilt with ``__slots__``: its own fields, any names in its
-own ``__slots__`` (state that is not a field, such as a cache filled on
-first use), and ``__weakref__`` on a class whose only base is ``object``.
+The class is rebuilt with ``__slots__``: its own fields, and
+``__weakref__`` on a class whose only base is ``object``.
 So no instance has a ``__dict__`` and every instance of a class has one
 layout.  Rebuilding makes a new class object, so no method of a value
 class may use zero-argument ``super()``.  Every field is declared by its
@@ -105,8 +104,7 @@ def _value(cls, unchecked):
     for name in names:
         if name in own:
             raise TypeError(f"{cls.__qualname__}.{name} has a default; a value field has none")
-    slots = (*names, *own.get("__slots__", ()))
-    slots += ("__weakref__",) if cls.__bases__ == (object,) else ()
+    slots = names + (("__weakref__",) if cls.__bases__ == (object,) else ())
     codes = _template((len(names), hasattr(cls, "__post_init__"), unchecked))
     relabel = {f"f{i}": n for i, n in enumerate(names)}.get
     namespace = {"_new": object.__new__}

@@ -40,6 +40,8 @@ CASES = [
     ("7", ("check-laws", "--suite", "nope"), None),
     ("abc", LAWS, None),
     ("5", LAWS, 5),
+    ("abc", (*BRAIDING, "--seed", "3"), None),
+    ("abc", (*BRAIDING, "--seed", "x"), None),
 ]
 
 

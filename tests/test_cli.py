@@ -768,11 +768,11 @@ def test_render_prints_composition_flat():
 
 
 # ---------------------------------------------------------------------------
-# one parser per process
+# one parser per fallback argv
 
 
 def _count_builds(monkeypatch) -> list:
-    """Drop the process's parser; each later build_parser call appends to the list returned."""
+    """Each later build_parser call appends to the list returned."""
     builds = []
     build = cli.build_parser
 
@@ -780,12 +780,11 @@ def _count_builds(monkeypatch) -> list:
         builds.append(1)
         return build()
 
-    monkeypatch.setattr(cli, "_PARSER", None)
     monkeypatch.setattr(cli, "build_parser", counting_build)
     return builds
 
 
-def test_parser_is_built_once_per_process(monkeypatch):
+def test_only_fallback_argv_builds_a_parser(monkeypatch):
     builds = _count_builds(monkeypatch)
 
     def well_formed():
@@ -796,13 +795,13 @@ def test_parser_is_built_once_per_process(monkeypatch):
 
     well_formed()  # read directly: no parser at all
     assert len(builds) == 0
-    # a usage error, a help request and check-laws go to the one parser, built by the first of them
+    # a usage error, a help request and check-laws each build one parser
     assert run("normalize")[0] == 2
     well_formed()
     assert run("-h")[0] == 0
     assert run("check-laws", "--suite", "braiding")[0] == 0
     well_formed()
-    assert len(builds) == 1
+    assert len(builds) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -899,18 +898,8 @@ def test_the_direct_reader_declines(argv):
     assert cli._read_argv(argv) is None
 
 
-def test_parser_is_not_built_at_import():
-    # a shell run times the import and the parser build apart (the benchmark's setup_s)
-    env = dict(os.environ, PYTHONPATH=str(Path(smckit.__file__).resolve().parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import smckit.cli; print(smckit.cli._PARSER)"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert (proc.returncode, proc.stdout) == (0, "None\n"), proc.stderr
-
-
 def test_commands_are_looked_up_when_called(monkeypatch):
-    run("normalize", "b x y")  # the parser exists before the commands are replaced
+    run("normalize", "b x y")  # a call before the commands are replaced
     calls = []
 
     def counting(command):
@@ -945,7 +934,7 @@ def test_no_state_carries_over_between_calls(monkeypatch, capsys):
             assert json.loads(out)["seed"] == seed
 
 
-def test_threads_share_the_parser(monkeypatch):
+def test_threaded_calls_match_serial_calls(monkeypatch):
     rng = Random(12)
     requests = []
     for i in range(24):
@@ -953,7 +942,7 @@ def test_threads_share_the_parser(monkeypatch):
         requests += [("normalize", term), ("equal", term, term)]
     requests += [("span-compose", SPAN_A, SPAN_ID2, "--cells"), ("span-compose", SPAN_ID2, SPAN_A, SPAN_ID2, "--cells")] * 6
     requests += [("unbias", SPAN_A, FAMILY, "--cells"), ("--format", "record", "unbias", SPAN_A, FAMILY, "--model", "slist")] * 6
-    # argv that _read_argv declines, so the threads race to build the one parser
+    # argv that _read_argv declines, so each builds a parser while the threads run
     usage_error = ("normalize",)
     requests += [("check-laws", "--suite", "braiding", "--seed", "1"), ("--format=record", "equal", term, term), usage_error] * 2
     Random(3).shuffle(requests)
@@ -968,4 +957,4 @@ def test_threads_share_the_parser(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    assert builds  # the parser was built while the threads ran
+    assert len(builds) == 6  # one per declined argv

@@ -1,4 +1,4 @@
-"""The CLI parser's work against its input, counted rather than timed."""
+"""Work against input size, counted rather than timed: the CLI parser's, and ``unbias_comp_iso``'s model calls."""
 
 import math
 from collections import Counter
@@ -6,7 +6,9 @@ from collections import Counter
 from smckit import cli
 from smckit.perms import Perm
 from smckit.slist import SList, SListHom
-from smckit.terms import Gen, Objects, Tensor, canonical_term
+from smckit.spans import FinFun, FinSet, Span, identity_fun, span_pull, span_push
+from smckit.terms import FreeTermModel, Gen, Objects, Tensor, canonical_term
+from smckit.unbias import unbias_comp_iso
 
 
 def reversal_text(n: int) -> tuple[str, set]:
@@ -78,3 +80,33 @@ def test_parsing_grows_linearly_and_numbers_each_object_once(monkeypatch):
         assert {objs.terms[objs[key]] for key in keys} <= objects
     assert exponent(parses) <= 1.1
     assert exponent(steps) <= 1.1
+
+
+class ModelCalls(FreeTermModel):
+    """A ``FreeTermModel`` that counts its primitive calls; ``permute`` and ``regroup`` count as the calls they make."""
+
+    calls = 0
+
+
+def _counted(method):
+    def counted(self, *args):
+        self.calls += 1
+        return method(self, *args)
+    return counted
+
+
+for _name in ("unit", "tensor_obj", "identity", "compose", "tensor_mor", "assoc", "assoc_inv", "left_unitor",
+              "left_unitor_inv", "right_unitor", "right_unitor_inv", "braid", "braid_inv", "mor_equal"):
+    setattr(ModelCalls, _name, _counted(getattr(FreeTermModel, _name)))
+
+
+def test_unbias_comp_iso_model_calls_grow_linearly_with_arity():
+    points = []
+    for n in (16, 32):
+        # one fiber of n points, factored as a pull then a push, as `unbias --cells` does
+        x = FinSet(n)
+        s = Span(identity_fun(x), FinFun(x, FinSet(1), (0,) * n))
+        m = ModelCalls()
+        unbias_comp_iso(span_pull(s.left), span_push(s.right), m, lambda j: Gen(f"x{j}"))
+        points.append((n, m.calls))
+    assert exponent(points) <= 1.1

@@ -215,13 +215,6 @@ def test_unchecked_builds_what_the_public_constructor_refuses():
     assert FinFun._unchecked(FinSet(1), FinSet(1), (3,)).img == (3,)
 
 
-def test_a_cached_property_does_not_change_equality():
-    pb, fresh = EXAMPLES[Pullback](), EXAMPLES[Pullback]()
-    pb.lift(FinSet(1), (1,), (0,))
-    assert hasattr(pb, "_index") and not hasattr(fresh, "_index")
-    assert pb == fresh and hash(pb) == hash(fresh)
-
-
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_values_copy_and_pickle_to_an_equal_value(cls):
     v = EXAMPLES[cls]()
